@@ -12,14 +12,16 @@ handlers (``raise`` with no argument) are exempt.
 
 ROB002 enforces the other half of the crash-safety contract: inside
 ``repro.sim`` and ``repro.core`` every artifact must reach disk through
-:mod:`repro.atomicio` (tmp file + fsync + ``os.replace``) or an
-append-only (mode ``"a"``) journal.  A plain ``open(path, "w")`` truncates
-the previous artifact before the new bytes land, and ``os.rename`` is the
-clobber-prone cousin of ``os.replace`` — both leave a torn file behind a
-crash, which is exactly what the checkpoint/resume layer exists to prevent.
+:mod:`repro.atomicio` — an atomic replace (tmp file + fsync +
+``os.replace``), a sealed envelope, or a :class:`repro.atomicio.Journal`
+append.  A plain ``open(path, "w")`` truncates the previous artifact before
+the new bytes land, and ``os.rename`` is the clobber-prone cousin of
+``os.replace`` — both leave a torn file behind a crash, which is exactly
+what the checkpoint/resume layer exists to prevent.
 
-ROB004 enforces the distributed-campaign locking contract
-(:mod:`repro.sim.campaign`, :mod:`repro.sim.result_cache`): an advisory
+ROB004 enforces the locking contract of :mod:`repro.atomicio`, the one
+module that calls ``flock`` (its :func:`~repro.atomicio.file_lock` serves
+the campaign board and the result cache): an advisory
 ``fcntl.flock``/``lockf`` acquisition must be immediately followed by a
 ``try`` whose ``finally`` unlocks (``LOCK_UN``) or closes the handle.  A
 worker that raises between acquire and release holds the board or cache
@@ -136,7 +138,6 @@ _EMISSION_CALLS = frozenset(
         "exception",
         "critical",
         "_degrade",
-        "_quarantine",
     }
 )
 
@@ -146,8 +147,8 @@ def _emits_record(handler: ast.ExceptHandler) -> bool:
 
     Recognised traces: re-raising (or raising a transformed error), calling
     an emission-style method (:data:`_EMISSION_CALLS` — guard events,
-    health records, tracer events, log calls, warnings, cache degrade/
-    quarantine helpers), constructing a ``GuardEvent`` (the guard layer's
+    health records, tracer events, log calls, warnings, the cache's
+    degrade helper), constructing a ``GuardEvent`` (the guard layer's
     structured record of a degradation), or bumping a telemetry counter via
     an augmented attribute assignment (``self.telemetry.misses += 1``).
     """
@@ -214,7 +215,7 @@ class SilentDegradationChecker(BaseChecker):
     "artifact before the new bytes are durable, and os.rename clobbers "
     "non-atomically; a crash mid-write leaves a torn file that a resumed "
     "run would trust.  Route writes through repro.atomicio (tmp file + "
-    "fsync + os.replace) or an append-only (mode 'a') journal.",
+    "fsync + os.replace, or a repro.atomicio.Journal append).",
     scope=("repro.sim", "repro.core"),
 )
 class NonAtomicWriteChecker(BaseChecker):
@@ -229,7 +230,7 @@ class NonAtomicWriteChecker(BaseChecker):
                     node,
                     f"open(..., {mode!r}) writes the artifact in place; "
                     "use repro.atomicio.atomic_write_text/atomic_write_bytes "
-                    "(or an append-only mode 'a' journal)",
+                    "(or append to a repro.atomicio.Journal)",
                 )
         elif name == "os.rename":
             self.report(
@@ -241,7 +242,7 @@ class NonAtomicWriteChecker(BaseChecker):
         self.generic_visit(node)
 
 
-#: The advisory-lock entry points the campaign/cache layers use.
+#: The advisory-lock entry points behind repro.atomicio.file_lock.
 _FLOCK_CALLS = ("fcntl.flock", "fcntl.lockf")
 
 
@@ -271,7 +272,7 @@ def _lock_flags(node: ast.Call) -> set[str]:
     "work stealing that wedges every other shard sharing the directory.  "
     "Follow the acquisition immediately with try/finally that unlocks "
     "(LOCK_UN) or closes the handle.",
-    scope=("repro.sim",),
+    scope=("repro.atomicio",),
 )
 class FileLockReleaseChecker(BaseChecker):
     """Flags ``fcntl.flock``/``lockf`` acquisitions outside the safe shape.

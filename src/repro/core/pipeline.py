@@ -73,7 +73,6 @@ from repro.sim.machine import (
     machine_by_name,
 )
 from repro.sim.platform import HardwarePlatform
-from repro.sim.result_cache import ShardedResultStore
 from repro.workloads.profile import WorkloadProfile
 from repro.workloads.suites import power_modelling_workloads, validation_workloads
 
@@ -237,18 +236,14 @@ class GemStone:
         # One executor serves both engines: (workload x machine) jobs from
         # the hardware platform and the gem5 model share its dedup, disk
         # cache, retry policy and telemetry, and dataset collection batches
-        # through it.
-        campaign_store = None
+        # through it.  A campaign collation reads the board's result store
+        # (a plain result cache under ``<board>/results``) instead.
+        cache_dir = self.config.cache_dir
         if self.config.board_dir is not None:
-            campaign_store = ShardedResultStore(
-                os.path.join(self.config.board_dir, "results"),
-                faults=self.config.faults,
-                metrics=self.metrics,
-            )
+            cache_dir = os.path.join(self.config.board_dir, "results")
         self.executor = SimExecutor(
             jobs=self.config.jobs,
-            cache_dir=self.config.cache_dir,
-            cache=campaign_store,
+            cache_dir=cache_dir,
             retry=self.config.retry,
             timeout_seconds=self.config.sim_timeout_seconds,
             faults=self.config.faults,

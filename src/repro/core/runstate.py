@@ -12,14 +12,13 @@ threw away each completed phase.  This module makes a run restartable:
   ``jobs`` or ``cache_dir`` that are bit-identical by construction.  A
   checkpoint directory written under a different fingerprint is detected
   and quarantined, never reused.
-* A :class:`RunState` owns an append-only, checksummed JSONL **run
-  journal** (mode ``"a"`` writes, fsync'd per record; a torn tail line is
-  detected and dropped on read) and one **checkpoint artifact per phase**:
-  a JSON header line (schema, phase, fingerprint, payload checksum and
-  length) followed by the pickled payload, written via the shared
-  atomic-write helper (tmp file + fsync + rename).  A checkpoint failing
-  *any* header, checksum or unpickling check is quarantined to
-  ``<dir>/quarantine/`` and recomputed — corrupt state is never trusted.
+* A :class:`RunState` owns a **run journal** (a
+  :class:`~repro.atomicio.Journal`) and one **checkpoint artifact per
+  phase**: the pickled payload sealed in the :mod:`repro.atomicio`
+  envelope, whose header also records the phase, fingerprint and phase
+  key.  A checkpoint failing *any* envelope, header or unpickling check is
+  quarantined to ``<dir>/quarantine/`` and recomputed — corrupt state is
+  never trusted.
 * :meth:`RunState.interruptible` installs SIGINT/SIGTERM handlers that
   journal the interruption and exit; because every checkpoint is written
   atomically *when its phase completes*, the state on disk is resumable at
@@ -54,7 +53,14 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.atomicio import atomic_write_bytes, atomic_write_text
+from repro.atomicio import (
+    EnvelopeError,
+    Journal,
+    atomic_write_text,
+    quarantine,
+    seal,
+    unseal,
+)
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -213,11 +219,13 @@ class RunStateTelemetry(MetricView):
     }
 
 
-def _record_checksum(record: dict) -> str:
-    """Checksum of a journal record (everything but its ``sha1`` field)."""
-    return hashlib.sha1(
-        json.dumps(record, sort_keys=True).encode()
-    ).hexdigest()
+def _recorded_phase_key(path: str) -> str | None:
+    """The ``phase_key`` in a checkpoint's verified header, or None."""
+    try:
+        header, _ = unseal(path, RUNSTATE_SCHEMA_VERSION)
+    except (OSError, EnvelopeError):
+        return None
+    return header.get("phase_key")
 
 
 class RunState:
@@ -257,18 +265,15 @@ class RunState:
         self.telemetry = RunStateTelemetry(metrics)
         self.inert = False
         self._warned = False
-        self._seq = 0
-        self._spliced: list[str] = []
+        self._journal = Journal(self.journal_path)
+        spliced: list[str] = []
         try:
             os.makedirs(directory, exist_ok=True)
             existing = self._read_manifest_fingerprint()
             if existing is not None and existing != manifest.fingerprint:
-                if existing == "":
-                    # Corrupt manifest: nothing in the directory can be
-                    # attributed, so nothing is spliced.
-                    self._quarantine_all()
-                else:
-                    self._quarantine_stale()
+                # A corrupt manifest ("") attributes nothing in the
+                # directory to any run, so nothing is spliced.
+                spliced = self._sweep_stale(splice=existing != "")
                 existing = None
             if existing is None:
                 atomic_write_text(
@@ -286,19 +291,14 @@ class RunState:
         except OSError as exc:
             self._degrade(exc)
             return
-        records = self.read_journal()
-        if records:
-            self._seq = int(records[-1]["seq"]) + 1
         self.journal(
             "run-start",
             fingerprint=manifest.fingerprint,
             resume=bool(resume),
         )
-        if self._spliced:
-            self.journal("phases-spliced", phases=sorted(self._spliced))
-            self.tracer.event(
-                "phases-spliced", phases=sorted(self._spliced)
-            )
+        if spliced:
+            self.journal("phases-spliced", phases=spliced)
+            self.tracer.event("phases-spliced", phases=spliced)
 
     # ------------------------------------------------------------------ paths
     @property
@@ -348,145 +348,50 @@ class RunState:
                 stacklevel=3,
             )
 
-    def _quarantine(self, path: str, reason: str) -> None:
-        """Move one corrupt artifact out of the way, keeping the bytes."""
-        self.telemetry.quarantined += 1
-        try:
-            os.makedirs(self.quarantine_dir, exist_ok=True)
-            dest = os.path.join(self.quarantine_dir, os.path.basename(path))
-            os.replace(path, dest)
-        except OSError:
-            with contextlib.suppress(OSError):
-                os.remove(path)
-        self.journal(
-            "quarantined", artifact=os.path.basename(path), reason=reason
-        )
-        self.tracer.event(
-            "runstate-quarantined",
-            artifact=os.path.basename(path),
-            reason=reason,
-        )
+    def _sweep_stale(self, splice: bool) -> list[str]:
+        """Quarantine a mismatched run's artifacts; return the kept phases.
 
-    def _quarantine_all(self) -> None:
-        """Quarantine every artifact of a stale (mismatched) run."""
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        moved = 0
-        for name in sorted(names):
-            if not (name.endswith(".ckpt") or name in
-                    ("journal.jsonl", "manifest.json")):
-                continue
-            src = os.path.join(self.directory, name)
-            try:
-                os.replace(src, os.path.join(self.quarantine_dir, name))
-                moved += 1
-            except OSError:
-                with contextlib.suppress(OSError):
-                    os.remove(src)
-        self.telemetry.quarantined += moved
-
-    def _checkpoint_key(self, phase: str) -> str | None:
-        """The ``phase_key`` recorded in a checkpoint's header, or None."""
-        try:
-            with open(self.checkpoint_path(phase), "rb") as handle:
-                header = json.loads(handle.readline())
-            key = header.get("phase_key")
-            return key if isinstance(key, str) else None
-        except (OSError, ValueError, TypeError, AttributeError):
-            return None
-
-    def _quarantine_stale(self) -> None:
-        """Quarantine a mismatched run's artifacts, splicing what survives.
-
-        The manifest and journal belong to the *old* run and always go;
-        each checkpoint stays if and only if the phase key in its header
-        matches what the *new* manifest derives for that phase — meaning
-        every input the phase consumes is unchanged and its payload would
-        be recomputed bit-identically.  Kept phases are recorded in
-        ``self._spliced`` and journalled after ``run-start``.
+        The manifest and journal belong to the *old* run and always go.
+        With ``splice``, each checkpoint stays if and only if the phase key
+        in its header matches what the *new* manifest derives for that
+        phase — meaning every input the phase consumes is unchanged and its
+        payload would be recomputed bit-identically.
         """
-        try:
-            names = os.listdir(self.directory)
-        except OSError:
-            return
-        os.makedirs(self.quarantine_dir, exist_ok=True)
-        moved = 0
-        for name in sorted(names):
+        spliced: list[str] = []
+        for name in sorted(os.listdir(self.directory)):
+            path = os.path.join(self.directory, name)
             if name.endswith(".ckpt"):
                 phase = name[: -len(".ckpt")]
-                recorded = self._checkpoint_key(phase)
-                if (
-                    recorded is not None
-                    and recorded == self.manifest.phase_key(phase)
-                ):
-                    self._spliced.append(phase)
+                if splice and _recorded_phase_key(path) == self.manifest.phase_key(phase):
+                    spliced.append(phase)
                     continue
             elif name not in ("journal.jsonl", "manifest.json"):
                 continue
-            src = os.path.join(self.directory, name)
-            try:
-                os.replace(src, os.path.join(self.quarantine_dir, name))
-                moved += 1
-            except OSError:
-                with contextlib.suppress(OSError):
-                    os.remove(src)
-        self.telemetry.quarantined += moved
-        self.telemetry.spliced += len(self._spliced)
+            quarantine(path, self.quarantine_dir)
+            self.telemetry.quarantined += 1
+        self.telemetry.spliced += len(spliced)
+        return spliced
 
     # ---------------------------------------------------------------- journal
     def journal(self, event: str, **fields: Any) -> None:
-        """Append one checksummed record to the run journal (fsync'd)."""
+        """Append one record to the run journal (fsync'd)."""
         if self.inert:
             return
-        record: dict[str, Any] = {"seq": self._seq, "event": event, **fields}
-        record["sha1"] = _record_checksum(
-            {k: v for k, v in record.items() if k != "sha1"}
-        )
-        line = json.dumps(record, sort_keys=True)
         try:
-            with open(self.journal_path, "a") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._journal.append(event, **fields)
         except OSError as exc:
             self._degrade(exc)
         else:
-            self._seq += 1
+            self.telemetry.journal_records_dropped += self._journal.dropped
 
     def read_journal(self) -> list[dict]:
         """Verified journal records, oldest first.
 
         A torn or corrupt line (a crash mid-append) invalidates itself and
-        everything after it — the journal is trusted only up to its last
-        intact prefix.
+        everything after it; the next append truncates them.
         """
-        try:
-            with open(self.journal_path) as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            return []
-        except OSError:
-            return []
-        records: list[dict] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                expected = record["sha1"]
-                body = {k: v for k, v in record.items() if k != "sha1"}
-                if _record_checksum(body) != expected:
-                    raise ValueError("journal record checksum mismatch")
-            except (ValueError, KeyError, TypeError):
-                self.telemetry.journal_records_dropped += len(lines) - len(
-                    records
-                )
-                break
-            records.append(record)
+        records = self._journal.read()
+        self.telemetry.journal_records_dropped += self._journal.dropped
         return records
 
     # ------------------------------------------------------------ checkpoints
@@ -495,17 +400,15 @@ class RunState:
         if self.inert:
             return False
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        header = {
-            "schema": RUNSTATE_SCHEMA_VERSION,
-            "phase": phase,
-            "fingerprint": self.manifest.fingerprint,
-            "phase_key": self.manifest.phase_key(phase),
-            "checksum": hashlib.sha1(body).hexdigest(),
-            "n_bytes": len(body),
-        }
-        data = json.dumps(header, sort_keys=True).encode() + b"\n" + body
         try:
-            atomic_write_bytes(self.checkpoint_path(phase), data)
+            seal(
+                self.checkpoint_path(phase),
+                body,
+                RUNSTATE_SCHEMA_VERSION,
+                phase=phase,
+                fingerprint=self.manifest.fingerprint,
+                phase_key=self.manifest.phase_key(phase),
+            )
         except OSError as exc:
             self._degrade(exc)
             return False
@@ -518,38 +421,31 @@ class RunState:
         """The payload checkpointed for ``phase``, or None.
 
         Only consulted on a ``resume`` run.  A checkpoint that fails any
-        header, fingerprint, checksum or unpickling check is quarantined
-        and None is returned — the phase is then recomputed.
+        envelope, phase, fingerprint or unpickling check is quarantined and
+        None is returned — the phase is then recomputed.
         """
         if self.inert or not self.resume:
             return None
         path = self.checkpoint_path(phase)
         try:
-            with open(path, "rb") as handle:
-                header_line = handle.readline()
-                body = handle.read()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self._quarantine(path, "unreadable")
-            return None
-        try:
-            header = json.loads(header_line)
-            if header["schema"] != RUNSTATE_SCHEMA_VERSION:
-                raise ValueError(f"schema {header['schema']}")
-            if header["phase"] != phase:
-                raise ValueError(f"phase {header['phase']!r}")
-            if header["fingerprint"] != self.manifest.fingerprint and (
+            header, body = unseal(path, RUNSTATE_SCHEMA_VERSION)
+            if header.get("phase") != phase:
+                raise ValueError(f"phase {header.get('phase')!r}")
+            if header.get("fingerprint") != self.manifest.fingerprint and (
                 header.get("phase_key") != self.manifest.phase_key(phase)
             ):
                 raise ValueError("fingerprint mismatch")
-            if header["n_bytes"] != len(body):
-                raise ValueError("truncated payload")
-            if hashlib.sha1(body).hexdigest() != header["checksum"]:
-                raise ValueError("checksum mismatch")
             payload = pickle.loads(body)
+        except FileNotFoundError:
+            return None
         except Exception as exc:  # noqa: BLE001 - any corruption -> recompute
-            self._quarantine(path, f"{type(exc).__name__}: {exc}")
+            reason = f"{type(exc).__name__}: {exc}"
+            quarantine(path, self.quarantine_dir)
+            self.telemetry.quarantined += 1
+            self.journal("quarantined", artifact=f"{phase}.ckpt", reason=reason)
+            self.tracer.event(
+                "runstate-quarantined", artifact=f"{phase}.ckpt", reason=reason
+            )
             return None
         self.telemetry.restored += 1
         self.journal("restored", phase=phase)

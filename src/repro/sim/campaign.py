@@ -12,9 +12,9 @@ a single result:
   shared directory: one immutable job file per
   :func:`~repro.sim.result_cache.cache_key`, a lease file per in-flight
   job (owner + attempt, heartbeat = the lease file's mtime), done/poison
-  markers, and an append-only checksummed journal.  All board mutations
-  are serialised by one advisory ``flock``, so claims and steals are
-  atomic across processes and hosts.
+  markers, and a :class:`~repro.atomicio.Journal`.  All board mutations
+  run under one :func:`~repro.atomicio.file_lock`, so claims and steals
+  are atomic across processes and hosts.
 * **Lease-based work stealing** — a worker claims the first unleased,
   unfinished job; a lease whose heartbeat is older than the board TTL is
   *expired* and deterministically stolen by the next claimant (attempt
@@ -22,8 +22,8 @@ a single result:
   filesystem's own clock (the mtime of a freshly touched probe file), so
   the protocol needs no wall-clock reads and works across hosts with
   skewed clocks.
-* **Worker-loss recovery** — results land in a content-addressed
-  :class:`~repro.sim.result_cache.ShardedResultStore` *before* the done
+* **Worker-loss recovery** — results land in the board's content-addressed
+  :class:`~repro.sim.result_cache.SimResultCache` *before* the done
   marker, so a shard killed between the two leaves an orphaned-but-intact
   result that the stealing shard verifies and adopts instead of
   recomputing.  A job whose attempts exhaust the retry budget is poisoned
@@ -42,22 +42,23 @@ through a normal :class:`~repro.core.pipeline.GemStone` whose executor
 reads the campaign's store — so a clean 2-shard campaign is bit-identical
 to a serial run by construction.
 
-``repro.core`` symbols are imported lazily inside functions: this module
-lives in ``repro.sim``, which the core pipeline imports.
+The durable formats (journal, result envelope, quarantine, lock) are those
+of :mod:`repro.atomicio`.  ``repro.core`` symbols are imported lazily inside
+functions: this module lives in ``repro.sim``, which the core pipeline
+imports.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import hashlib
 import json
 import os
 import threading
 import time
 from dataclasses import dataclass
 
-from repro.atomicio import atomic_write_text
+from repro.atomicio import Journal, atomic_write_text, file_lock
 from repro.obs.exporters import write_prometheus_snapshot
 from repro.obs.log import get_logger
 from repro.obs.merge import (
@@ -78,28 +79,16 @@ from repro.sim.machine import (
     hardware_a15,
     hardware_a7,
 )
-from repro.sim.result_cache import ShardedResultStore, cache_key
+from repro.sim.result_cache import SimResultCache, cache_key
 from repro.uarch.tlb import TlbHierarchyConfig
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import compile_trace
 
 logger = get_logger(__name__)
 
-try:  # pragma: no cover - absent only on non-POSIX platforms
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-    logger.debug("fcntl unavailable; advisory locking degrades to no-op")
-
-#: Bump when the board layout or journal envelope changes.
-BOARD_SCHEMA_VERSION = 1
-
-
-def _journal_checksum(record: dict) -> str:
-    """Checksum of a journal record (everything but its ``sha1`` field)."""
-    return hashlib.sha1(
-        json.dumps(record, sort_keys=True).encode()
-    ).hexdigest()
+#: Bump when the board layout or journal envelope changes (v2: flat
+#: ``results/<key>.json`` result store).
+BOARD_SCHEMA_VERSION = 2
 
 
 class CampaignTelemetry(MetricView):
@@ -227,18 +216,18 @@ class CampaignBoard:
     Layout::
 
         board.json           schema, fingerprint, ttl, retry budget
-        board.lock           advisory flock serialising all mutations
+        board.lock           file_lock serialising all mutations
         .clock               probe file; its mtime is the board's clock
-        journal.jsonl        append-only checksummed event journal
+        journal.jsonl        the board's repro.atomicio.Journal
         jobs/<key>.json      immutable job definitions
         state/<key>.json     mutable attempt/steal counters
         leases/<key>.lease   owner + attempt; mtime is the heartbeat
         done/<key>.json      completion markers
         poisoned/<key>.json  circuit-broken jobs with their reason
-        results/<xx>/...     the ShardedResultStore
+        results/<key>.json   the result store (a SimResultCache)
 
     Every mutation (claim, steal, release, done, poison, journal append)
-    runs under the board's advisory lock, so any number of processes —
+    runs under the board's lock, so any number of processes —
     on any number of hosts sharing the directory — see a consistent
     board.  Lease expiry compares mtimes against the mtime of a freshly
     touched probe file (:meth:`now`), never a wall clock.
@@ -247,7 +236,6 @@ class CampaignBoard:
         directory: Board directory (created on demand).
         ttl_seconds: Heartbeat TTL; an older lease is stealable.
         max_attempts: Claims allowed per job before it is poisoned.
-        prefix_chars: Key-prefix width of the result store shards.
         metrics: Shared registry for the ``sim.campaign.*`` counters.
     """
 
@@ -256,7 +244,6 @@ class CampaignBoard:
         directory: str,
         ttl_seconds: float = 5.0,
         max_attempts: int = 3,
-        prefix_chars: int = 2,
         metrics: MetricsRegistry | None = None,
     ):
         if ttl_seconds <= 0:
@@ -266,7 +253,7 @@ class CampaignBoard:
         self.directory = directory
         self.ttl_seconds = float(ttl_seconds)
         self.max_attempts = int(max_attempts)
-        self.prefix_chars = int(prefix_chars)
+        self._journal = Journal(self.journal_path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.telemetry = CampaignTelemetry(self.metrics)
         for sub in ("jobs", "state", "leases", "done", "poisoned", "results",
@@ -294,7 +281,6 @@ class CampaignBoard:
             directory,
             ttl_seconds=meta["ttl_seconds"],
             max_attempts=meta["max_attempts"],
-            prefix_chars=meta["prefix_chars"],
             metrics=metrics,
         )
 
@@ -326,13 +312,10 @@ class CampaignBoard:
     def _poison_path(self, key: str) -> str:
         return os.path.join(self.directory, "poisoned", f"{key}.json")
 
-    def store(self, faults=None) -> ShardedResultStore:
+    def store(self, faults=None) -> SimResultCache:
         """The campaign's shared result store (one per call, same files)."""
-        return ShardedResultStore(
-            self.results_dir,
-            faults=faults,
-            metrics=self.metrics,
-            prefix_chars=self.prefix_chars,
+        return SimResultCache(
+            self.results_dir, faults=faults, metrics=self.metrics
         )
 
     # ----------------------------------------------------------- primitives
@@ -340,22 +323,15 @@ class CampaignBoard:
     def _lock(self):
         """Board-wide mutual exclusion over claims, steals and the journal.
 
-        Degrades to an unlocked no-op (yielding False) where ``fcntl`` is
-        unavailable — single-process boards still work there.
+        Raises ``OSError`` when the lock file cannot be opened, so a board
+        never silently runs without its lock.
         """
-        if fcntl is None:
-            yield False
-            return
-        with open(os.path.join(self.directory, "board.lock"), "a") as handle:
-            waited = time.perf_counter()
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                self.metrics.histogram(
-                    "sim.campaign.board.flock_wait.seconds"
-                ).observe(time.perf_counter() - waited)
-                yield True
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+        waited = time.perf_counter()
+        with file_lock(os.path.join(self.directory, "board.lock")):
+            self.metrics.histogram(
+                "sim.campaign.board.flock_wait.seconds"
+            ).observe(time.perf_counter() - waited)
+            yield
 
     def now(self) -> float:
         """The shared filesystem's clock: a touched probe file's mtime.
@@ -372,87 +348,30 @@ class CampaignBoard:
         return os.stat(probe).st_mtime
 
     def _append_journal(self, event: str, **fields) -> None:
-        """Append one checksummed record; the caller holds the board lock.
+        """Append one journal record; the caller holds the board lock.
 
-        The next sequence number is re-derived from the journal tail on
-        every append — boards have many writers, so no single process can
-        own the counter.  Journals are small (a few records per job), so
-        the re-read is cheap.
+        ``clock`` stamps the record with the board's shared-filesystem
+        clock (never wall time), so ``campaign status --detail`` can derive
+        completion rates and an ETA from journal deltas.
         """
         started = time.perf_counter()
-        records = self.read_journal()
-        seq = int(records[-1]["seq"]) + 1 if records else 0
-        # ``clock`` stamps the record with the board's shared-filesystem
-        # clock (never wall time), so ``campaign status --detail`` can
-        # derive completion rates and an ETA from journal deltas.
-        record = {"seq": seq, "event": event, "clock": self.now(), **fields}
-        record["sha1"] = _journal_checksum(record)
+        clock = self.now()
         try:
-            self._truncate_torn_tail(records)
-            with open(self.journal_path, "a") as handle:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            self._journal.append(event, clock=clock, **fields)
         except OSError as exc:
             logger.warning("campaign journal append failed: %s", exc)
+        if self._journal.dropped:
+            logger.warning(
+                "campaign journal at %s had a torn tail; truncated %d line(s)",
+                self.journal_path, self._journal.dropped,
+            )
         self.metrics.histogram(
             "sim.campaign.journal.append.seconds"
         ).observe(time.perf_counter() - started)
 
-    def _truncate_torn_tail(self, records: list[dict]) -> None:
-        """Drop a torn tail before appending (caller holds the lock).
-
-        A writer dying mid-append leaves a partial last line; appends
-        after it would be unreachable (reads stop at the first bad
-        record), so the verified prefix is rewritten first.
-        """
-        try:
-            with open(self.journal_path) as handle:
-                lines = [line for line in handle if line.strip()]
-        except FileNotFoundError:
-            logger.debug("campaign journal not written yet; nothing to trim")
-            return
-        if len(lines) == len(records):
-            return
-        logger.warning(
-            "campaign journal at %s has a torn tail "
-            "(%d line(s), %d verified); truncating",
-            self.journal_path, len(lines), len(records),
-        )
-        atomic_write_text(
-            self.journal_path,
-            "".join(
-                json.dumps(record, sort_keys=True) + "\n"
-                for record in records
-            ),
-        )
-
     def read_journal(self) -> list[dict]:
         """Verified journal records, oldest first (torn tail dropped)."""
-        try:
-            with open(self.journal_path) as handle:
-                lines = handle.readlines()
-        except FileNotFoundError:
-            logger.debug("campaign journal not written yet")
-            return []
-        except OSError as exc:
-            logger.debug("campaign journal unreadable: %s", exc)
-            return []
-        records: list[dict] = []
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                body = {k: v for k, v in record.items() if k != "sha1"}
-                if _journal_checksum(body) != record["sha1"]:
-                    raise ValueError("journal record checksum mismatch")
-            except (ValueError, KeyError, TypeError) as exc:
-                logger.debug("dropping torn journal tail: %s", exc)
-                break
-            records.append(record)
-        return records
+        return self._journal.read()
 
     def _read_json(self, path: str) -> dict | None:
         try:
@@ -520,7 +439,6 @@ class CampaignBoard:
                             "fingerprint": fingerprint,
                             "ttl_seconds": self.ttl_seconds,
                             "max_attempts": self.max_attempts,
-                            "prefix_chars": self.prefix_chars,
                         },
                         indent=2,
                         sort_keys=True,
@@ -795,7 +713,7 @@ def _heartbeat_loop(
 
 def _run_one(
     board: CampaignBoard,
-    store: ShardedResultStore,
+    store: SimResultCache,
     job: CampaignJob,
     attempt: int,
     owner: str,

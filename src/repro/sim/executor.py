@@ -219,9 +219,8 @@ def _run_job(payload):
     already breached refuses the job with ``MemoryError`` (the parent
     isolates it to the serial lane).
 
-    With a cache spec (see :func:`~repro.sim.result_cache.cache_spec` —
-    flat directory or campaign sharded store) the worker writes its entry
-    atomically (via the cache's temp-file + rename protocol) and ships
+    With a cache spec (see :func:`~repro.sim.result_cache.cache_spec`)
+    the worker writes its entry atomically (sealed, via the cache) and ships
     only a tiny token across the process boundary; the parent reaps the
     entry from disk.  Without a cache the result itself is returned
     in-band.  Either way the return value is a ``(token_or_result,
@@ -272,11 +271,6 @@ class SimExecutor:
             ``os.cpu_count()``.
         cache_dir: Optional on-disk result cache shared by parent and
             workers; see :class:`~repro.sim.result_cache.SimResultCache`.
-        cache: Optional prebuilt cache object (a
-            :class:`~repro.sim.result_cache.SimResultCache` or a campaign
-            :class:`~repro.sim.result_cache.ShardedResultStore`); takes
-            precedence over ``cache_dir``.  Workers rebuild an equivalent
-            writer from its :func:`~repro.sim.result_cache.cache_spec`.
         retry: Per-job retry policy (deterministic, jitter-free).
         timeout_seconds: Optional per-job timeout for pool attempts; a job
             exceeding it is abandoned and rerun serially in the parent.
@@ -308,7 +302,6 @@ class SimExecutor:
         self,
         jobs: int | None = None,
         cache_dir: str | None = None,
-        cache=None,
         retry: RetryPolicy | None = None,
         timeout_seconds: float | None = None,
         faults=None,
@@ -335,14 +328,11 @@ class SimExecutor:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.metrics.gauge("sim.executor.workers").set(self.jobs)
-        if cache is not None:
-            self.cache = cache
-        else:
-            self.cache = (
-                SimResultCache(cache_dir, faults=faults, metrics=self.metrics)
-                if cache_dir is not None
-                else None
-            )
+        self.cache = (
+            SimResultCache(cache_dir, faults=faults, metrics=self.metrics)
+            if cache_dir is not None
+            else None
+        )
         self.telemetry = SimTelemetry(self.metrics)
         #: Guardrail state: plan, recorded events, watchdog, telemetry.
         self.guard = GuardRail(guard, self.metrics, self.tracer)

@@ -1,10 +1,10 @@
 """Known-bad fixture: exactly one finding for each core repro-lint rule.
 
 Linted with ``--assume-module repro.sim._fixture`` so the scoped
-determinism and performance rules apply; tests assert the reported rule
-ids are exactly {DET001, DET002, DET003, OBS001, OBS002 (x2), PERF001,
-PURE001, PURE002, ROB001, ROB002, ROB003, ROB004}.  This file is never
-imported and is excluded from every self-clean run.
+determinism and performance rules apply; tests assert the rule ids are
+exactly {DET001, DET002, DET003, OBS001, OBS002 (x2), PERF001, PURE001,
+PURE002, ROB001, ROB002, ROB003}, plus one ROB004 when linted as
+``repro.atomicio`` (its scope).  Never imported; excluded from self-clean.
 """
 
 import fcntl

@@ -162,6 +162,8 @@ class TestRob002NonAtomicWrite:
 
 
 class TestRob004FileLockRelease:
+    # flock lives only in repro.atomicio, the rule's whole scope.
+    MODULE = "repro.atomicio"
     SAFE = (
         "import fcntl\n"
         "def f(handle):\n"
@@ -181,10 +183,10 @@ class TestRob004FileLockRelease:
     )
 
     def test_acquire_with_immediate_try_finally_unlock_is_clean(self):
-        assert lint_snippet(self.SAFE) == []
+        assert lint_snippet(self.SAFE, module=self.MODULE) == []
 
     def test_unprotected_statements_after_acquire_are_flagged(self):
-        assert rule_ids(lint_snippet(self.UNSAFE)) == ["ROB004"]
+        assert rule_ids(lint_snippet(self.UNSAFE, module=self.MODULE)) == ["ROB004"]
 
     def test_close_in_finally_counts_as_release(self):
         snippet = (
@@ -196,7 +198,7 @@ class TestRob004FileLockRelease:
             "    finally:\n"
             "        handle.close()\n"
         )
-        assert lint_snippet(snippet) == []
+        assert lint_snippet(snippet, module=self.MODULE) == []
 
     def test_lockf_and_from_import_and_composed_flags_are_seen(self):
         snippet = (
@@ -205,15 +207,16 @@ class TestRob004FileLockRelease:
             "    lockf(handle, LOCK_EX | LOCK_NB)\n"
             "    return handle.read()\n"
         )
-        assert rule_ids(lint_snippet(snippet)) == ["ROB004"]
+        assert rule_ids(lint_snippet(snippet, module=self.MODULE)) == ["ROB004"]
 
     def test_unlock_and_shared_reads_outside_scope_stay_quiet(self):
-        # LOCK_UN alone is not an acquisition, and outside repro.sim the
-        # rule does not apply at all.
+        # LOCK_UN alone is not an acquisition, and outside repro.atomicio
+        # the rule does not apply at all.
         unlock_only = (
             "import fcntl\n"
             "def f(handle):\n"
             "    fcntl.flock(handle.fileno(), fcntl.LOCK_UN)\n"
         )
-        assert lint_snippet(unlock_only) == []
+        assert lint_snippet(unlock_only, module=self.MODULE) == []
+        assert lint_snippet(self.UNSAFE, module="repro.sim._snippet") == []
         assert lint_snippet(self.UNSAFE, module="repro.core._snippet") == []

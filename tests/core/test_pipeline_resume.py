@@ -13,13 +13,12 @@ suite exercises is the *analysis* checkpoint layer above it.
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.core.runstate import PHASES
 from repro.workloads.suites import workload_by_name
+from tests.core import quarantined_names
 
 pytestmark = pytest.mark.chaos
 
@@ -132,12 +131,13 @@ def test_mismatched_config_splices_the_shared_subgraph(
     changed = GemStone(
         _config(sim_cache_dir, directory, resume=True, n_workload_clusters=3)
     )
-    quarantined = os.listdir(changed.runstate.quarantine_dir)
-    assert "manifest.json" in quarantined
-    assert "report.ckpt" in quarantined
-    assert "workload-clusters.ckpt" in quarantined
-    assert "dataset.ckpt" not in quarantined
-    assert "power-model.ckpt" not in quarantined
+    quarantined = quarantined_names(changed.runstate.quarantine_dir)
+    assert quarantined == [
+        "dvfs.ckpt", "event-comparison.ckpt", "journal.jsonl",
+        "manifest.json", "power-energy.ckpt", "report.ckpt",
+        "workload-clusters.ckpt",
+    ]
+    assert len(quarantined) == changed.runstate.telemetry.quarantined
     assert changed.runstate.telemetry.spliced == 7
 
     report = changed.report()

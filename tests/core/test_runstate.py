@@ -18,6 +18,7 @@ import pytest
 from repro.atomicio import atomic_write_bytes, atomic_write_text
 from repro.core.pipeline import GemStoneConfig
 from repro.core.runstate import PHASES, RunManifest, RunState
+from tests.core import quarantined_names
 
 
 def _manifest(tag: str = "a") -> RunManifest:
@@ -99,6 +100,23 @@ class TestJournal:
             handle.writelines([tampered, *lines[1:]])
         assert state.read_journal() == []
 
+    def test_reopen_truncates_a_torn_tail_before_appending(self, tmp_path):
+        directory = str(tmp_path / "run")
+        RunState(directory, _manifest()).journal("first")
+        torn = '{"seq": 2, "event": "torn"'  # crash mid-append
+        with open(os.path.join(directory, "journal.jsonl"), "a") as handle:
+            handle.write(torn)
+        resumed = RunState(directory, _manifest(), resume=True)
+        resumed.checkpoint("dataset", 1)
+        assert resumed.restore("dataset") == 1
+        assert torn not in open(resumed.journal_path).read()
+        records = resumed.read_journal()
+        assert [r["event"] for r in records] == [
+            "run-start", "first", "run-start", "checkpointed", "restored",
+        ]
+        assert [r["seq"] for r in records] == [0, 1, 2, 3, 4]
+        assert resumed.telemetry.journal_records_dropped == 1
+
     def test_sequence_continues_across_instances(self, tmp_path):
         directory = str(tmp_path / "run")
         RunState(directory, _manifest()).journal("first")
@@ -141,11 +159,31 @@ class TestCheckpoints:
         assert reader.restore("dataset") is None
         assert reader.telemetry.quarantined == 1
         assert not os.path.exists(path)
-        assert os.path.exists(
-            os.path.join(reader.quarantine_dir, "dataset.ckpt")
-        )
+        assert quarantined_names(reader.quarantine_dir) == ["dataset.ckpt"]
         events = [r["event"] for r in reader.read_journal()]
         assert "quarantined" in events
+
+    def test_repeated_quarantines_of_one_phase_never_collide(self, tmp_path):
+        directory = str(tmp_path / "run")
+        writer = RunState(directory, _manifest())
+        path = writer.checkpoint_path("dataset")
+        corrupt = []
+        for flip in (0x01, 0x02):
+            writer.checkpoint("dataset", {"answer": 42})
+            blob = bytearray(open(path, "rb").read())
+            blob[-1] ^= flip
+            atomic_write_bytes(path, bytes(blob))
+            corrupt.append(bytes(blob))
+            reader = RunState(directory, _manifest(), resume=True)
+            assert reader.restore("dataset") is None
+        kept = sorted(
+            open(os.path.join(reader.quarantine_dir, name), "rb").read()
+            for name in os.listdir(reader.quarantine_dir)
+        )
+        assert kept == sorted(corrupt)
+        assert quarantined_names(reader.quarantine_dir) == [
+            "dataset.ckpt", "dataset.ckpt",
+        ]
 
     def test_truncated_checkpoint_is_quarantined(self, tmp_path):
         directory = str(tmp_path / "run")
@@ -231,9 +269,11 @@ class TestPhaseKeys:
         assert fresh.restore("dataset") == {"rows": 1}
         assert fresh.restore("workload-clusters") is None
         assert fresh.telemetry.spliced == 1
-        quarantined = os.listdir(fresh.quarantine_dir)
-        assert "workload-clusters.ckpt" in quarantined
-        assert "dataset.ckpt" not in quarantined
+        quarantined = quarantined_names(fresh.quarantine_dir)
+        assert quarantined == [
+            "journal.jsonl", "manifest.json", "workload-clusters.ckpt",
+        ]
+        assert len(quarantined) == fresh.telemetry.quarantined
         events = [r["event"] for r in fresh.read_journal()]
         assert "phases-spliced" in events
 
@@ -246,8 +286,9 @@ class TestStaleDirectory:
         fresh = RunState(directory, _manifest("new"), resume=True)
         assert fresh.restore("dataset") is None
         assert fresh.telemetry.restored == 0
-        quarantined = sorted(os.listdir(fresh.quarantine_dir))
+        quarantined = quarantined_names(fresh.quarantine_dir)
         assert quarantined == ["dataset.ckpt", "journal.jsonl", "manifest.json"]
+        assert len(quarantined) == fresh.telemetry.quarantined
         manifest = json.load(open(fresh.manifest_path))
         assert manifest["fingerprint"] == "fp-new"
 
@@ -258,7 +299,9 @@ class TestStaleDirectory:
         atomic_write_text(old.manifest_path, "{not json")
         fresh = RunState(directory, _manifest(), resume=True)
         assert fresh.restore("dataset") is None
-        assert "dataset.ckpt" in os.listdir(fresh.quarantine_dir)
+        quarantined = quarantined_names(fresh.quarantine_dir)
+        assert quarantined == ["dataset.ckpt", "journal.jsonl", "manifest.json"]
+        assert len(quarantined) == fresh.telemetry.quarantined
 
 
 class TestDegradation:

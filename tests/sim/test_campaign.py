@@ -215,14 +215,11 @@ class TestJournal:
 
 class TestBoardOpen:
     def test_open_adopts_recorded_settings(self, tmp_path):
-        board = CampaignBoard(
-            str(tmp_path), ttl_seconds=1.5, max_attempts=7, prefix_chars=3
-        )
+        board = CampaignBoard(str(tmp_path), ttl_seconds=1.5, max_attempts=7)
         board.create_or_sync("fp", [])
         reopened = CampaignBoard.open(str(tmp_path))
         assert reopened.ttl_seconds == 1.5
         assert reopened.max_attempts == 7
-        assert reopened.prefix_chars == 3
 
     def test_open_rejects_missing_and_newer_boards(self, tmp_path):
         with pytest.raises(FileNotFoundError):

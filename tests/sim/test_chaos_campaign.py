@@ -327,7 +327,7 @@ class TestIncrementalRecompute:
         board = CampaignBoard.open(board_dir)
         key = board.job_keys()[0]
         store = board.store()
-        path = store._shard(key)._path(key)
+        path = store._path(key)
         with open(path, "r+") as handle:
             handle.write("corrupt")
         claims_before = _journal_events(board_dir).count("lease-claimed")

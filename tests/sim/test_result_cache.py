@@ -1,5 +1,6 @@
 """Tests for on-disk simulation-result caching."""
 
+import json
 import os
 from dataclasses import replace
 
@@ -10,9 +11,8 @@ from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
 from repro.sim.result_cache import (
-    ShardedResultStore,
+    CACHE_SCHEMA_VERSION,
     SimResultCache,
-    advisory_lock,
     cache_key,
     cache_spec,
     machine_fingerprint,
@@ -101,31 +101,45 @@ class TestIntegrity:
     def _entry_path(self, cache, trace, machine):
         return cache._path(cache_key(trace, machine))
 
+    def _read_entry(self, path):
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline())
+            payload = json.loads(handle.read())
+        return header, payload
+
+    def _rewrite_payload(self, path, mutate):
+        """Rewrite an entry's payload, keeping its header's sha1.
+
+        ``n_bytes`` follows the new body, so only the checksum can tell.
+        """
+        header, payload = self._read_entry(path)
+        mutate(payload)
+        body = json.dumps(payload, sort_keys=True).encode()
+        header["n_bytes"] = len(body)
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header).encode() + b"\n" + body)
+
     def test_envelope_format(self, cache, trace):
-        import json
-
-        from repro.sim.result_cache import CACHE_SCHEMA_VERSION
-
         machine = hardware_a15()
         cache.put(trace, machine, simulate(trace, machine))
-        with open(self._entry_path(cache, trace, machine)) as handle:
-            data = json.load(handle)
-        assert data["schema"] == CACHE_SCHEMA_VERSION
-        assert set(data) == {"schema", "checksum", "payload"}
+        header, payload = self._read_entry(self._entry_path(cache, trace, machine))
+        assert header["schema"] == CACHE_SCHEMA_VERSION
+        assert set(header) == {"schema", "sha1", "n_bytes"}
+        assert set(payload) == {
+            "trace_name", "threads", "counts", "core_cycles",
+            "dram_stall_weight", "components",
+        }
 
     def test_bit_rot_quarantined(self, cache, trace):
-        """A flipped payload byte fails the checksum, not just bad JSON."""
-        import json
-        import os
-
+        """A flipped payload value fails the checksum, not just bad JSON."""
         machine = hardware_a15()
         cache.put(trace, machine, simulate(trace, machine))
         path = self._entry_path(cache, trace, machine)
-        with open(path) as handle:
-            data = json.load(handle)
-        data["payload"]["core_cycles"] += 1.0  # still perfectly valid JSON
-        with open(path, "w") as handle:
-            json.dump(data, handle)
+
+        def bump(payload):
+            payload["core_cycles"] += 1.0  # still perfectly valid JSON
+
+        self._rewrite_payload(path, bump)
         assert cache.get(trace, machine) is None
         assert cache.telemetry.quarantined == 1
         # The corrupt bytes are preserved for post-mortems, out of the key
@@ -147,19 +161,16 @@ class TestIntegrity:
         second corrupt entry for the same job silently overwrote the
         first; the content-hash suffix keeps both.
         """
-        import json
-        import os
-
         machine = hardware_a15()
         result = simulate(trace, machine)
         path = self._entry_path(cache, trace, machine)
         for gen in range(2):
             cache.put(trace, machine, result)
-            with open(path) as handle:
-                data = json.load(handle)
-            data["payload"]["core_cycles"] += 1.0 + gen  # distinct corruption
-            with open(path, "w") as handle:
-                json.dump(data, handle)
+
+            def bump(payload, gen=gen):
+                payload["core_cycles"] += 1.0 + gen  # distinct corruption
+
+            self._rewrite_payload(path, bump)
             assert cache.get(trace, machine) is None
         assert cache.telemetry.quarantined == 2
         stem = os.path.splitext(os.path.basename(path))[0]
@@ -171,16 +182,15 @@ class TestIntegrity:
         assert len(quarantined) == 2
 
     def test_stale_schema_quarantined(self, cache, trace):
-        import json
-
         machine = hardware_a15()
         cache.put(trace, machine, simulate(trace, machine))
         path = self._entry_path(cache, trace, machine)
-        with open(path) as handle:
-            data = json.load(handle)
-        data["schema"] = 2
-        with open(path, "w") as handle:
-            json.dump(data, handle)
+        with open(path, "rb") as handle:
+            header = json.loads(handle.readline())
+            body = handle.read()
+        header["schema"] = CACHE_SCHEMA_VERSION - 1
+        with open(path, "wb") as handle:
+            handle.write(json.dumps(header).encode() + b"\n" + body)
         assert cache.get(trace, machine) is None
         assert cache.telemetry.quarantined == 1
 
@@ -243,27 +253,6 @@ class TestIntegration:
 
 
 class TestAdvisoryLock:
-    def test_lock_is_exclusive_across_handles(self, tmp_path):
-        import fcntl
-
-        directory = str(tmp_path)
-        with advisory_lock(directory) as held:
-            assert held
-            # A second claimant (another fd, as another process would
-            # hold) cannot take the lock while we do.
-            probe = open(str(tmp_path / ".lock"), "a")
-            with pytest.raises(OSError):
-                fcntl.flock(probe.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            probe.close()
-        probe = open(str(tmp_path / ".lock"), "a")
-        fcntl.flock(probe.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-        fcntl.flock(probe.fileno(), fcntl.LOCK_UN)
-        probe.close()
-
-    def test_unopenable_lock_degrades_to_noop(self, tmp_path):
-        with advisory_lock(str(tmp_path / "missing" / "deep")) as held:
-            assert held is False
-
     def test_put_and_quarantine_run_under_lock(self, cache, trace):
         # The locked write path must still round-trip and quarantine
         # exactly as before.
@@ -287,58 +276,11 @@ class TestVerify:
         assert not cache.verify(key)          # and stays gone
 
 
-class TestShardedStore:
-    def test_round_trip_and_layout(self, tmp_path, trace):
-        store = ShardedResultStore(str(tmp_path / "store"), prefix_chars=2)
-        machine = hardware_a15()
-        result = simulate(trace, machine, "scalar")
-        store.put(trace, machine, result)
-        key = cache_key(trace, machine)
-        assert store.verify(key)
-        hit = store.get(trace, machine)
-        assert hit is not None
-        assert hit.counts == result.counts
-        assert hit.core_cycles == result.core_cycles
-        # Entries live in key-prefix shard subdirectories.
-        assert os.path.exists(
-            os.path.join(str(tmp_path / "store"), key[:2], f"{key}.json")
-        )
-
-    def test_entries_relocatable_from_flat_cache(self, tmp_path, trace):
-        machine = hardware_a15()
-        flat = SimResultCache(str(tmp_path / "flat"))
-        flat.put(trace, machine, simulate(trace, machine, "scalar"))
-        key = cache_key(trace, machine)
-        store = ShardedResultStore(str(tmp_path / "store"), prefix_chars=2)
-        os.makedirs(os.path.join(str(tmp_path / "store"), key[:2]),
-                    exist_ok=True)
-        os.rename(
-            flat._path(key),
-            os.path.join(str(tmp_path / "store"), key[:2], f"{key}.json"),
-        )
-        assert store.verify(key)
-        assert store.get(trace, machine) is not None
-
-    def test_clear_spans_shards(self, tmp_path, trace):
-        store = ShardedResultStore(str(tmp_path / "store"))
-        machine = hardware_a15()
-        store.put(trace, machine, simulate(trace, machine, "scalar"))
-        other = compile_trace(workload_by_name("mi-fft"), 6_000)
-        store.put(other, machine, simulate(other, machine, "scalar"))
-        assert store.clear() == 2
-        assert not store.verify(cache_key(trace, machine))
-
-
 class TestCacheSpec:
-    def test_specs_round_trip_both_layouts(self, tmp_path):
+    def test_spec_round_trip(self, tmp_path):
         flat = SimResultCache(str(tmp_path / "flat"))
-        sharded = ShardedResultStore(str(tmp_path / "store"), prefix_chars=3)
         assert cache_spec(None) is None
         assert open_cache_spec(None) is None
         rebuilt_flat = open_cache_spec(cache_spec(flat))
         assert isinstance(rebuilt_flat, SimResultCache)
         assert rebuilt_flat.directory == flat.directory
-        rebuilt = open_cache_spec(cache_spec(sharded))
-        assert isinstance(rebuilt, ShardedResultStore)
-        assert rebuilt.directory == sharded.directory
-        assert rebuilt.prefix_chars == 3
