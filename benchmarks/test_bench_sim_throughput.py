@@ -19,6 +19,7 @@ import time
 
 from benchmarks.conftest import paper_row, print_header
 from repro.core.validation import collect_validation_dataset
+from repro.sim.executor import SimExecutor
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big
 from repro.sim.platform import HardwarePlatform
@@ -32,11 +33,17 @@ FREQS = (1000e6,)
 def _cold_collect(jobs: int):
     """One cold collection pass; returns (dataset, wall_seconds, n_sims)."""
     profiles = tuple(validation_workloads())[:N_WORKLOADS]
-    platform = HardwarePlatform("A15", trace_instructions=TRACE_INSTRUCTIONS)
-    gem5 = Gem5Simulation(gem5_ex5_big(), trace_instructions=TRACE_INSTRUCTIONS)
+    # One executor serves both arms, so one pool runs every job.
+    executor = SimExecutor(jobs=jobs)
+    platform = HardwarePlatform(
+        "A15", trace_instructions=TRACE_INSTRUCTIONS, executor=executor
+    )
+    gem5 = Gem5Simulation(
+        gem5_ex5_big(), trace_instructions=TRACE_INSTRUCTIONS, executor=executor
+    )
     started = time.perf_counter()
     dataset = collect_validation_dataset(
-        platform, gem5, profiles, FREQS, with_power=False, jobs=jobs
+        platform, gem5, profiles, FREQS, with_power=False
     )
     wall = time.perf_counter() - started
     return dataset, wall, 2 * len(profiles)

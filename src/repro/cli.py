@@ -90,10 +90,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine",
-        choices=("auto", "columnar", "scalar"),
-        default="auto",
-        help="replay engine for every simulation (auto picks columnar; "
-        "both engines are bit-identical)",
+        choices=("columnar", "scalar"),
+        default="columnar",
+        help="replay engine for every simulation (both engines are "
+        "bit-identical)",
     )
     parser.add_argument(
         "--guard-level",
@@ -131,7 +131,7 @@ def _gemstone(args: argparse.Namespace) -> GemStone:
             jobs=None if jobs == 0 else jobs,
             retry=RetryPolicy(max_attempts=max(1, retries)),
             sim_timeout_seconds=getattr(args, "job_timeout", None),
-            engine=getattr(args, "engine", "auto"),
+            engine=getattr(args, "engine", "columnar"),
             guard_level=getattr(args, "guard_level", "sentinel"),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
             resume=getattr(args, "resume", False),

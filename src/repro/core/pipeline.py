@@ -109,8 +109,9 @@ class GemStoneConfig:
             exceeding it is rerun serially in the parent.
         faults: Optional :class:`~repro.sim.faults.FaultPlan` injected into
             the executor, cache and platform (chaos testing only).
-        engine: Replay engine for every simulation in the run (``"auto"``,
-            ``"columnar"`` or ``"scalar"``, see :func:`repro.sim.simulate`).
+        engine: Replay engine for every simulation in the run
+            (``"columnar"``, the default, or ``"scalar"``, see
+            :func:`repro.sim.simulate`).
             Both engines are bit-identical, so like ``jobs`` this is an
             execution knob excluded from the run fingerprint.
         guard_level: Runtime guardrails over the replay engine
@@ -159,7 +160,7 @@ class GemStoneConfig:
     retry: RetryPolicy | None = None
     sim_timeout_seconds: float | None = None
     faults: FaultPlan | None = None
-    engine: str = "auto"
+    engine: str = "columnar"
     guard_level: str = "sentinel"
     checkpoint_dir: str | None = None
     resume: bool = False
@@ -261,17 +262,13 @@ class GemStone:
         self.platform = HardwarePlatform(
             self.config.core,
             trace_instructions=self.config.trace_instructions,
-            cache_dir=self.config.cache_dir,
             executor=self.executor,
             faults=self.config.faults,
-            engine=self.config.engine,
         )
         self.gem5 = Gem5Simulation(
             machine,
             trace_instructions=self.config.trace_instructions,
-            cache_dir=self.config.cache_dir,
             executor=self.executor,
-            engine=self.config.engine,
         )
         # Optional crash-safe run state: every memoised product below is
         # checkpointed as its phase completes, and restored on --resume.

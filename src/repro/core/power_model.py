@@ -38,6 +38,7 @@ from repro.events.matching import (
     default_event_matches,
 )
 from repro.sim.dvfs import OppTable, opp_table_for
+from repro.sim.executor import prime_engines
 from repro.sim.gem5 import Gem5Stats
 from repro.sim.platform import HardwarePlatform, HwMeasurement
 from repro.workloads.profile import WorkloadProfile
@@ -97,16 +98,13 @@ def collect_power_dataset(
     platform: HardwarePlatform,
     workloads: Iterable[WorkloadProfile],
     frequencies: Sequence[float] | None = None,
-    executor=None,
-    jobs: int | None = None,
     health=None,
 ) -> list[PowerObservation]:
     """Run the power-characterisation experiments over workloads x OPPs.
 
-    With an ``executor`` (or a ``jobs`` count, or an executor already
-    attached to the platform) every missing workload simulation is fanned
-    out in one up-front batch; the per-OPP characterisation loop then runs
-    entirely against memoised results.
+    Every missing workload simulation is fanned out in one up-front batch
+    through ``platform.executor``; the per-OPP characterisation loop then
+    runs entirely against memoised results.
 
     Collection degrades gracefully: a (workload, OPP) point that fails with
     a recoverable error (permanently failed simulation job, I/O error,
@@ -122,24 +120,13 @@ def collect_power_dataset(
     workloads = list(workloads)
     if not workloads:
         raise ValueError("no workloads given")
-    from repro.core.validation import (
-        RECOVERABLE_ERRORS,
-        CollectionHealth,
-        _resolve_executor,
-    )
+    from repro.core.validation import RECOVERABLE_ERRORS, CollectionHealth
 
     if health is None:
         health = CollectionHealth()
-    executor = _resolve_executor(executor, jobs, platform)
-    guard_seen = (
-        len(executor.guard.events)
-        if executor is not None and getattr(executor, "guard", None) is not None
-        else 0
-    )
-    if executor is not None:
-        from repro.sim.executor import prime_engines
-
-        prime_engines(executor, (platform,), workloads)
+    executor = platform.executor
+    guard_seen = len(executor.guard.events)
+    prime_engines(executor, (platform,), workloads)
     observations = []
     for profile in workloads:
         for freq in frequencies:
@@ -170,8 +157,7 @@ def collect_power_dataset(
                     threads=profile.threads,
                 )
             )
-    if executor is not None and getattr(executor, "guard", None) is not None:
-        health.absorb_guard_events(executor.guard.events[guard_seen:])
+    health.absorb_guard_events(executor.guard.events[guard_seen:])
     if not observations:
         raise RuntimeError(
             f"power collection failed completely ({health.summary()})"

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.core.stats.metrics import mape, mpe, percentage_errors
 from repro.sim.dvfs import experiment_frequencies
-from repro.sim.executor import SimJobError
+from repro.sim.executor import SimJobError, prime_engines
 from repro.sim.gem5 import Gem5Simulation, Gem5Stats
 from repro.sim.platform import HardwarePlatform, HwMeasurement
 from repro.workloads.profile import WorkloadProfile
@@ -310,26 +310,6 @@ class ValidationDataset:
 ProgressCallback = Callable[[str, float, int, int], None]
 
 
-def _resolve_executor(executor, jobs: int | None, *engines):
-    """Pick the executor for a collection run.
-
-    Precedence: an explicit ``executor``; else a fresh one for an explicit
-    ``jobs`` count; else the first executor already attached to an engine
-    (so ``GemStone``-constructed engines batch automatically).
-    """
-    if executor is not None:
-        return executor
-    if jobs is not None:
-        from repro.sim.executor import SimExecutor
-
-        return SimExecutor(jobs=jobs)
-    for engine in engines:
-        attached = getattr(engine, "executor", None)
-        if attached is not None:
-            return attached
-    return None
-
-
 def collect_validation_dataset(
     platform: HardwarePlatform,
     gem5: Gem5Simulation,
@@ -337,11 +317,16 @@ def collect_validation_dataset(
     frequencies: Sequence[float] | None = None,
     with_power: bool = True,
     progress: ProgressCallback | None = None,
-    executor=None,
-    jobs: int | None = None,
     health: CollectionHealth | None = None,
 ) -> ValidationDataset:
     """Run Experiments 1 and 2 and collate them (Fig. 1 boxes a, b, f).
+
+    Every missing (workload x machine) simulation of both arms goes to
+    ``platform.executor`` up front, in one batch (see
+    :func:`~repro.sim.executor.prime_engines`).  Share that executor with
+    ``gem5``, so a model job that fails in the batch is retried through
+    the same cache, pool and guards.  Frequencies only rescale a
+    simulation's counts, so that one batch covers the whole sweep.
 
     Collection degrades gracefully: a (workload, frequency) point whose
     hardware or gem5 run fails with a :data:`RECOVERABLE_ERRORS` class
@@ -358,12 +343,6 @@ def collect_validation_dataset(
         with_power: Also capture power on the hardware (needed later by the
             energy analysis; disable to speed up pure timing studies).
         progress: Optional callback ``(workload, freq, i, total)``.
-        executor: Optional :class:`~repro.sim.executor.SimExecutor`; every
-            missing (workload x machine) simulation is submitted up front
-            in one batch instead of being computed lazily per run.
-        jobs: Shorthand for ``executor``: builds a ``SimExecutor(jobs=jobs)``
-            when no explicit executor is given.  ``jobs`` > 1 fans the batch
-            across worker processes; results are bit-identical either way.
         health: Optional pre-existing :class:`CollectionHealth` to append
             to (so one record can span validation + power collection).
 
@@ -382,19 +361,9 @@ def collect_validation_dataset(
         frequencies = experiment_frequencies(platform.core)
     frequencies = tuple(float(f) for f in frequencies)
 
-    executor = _resolve_executor(executor, jobs, platform, gem5)
-    guard_seen = (
-        len(executor.guard.events)
-        if executor is not None and getattr(executor, "guard", None) is not None
-        else 0
-    )
-    if executor is not None:
-        from repro.sim.executor import prime_engines
-
-        # Frequencies only rescale a simulation's counts; the simulation
-        # itself is per-(workload, machine), so one up-front fan-out covers
-        # the whole sweep for both engines.
-        prime_engines(executor, (platform, gem5), workload_list)
+    executor = platform.executor
+    guard_seen = len(executor.guard.events)
+    prime_engines(executor, (platform, gem5), workload_list)
 
     if health is None:
         health = CollectionHealth()
@@ -428,8 +397,7 @@ def collect_validation_dataset(
             if progress is not None:
                 progress(profile.name, freq, done, total)
 
-    if executor is not None and getattr(executor, "guard", None) is not None:
-        health.absorb_guard_events(executor.guard.events[guard_seen:])
+    health.absorb_guard_events(executor.guard.events[guard_seen:])
     if not runs:
         raise RuntimeError(
             f"validation collection failed completely ({health.summary()}); "

@@ -72,7 +72,7 @@ from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.executor import RetryPolicy
 from repro.sim.faults import InjectedFault
-from repro.sim.guard import GuardEvent, GuardPlan, guarded_simulate
+from repro.sim.guard import GuardEvent, GuardPlan, GuardRail, guarded_simulate
 from repro.sim.machine import (
     CacheGeometry,
     MachineConfig,
@@ -718,7 +718,7 @@ def _run_one(
     attempt: int,
     owner: str,
     engine: str,
-    guard_plan,
+    guard: GuardRail,
     faults,
     in_worker: bool,
     report: WorkerReport,
@@ -743,10 +743,11 @@ def _run_one(
     if faults is not None:
         faults.apply_job_fault(job.ordinal, job.workload, attempt,
                                in_worker=in_worker)
-    result, _events, _sentinels = guarded_simulate(
-        trace, machine, engine, guard_plan, faults, job.ordinal, attempt,
+    result, events, sentinels = guarded_simulate(
+        trace, machine, engine, guard.plan, faults, job.ordinal, attempt,
         tracer=tracer,
     )
+    guard.absorb(events, sentinels)
     store.put(trace, machine, result)
     if faults is not None:
         crash = faults.shard_fault("stored", job.workload, attempt)
@@ -764,7 +765,7 @@ def _run_one(
 def run_worker(
     board_dir: str,
     owner: str | None = None,
-    engine: str = "auto",
+    engine: str = "columnar",
     guard_level: str = "off",
     faults=None,
     max_jobs: int | None = None,
@@ -788,7 +789,9 @@ def run_worker(
     tracer = tracer if tracer is not None else NULL_TRACER
     board = CampaignBoard.open(board_dir, metrics=metrics)
     store = board.store()
-    guard_plan = GuardPlan.from_level(guard_level)
+    # Guard outcomes land in this shard's registry, so its snapshot (and
+    # the merged campaign metrics) carry the sim.guard.* counters.
+    guard = GuardRail(GuardPlan.from_level(guard_level), board.metrics, tracer)
     if owner is None:
         owner = f"worker-{os.getpid()}"
     report = WorkerReport(owner=owner)
@@ -836,7 +839,7 @@ def run_worker(
             started = time.perf_counter()
             try:
                 _run_one(board, store, job, attempt, owner, engine,
-                         guard_plan, faults, in_worker, report, tracer)
+                         guard, faults, in_worker, report, tracer)
                 board.metrics.histogram(
                     "sim.campaign.job.seconds"
                 ).observe(time.perf_counter() - started)

@@ -210,7 +210,7 @@ def _make_state(machine: MachineConfig) -> _SimState:
 
 
 #: Engine names accepted by :func:`simulate` / :class:`CpuSimulator`.
-ENGINES = ("auto", "columnar", "scalar")
+ENGINES = ("columnar", "scalar")
 
 
 class CpuSimulator:
@@ -223,7 +223,7 @@ class CpuSimulator:
     pays neither repeated decode nor repeated allocation.
     """
 
-    def __init__(self, machine: MachineConfig, engine: str = "auto"):
+    def __init__(self, machine: MachineConfig, engine: str = "columnar"):
         if engine not in ENGINES:
             raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
         self.machine = machine
@@ -253,7 +253,7 @@ def simulate_dvfs_sweep(
     trace: SyntheticTrace,
     machine: MachineConfig,
     freqs_hz: Sequence[float] | None = None,
-    engine: str = "auto",
+    engine: str = "columnar",
 ) -> list[DvfsPointResult]:
     """Replay one trace at every DVFS operating point of ``machine``.
 
@@ -286,14 +286,14 @@ def simulate_dvfs_sweep(
 def simulate(
     trace: SyntheticTrace,
     machine: MachineConfig,
-    engine: str = "auto",
+    engine: str = "columnar",
     tracer: Tracer = NULL_TRACER,
 ) -> SimResult:
     """Simulate ``trace`` on ``machine``; see :class:`SimResult`.
 
     ``engine`` selects the replay implementation: ``"columnar"`` (the
-    vectorized engine), ``"scalar"`` (the per-block reference loop), or
-    ``"auto"`` (columnar).  Both engines produce bit-identical results;
+    vectorized engine, the default) or ``"scalar"`` (the per-block
+    reference loop).  Both engines produce bit-identical results;
     the golden and randomized equivalence suites enforce it.  ``tracer``
     (columnar engine only) records per-pass spans and the deterministic
     replay-profile attribution; results never depend on it.

@@ -63,7 +63,8 @@ from repro.sim.result_cache import (
     cache_spec,
     open_cache_spec,
 )
-from repro.workloads.trace import SyntheticTrace
+from repro.workloads.profile import WorkloadProfile
+from repro.workloads.trace import SyntheticTrace, compile_trace
 
 logger = get_logger(__name__)
 
@@ -266,9 +267,9 @@ class SimExecutor:
     """Fans independent simulation jobs across worker processes.
 
     Args:
-        jobs: Worker-process count.  ``1`` (or fewer pending jobs than
-            workers would help) runs serially in the parent; ``None`` uses
-            ``os.cpu_count()``.
+        jobs: Worker-process count.  ``1`` (the default, or fewer pending
+            jobs than workers would help) runs serially in the parent;
+            ``None`` uses ``os.cpu_count()``.
         cache_dir: Optional on-disk result cache shared by parent and
             workers; see :class:`~repro.sim.result_cache.SimResultCache`.
         retry: Per-job retry policy (deterministic, jitter-free).
@@ -300,14 +301,14 @@ class SimExecutor:
 
     def __init__(
         self,
-        jobs: int | None = None,
+        jobs: int | None = 1,
         cache_dir: str | None = None,
         retry: RetryPolicy | None = None,
         timeout_seconds: float | None = None,
         faults=None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
-        engine: str = "auto",
+        engine: str = "columnar",
         guard: GuardPlan | None = None,
     ):
         if engine not in ENGINES:
@@ -754,18 +755,65 @@ class SimExecutor:
             return result
 
 
+class SimFrontEnd:
+    """Trace and result memos shared by the simulator front-ends.
+
+    :class:`~repro.sim.platform.HardwarePlatform` and
+    :class:`~repro.sim.gem5.Gem5Simulation` compile each workload's trace
+    once, simulate it on their machine once, and read every later
+    measurement from the memoised :class:`~repro.sim.cpu.SimResult`.  A
+    memo miss is one :meth:`SimExecutor.run` call — the executor is the
+    only path into the simulator, so its cache, retries, guards and
+    telemetry apply to every job.  ``has_result`` / ``trace_for`` /
+    ``absorb_result`` are the batching protocol :func:`prime_engines`
+    uses to fan out every missing job up front.
+    """
+
+    def __init__(
+        self,
+        machine: MachineConfig,
+        trace_instructions: int,
+        executor: SimExecutor,
+    ):
+        self.machine = machine
+        self.trace_instructions = trace_instructions
+        self.executor = executor
+        self._traces: dict[str, SyntheticTrace] = {}
+        self._results: dict[str, SimResult] = {}
+
+    def trace_for(self, profile: WorkloadProfile) -> SyntheticTrace:
+        """Compiled (and memoised) trace for one workload profile."""
+        trace = self._traces.get(profile.name)
+        if trace is None:
+            trace = compile_trace(profile, self.trace_instructions)
+            self._traces[profile.name] = trace
+        return trace
+
+    def _sim(self, profile: WorkloadProfile) -> SimResult:
+        result = self._results.get(profile.name)
+        if result is None:
+            result = self.executor.run(self.trace_for(profile), self.machine)
+            self._results[profile.name] = result
+        return result
+
+    def has_result(self, name: str) -> bool:
+        """True when this workload's simulation is already memoised."""
+        return name in self._results
+
+    def absorb_result(self, name: str, result: SimResult) -> None:
+        """Install an externally computed simulation result."""
+        self._results[name] = result
+
+
 def prime_engines(
     executor: SimExecutor,
-    engines: Iterable,
-    profiles: Iterable,
+    engines: Iterable[SimFrontEnd],
+    profiles: Iterable[WorkloadProfile],
 ) -> int:
-    """Batch-simulate workloads for several engines in one fan-out.
+    """Batch-simulate workloads for several front-ends in one fan-out.
 
-    ``engines`` are simulation front ends exposing the small batching
-    protocol (``has_result`` / ``trace_for`` / ``machine`` /
-    ``absorb_result``) — :class:`~repro.sim.platform.HardwarePlatform` and
-    :class:`~repro.sim.gem5.Gem5Simulation`.  All missing (workload ×
-    machine) jobs are submitted to the executor up front, so one pool
+    All missing (workload × machine) jobs of the :class:`SimFrontEnd`
+    ``engines`` are submitted to the executor up front, so one pool
     services the hardware and model simulations together.
 
     Jobs that fail permanently are simply not absorbed: the owning engine

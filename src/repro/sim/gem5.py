@@ -23,11 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.events.gem5_stats import GEM5_STAT_GROUPS, GLOBAL_STATS, Gem5StatCatalog
-from repro.sim.cpu import SimResult, simulate
+from repro.sim.cpu import SimResult
+from repro.sim.executor import SimExecutor, SimFrontEnd
 from repro.sim.machine import MachineConfig, gem5_ex5_big
 from repro.sim.platform import HardwarePlatform
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace
 
 
 @dataclass
@@ -71,78 +71,32 @@ class Gem5Stats:
         return {self.catalog.qualify(name): value for name, value in self.stats.items()}
 
 
-class Gem5Simulation:
-    """Runs workloads on a gem5 model configuration."""
+class Gem5Simulation(SimFrontEnd):
+    """Runs workloads on a gem5 model configuration.
+
+    Every simulation goes through ``executor`` (see
+    :class:`~repro.sim.executor.SimFrontEnd`); without one the model
+    builds a serial, uncached ``SimExecutor()``.
+    """
 
     def __init__(
         self,
         machine: MachineConfig | None = None,
         trace_instructions: int = 60_000,
-        cache_dir: str | None = None,
-        executor=None,
-        jobs: int | None = None,
-        engine: str = "auto",
+        executor: SimExecutor | None = None,
     ):
-        self.machine = machine if machine is not None else gem5_ex5_big()
-        self.engine = engine
-        if self.machine.flavour != "gem5":
+        machine = machine if machine is not None else gem5_ex5_big()
+        if machine.flavour != "gem5":
             raise ValueError(
-                f"{self.machine.name} is a {self.machine.flavour} config; "
+                f"{machine.name} is a {machine.flavour} config; "
                 "Gem5Simulation needs a gem5 model config"
             )
-        self.trace_instructions = trace_instructions
+        super().__init__(
+            machine,
+            trace_instructions,
+            executor if executor is not None else SimExecutor(),
+        )
         self.catalog = Gem5StatCatalog()
-        self._trace_cache: dict[str, SyntheticTrace] = {}
-        self._sim_cache: dict[str, SimResult] = {}
-        if executor is None and jobs is not None and jobs != 1:
-            from repro.sim.executor import SimExecutor
-
-            executor = SimExecutor(jobs=jobs, cache_dir=cache_dir, engine=engine)
-        self.executor = executor
-        self._disk_cache = None
-        if cache_dir is not None and executor is None:
-            from repro.sim.result_cache import SimResultCache
-
-            self._disk_cache = SimResultCache(cache_dir)
-
-    def _trace(self, profile: WorkloadProfile) -> SyntheticTrace:
-        trace = self._trace_cache.get(profile.name)
-        if trace is None:
-            trace = compile_trace(profile, self.trace_instructions)
-            self._trace_cache[profile.name] = trace
-        return trace
-
-    def _sim(self, profile: WorkloadProfile) -> SimResult:
-        result = self._sim_cache.get(profile.name)
-        if result is None:
-            trace = self._trace(profile)
-            if self.executor is not None:
-                # The executor owns deduplication and the disk cache.
-                result = self.executor.run(trace, self.machine)
-            else:
-                if self._disk_cache is not None:
-                    result = self._disk_cache.get(trace, self.machine)
-                if result is None:
-                    result = simulate(trace, self.machine, self.engine)
-                    if self._disk_cache is not None:
-                        self._disk_cache.put(trace, self.machine, result)
-            self._sim_cache[profile.name] = result
-        return result
-
-    # Batching protocol used by repro.sim.executor.prime_engines: datasets
-    # collect every missing (workload x machine) job up front and fan them
-    # out through one executor instead of simulating lazily one by one.
-    def has_result(self, name: str) -> bool:
-        """True when this workload's simulation is already memoised."""
-        return name in self._sim_cache
-
-    def trace_for(self, profile: WorkloadProfile) -> SyntheticTrace:
-        """Compiled (and memoised) trace for one workload profile."""
-        return self._trace(profile)
-
-    def absorb_result(self, name: str, result: SimResult) -> None:
-        """Install an externally computed simulation result."""
-        self._sim_cache[name] = result
 
     def run(self, profile: WorkloadProfile, freq_hz: float) -> Gem5Stats:
         """Simulate one workload at one frequency; returns the stats dump."""

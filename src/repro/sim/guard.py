@@ -378,7 +378,7 @@ def compare_results(a, b) -> list[str]:
 def guarded_simulate(
     trace: SyntheticTrace,
     machine: MachineConfig,
-    engine: str = "auto",
+    engine: str = "columnar",
     plan: GuardPlan | None = None,
     faults=None,
     ordinal: int = 0,

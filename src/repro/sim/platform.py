@@ -26,12 +26,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.events.armv7_pmu import events_for_core
-from repro.sim.cpu import SimResult, simulate
+from repro.sim.cpu import SimResult
 from repro.sim.dvfs import OppTable, opp_table_for
+from repro.sim.executor import SimExecutor, SimFrontEnd
 from repro.sim.machine import MachineConfig, hardware_a7, hardware_a15
 from repro.sim.power_ground_truth import PowerGroundTruth
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace, workload_seed
+from repro.workloads.trace import workload_seed
 
 #: Simultaneously programmable PMU counters (plus the fixed cycle counter).
 MAX_PMU_COUNTERS = 6
@@ -96,85 +97,38 @@ class HwMeasurement:
         return self.power_w * self.time_seconds
 
 
-class HardwarePlatform:
-    """The reference board: true micro-architecture plus measurement warts."""
+class HardwarePlatform(SimFrontEnd):
+    """The reference board: true micro-architecture plus measurement warts.
+
+    Every simulation goes through ``executor`` (see
+    :class:`~repro.sim.executor.SimFrontEnd`).  Without one the platform
+    builds ``SimExecutor(faults=faults)``: serial, uncached, guards off.
+    Pass a shared executor to add a disk cache, a worker pool or guards,
+    and to batch both experiment arms through one pool.  ``faults`` also
+    drives the power-sensor faults of :meth:`characterize`.
+    """
 
     def __init__(
         self,
         core: str = "A15",
         trace_instructions: int = 60_000,
         machine: MachineConfig | None = None,
-        cache_dir: str | None = None,
-        executor=None,
-        jobs: int | None = None,
+        executor: SimExecutor | None = None,
         faults=None,
-        engine: str = "auto",
     ):
         if machine is None:
             machine = hardware_a15() if core == "A15" else hardware_a7()
         if machine.core != core:
             raise ValueError(f"machine {machine.name} is not a {core} config")
+        super().__init__(
+            machine,
+            trace_instructions,
+            executor if executor is not None else SimExecutor(faults=faults),
+        )
         self.core = core
-        self.machine = machine
-        self.engine = engine
-        self.trace_instructions = trace_instructions
         self.opps: OppTable = opp_table_for(core)
         self.power_process = PowerGroundTruth(core)
         self.faults = faults
-        self._trace_cache: dict[str, SyntheticTrace] = {}
-        self._sim_cache: dict[str, SimResult] = {}
-        if executor is None and jobs is not None and jobs != 1:
-            from repro.sim.executor import SimExecutor
-
-            executor = SimExecutor(
-                jobs=jobs, cache_dir=cache_dir, faults=faults, engine=engine
-            )
-        self.executor = executor
-        self._disk_cache = None
-        if cache_dir is not None and executor is None:
-            from repro.sim.result_cache import SimResultCache
-
-            self._disk_cache = SimResultCache(cache_dir)
-
-    # ------------------------------------------------------------- simulation
-    def _trace(self, profile: WorkloadProfile) -> SyntheticTrace:
-        trace = self._trace_cache.get(profile.name)
-        if trace is None:
-            trace = compile_trace(profile, self.trace_instructions)
-            self._trace_cache[profile.name] = trace
-        return trace
-
-    def _sim(self, profile: WorkloadProfile) -> SimResult:
-        result = self._sim_cache.get(profile.name)
-        if result is None:
-            trace = self._trace(profile)
-            if self.executor is not None:
-                # The executor owns deduplication and the disk cache.
-                result = self.executor.run(trace, self.machine)
-            else:
-                if self._disk_cache is not None:
-                    result = self._disk_cache.get(trace, self.machine)
-                if result is None:
-                    result = simulate(trace, self.machine, self.engine)
-                    if self._disk_cache is not None:
-                        self._disk_cache.put(trace, self.machine, result)
-            self._sim_cache[profile.name] = result
-        return result
-
-    # Batching protocol used by repro.sim.executor.prime_engines: datasets
-    # collect every missing (workload x machine) job up front and fan them
-    # out through one executor instead of simulating lazily one by one.
-    def has_result(self, name: str) -> bool:
-        """True when this workload's simulation is already memoised."""
-        return name in self._sim_cache
-
-    def trace_for(self, profile: WorkloadProfile) -> SyntheticTrace:
-        """Compiled (and memoised) trace for one workload profile."""
-        return self._trace(profile)
-
-    def absorb_result(self, name: str, result: SimResult) -> None:
-        """Install an externally computed simulation result."""
-        self._sim_cache[name] = result
 
     @staticmethod
     def repeat_count(profile: WorkloadProfile, trace_instructions: int) -> int:

@@ -23,7 +23,10 @@ from repro.sim.campaign import (
     machine_from_spec,
     run_worker,
 )
-from repro.sim.executor import RetryPolicy
+from repro.obs.metrics import MetricsRegistry
+from repro.sim.executor import RetryPolicy, SimExecutor
+from repro.sim.faults import FaultPlan
+from repro.sim.guard import GuardPlan
 from repro.sim.machine import gem5_ex5_big, hardware_a15, hardware_a7
 from repro.sim.result_cache import cache_key
 from repro.workloads.suites import workload_by_name
@@ -289,6 +292,39 @@ class TestWorkerLoop:
         assert report.done == 1
         done = board._read_json(board._done_path(key))
         assert done["adopted"] is True
+
+
+class TestWorkerGuard:
+    def test_shard_records_guard_events_like_the_executor(self, tmp_path):
+        profiles = (workload_by_name("mi-sha"),)
+        config = GemStoneConfig(
+            core="A15",
+            workloads=profiles,
+            power_workloads=profiles,
+            trace_instructions=2_000,
+        )
+        jobs = campaign_jobs(config)
+        board = CampaignBoard(str(tmp_path / "board"))
+        board.create_or_sync(RunManifest.from_config(config).fingerprint, jobs)
+        faults = FaultPlan.nan_pass("mi-sha")
+        metrics = MetricsRegistry()
+        report = run_worker(
+            board.directory, owner="guarded", guard_level="sentinel",
+            faults=faults, in_worker=False, metrics=metrics,
+        )
+        assert report.done == len(jobs) == 2
+
+        executor = SimExecutor(
+            guard=GuardPlan.from_level("sentinel"), faults=faults
+        )
+        executor.run_many([
+            (compile_trace(workload_by_name(job.workload), job.n_instrs),
+             machine_from_spec(job.machine))
+            for job in sorted(jobs, key=lambda job: job.ordinal)
+        ])
+        expected = executor.metrics.values_with_prefix("sim.guard.")
+        assert expected["sim.guard.nan_fallbacks"] == 2
+        assert metrics.values_with_prefix("sim.guard.") == expected
 
 
 class TestCampaignCli:

@@ -47,7 +47,7 @@ def _profiles():
     return tuple(workload_by_name(name) for name in WORKLOADS)
 
 
-def _gemstone(faults=None, guard_level="paranoid", engine="auto", **overrides):
+def _gemstone(faults=None, guard_level="paranoid", engine="columnar", **overrides):
     defaults = dict(
         core="A15",
         workloads=_profiles(),

@@ -165,3 +165,16 @@ class TestCpuSimulatorClass:
         assert CpuSimulator(machine).run(qsort_trace).counts == simulate(
             qsort_trace, machine
         ).counts
+
+
+class TestEngineNames:
+    def test_columnar_and_scalar_only(self, qsort_trace):
+        from repro.core.pipeline import GemStoneConfig
+        from repro.sim.cpu import ENGINES
+
+        assert ENGINES == ("columnar", "scalar")
+        with pytest.raises(ValueError, match="unknown engine"):
+            simulate(qsort_trace, hardware_a15(), engine="auto")
+        with pytest.raises(ValueError, match="engine must be one of"):
+            GemStoneConfig(engine="auto")
+        assert GemStoneConfig().engine == "columnar"

@@ -8,6 +8,8 @@ benchmark prints the speedup on capable hosts.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 import repro.sim.executor as executor_mod
@@ -17,6 +19,7 @@ from repro.sim.executor import SimExecutor, SimTelemetry, prime_engines
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
+from repro.sim.result_cache import SimResultCache, cache_key
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import compile_trace
 
@@ -71,6 +74,12 @@ class TestRunMany:
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             SimExecutor(jobs=0)
+
+    def test_defaults_are_serial_and_columnar(self):
+        executor = SimExecutor()
+        assert executor.jobs == 1
+        assert executor.engine == "columnar"
+        assert SimExecutor(jobs=None).jobs == (os.cpu_count() or 1)
 
 
 class TestCacheIntegration:
@@ -141,31 +150,81 @@ class TestPrimeEngines:
         assert prime_engines(ex, (platform, gem5), profiles) == 0
 
 
+def _front_ends(executor):
+    """A15 board and big-core gem5 model sharing one executor."""
+    return (
+        HardwarePlatform("A15", trace_instructions=N_INSTRS, executor=executor),
+        Gem5Simulation(
+            gem5_ex5_big(), trace_instructions=N_INSTRS, executor=executor
+        ),
+    )
+
+
 class TestCollectionDeterminism:
     def test_parallel_dataset_identical_to_serial(self, small_profiles):
         profiles = small_profiles[:3]
         frequencies = (600e6, 1000e6)
 
         def collect(jobs):
-            platform = HardwarePlatform("A15", trace_instructions=N_INSTRS)
-            gem5 = Gem5Simulation(gem5_ex5_big(), trace_instructions=N_INSTRS)
-            return collect_validation_dataset(
+            executor = SimExecutor(jobs=jobs)
+            platform, gem5 = _front_ends(executor)
+            dataset = collect_validation_dataset(
                 platform,
                 gem5,
                 profiles,
                 frequencies,
                 with_power=False,
-                jobs=jobs,
             )
+            return dataset, executor
 
-        serial = collect(1)
-        parallel = collect(4)
+        serial, serial_ex = collect(1)
+        parallel, parallel_ex = collect(4)
+        # Both arms batch through the one shared executor: one batch, and
+        # with jobs > 1 every job of both arms runs in its pool.
+        assert serial_ex.telemetry.batches == parallel_ex.telemetry.batches == 1
+        assert serial_ex.telemetry.parallel_jobs_run == 0
+        assert parallel_ex.telemetry.parallel_jobs_run == 2 * len(profiles)
         assert len(serial.runs) == len(parallel.runs)
         for s, p in zip(serial.runs, parallel.runs):
             assert s.workload == p.workload and s.freq_hz == p.freq_hz
             assert s.hw.time_seconds == p.hw.time_seconds
             assert s.hw.pmc == p.hw.pmc
             assert s.gem5.stats == p.gem5.stats
+
+
+class TestCollectionCache:
+    def test_pooled_collection_fills_and_reuses_the_shared_cache(
+        self, small_profiles, tmp_path
+    ):
+        profiles = small_profiles[:2]
+        cache_dir = str(tmp_path / "simcache")
+
+        def collect():
+            executor = SimExecutor(jobs=2, cache_dir=cache_dir)
+            platform, gem5 = _front_ends(executor)
+            dataset = collect_validation_dataset(
+                platform, gem5, profiles, (1000e6,), with_power=False
+            )
+            keys = {
+                cache_key(engine.trace_for(p), engine.machine)
+                for engine in (platform, gem5)
+                for p in profiles
+            }
+            return dataset, executor, keys
+
+        cold, cold_ex, keys = collect()
+        cache = SimResultCache(cache_dir)
+        assert len(keys) == 2 * len(profiles)
+        assert len(cache) == len(keys)
+        assert all(cache.verify(key) for key in keys)
+        assert cold_ex.telemetry.jobs_run == len(keys)
+
+        warm, warm_ex, _ = collect()
+        assert warm_ex.telemetry.jobs_run == 0
+        assert warm_ex.telemetry.cache_hits == len(keys)
+        for c, w in zip(cold.runs, warm.runs):
+            assert c.hw.pmc == w.hw.pmc
+            assert c.gem5.stats == w.gem5.stats
 
 
 @pytest.mark.bench_smoke

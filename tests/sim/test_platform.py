@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.events.armv7_pmu import events_for_core
+from repro.sim.executor import SimJobError
+from repro.sim.faults import FaultPlan
 from repro.sim.machine import gem5_ex5_big
 from repro.sim.platform import (
     MAX_PMU_COUNTERS,
@@ -23,6 +25,12 @@ class TestConstruction:
     def test_wrong_machine_core_rejected(self):
         with pytest.raises(ValueError):
             HardwarePlatform("A7", machine=gem5_ex5_big())
+
+    def test_default_executor_is_serial_uncached_and_unguarded(self):
+        platform = HardwarePlatform("A15", trace_instructions=2_000)
+        assert platform.executor.jobs == 1
+        assert platform.executor.cache is None
+        assert not platform.executor.guard.plan.active
 
     def test_default_machines(self, platform_a15, platform_a7):
         assert platform_a15.machine.name == "hw-a15"
@@ -158,3 +166,32 @@ class TestMeasureEvents:
     def test_invalid_opp_rejected(self, platform_a15):
         with pytest.raises(KeyError):
             platform_a15.characterize(workload_by_name("mi-sha"), 777e6)
+
+
+class TestFaultPlan:
+    def test_job_faults_reach_the_default_executor(self):
+        # A fault plan means the same thing with or without an explicit
+        # executor: a crash that outlasts the retry budget fails the job.
+        platform = HardwarePlatform(
+            "A15",
+            trace_instructions=2_000,
+            faults=FaultPlan.crash_workload("mi-sha", attempts=5),
+        )
+        with pytest.raises(SimJobError, match="mi-sha"):
+            platform.characterize(workload_by_name("mi-sha"), 1000e6)
+        assert platform.executor.telemetry.jobs_failed == 1
+
+    def test_power_faults_leave_the_simulation_alone(self):
+        profile = workload_by_name("mi-sha")
+        clean = HardwarePlatform("A15", trace_instructions=2_000)
+        faulty = HardwarePlatform(
+            "A15",
+            trace_instructions=2_000,
+            faults=FaultPlan.nan_power(fraction=0.5),
+        )
+        a = clean.characterize(profile, 1000e6)
+        b = faulty.characterize(profile, 1000e6)
+        assert a.time_seconds == b.time_seconds
+        assert a.pmc == b.pmc
+        assert b.power_samples_lost > 0
+        assert faulty.executor.telemetry.job_retries == 0

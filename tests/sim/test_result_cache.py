@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.cpu import simulate
+from repro.sim.executor import SimExecutor
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
@@ -223,33 +224,41 @@ class TestIntegration:
         cache_dir = str(tmp_path / "platform-cache")
         profile = workload_by_name("mi-sha")
         first = HardwarePlatform("A15", trace_instructions=6_000,
-                                 cache_dir=cache_dir)
+                                 executor=SimExecutor(cache_dir=cache_dir))
         m1 = first.characterize(profile, 1000e6)
         second = HardwarePlatform("A15", trace_instructions=6_000,
-                                  cache_dir=cache_dir)
+                                  executor=SimExecutor(cache_dir=cache_dir))
         m2 = second.characterize(profile, 1000e6)
         assert m1.time_seconds == m2.time_seconds
         assert m1.pmc == m2.pmc
         assert len(SimResultCache(cache_dir)) >= 1
+        assert second.executor.telemetry.cache_hits == 1
+        assert second.executor.telemetry.jobs_run == 0
 
     def test_gem5_uses_cache(self, tmp_path):
         cache_dir = str(tmp_path / "gem5-cache")
         profile = workload_by_name("mi-sha")
-        first = Gem5Simulation(trace_instructions=6_000, cache_dir=cache_dir)
+        first = Gem5Simulation(trace_instructions=6_000,
+                               executor=SimExecutor(cache_dir=cache_dir))
         s1 = first.run(profile, 1000e6)
-        second = Gem5Simulation(trace_instructions=6_000, cache_dir=cache_dir)
+        second = Gem5Simulation(trace_instructions=6_000,
+                                executor=SimExecutor(cache_dir=cache_dir))
         s2 = second.run(profile, 1000e6)
         assert s1.stats == s2.stats
+        assert second.executor.telemetry.cache_hits == 1
 
     def test_cached_equals_uncached(self, tmp_path):
         profile = workload_by_name("mi-fft")
+        cache_dir = str(tmp_path / "c")
         cached = Gem5Simulation(trace_instructions=6_000,
-                                cache_dir=str(tmp_path / "c"))
+                                executor=SimExecutor(cache_dir=cache_dir))
         cached.run(profile, 1000e6)               # populate
         rerun = Gem5Simulation(trace_instructions=6_000,
-                               cache_dir=str(tmp_path / "c"))
+                               executor=SimExecutor(cache_dir=cache_dir))
         plain = Gem5Simulation(trace_instructions=6_000)
         assert rerun.run(profile, 1000e6).stats == plain.run(profile, 1000e6).stats
+        assert rerun.executor.telemetry.cache_hits == 1
+        assert plain.executor.cache is None
 
 
 class TestAdvisoryLock:

@@ -22,6 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["headline", "--core", "M4"])
 
+    def test_engine_defaults_to_columnar_and_has_no_alias(self):
+        parser = build_parser()
+        assert parser.parse_args(["headline"]).engine == "columnar"
+        with pytest.raises(SystemExit):
+            parser.parse_args(["headline", "--engine", "auto"])
+
 
 class TestExecution:
     def test_lmbench_prints_table(self, capsys):
