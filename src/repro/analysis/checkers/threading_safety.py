@@ -2,13 +2,13 @@
 THR002 (lock acquired without ``with``/try-finally), THR003 (flag fields
 read unsynchronised across a thread boundary).
 
-The campaign watchdog (:mod:`repro.sim.guard`) is the one place this
-codebase runs a real ``threading.Thread`` next to the executor, and the
-observability layer (:mod:`repro.obs`) is where such helpers tend to grow
-next — so those two trees are the initial scope.  The invariant is the
-same one the runtime guardrails enforce dynamically: state shared between
-the supervisor thread and the main thread is only touched under the
-owning lock, and plain boolean flags are not a synchronisation primitive.
+The runtime guardrails (:mod:`repro.sim.guard`) sit on the executor's
+scheduling path and the observability layer (:mod:`repro.obs`) is where
+background helpers tend to grow, so those two trees are the scope.
+Neither runs a thread today; the rules keep any new one honest: state
+shared between a thread and the main thread is only touched under the
+owning lock, and plain boolean flags are not a synchronisation
+primitive.
 
 THR001/THR003 need the project call graph (a write is "on the thread
 side" if it happens in the ``Thread`` target *or any callee*), so they run
@@ -24,8 +24,8 @@ from repro.analysis.names import dotted_parts
 from repro.analysis.project import ClassSummary, ModuleSummary, ProjectIndex
 from repro.analysis.rules import BaseChecker, ProjectChecker, project_rule, rule
 
-#: Initial blast radius: the watchdog/executor boundary and the
-#: observability layer.  Widen deliberately, not by default.
+#: Blast radius: the guardrail/executor boundary and the observability
+#: layer.  Widen deliberately, not by default.
 THREADING_SCOPE = ("repro.sim.guard", "repro.obs")
 
 
@@ -196,8 +196,8 @@ class AcquireReleaseChecker(BaseChecker):
     "THR003",
     "flag attribute read unsynchronised across the thread boundary",
     Severity.WARNING,
-    "A plain boolean attribute written on one side of the watchdog/"
-    "executor boundary and read without the lock on the other is a "
+    "A plain boolean attribute written on one side of a thread "
+    "boundary and read without the lock on the other is a "
     "visibility hazard and an un-signallable race; use threading.Event "
     "(exempt from this rule) or read the flag under the owning lock.",
     scope=THREADING_SCOPE,

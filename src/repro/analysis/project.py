@@ -2,7 +2,7 @@
 
 Single-file AST rules see one module at a time; the invariants they guard
 stopped being single-file long ago (pool workers calling across modules,
-the watchdog thread sharing state with the executor, decoded columns
+heartbeat threads sharing state with the campaign board, decoded columns
 flowing between ``repro.sim`` and ``repro.uarch``).  This module extracts a
 compact, picklable :class:`ModuleSummary` from every analysed file — the
 facts a cross-module pass needs, without keeping ASTs alive — and

@@ -251,7 +251,7 @@ class GemStone:
             tracer=self.tracer,
             metrics=self.metrics,
             engine=self.config.engine,
-            guard=GuardPlan.from_level(self.config.guard_level),
+            guard=GuardPlan(level=self.config.guard_level),
         )
         # One health record spans the validation and power campaigns; the
         # report surfaces it whenever anything was lost.

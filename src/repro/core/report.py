@@ -438,11 +438,12 @@ def render_sim_telemetry(telemetry, jobs: int, cache_telemetry=None) -> str:
 def render_guardrails(guard, max_events: int = 12) -> str:
     """Runtime guardrail accounting for one run.
 
-    Summarises what the divergence sentinels, decode validation and the
-    campaign watchdog (:mod:`repro.sim.guard`) observed and did: how many
-    jobs were dual-replayed, every fallback/quarantine/circuit-break, and
-    the watchdog's budget breaches.  A clean run renders all zeros — the
-    section states that the guarantees were *checked*, not just assumed.
+    Summarises what the divergence sentinels and decode validation
+    (:mod:`repro.sim.guard`) and the executor's poison-job breaker and
+    OOM isolation observed and did: how many jobs were dual-replayed and
+    every fallback/quarantine/circuit-break/isolation.  A clean run
+    renders all zeros — the section states that the guarantees were
+    *checked*, not just assumed.
     """
     telemetry = guard.telemetry
     rows = [
@@ -455,10 +456,7 @@ def render_guardrails(guard, max_events: int = 12) -> str:
         ["engine errors recovered", telemetry.engine_errors],
         ["scalar fallbacks (total)", telemetry.fallbacks],
         ["poison jobs circuit-broken", telemetry.poison_jobs],
-        ["worker memory-budget breaches", telemetry.oom_events],
-        ["heartbeat stalls observed", telemetry.heartbeat_stalls],
-        ["batch deadline breaches", telemetry.deadline_breaches],
-        ["parent memory-budget breaches", telemetry.memory_breaches],
+        ["worker out-of-memory isolations", telemetry.oom_events],
     ]
     lines = [text_table(["guardrails", "value"], rows, title="Guardrails")]
     for event in guard.events[:max_events]:

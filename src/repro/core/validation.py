@@ -78,8 +78,9 @@ class CollectionHealth:
         guard_events: Guardrail interventions
             (:class:`~repro.sim.guard.GuardEvent`) absorbed from the
             executor: engine fallbacks, quarantined decodes, circuit-broken
-            poison jobs, watchdog budget breaches.  Every surviving row is
-            still bit-identical — these record *how* it survived.
+            poison jobs, jobs isolated after a worker ``MemoryError``.
+            Every surviving row is still bit-identical — these record
+            *how* it survived.
     """
 
     attempted: int = 0

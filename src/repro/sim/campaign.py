@@ -791,7 +791,7 @@ def run_worker(
     store = board.store()
     # Guard outcomes land in this shard's registry, so its snapshot (and
     # the merged campaign metrics) carry the sim.guard.* counters.
-    guard = GuardRail(GuardPlan.from_level(guard_level), board.metrics, tracer)
+    guard = GuardRail(GuardPlan(level=guard_level), board.metrics, tracer)
     if owner is None:
         owner = f"worker-{os.getpid()}"
     report = WorkerReport(owner=owner)
@@ -901,27 +901,37 @@ def _worker_entry(
         )
     finally:
         tracer.close()
-        os.makedirs(obs_dir, exist_ok=True)
-        snapshot_path = os.path.join(obs_dir, "metrics.json")
-        # Cumulative across campaign resumes: an owner re-spawned on the
-        # same board folds its previous snapshot in, so the merged
-        # campaign snapshot keeps matching the (append-only) journal.
-        cumulative = MetricsRegistry()
-        try:
-            with open(snapshot_path) as handle:
-                prior = json.load(handle)
-            if isinstance(prior, dict):
-                cumulative.absorb(registry_from_snapshot(prior))
-        except (OSError, ValueError, TypeError, KeyError) as exc:
-            logger.warning(
-                "prior shard snapshot unusable (%s: %s); starting fresh",
-                type(exc).__name__, exc,
-            )
-        cumulative.absorb(metrics)
-        atomic_write_text(
-            snapshot_path,
-            json.dumps(cumulative.snapshot(), sort_keys=True) + "\n",
+        _write_cumulative_snapshot(obs_dir, owner, metrics)
+
+
+def _write_cumulative_snapshot(
+    obs_dir: str, owner: str, registry: MetricsRegistry
+) -> None:
+    """Fold ``registry`` into ``obs_dir/metrics.json`` and rewrite it.
+
+    Cumulative across campaign resumes: an owner (a shard or the
+    coordinator) re-spawned on the same board folds its previous snapshot
+    in, so the merged campaign snapshot keeps matching the (append-only)
+    journal.  An unreadable prior snapshot is logged and replaced.
+    """
+    os.makedirs(obs_dir, exist_ok=True)
+    snapshot_path = os.path.join(obs_dir, "metrics.json")
+    cumulative = MetricsRegistry()
+    try:
+        with open(snapshot_path) as handle:
+            prior = json.load(handle)
+        if isinstance(prior, dict):
+            cumulative.absorb(registry_from_snapshot(prior))
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        logger.warning(
+            "prior %s snapshot unusable (%s: %s); starting fresh",
+            owner, type(exc).__name__, exc,
         )
+    cumulative.absorb(registry)
+    atomic_write_text(
+        snapshot_path,
+        json.dumps(cumulative.snapshot(), sort_keys=True) + "\n",
+    )
 
 
 # -------------------------------------------------------------- coordinator
@@ -1136,24 +1146,8 @@ def run_campaign(
     # metric snapshot (cumulative across resumes, like the shards') and
     # the merged campaign Prometheus snapshot over every obs/ snapshot.
     obs_dir = os.path.join(board_dir, "obs")
-    coordinator_obs = os.path.join(obs_dir, "coordinator")
-    os.makedirs(coordinator_obs, exist_ok=True)
-    coordinator_path = os.path.join(coordinator_obs, "metrics.json")
-    coordinator_registry = MetricsRegistry()
-    try:
-        with open(coordinator_path) as handle:
-            prior = json.load(handle)
-        if isinstance(prior, dict):
-            coordinator_registry.absorb(registry_from_snapshot(prior))
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        logger.warning(
-            "prior coordinator snapshot unusable (%s: %s); starting fresh",
-            type(exc).__name__, exc,
-        )
-    coordinator_registry.absorb(board.metrics)
-    atomic_write_text(
-        coordinator_path,
-        json.dumps(coordinator_registry.snapshot(), sort_keys=True) + "\n",
+    _write_cumulative_snapshot(
+        os.path.join(obs_dir, "coordinator"), "coordinator", board.metrics
     )
     merged = merge_board_metrics(board_dir)
     record_health_gauges(merged, campaign_health(merged))

@@ -20,8 +20,11 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   per-job timeout.  A timed-out, crashed or poisoned job is rerun serially
   in the parent under a deterministic :class:`RetryPolicy`; a broken pool
   (a hard worker death) loses only the jobs that had not finished — every
-  completed sibling keeps its result.  Because jobs are pure, recovered
-  results are bit-identical to a fault-free run;
+  completed sibling keeps its result, and every job the pool took down
+  with it gets its serial isolation rerun.  A job whose rerun confirms it
+  killed the worker :data:`POISON_THRESHOLD` times is circuit-broken: it
+  never touches a pool again.  Because jobs are pure, recovered results
+  are bit-identical to a fault-free run;
 * **serial fallback** — ``jobs=1`` (the default everywhere) never spawns a
   process, and a pool that cannot even be constructed (pickling-hostile
   environment) degrades to the serial path with the identical results;
@@ -49,13 +52,7 @@ from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.cpu import ENGINES, SimResult
-from repro.sim.guard import (
-    GuardEvent,
-    GuardPlan,
-    GuardRail,
-    check_memory_budget,
-    guarded_simulate,
-)
+from repro.sim.guard import GuardEvent, GuardPlan, GuardRail, guarded_simulate
 from repro.sim.machine import MachineConfig
 from repro.sim.result_cache import (
     SimResultCache,
@@ -76,6 +73,10 @@ SimJob = tuple[SyntheticTrace, MachineConfig]
 #: OverflowError once campaign lease re-queues push attempt counts into
 #: the thousands.
 _MAX_BACKOFF_EXPONENT = 62
+
+#: Confirmed worker kills after which a job is circuit-broken into the
+#: parent's serial lane and never submitted to a pool again.
+POISON_THRESHOLD = 2
 
 
 @dataclass(frozen=True)
@@ -216,9 +217,8 @@ def _run_job(payload):
     ``payload`` is ``(trace, machine, spec, faults, ordinal, attempt,
     want_spans, engine, guard_plan)``.  Any fault matching (ordinal,
     attempt) fires first — a ``crash`` fault hard-kills this worker so the
-    parent observes a genuine broken pool, and a guard memory budget
-    already breached refuses the job with ``MemoryError`` (the parent
-    isolates it to the serial lane).
+    parent observes a genuine broken pool, and an ``oom`` fault raises
+    ``MemoryError`` (the parent isolates the job to the serial lane).
 
     With a cache spec (see :func:`~repro.sim.result_cache.cache_spec`)
     the worker writes its entry atomically (sealed, via the cache) and ships
@@ -245,7 +245,6 @@ def _run_job(payload):
     ):
         if faults is not None:
             faults.apply_job_fault(ordinal, trace.name, attempt, in_worker=True)
-        check_memory_budget(guard_plan)
         result, guard_events, sentinels = guarded_simulate(
             trace, machine, engine, guard_plan, faults, ordinal, attempt,
             tracer=tracer,
@@ -289,11 +288,11 @@ class SimExecutor:
             guards off.  When active, every simulated job runs through
             :func:`~repro.sim.guard.guarded_simulate` (decode validation,
             NaN rejection, sampled dual-engine sentinels with scalar
-            fallback), the campaign watchdog supervises batches, and
-            poisoned jobs (``poison_threshold`` worker kills) are
-            circuit-broken into the parent's serial lane.  Guard events
-            accumulate on :attr:`guard` (a
-            :class:`~repro.sim.guard.GuardRail`).
+            fallback).  Guard events accumulate on :attr:`guard` (a
+            :class:`~repro.sim.guard.GuardRail`), which also records the
+            executor's own ``worker-oom`` isolations and ``poison-job``
+            circuit breaks.  The poison-job breaker is independent of
+            the guard level: it trips at every level, ``off`` included.
 
     Raises:
         ValueError: For a non-positive explicit ``jobs`` or timeout.
@@ -335,11 +334,15 @@ class SimExecutor:
             else None
         )
         self.telemetry = SimTelemetry(self.metrics)
-        #: Guardrail state: plan, recorded events, watchdog, telemetry.
+        #: Guardrail state: plan, recorded events, telemetry.
         self.guard = GuardRail(guard, self.metrics, self.tracer)
         #: Terminal failures from the most recent ``run_many`` batch.
         self.last_failures: list[SimJobFailure] = []
         self._next_ordinal = 0
+        #: Confirmed worker kills per cache key (poison-job breaker).
+        self._kills: dict[str, int] = {}
+        #: Cache keys whose circuit break was already announced.
+        self._broken: set[str] = set()
 
     # ------------------------------------------------------------------ public
     def run(self, trace: SyntheticTrace, machine: MachineConfig) -> SimResult:
@@ -410,12 +413,7 @@ class SimExecutor:
             )
 
             if pending:
-                watchdog = self.guard.watchdog
-                watchdog.batch_started()
-                try:
-                    computed = self._execute(pending)
-                finally:
-                    watchdog.batch_finished()
+                computed = self._execute(pending)
                 started = perf_counter()
                 with self.tracer.span("reap", kind="executor"):
                     for (key, _, _), outcome in zip(pending, computed):
@@ -435,6 +433,33 @@ class SimExecutor:
                         raise SimJobError(self.last_failures[0])
         return results
 
+    # ------------------------------------------------------------ poison jobs
+    def is_poisoned(self, key: str) -> bool:
+        """Whether the job ``key`` killed enough workers to be circuit-broken."""
+        return self._kills.get(key, 0) >= POISON_THRESHOLD
+
+    def circuit_break(self, workload: str, machine: str, key: str) -> None:
+        """Record that a poisoned job was quarantined to the serial lane.
+
+        One event per job key for the executor's lifetime — later batches
+        route the job straight to the serial lane without re-announcing.
+        """
+        if key in self._broken:
+            return
+        self._broken.add(key)
+        self.guard.record(
+            GuardEvent(
+                kind="poison-job",
+                workload=workload,
+                machine=machine,
+                action="circuit-break",
+                detail=(
+                    f"killed {self._kills.get(key, 0)} worker(s); "
+                    "quarantined to the parent's serial lane"
+                ),
+            )
+        )
+
     # --------------------------------------------------------------- internals
     def _execute(
         self, pending: list[tuple[str, SyntheticTrace, MachineConfig]]
@@ -445,21 +470,20 @@ class SimExecutor:
         if self.jobs <= 1 or len(pending) <= 1:
             return self._execute_serial(pending, ordinals)
 
-        # Poison-job circuit breaker: a job whose kill count reached the
-        # guard threshold never touches a pool again — it is quarantined to
+        # Poison-job circuit breaker: a job whose kill count reached
+        # POISON_THRESHOLD never touches a pool again — it is quarantined to
         # the parent's serial lane (bit-identical, just slower) while its
         # clean siblings keep their workers.  The kill counts are recorded
         # synchronously in this thread, so the decision is deterministic.
-        watchdog = self.guard.watchdog
         poisoned = [
-            i for i, (key, _, _) in enumerate(pending) if watchdog.is_poisoned(key)
+            i for i, (key, _, _) in enumerate(pending) if self.is_poisoned(key)
         ]
         if not poisoned:
             return self._execute_pool(pending, ordinals)
         for i in poisoned:
             key, trace, machine = pending[i]
-            watchdog.circuit_break(trace.name, machine.name, key)
-        clean = [i for i in range(len(pending)) if not watchdog.is_poisoned(pending[i][0])]
+            self.circuit_break(trace.name, machine.name, key)
+        clean = [i for i in range(len(pending)) if i not in poisoned]
         outcomes: list[SimResult | SimJobFailure | None] = [None] * len(pending)
         if clean:
             pooled = (
@@ -504,7 +528,6 @@ class SimExecutor:
         )
         pool_span.__enter__()
         started = perf_counter()
-        watchdog = self.guard.watchdog
         in_band: dict[int, object] = {}
         worker_spans: dict[int, list] = {}
         guard_payloads: dict[int, tuple] = {}
@@ -522,7 +545,6 @@ class SimExecutor:
                         (trace, machine, spec, self.faults, ordinal, 1,
                          want_spans, self.engine, self.guard.plan),
                     )
-                    watchdog.job_started(ordinal, trace.name, machine.name)
             except Exception:
                 telemetry.serial_fallbacks += 1
                 telemetry.simulate_seconds += perf_counter() - started
@@ -565,7 +587,7 @@ class SimExecutor:
                             workload=pending[i][1].name,
                             machine=pending[i][2].name,
                             action="isolate",
-                            detail=str(exc) or "worker memory budget breached",
+                            detail=str(exc) or "worker ran out of memory",
                         )
                     )
                 except Exception as exc:  # a poisoned job's own exception
@@ -576,8 +598,6 @@ class SimExecutor:
                         workload=pending[i][1].name,
                         error=type(exc).__name__,
                     )
-                finally:
-                    watchdog.job_finished(ordinals[i])
         finally:
             # Never block on a hung worker: abandoned processes finish (or
             # die) on their own; their cache writes are atomic and idempotent.
@@ -628,12 +648,27 @@ class SimExecutor:
 
         if failed_kind:
             # Crash isolation: only the affected jobs rerun serially; every
-            # finished sibling above keeps its result.
+            # finished sibling above keeps its result.  A "crash" only says
+            # the pool broke under the job, so it always gets its isolation
+            # rerun; a timeout, error or OOM is the job's own attempt and
+            # respects the retry budget (a hung job is never rerun
+            # uninterruptibly in the parent).
             indices = sorted(failed_kind)
             telemetry.jobs_isolated += len(indices)
-            if self.retry.max_attempts <= 1:
-                telemetry.jobs_failed += len(indices)
-                for i in indices:
+            rerun = [
+                i for i in indices
+                if failed_kind[i] == "crash" or self.retry.max_attempts > 1
+            ]
+            recovered = self._execute_serial(
+                [pending[i] for i in rerun],
+                [ordinals[i] for i in rerun],
+                first_attempt=2,
+            )
+            for i, outcome in zip(rerun, recovered):
+                outcomes[i] = outcome
+            for i in indices:
+                if outcomes[i] is None:
+                    telemetry.jobs_failed += 1
                     _, trace, machine = pending[i]
                     outcomes[i] = SimJobFailure(
                         trace_name=trace.name,
@@ -642,25 +677,16 @@ class SimExecutor:
                         kind=failed_kind[i],
                         error=failed_error[i],
                     )
-            else:
-                recovered = self._execute_serial(
-                    [pending[i] for i in indices],
-                    [ordinals[i] for i in indices],
-                    first_attempt=2,
-                )
-                for i, outcome in zip(indices, recovered):
-                    outcomes[i] = outcome
-            # Poison-job accounting: a broken-pool crash is attributed to a
-            # job only when its serial rerun *also* fails — bystanders that
-            # were merely in flight when another job killed the worker
-            # recover serially and never accumulate kills.  Enough kills
-            # (GuardPlan.poison_threshold) circuit-break the job out of
-            # future pools.
-            for i in indices:
-                if failed_kind[i] == "crash" and isinstance(
+                elif failed_kind[i] == "crash" and isinstance(
                     outcomes[i], SimJobFailure
                 ):
-                    watchdog.record_worker_kill(pending[i][0])
+                    # Poison-job accounting: a broken-pool crash is
+                    # attributed to a job only when its serial rerun *also*
+                    # fails — bystanders that were merely in flight when
+                    # another job killed the worker recover serially and
+                    # never accumulate kills.
+                    key = pending[i][0]
+                    self._kills[key] = self._kills.get(key, 0) + 1
         return outcomes  # type: ignore[return-value]  # every slot is filled
 
     def _execute_serial(
@@ -687,7 +713,6 @@ class SimExecutor:
     ) -> SimResult | SimJobFailure:
         """One job through the retry policy, in the parent process."""
         attempt = first_attempt
-        watchdog = self.guard.watchdog
         with self.tracer.span(
             "sim-job",
             kind="job",
@@ -696,63 +721,56 @@ class SimExecutor:
             ordinal=ordinal,
             in_worker=False,
         ) as job_span:
-            watchdog.job_started(ordinal, trace.name, machine.name)
-            try:
-                return self._retry_loop(
-                    trace, machine, ordinal, attempt, job_span
-                )
-            finally:
-                watchdog.job_finished(ordinal)
-
-    def _retry_loop(self, trace, machine, ordinal, attempt, job_span):
-        """The attempt loop of :meth:`_run_with_retry` (watchdog-tracked)."""
-        while True:
-            try:
-                if self.faults is not None:
-                    self.faults.apply_job_fault(
-                        ordinal, trace.name, attempt, in_worker=False
+            while True:
+                try:
+                    if self.faults is not None:
+                        self.faults.apply_job_fault(
+                            ordinal, trace.name, attempt, in_worker=False
+                        )
+                    result, guard_events, sentinels = guarded_simulate(
+                        trace, machine, self.engine, self.guard.plan,
+                        self.faults, ordinal, attempt, tracer=self.tracer,
                     )
-                result, guard_events, sentinels = guarded_simulate(
-                    trace, machine, self.engine, self.guard.plan,
-                    self.faults, ordinal, attempt, tracer=self.tracer,
-                )
-                self.guard.absorb(guard_events, sentinels)
-            except Exception as exc:
-                if attempt >= self.retry.max_attempts:
-                    self.telemetry.jobs_failed += 1
-                    job_span.set(
-                        failed=True, attempts=attempt,
+                    self.guard.absorb(guard_events, sentinels)
+                except Exception as exc:
+                    if attempt >= self.retry.max_attempts:
+                        self.telemetry.jobs_failed += 1
+                        job_span.set(
+                            failed=True, attempts=attempt,
+                            error=type(exc).__name__,
+                        )
+                        logger.warning(
+                            "job %s on %s failed permanently after %d "
+                            "attempt(s): %s", trace.name, machine.name,
+                            attempt, exc,
+                        )
+                        return SimJobFailure(
+                            trace_name=trace.name,
+                            machine_name=machine.name,
+                            attempts=attempt,
+                            kind=(
+                                "oom" if isinstance(exc, MemoryError)
+                                else "crash"
+                            ),
+                            error=f"{type(exc).__name__}: {exc}",
+                        )
+                    self.telemetry.job_retries += 1
+                    delay = self.retry.delay(attempt)
+                    job_span.event(
+                        "job-retry",
+                        workload=trace.name,
+                        attempt=attempt,
+                        delay_seconds=delay,
                         error=type(exc).__name__,
                     )
-                    logger.warning(
-                        "job %s on %s failed permanently after %d "
-                        "attempt(s): %s", trace.name, machine.name,
-                        attempt, exc,
-                    )
-                    return SimJobFailure(
-                        trace_name=trace.name,
-                        machine_name=machine.name,
-                        attempts=attempt,
-                        kind="oom" if isinstance(exc, MemoryError) else "crash",
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
-                self.telemetry.job_retries += 1
-                delay = self.retry.delay(attempt)
-                job_span.event(
-                    "job-retry",
-                    workload=trace.name,
-                    attempt=attempt,
-                    delay_seconds=delay,
-                    error=type(exc).__name__,
-                )
-                if delay > 0:
-                    time.sleep(delay)
-                attempt += 1
-                continue
-            if self.cache is not None:
-                self.cache.put(trace, machine, result)
-            job_span.set(attempts=attempt)
-            return result
+                    if delay > 0:
+                        time.sleep(delay)
+                    attempt += 1
+                    continue
+                if self.cache is not None:
+                    self.cache.put(trace, machine, result)
+                job_span.set(attempts=attempt)
+                return result
 
 
 class SimFrontEnd:

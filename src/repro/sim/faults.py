@@ -169,7 +169,7 @@ class FaultPlan:
 
     @classmethod
     def worker_oom(cls, workload: str, attempts: int = 1) -> "FaultPlan":
-        """Breach the memory budget (``MemoryError``) on the first N attempts."""
+        """Raise ``MemoryError`` (an out-of-memory worker) on the first N attempts."""
         return cls((FaultSpec("oom", workload=workload, attempts=attempts),))
 
     @classmethod
@@ -235,7 +235,7 @@ class FaultPlan:
                 # same raise exercises both the worker OOM lane and the
                 # parent's serial recovery once attempts are exhausted.
                 raise MemoryError(
-                    f"injected memory-budget breach: job {ordinal} "
+                    f"injected out-of-memory: job {ordinal} "
                     f"({trace_name}) attempt {attempt}"
                 )
 

@@ -1,4 +1,4 @@
-"""Runtime guardrails: self-verifying replay and supervised campaigns.
+"""Runtime guardrails: self-verifying replay.
 
 The columnar engine (:mod:`repro.sim.columnar`) is the default hot path
 for every simulated cycle, and the paper's claims rest on those numbers
@@ -18,11 +18,12 @@ flowing unchecked into the power model and validation tables:
   checksum + shape/dtype/bounds contract
   (:func:`repro.workloads.trace.validate_columnar`); corrupt decodes are
   quarantined and re-decoded in place.
-* **Campaign watchdog** — :class:`CampaignWatchdog` supervises a
-  :class:`~repro.sim.executor.SimExecutor` batch with per-job heartbeats,
-  memory/deadline budgets and poison-job detection: a job that kills N
-  workers in a row is circuit-broken into the parent's serial quarantine
-  lane instead of being resubmitted to (and killing) fresh pools forever.
+
+:class:`GuardRail` is the parent-side ledger of these interventions.  The
+executor records its own scheduling decisions on it too — a worker's
+``MemoryError`` (``worker-oom``) and the poison-job circuit breaker
+(``poison-job``, owned by :class:`~repro.sim.executor.SimExecutor`) — and
+the campaign board records lost shards and stolen leases.
 
 Everything surfaces three ways: :class:`GuardEvent` records (absorbed into
 :class:`~repro.core.validation.CollectionHealth` by dataset collection),
@@ -36,19 +37,14 @@ default) produces byte-for-byte the same report as ``--guard-level off``.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from time import monotonic
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.machine import MachineConfig
 from repro.workloads.trace import SyntheticTrace, validate_columnar
-
-logger = get_logger(__name__)
 
 #: Guard levels accepted by :class:`GuardPlan` and ``--guard-level``.
 GUARD_LEVELS = ("off", "sentinel", "paranoid")
@@ -72,16 +68,14 @@ class GuardEvent:
     Attributes:
         kind: What was detected: ``divergence``, ``nan-result``,
             ``decode-corrupt``, ``engine-error``, ``poison-job``,
-            ``worker-oom``, ``heartbeat-stall``, ``deadline``,
-            ``memory-budget``, ``shard-lost``, ``lease-steal``.
-        workload: Trace name of the affected job ("*" for campaign-wide
-            watchdog events).
-        machine: Machine name of the affected job ("*" likewise).
+            ``worker-oom``, ``shard-lost``, ``lease-steal``.
+        workload: Trace name of the affected job.
+        machine: Machine name of the affected job.
         action: What the guard did about it: ``fallback-scalar``,
             ``requarantine-decode``, ``circuit-break``, ``isolate``,
             ``observe``.
-        detail: Human-readable specifics (mismatched fields, budget
-            numbers, ...).
+        detail: Human-readable specifics (mismatched fields, kill
+            counts, ...).
     """
 
     kind: str
@@ -111,26 +105,11 @@ class GuardPlan:
             ``None`` resolves per level (``SENTINEL_INTERVAL`` for
             sentinel, 1 for paranoid).
         seed: Phase offset for the deterministic ordinal sampling.
-        heartbeat_seconds: Watchdog: emit a ``heartbeat-stall`` event for
-            any pooled job in flight longer than this (observation only —
-            the executor's own timeout still owns cancellation).
-        batch_deadline_seconds: Watchdog: emit a ``deadline`` event when a
-            batch as a whole runs past this budget.
-        memory_budget_mb: Watchdog: emit a ``memory-budget`` event when the
-            parent's peak RSS exceeds this; workers check it before
-            simulating and refuse (``MemoryError`` -> the job is isolated
-            to the parent's serial lane) when already past it.
-        poison_threshold: Circuit-break a job into the serial quarantine
-            lane after it has killed this many workers.
     """
 
     level: str = "off"
     sentinel_interval: int | None = None
     seed: int = 0
-    heartbeat_seconds: float | None = None
-    batch_deadline_seconds: float | None = None
-    memory_budget_mb: float | None = None
-    poison_threshold: int = 2
 
     def __post_init__(self) -> None:
         if self.level not in GUARD_LEVELS:
@@ -141,21 +120,6 @@ class GuardPlan:
             raise ValueError(
                 f"sentinel_interval must be >= 1, got {self.sentinel_interval}"
             )
-        if self.poison_threshold < 1:
-            raise ValueError(
-                f"poison_threshold must be >= 1, got {self.poison_threshold}"
-            )
-
-    # ------------------------------------------------------------ constructors
-    @classmethod
-    def off(cls) -> "GuardPlan":
-        """No runtime guards (the engines' own verified memos remain)."""
-        return cls(level="off")
-
-    @classmethod
-    def from_level(cls, level: str, **overrides) -> "GuardPlan":
-        """Build a plan for a ``--guard-level`` name."""
-        return cls(level=level, **overrides)
 
     # ---------------------------------------------------------------- queries
     @property
@@ -180,14 +144,6 @@ class GuardPlan:
             return False
         return (ordinal + self.seed) % self.interval == 0
 
-    def supervises(self) -> bool:
-        """Whether any watchdog budget needs the supervisor thread."""
-        return self.active and (
-            self.heartbeat_seconds is not None
-            or self.batch_deadline_seconds is not None
-            or self.memory_budget_mb is not None
-        )
-
 
 class GuardTelemetry(MetricView):
     """Guardrail counters, a view over the shared metrics registry.
@@ -200,10 +156,7 @@ class GuardTelemetry(MetricView):
         engine_errors: Columnar replays that raised and fell back.
         fallbacks: Total per-job fallbacks to the scalar engine.
         poison_jobs: Jobs circuit-broken into the serial quarantine lane.
-        oom_events: Worker memory-budget breaches (injected or real).
-        heartbeat_stalls: Jobs observed in flight past the heartbeat budget.
-        deadline_breaches: Batches that ran past the deadline budget.
-        memory_breaches: Parent peak-RSS budget breaches observed.
+        oom_events: Pool jobs that raised ``MemoryError`` (injected or real).
         shard_losses: Campaign shard processes that exited abnormally.
         lease_steals: Expired campaign leases taken over by another shard.
         events: All guard events recorded.
@@ -220,9 +173,6 @@ class GuardTelemetry(MetricView):
             "fallbacks",
             "poison_jobs",
             "oom_events",
-            "heartbeat_stalls",
-            "deadline_breaches",
-            "memory_breaches",
             "shard_losses",
             "lease_steals",
             "events",
@@ -238,9 +188,6 @@ _KIND_COUNTERS = {
     "engine-error": "engine_errors",
     "poison-job": "poison_jobs",
     "worker-oom": "oom_events",
-    "heartbeat-stall": "heartbeat_stalls",
-    "deadline": "deadline_breaches",
-    "memory-budget": "memory_breaches",
     "shard-lost": "shard_losses",
     "lease-steal": "lease_steals",
 }
@@ -254,9 +201,8 @@ class GuardRail:
     """Parent-side guardrail state for one executor's lifetime.
 
     Collects :class:`GuardEvent` records (worker-side events ship back
-    in-band with results and are absorbed here), mirrors them into
-    ``sim.guard.*`` metrics and tracer events, and owns the
-    :class:`CampaignWatchdog`.
+    in-band with results and are absorbed here) and mirrors them into
+    ``sim.guard.*`` metrics and tracer events.
     """
 
     def __init__(
@@ -265,20 +211,19 @@ class GuardRail:
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ):
-        self.plan = plan if plan is not None else GuardPlan.off()
+        self.plan = plan if plan is not None else GuardPlan()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.telemetry = GuardTelemetry(self.metrics)
         #: Every anomaly recorded over this executor's lifetime.
         self.events: list[GuardEvent] = []
-        self.watchdog = CampaignWatchdog(self)
 
     @property
     def level(self) -> str:
         return self.plan.level
 
     def record(self, event: GuardEvent) -> None:
-        """Absorb one guard event: list + metrics + tracer, atomically."""
+        """Absorb one guard event: list + metrics + tracer."""
         self.events.append(event)
         self.telemetry.events += 1
         counter = _KIND_COUNTERS.get(event.kind)
@@ -300,42 +245,6 @@ class GuardRail:
             self.telemetry.sentinel_replays += sentinel_replays
         for event in events or ():
             self.record(event)
-
-
-def parent_rss_mb() -> float:
-    """This process's peak RSS in MiB (0.0 where unavailable)."""
-    try:
-        import resource
-    except ImportError:  # non-POSIX: budgets degrade to unenforced
-        logger.debug("resource module unavailable; memory budget unenforced")
-        return 0.0
-    # ru_maxrss is KiB on Linux, bytes on macOS.
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    import sys
-
-    if sys.platform == "darwin":
-        return peak / (1024.0 * 1024.0)
-    return peak / 1024.0
-
-
-def check_memory_budget(plan: GuardPlan | None) -> None:
-    """Refuse to start a worker job already past the memory budget.
-
-    Raises:
-        MemoryError: When the plan carries a ``memory_budget_mb`` and this
-            process's peak RSS already exceeds it.  The executor treats the
-            job like any poisoned job: it is isolated to the parent's
-            serial lane (recorded as a ``worker-oom`` guard event) instead
-            of running in a worker that the kernel may OOM-kill mid-write.
-    """
-    if plan is None or plan.memory_budget_mb is None:
-        return
-    rss = parent_rss_mb()
-    if rss > plan.memory_budget_mb:
-        raise MemoryError(
-            f"worker peak RSS {rss:.0f} MiB exceeds the "
-            f"{plan.memory_budget_mb:.0f} MiB guard budget"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -541,183 +450,3 @@ def _poison_memo(trace, machine, cols) -> None:
             and value.size
         ):
             cols.fixpoint_seeds[key] = value + 1
-
-
-# ---------------------------------------------------------------------------
-# Campaign watchdog
-# ---------------------------------------------------------------------------
-
-class CampaignWatchdog:
-    """Supervisor for an executor's batches: heartbeats, budgets, poison jobs.
-
-    Observation never alters results: the supervisor thread only *records*
-    (guard events + metrics) — cancellation stays with the executor's own
-    deterministic timeout/retry machinery.  The one behavioural lever is
-    the poison-job circuit breaker, and that decision is taken
-    synchronously by the executor from deterministic kill counts, never
-    from the thread.
-    """
-
-    _TICK_SECONDS = 0.02
-
-    def __init__(self, rail: GuardRail):
-        self.rail = rail
-        self._lock = threading.Lock()
-        self._in_flight: dict[int, tuple[str, str, float]] = {}
-        self._stalled: set[int] = set()
-        self._kills: dict[str, int] = {}
-        self._broken: set[str] = set()
-        self._batch_started: float | None = None
-        self._batch_flagged = False
-        self._memory_flagged = False
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
-
-    @property
-    def plan(self) -> GuardPlan:
-        return self.rail.plan
-
-    # ------------------------------------------------------------- lifecycle
-    def batch_started(self) -> None:
-        """Begin supervising one ``run_many`` batch."""
-        with self._lock:
-            self._batch_started = monotonic()
-            self._batch_flagged = False
-            self._in_flight.clear()
-            self._stalled.clear()
-        if self.plan.supervises() and self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._supervise, name="guard-watchdog", daemon=True
-            )
-            self._thread.start()
-
-    def batch_finished(self) -> None:
-        """Stop the supervisor thread after a batch completes."""
-        if self._thread is not None:
-            self._stop.set()
-            self._thread.join(timeout=2.0)
-            self._thread = None
-        with self._lock:
-            self._batch_started = None
-            self._in_flight.clear()
-
-    # ---------------------------------------------------------- job tracking
-    def job_started(self, ordinal: int, workload: str, machine: str) -> None:
-        with self._lock:
-            self._in_flight[ordinal] = (workload, machine, monotonic())
-
-    def job_finished(self, ordinal: int) -> None:
-        with self._lock:
-            self._in_flight.pop(ordinal, None)
-
-    # ------------------------------------------------------------ poison jobs
-    def record_worker_kill(self, key: str) -> int:
-        """Count one worker death attributed to the job ``key``."""
-        self._kills[key] = self._kills.get(key, 0) + 1
-        return self._kills[key]
-
-    def is_poisoned(self, key: str) -> bool:
-        """Whether this job has killed enough workers to be circuit-broken."""
-        return self._kills.get(key, 0) >= self.plan.poison_threshold
-
-    def circuit_break(self, workload: str, machine: str, key: str) -> None:
-        """Record that a poisoned job was quarantined to the serial lane.
-
-        One event per job key for the executor's lifetime — later batches
-        route the job straight to the serial lane without re-announcing.
-        """
-        if key in self._broken:
-            return
-        self._broken.add(key)
-        self.rail.record(
-            GuardEvent(
-                kind="poison-job",
-                workload=workload,
-                machine=machine,
-                action="circuit-break",
-                detail=(
-                    f"killed {self._kills.get(key, 0)} worker(s); "
-                    "quarantined to the parent's serial lane"
-                ),
-            )
-        )
-
-    # ------------------------------------------------------------- supervision
-    def _supervise(self) -> None:
-        plan = self.plan
-        while not self._stop.wait(self._TICK_SECONDS):
-            now = monotonic()
-            # The RSS probe is a syscall, so take it outside the lock; all
-            # shared flag/set state is read and written inside one critical
-            # section, and events are recorded after it is released (the
-            # rail takes its own lock — never hold both).
-            rss = (
-                parent_rss_mb() if plan.memory_budget_mb is not None else None
-            )
-            events: list[GuardEvent] = []
-            with self._lock:
-                started = self._batch_started
-                flight = list(self._in_flight.items())
-                if started is None:
-                    continue
-                if (
-                    plan.batch_deadline_seconds is not None
-                    and not self._batch_flagged
-                    and now - started > plan.batch_deadline_seconds
-                ):
-                    self._batch_flagged = True
-                    events.append(
-                        GuardEvent(
-                            kind="deadline",
-                            workload="*",
-                            machine="*",
-                            action="observe",
-                            detail=(
-                                f"batch past its "
-                                f"{plan.batch_deadline_seconds:.2f} s "
-                                f"deadline with {len(flight)} job(s) in flight"
-                            ),
-                        )
-                    )
-                if plan.heartbeat_seconds is not None:
-                    for ordinal, (workload, machine, job_started) in flight:
-                        if (
-                            ordinal not in self._stalled
-                            and now - job_started > plan.heartbeat_seconds
-                        ):
-                            self._stalled.add(ordinal)
-                            events.append(
-                                GuardEvent(
-                                    kind="heartbeat-stall",
-                                    workload=workload,
-                                    machine=machine,
-                                    action="observe",
-                                    detail=(
-                                        f"no heartbeat for "
-                                        f"{now - job_started:.2f} s "
-                                        f"(budget {plan.heartbeat_seconds:.2f} s)"
-                                    ),
-                                )
-                            )
-                if (
-                    rss is not None
-                    and not self._memory_flagged
-                    and plan.memory_budget_mb is not None
-                    and rss > plan.memory_budget_mb
-                ):
-                    self._memory_flagged = True
-                    events.append(
-                        GuardEvent(
-                            kind="memory-budget",
-                            workload="*",
-                            machine="*",
-                            action="observe",
-                            detail=(
-                                f"parent peak RSS {rss:.0f} MiB over the "
-                                f"{plan.memory_budget_mb:.0f} MiB budget"
-                            ),
-                        )
-                    )
-            for event in events:
-                self.rail.record(event)

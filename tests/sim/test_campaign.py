@@ -19,6 +19,7 @@ from repro.core.runstate import RunManifest
 from repro.sim.campaign import (
     CampaignBoard,
     CampaignJob,
+    _write_cumulative_snapshot,
     campaign_jobs,
     machine_from_spec,
     run_worker,
@@ -315,7 +316,7 @@ class TestWorkerGuard:
         assert report.done == len(jobs) == 2
 
         executor = SimExecutor(
-            guard=GuardPlan.from_level("sentinel"), faults=faults
+            guard=GuardPlan(level="sentinel"), faults=faults
         )
         executor.run_many([
             (compile_trace(workload_by_name(job.workload), job.n_instrs),
@@ -325,6 +326,37 @@ class TestWorkerGuard:
         expected = executor.metrics.values_with_prefix("sim.guard.")
         assert expected["sim.guard.nan_fallbacks"] == 2
         assert metrics.values_with_prefix("sim.guard.") == expected
+
+
+class TestCumulativeSnapshot:
+    @staticmethod
+    def _registry(done: int) -> MetricsRegistry:
+        registry = MetricsRegistry()
+        registry.counter("campaign.jobs_done").inc(done)
+        return registry
+
+    def test_resumed_owner_folds_in_its_prior_snapshot(self, tmp_path):
+        obs = str(tmp_path / "obs" / "shard-0")
+        _write_cumulative_snapshot(obs, "shard-0", self._registry(2))
+        _write_cumulative_snapshot(obs, "shard-0", self._registry(3))
+        with open(os.path.join(obs, "metrics.json")) as handle:
+            snapshot = json.load(handle)
+        assert snapshot == self._registry(5).snapshot()
+
+    def test_unusable_prior_snapshot_is_logged_and_replaced(
+        self, tmp_path, caplog
+    ):
+        obs = tmp_path / "coordinator"
+        obs.mkdir()
+        (obs / "metrics.json").write_text("{not json")
+        with caplog.at_level("WARNING", logger="repro.sim.campaign"):
+            _write_cumulative_snapshot(
+                str(obs), "coordinator", self._registry(4)
+            )
+        assert "prior coordinator snapshot unusable" in caplog.text
+        assert "starting fresh" in caplog.text
+        snapshot = json.loads((obs / "metrics.json").read_text())
+        assert snapshot == self._registry(4).snapshot()
 
 
 class TestCampaignCli:

@@ -3,7 +3,7 @@
 Every scenario asserts the guard layer's core promise: whatever columnar
 fault is injected — corrupt decoded columns, poisoned fixpoint memos, NaNs
 leaking out of a vectorized pass, workers dying over and over on one job,
-worker memory-budget breaches — the campaign's numbers stay *bit-identical*
+workers running out of memory — the campaign's numbers stay *bit-identical*
 to an all-scalar fault-free run, and every intervention is recorded as a
 :class:`~repro.sim.guard.GuardEvent` in :class:`CollectionHealth` and the
 report, never silently absorbed.
@@ -202,7 +202,7 @@ class TestPoolScenarios:
             jobs=2,
             retry=NO_BACKOFF,
             faults=FaultPlan.worker_oom(TARGET),
-            guard=GuardPlan.from_level("sentinel"),
+            guard=GuardPlan(level="sentinel"),
         )
         results = executor.run_many([(t, machine) for t in traces])
         self._assert_same(results, golden)
@@ -219,7 +219,7 @@ class TestPoolScenarios:
             jobs=2,
             retry=NO_BACKOFF,
             faults=FaultPlan.crash_workload(TARGET, attempts=10),
-            guard=GuardPlan(level="sentinel", poison_threshold=2),
+            guard=GuardPlan(level="sentinel"),
         )
         # Two batches each lose a worker to the poison job (the batches
         # themselves fail: the crash outlives the retry budget).
@@ -229,7 +229,8 @@ class TestPoolScenarios:
             assert any(r is None for r in results)
         crashes = executor.telemetry.worker_crashes
         poisoned_key = cache_key(traces[0], machine)
-        assert executor.guard.watchdog.is_poisoned(poisoned_key)
+        assert executor.is_poisoned(poisoned_key)
+        assert executor.guard.telemetry.poison_jobs == 0
 
         # The third batch circuit-breaks it: the poison job runs (and
         # keeps failing) in the parent's serial quarantine lane, no
@@ -250,3 +251,40 @@ class TestPoolScenarios:
         self._assert_same(
             [r for r, _ in healthy], [ref for _, ref in healthy]
         )
+
+    def test_no_retry_budget_isolates_bystanders_of_a_broken_pool(
+        self, machine
+    ):
+        """At ``max_attempts=1`` a broken pool still reruns its bystanders.
+
+        A job whose pool attempt ended only because another job killed
+        the worker gets its serial isolation rerun whatever the retry
+        budget, so only the job at fault fails and only it is charged
+        the kill that eventually poisons it.
+        """
+        traces = tuple(
+            compile_trace(workload_by_name(name), TRACE_INSTRUCTIONS)
+            for name in (
+                "mi-sha", "mi-qsort", "dhrystone",
+                "mi-crc32", "mi-dijkstra", "mi-fft",
+            )
+        )
+        golden = {t.name: simulate(t, machine, "scalar") for t in traces}
+        executor = SimExecutor(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            faults=FaultPlan.crash_workload(TARGET, attempts=10),
+            guard=GuardPlan(level="sentinel"),
+        )
+        pairs = [(t, machine) for t in traces]
+        for batch in range(1, 4):
+            results = executor.run_many(pairs, raise_on_error=False)
+            assert executor.telemetry.jobs_failed == batch
+            assert [f.trace_name for f in executor.last_failures] == [TARGET]
+            for trace, result in zip(traces, results):
+                if trace.name == TARGET:
+                    assert result is None
+                else:
+                    self._assert_same([result], [golden[trace.name]])
+        poison = [e for e in executor.guard.events if e.kind == "poison-job"]
+        assert [e.workload for e in poison] == [TARGET]

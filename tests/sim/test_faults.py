@@ -215,6 +215,67 @@ class TestPoolCrashIsolation:
         assert results[0] is None
         assert ex.telemetry.jobs_failed >= 1
 
+    def test_no_retry_budget_still_reruns_a_broken_pool(
+        self, traces, machine, golden
+    ):
+        """A pool crash is not the job's own attempt: even at
+        ``max_attempts=1`` every job in flight gets its serial isolation
+        rerun, so a one-off worker death loses nothing."""
+        ex = SimExecutor(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            faults=FaultPlan.crash_job(0),
+        )
+        results = ex.run_many([(t, machine) for t in traces])
+        for result, reference in zip(results, golden):
+            _assert_same(result, reference)
+        assert ex.telemetry.worker_crashes == 1
+        assert ex.telemetry.jobs_isolated >= 1
+        assert ex.telemetry.jobs_failed == 0
+
+    def test_no_retry_budget_never_reruns_a_timeout(
+        self, traces, machine, golden
+    ):
+        """A timed-out job respects the budget: it is not rerun in the
+        parent (where nothing could interrupt it), even though its second
+        attempt would not hang."""
+        ex = SimExecutor(
+            jobs=4,
+            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            timeout_seconds=0.6,
+            faults=FaultPlan.hang_job(1, seconds=3.0),
+        )
+        results = ex.run_many(
+            [(t, machine) for t in traces], raise_on_error=False
+        )
+        assert results[1] is None
+        assert [(f.trace_name, f.kind, f.attempts) for f in ex.last_failures] == [
+            (traces[1].name, "timeout", 1)
+        ]
+        for i in (0, 2):
+            _assert_same(results[i], golden[i])
+        assert ex.telemetry.job_timeouts == 1
+        assert ex.telemetry.jobs_failed == 1
+
+    def test_no_retry_budget_never_reruns_an_oom(
+        self, traces, machine, golden
+    ):
+        """A worker's own ``MemoryError`` respects the budget too."""
+        ex = SimExecutor(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            faults=FaultPlan.worker_oom(traces[0].name),
+        )
+        results = ex.run_many(
+            [(t, machine) for t in traces], raise_on_error=False
+        )
+        assert results[0] is None
+        assert [(f.kind, f.attempts) for f in ex.last_failures] == [("oom", 1)]
+        for i in (1, 2):
+            _assert_same(results[i], golden[i])
+        assert ex.telemetry.jobs_failed == 1
+        assert [e.kind for e in ex.guard.events] == ["worker-oom"]
+
 
 class TestCacheCorruption:
     def test_corrupt_write_quarantined_and_recomputed(

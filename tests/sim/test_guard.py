@@ -2,37 +2,35 @@
 
 Plans and sampling, bit-exact result comparison, result/decode integrity
 contracts, the guarded-simulate fallback matrix, guardrail accounting and
-the campaign watchdog.  Campaign-level chaos scenarios live in
-``test_chaos_columnar.py``.
+the executor's poison-job breaker that records on the guardrail.
+Campaign-level chaos scenarios live in ``test_chaos_columnar.py``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import pytest
 
 from repro.sim.cpu import simulate
+from repro.sim.executor import POISON_THRESHOLD, RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import (
     SENTINEL_INTERVAL,
-    CampaignWatchdog,
     GuardEvent,
     GuardPlan,
     GuardRail,
-    check_memory_budget,
     compare_results,
     guarded_simulate,
-    parent_rss_mb,
 )
 from repro.sim.machine import hardware_a15
+from repro.sim.result_cache import cache_key
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import columnar_checksum, compile_trace, validate_columnar
 
 N_INSTRS = 6_000
 
-PARANOID = GuardPlan.from_level("paranoid")
+PARANOID = GuardPlan(level="paranoid")
 
 
 @pytest.fixture(scope="module")
@@ -70,18 +68,15 @@ class TestGuardPlan:
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ValueError, match="sentinel_interval"):
             GuardPlan(level="sentinel", sentinel_interval=0)
-        with pytest.raises(ValueError, match="poison_threshold"):
-            GuardPlan(level="sentinel", poison_threshold=0)
 
     def test_off_is_inactive(self):
-        plan = GuardPlan.off()
+        plan = GuardPlan()
         assert not plan.active
-        assert not plan.supervises()
         assert not any(plan.samples(i) for i in range(64))
 
     def test_interval_resolution(self):
-        assert GuardPlan.from_level("sentinel").interval == SENTINEL_INTERVAL
-        assert GuardPlan.from_level("paranoid").interval == 1
+        assert GuardPlan(level="sentinel").interval == SENTINEL_INTERVAL
+        assert GuardPlan(level="paranoid").interval == 1
         assert GuardPlan(level="sentinel", sentinel_interval=7).interval == 7
 
     def test_sampling_is_deterministic_and_seeded(self):
@@ -94,13 +89,6 @@ class TestGuardPlan:
 
     def test_paranoid_samples_every_ordinal(self):
         assert all(PARANOID.samples(i) for i in range(16))
-
-    def test_supervises_only_with_a_budget(self):
-        assert not GuardPlan.from_level("sentinel").supervises()
-        assert GuardPlan(level="sentinel", heartbeat_seconds=1.0).supervises()
-        assert GuardPlan(level="sentinel", batch_deadline_seconds=1.0).supervises()
-        assert GuardPlan(level="sentinel", memory_budget_mb=1.0).supervises()
-        assert not GuardPlan(level="off", heartbeat_seconds=1.0).supervises()
 
 
 class TestGuardEvent:
@@ -278,83 +266,65 @@ class TestGuardRail:
         assert [e.kind for e in rail.events] == ["nan-result"]
 
 
-class TestMemoryBudget:
-    def test_rss_is_measurable(self):
-        assert parent_rss_mb() > 0.0
+class TestPoisonBreaker:
+    """The executor's poison-job circuit breaker, driven through real pools.
 
-    def test_no_budget_never_raises(self):
-        check_memory_budget(None)
-        check_memory_budget(GuardPlan.from_level("sentinel"))
+    ``mi-sha`` hard-kills its worker on every attempt, so each pooled batch
+    breaks the pool once; its serial isolation rerun fails too, which
+    confirms one kill.  The bystander recovers serially and is never
+    charged.
+    """
 
-    def test_breached_budget_raises(self):
-        plan = GuardPlan(level="sentinel", memory_budget_mb=0.001)
-        with pytest.raises(MemoryError, match="guard budget"):
-            check_memory_budget(plan)
+    @pytest.fixture(scope="class")
+    def pairs(self, trace, machine):
+        bystander = compile_trace(workload_by_name("mi-qsort"), N_INSTRS)
+        return [(trace, machine), (bystander, machine)]
 
-
-def _wait_for(predicate, timeout=2.0):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(0.01)
-    return predicate()
-
-
-class TestCampaignWatchdog:
-    def test_poison_accounting(self):
-        rail = GuardRail(GuardPlan(level="sentinel", poison_threshold=2))
-        dog = rail.watchdog
-        assert not dog.is_poisoned("mi-sha@A15")
-        assert dog.record_worker_kill("mi-sha@A15") == 1
-        assert not dog.is_poisoned("mi-sha@A15")
-        assert dog.record_worker_kill("mi-sha@A15") == 2
-        assert dog.is_poisoned("mi-sha@A15")
-        assert not dog.is_poisoned("mi-qsort@A15")
-
-    def test_circuit_break_announces_once(self):
-        rail = GuardRail(PARANOID)
-        dog = rail.watchdog
-        dog.record_worker_kill("mi-sha@A15")
-        dog.circuit_break("mi-sha", "A15", "mi-sha@A15")
-        dog.circuit_break("mi-sha", "A15", "mi-sha@A15")
-        assert rail.telemetry.poison_jobs == 1
-        assert [e.kind for e in rail.events] == ["poison-job"]
-        assert "killed 1 worker(s)" in rail.events[0].detail
-
-    def test_no_thread_without_budgets(self):
-        rail = GuardRail(GuardPlan.from_level("sentinel"))
-        rail.watchdog.batch_started()
-        try:
-            assert rail.watchdog._thread is None
-        finally:
-            rail.watchdog.batch_finished()
-
-    def test_budget_breaches_are_observed(self):
-        plan = GuardPlan(
-            level="sentinel",
-            heartbeat_seconds=0.01,
-            batch_deadline_seconds=0.01,
-            memory_budget_mb=0.001,
+    @staticmethod
+    def _crashing(guard):
+        return SimExecutor(
+            jobs=2,
+            retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
+            faults=FaultPlan.crash_workload("mi-sha", attempts=99),
+            guard=guard,
         )
-        rail = GuardRail(plan)
-        dog = rail.watchdog
-        dog.batch_started()
-        try:
-            dog.job_started(0, "mi-sha", "A15")
-            assert _wait_for(
-                lambda: {e.kind for e in rail.events}
-                >= {"heartbeat-stall", "deadline", "memory-budget"}
-            )
-        finally:
-            dog.job_finished(0)
-            dog.batch_finished()
-        kinds = [e.kind for e in rail.events]
-        # Each budget announces once, not once per tick.
-        assert kinds.count("heartbeat-stall") == 1
-        assert kinds.count("deadline") == 1
-        assert kinds.count("memory-budget") == 1
-        assert all(e.action == "observe" for e in rail.events)
-        assert rail.telemetry.heartbeat_stalls == 1
-        assert rail.telemetry.deadline_breaches == 1
-        assert rail.telemetry.memory_breaches == 1
+
+    def test_poison_accounting(self, pairs):
+        executor = self._crashing(PARANOID)
+        key, bystander = (cache_key(*pair) for pair in pairs)
+        assert POISON_THRESHOLD == 2
+        assert not executor.is_poisoned(key)
+        executor.run_many(pairs, raise_on_error=False)
+        assert not executor.is_poisoned(key)
+        executor.run_many(pairs, raise_on_error=False)
+        assert executor.is_poisoned(key)
+        assert not executor.is_poisoned(bystander)
+        assert executor.telemetry.worker_crashes == 2
+        # The breaker announces when it routes the job, not when it arms.
+        assert executor.guard.telemetry.poison_jobs == 0
+
+    def test_circuit_break_announces_once(self, pairs):
+        executor = self._crashing(PARANOID)
+        for _ in range(POISON_THRESHOLD):
+            executor.run_many(pairs, raise_on_error=False)
+        crashes = executor.telemetry.worker_crashes
+        for _ in range(2):
+            results = executor.run_many(pairs, raise_on_error=False)
+            assert results[0] is None and results[1] is not None
+        # Quarantined batches run in the parent: no further worker dies.
+        assert executor.telemetry.worker_crashes == crashes
+        assert executor.guard.telemetry.poison_jobs == 1
+        assert [e.kind for e in executor.guard.events] == ["poison-job"]
+        event = executor.guard.events[0]
+        assert (event.workload, event.action) == ("mi-sha", "circuit-break")
+        assert "killed 2 worker(s)" in event.detail
+
+    def test_breaker_trips_with_guards_off(self, pairs):
+        executor = self._crashing(GuardPlan())
+        assert not executor.guard.plan.active
+        for _ in range(POISON_THRESHOLD + 1):
+            executor.run_many(pairs, raise_on_error=False)
+        assert executor.is_poisoned(cache_key(*pairs[0]))
+        assert executor.telemetry.worker_crashes == POISON_THRESHOLD
+        assert [e.kind for e in executor.guard.events] == ["poison-job"]
+        assert executor.guard.telemetry.poison_jobs == 1
