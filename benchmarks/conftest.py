@@ -12,9 +12,12 @@ session under a few minutes while preserving every reproduced shape.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import pytest
 
 from repro.core.pipeline import GemStone, GemStoneConfig
+from repro.sim.result_cache import SimJob
 
 BENCH_TRACE_INSTRUCTIONS = 40_000
 ANALYSIS_FREQ = 1000e6
@@ -60,3 +63,19 @@ def paper_row(label: str, paper: str, measured: str) -> str:
 def print_header(title: str) -> None:
     print()
     print(f"=== {title} ===")
+
+
+class CompiledJob(SimJob):
+    """A :class:`SimJob` that compiles its trace once and then reuses it.
+
+    The overhead benchmarks time uncached ``SimExecutor.run`` calls on the
+    replay hot path; a plain job would compile its trace inside every
+    timed call.
+    """
+
+    @cached_property
+    def trace(self):
+        return super().compile()
+
+    def compile(self):
+        return self.trace

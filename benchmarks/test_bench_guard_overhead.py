@@ -6,9 +6,9 @@ under 5%.  That cost has two parts:
 
 * **per-job bookkeeping** — the guard wrapper around every replay (decode
   re-attach check, fault probe, integrity scan of the finished result),
-  measured directly by timing ``SimExecutor.run`` with the guard off and
-  with a sentinel plan whose sampling phase is shifted so none of the
-  timed ordinals is selected;
+  measured directly by timing ``SimExecutor.run`` on a precompiled trace
+  with the guard off and with a sentinel plan whose sampling phase is
+  shifted so none of the timed ordinals is selected;
 * **amortised sentinel replays** — one scalar reference replay every
   ``SENTINEL_INTERVAL`` jobs, priced from the measured scalar cost divided
   by the interval (benchmarking 512+ jobs per repetition just to watch one
@@ -26,13 +26,12 @@ import json
 import os
 import time
 
-from benchmarks.conftest import paper_row, print_header
+from benchmarks.conftest import CompiledJob, paper_row, print_header
 from repro.sim.cpu import simulate
 from repro.sim.executor import SimExecutor
 from repro.sim.guard import SENTINEL_INTERVAL, GuardPlan
 from repro.sim.machine import gem5_ex5_big
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
 TRACE_INSTRUCTIONS = 20_000
 WORKLOAD = "mi-sha"
@@ -48,12 +47,12 @@ UNSAMPLED = GuardPlan(level="sentinel", seed=1)
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_guard.json")
 
 
-def _time_executor(trace, machine, guard=None) -> float:
+def _time_executor(job, guard=None) -> float:
     """Wall seconds for CALLS_PER_REP uncached single-job replays."""
     executor = SimExecutor(jobs=1, guard=guard)
     started = time.perf_counter()
     for _ in range(CALLS_PER_REP):
-        executor.run(trace, machine)
+        executor.run(job)
     return time.perf_counter() - started
 
 
@@ -65,18 +64,20 @@ def _time_scalar(trace, machine) -> float:
 
 
 def test_bench_guard_overhead():
-    trace = compile_trace(workload_by_name(WORKLOAD), TRACE_INSTRUCTIONS)
-    machine = gem5_ex5_big()
+    job = CompiledJob(
+        workload_by_name(WORKLOAD), TRACE_INSTRUCTIONS, gem5_ex5_big()
+    )
+    trace, machine = job.compile(), job.machine
 
     # Warm every code path once (imports, decode, memos) before timing.
     _time_scalar(trace, machine)
-    _time_executor(trace, machine)
-    _time_executor(trace, machine, UNSAMPLED)
+    _time_executor(job)
+    _time_executor(job, UNSAMPLED)
 
     off, guarded, scalar = [], [], []
     for _ in range(REPS):
-        off.append(_time_executor(trace, machine))
-        guarded.append(_time_executor(trace, machine, UNSAMPLED))
+        off.append(_time_executor(job))
+        guarded.append(_time_executor(job, UNSAMPLED))
         scalar.append(_time_scalar(trace, machine))
 
     off_s, guarded_s, scalar_s = min(off), min(guarded), min(scalar)

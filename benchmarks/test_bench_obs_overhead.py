@@ -4,7 +4,7 @@ Tracing is disabled by default everywhere, and the contract (ISSUE PR 5)
 is that the instrumentation left behind in the hot path — null-span
 context managers and one ``enabled`` check per probe point — costs less
 than 5% on the single-trace replay path.  This benchmark times
-``SimExecutor.run`` for one (trace, machine) job with the default
+``SimExecutor.run`` for one job on a precompiled trace with the default
 disabled tracer and with a fully enabled in-memory tracer, interleaving
 repetitions and taking the minimum of each to shed scheduler noise, then
 asserts the enabled/disabled ratio stays under the budget (with the raw
@@ -20,14 +20,13 @@ import json
 import os
 import time
 
-from benchmarks.conftest import paper_row, print_header
+from benchmarks.conftest import CompiledJob, paper_row, print_header
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
 from repro.sim.cpu import simulate
 from repro.sim.executor import SimExecutor
 from repro.sim.machine import gem5_ex5_big
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
 TRACE_INSTRUCTIONS = 20_000
 WORKLOAD = "mi-sha"
@@ -38,7 +37,7 @@ OVERHEAD_BUDGET = 0.05
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
 
 
-def _time_executor(trace, machine, tracer=None) -> float:
+def _time_executor(job, tracer=None) -> float:
     """Wall seconds for CALLS_PER_REP uncached single-job replays."""
     executor = (
         SimExecutor(jobs=1)
@@ -47,7 +46,7 @@ def _time_executor(trace, machine, tracer=None) -> float:
     )
     started = time.perf_counter()
     for _ in range(CALLS_PER_REP):
-        executor.run(trace, machine)
+        executor.run(job)
     return time.perf_counter() - started
 
 
@@ -59,23 +58,23 @@ def _time_raw(trace, machine) -> float:
 
 
 def test_bench_obs_overhead():
-    trace = compile_trace(workload_by_name(WORKLOAD), TRACE_INSTRUCTIONS)
-    machine = gem5_ex5_big()
+    job = CompiledJob(
+        workload_by_name(WORKLOAD), TRACE_INSTRUCTIONS, gem5_ex5_big()
+    )
+    trace, machine = job.compile(), job.machine
 
     # Warm every code path once (imports, first-call caches) before timing.
     _time_raw(trace, machine)
     registry = MetricsRegistry()
-    _time_executor(trace, machine)
-    _time_executor(trace, machine, Tracer(enabled=True, metrics=registry))
+    _time_executor(job)
+    _time_executor(job, Tracer(enabled=True, metrics=registry))
 
     raw, disabled, enabled = [], [], []
     for _ in range(REPS):
         raw.append(_time_raw(trace, machine))
-        disabled.append(_time_executor(trace, machine))
+        disabled.append(_time_executor(job))
         enabled.append(
-            _time_executor(
-                trace, machine, Tracer(enabled=True, metrics=MetricsRegistry())
-            )
+            _time_executor(job, Tracer(enabled=True, metrics=MetricsRegistry()))
         )
 
     raw_s, disabled_s, enabled_s = min(raw), min(disabled), min(enabled)

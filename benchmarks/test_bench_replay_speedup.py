@@ -68,7 +68,7 @@ def _bench_pair(workload: str, machine_name: str) -> dict:
     machine = machine_by_name(machine_name)
     profile = workload_by_name(workload)
     # Distinct seeds: each cold timing must start from an undecoded
-    # trace, and the process-wide decode memo is keyed by trace identity.
+    # trace, and the process-wide decode memo is keyed by recipe digest.
     trace_single = compile_trace(profile, TRACE_INSTRUCTIONS, seed=101)
     trace_sweep = compile_trace(profile, TRACE_INSTRUCTIONS, seed=202)
 

@@ -2,16 +2,16 @@
 
 A full GemStone evaluation is a long multi-phase pipeline (characterise ->
 simulate -> analyse -> report, Section VII).  The simulation layer already
-memoises per-(trace, machine) results on disk, but every *analysis* product
+memoises per-job results on disk, but every *analysis* product
 above it was all-or-nothing: a crash or SIGTERM during ``GemStone.report()``
 threw away each completed phase.  This module makes a run restartable:
 
 * A :class:`RunManifest` fingerprints the *resolved* configuration — only
-  the fields that affect results (core, machine, workloads, frequencies,
-  trace length, analysis knobs, fault plan), never execution knobs like
-  ``jobs`` or ``cache_dir`` that are bit-identical by construction.  A
-  checkpoint directory written under a different fingerprint is detected
-  and quarantined, never reused.
+  the fields that affect results (core, machine, workload recipe digests,
+  frequencies, trace length, analysis knobs, fault plan), never execution
+  knobs like ``jobs`` or ``cache_dir`` that are bit-identical by
+  construction.  A checkpoint directory written under a different
+  fingerprint is detected and quarantined, never reused.
 * A :class:`RunState` owns a **run journal** (a
   :class:`~repro.atomicio.Journal`) and one **checkpoint artifact per
   phase**: the pickled payload sealed in the :mod:`repro.atomicio`
@@ -65,8 +65,9 @@ from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Bump when the journal/checkpoint envelope format changes; old artifacts
-#: are then quarantined and recomputed instead of being misread.
-RUNSTATE_SCHEMA_VERSION = 1
+#: are then quarantined and recomputed instead of being misread (v2: the
+#: manifest records workload recipe digests instead of names).
+RUNSTATE_SCHEMA_VERSION = 2
 
 #: Every checkpointable phase, in canonical pipeline order.
 PHASES = (
@@ -142,22 +143,27 @@ class RunManifest:
         ``retry``, ``sim_timeout_seconds``, ``cache_dir``, ``checkpoint_dir``,
         ``resume``) are bit-identical by construction and deliberately
         excluded, so re-running with more workers resumes the same state.
+        Workloads are recorded by recipe digest, so a profile edited under
+        a catalog name invalidates the phases that consumed it.
         """
         from repro.sim.result_cache import machine_fingerprint
+        from repro.workloads.trace import recipe_digest
 
         faults = (
             dataclasses.asdict(config.faults)
             if config.faults is not None
             else None
         )
+
+        def digests(profiles):
+            return [recipe_digest(p, config.trace_instructions) for p in profiles]
+
         description = {
             "runstate_schema": RUNSTATE_SCHEMA_VERSION,
             "core": config.core,
             "machine": machine_fingerprint(config.resolve_machine()),
-            "workloads": [p.name for p in config.resolve_workloads()],
-            "power_workloads": [
-                p.name for p in config.resolve_power_workloads()
-            ],
+            "workloads": digests(config.resolve_workloads()),
+            "power_workloads": digests(config.resolve_power_workloads()),
             "frequencies": [float(f) for f in config.resolve_frequencies()],
             "analysis_freq_hz": float(config.analysis_freq_hz),
             "trace_instructions": int(config.trace_instructions),

@@ -160,7 +160,7 @@ def runtime_power_trace(
         raise ValueError("need at least one window")
     from repro.sim.cpu import simulate
 
-    full = gem5.trace_for(profile)
+    full = compile_trace(profile, gem5.trace_instructions)
     n_blocks = len(full.block_seq)
     bounds = [round(i * n_blocks / n_windows) for i in range(n_windows + 1)]
     repeat = HardwarePlatform.repeat_count(profile, gem5.trace_instructions)

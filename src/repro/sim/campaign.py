@@ -10,7 +10,8 @@ a single result:
 
 * **Job board** — :class:`CampaignBoard` lays a campaign out under one
   shared directory: one immutable job file per
-  :func:`~repro.sim.result_cache.cache_key`, a lease file per in-flight
+  :attr:`~repro.sim.result_cache.SimJob.key` holding the job's recipe
+  (profile, machine, length) and ordinal, a lease file per in-flight
   job (owner + attempt, heartbeat = the lease file's mtime), done/poison
   markers, and a :class:`~repro.atomicio.Journal`.  All board mutations
   run under one :func:`~repro.atomicio.file_lock`, so claims and steals
@@ -73,22 +74,14 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.executor import RetryPolicy
 from repro.sim.faults import InjectedFault
 from repro.sim.guard import GuardEvent, GuardPlan, GuardRail, guarded_simulate
-from repro.sim.machine import (
-    CacheGeometry,
-    MachineConfig,
-    hardware_a15,
-    hardware_a7,
-)
-from repro.sim.result_cache import SimResultCache, cache_key
-from repro.uarch.tlb import TlbHierarchyConfig
-from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
+from repro.sim.machine import hardware_a15, hardware_a7
+from repro.sim.result_cache import SimJob, SimResultCache
 
 logger = get_logger(__name__)
 
-#: Bump when the board layout or journal envelope changes (v2: flat
-#: ``results/<key>.json`` result store).
-BOARD_SCHEMA_VERSION = 2
+#: Bump when the board layout or journal envelope changes (v3: job files
+#: hold the SimJob recipe instead of a workload name).
+BOARD_SCHEMA_VERSION = 3
 
 
 class CampaignTelemetry(MetricView):
@@ -131,48 +124,15 @@ class CampaignTelemetry(MetricView):
 
 
 # ------------------------------------------------------------------- jobs
-@dataclass(frozen=True)
-class CampaignJob:
-    """One board job: everything a shard needs to recompute its key.
-
-    Attributes:
-        key: The :func:`~repro.sim.result_cache.cache_key` of the
-            (trace, machine) pair — the job's identity on the board and in
-            the result store.
-        workload: Workload catalog name (the trace is recompiled from it).
-        machine_name: Machine name, for humans and journals.
-        machine: The full machine config as a plain dict
-            (``dataclasses.asdict``), so ablated configs that exist under
-            no catalog name survive the round trip.
-        n_instrs: Trace length.
-        ordinal: Deterministic job index (fault matching, stable ordering).
-    """
-
-    key: str
-    workload: str
-    machine_name: str
-    machine: dict
-    n_instrs: int
-    ordinal: int
-
-
-def machine_from_spec(spec: dict) -> MachineConfig:
-    """Rebuild a :class:`MachineConfig` from its ``asdict`` form."""
-    data = dict(spec)
-    for level in ("l1i", "l1d", "l2"):
-        data[level] = CacheGeometry(**data[level])
-    data["tlb"] = TlbHierarchyConfig(**data["tlb"])
-    return MachineConfig(**data)
-
-
-def campaign_jobs(config) -> list[CampaignJob]:
+def campaign_jobs(config) -> list[SimJob]:
     """The simulation jobs one resolved GemStone configuration needs.
 
     Validation workloads run on both the reference hardware and the gem5
     model; power workloads additionally run on hardware only (the power
     ground truth needs no gem5 pass).  Frequencies are applied
-    analytically downstream, so the job unit is exactly the executor's:
-    one (trace, machine) pair.
+    analytically downstream, so the job unit is exactly the executor's
+    :class:`~repro.sim.result_cache.SimJob`.  A job's list position is its
+    ordinal (fault matching, stable ordering); nothing is compiled here.
     """
     hardware = hardware_a15() if config.core == "A15" else hardware_a7()
     gem5 = config.resolve_machine()
@@ -182,29 +142,18 @@ def campaign_jobs(config) -> list[CampaignJob]:
         wanted[(profile.name, "gem5")] = (profile, gem5)
     for profile in config.resolve_power_workloads():
         wanted.setdefault((profile.name, "hw"), (profile, hardware))
-    jobs = []
-    for ordinal, (_, (profile, machine)) in enumerate(
-        sorted(wanted.items(), key=lambda item: item[0])
-    ):
-        trace = compile_trace(profile, config.trace_instructions)
-        jobs.append(
-            CampaignJob(
-                key=cache_key(trace, machine),
-                workload=profile.name,
-                machine_name=machine.name,
-                machine=dataclasses.asdict(machine),
-                n_instrs=int(config.trace_instructions),
-                ordinal=ordinal,
-            )
-        )
-    return jobs
+    return [
+        SimJob(profile, int(config.trace_instructions), machine)
+        for _, (profile, machine) in sorted(wanted.items(), key=lambda i: i[0])
+    ]
 
 
 @dataclass(frozen=True)
 class Claim:
-    """One granted lease: the job, its attempt count, and how it was won."""
+    """One granted lease: job, ordinal, attempt count and how it was won."""
 
-    job: CampaignJob
+    job: SimJob
+    ordinal: int
     attempt: int
     stolen: bool
 
@@ -219,7 +168,7 @@ class CampaignBoard:
         board.lock           file_lock serialising all mutations
         .clock               probe file; its mtime is the board's clock
         journal.jsonl        the board's repro.atomicio.Journal
-        jobs/<key>.json      immutable job definitions
+        jobs/<key>.json      immutable SimJob recipes plus ordinal
         state/<key>.json     mutable attempt/steal counters
         leases/<key>.lease   owner + attempt; mtime is the heartbeat
         done/<key>.json      completion markers
@@ -404,18 +353,42 @@ class CampaignBoard:
             name[: -len(".json")] for name in names if name.endswith(".json")
         )
 
-    def load_job(self, key: str) -> CampaignJob | None:
-        """The immutable job definition for one key, or None."""
+    def load_job(self, key: str) -> tuple[SimJob, int] | None:
+        """The immutable ``(job, ordinal)`` stored under one key, or None.
+
+        A job file whose recipe does not hash to its key (hand-edited, or
+        written by a shard with another trace-compiler version or machine
+        schema) is unreadable too: running it would file its result under
+        a key nobody leased.
+        """
         data = self._read_json(self._job_path(key))
         if data is None:
             return None
-        return CampaignJob(**data)
+        try:
+            job = SimJob.from_spec(data)
+            ordinal = int(data["ordinal"])
+        except (KeyError, TypeError, ValueError) as exc:
+            logger.debug("undecodable board job %s: %s", key, exc)
+            return None
+        if job.key != key:
+            logger.debug("board job %s hashes to %s", key, job.key)
+            return None
+        return job, ordinal
+
+    def job_names(self, key: str) -> tuple[str, str]:
+        """``(workload, machine)`` names of one board job, ``?`` if unreadable."""
+        loaded = self.load_job(key)
+        if loaded is None:
+            return "?", "*"
+        return loaded[0].profile.name, loaded[0].machine.name
 
     # ----------------------------------------------------------------- sync
     def create_or_sync(
-        self, fingerprint: str, jobs: list[CampaignJob]
+        self, fingerprint: str, jobs: list[SimJob]
     ) -> dict[str, int]:
         """Bring the board in line with one manifest's job set.
+
+        A job's position in ``jobs`` is its ordinal.
 
         The incremental-recompute entry point: jobs whose content-addressed
         key already has a *verified* result are marked done (``job-reused``
@@ -449,7 +422,7 @@ class CampaignBoard:
                     fingerprint=fingerprint,
                     previous=meta.get("fingerprint") if meta else None,
                 )
-            wanted = {job.key: job for job in jobs}
+            wanted = {job.key: (ordinal, job) for ordinal, job in enumerate(jobs)}
             known = set(self.job_keys())
             for key in sorted(known - set(wanted)):
                 for path in (
@@ -461,27 +434,30 @@ class CampaignBoard:
                         os.remove(path)
                 self._append_journal("job-retired", key=key)
                 counts["retired"] += 1
-            for key, job in sorted(
-                wanted.items(), key=lambda item: item[1].ordinal
+            for key, (ordinal, job) in sorted(
+                wanted.items(), key=lambda item: item[1][0]
             ):
                 if key not in known:
                     atomic_write_text(
                         self._job_path(key),
-                        json.dumps(dataclasses.asdict(job), sort_keys=True),
+                        json.dumps(
+                            {**dataclasses.asdict(job), "ordinal": ordinal},
+                            sort_keys=True,
+                        ),
                     )
                     self._append_journal(
-                        "job-queued", key=key, workload=job.workload,
-                        machine=job.machine_name,
+                        "job-queued", key=key, workload=job.profile.name,
+                        machine=job.machine.name,
                     )
                 was_done = os.path.exists(self._done_path(key))
-                if store.verify(key):
+                if store.get(job) is not None:
                     if not was_done:
                         atomic_write_text(
                             self._done_path(key),
                             json.dumps({"owner": "sync", "adopted": True}),
                         )
                         self._append_journal(
-                            "job-reused", key=key, workload=job.workload
+                            "job-reused", key=key, workload=job.profile.name
                         )
                     counts["reused"] += 1
                 elif was_done:
@@ -572,13 +548,16 @@ class CampaignBoard:
                         "lease-claimed", key=key, owner=owner, attempt=attempt
                     )
                 self.telemetry.jobs_claimed += 1
-                job = self.load_job(key)
-                if job is None:
-                    # The job file itself is gone or corrupt: poison rather
-                    # than loop forever on an undecodable claim.
+                loaded = self.load_job(key)
+                if loaded is None:
+                    # The job file itself is gone, corrupt or hashes to
+                    # another key: poison rather than loop forever on it.
                     self._poison_locked(key, "job definition unreadable")
                     continue
-                return Claim(job=job, attempt=attempt, stolen=stolen)
+                job, ordinal = loaded
+                return Claim(
+                    job=job, ordinal=ordinal, attempt=attempt, stolen=stolen
+                )
         return None
 
     def _poison_locked(self, key: str, reason: str) -> None:
@@ -660,9 +639,8 @@ class CampaignBoard:
             marker = self._read_json(self._poison_path(key))
             if marker is None:
                 continue
-            job = self.load_job(key)
             out.append(
-                (key, job.workload if job else "?", marker.get("reason", ""))
+                (key, self.job_names(key)[0], marker.get("reason", ""))
             )
         return tuple(out)
 
@@ -714,7 +692,8 @@ def _heartbeat_loop(
 def _run_one(
     board: CampaignBoard,
     store: SimResultCache,
-    job: CampaignJob,
+    job: SimJob,
+    ordinal: int,
     attempt: int,
     owner: str,
     engine: str,
@@ -725,37 +704,29 @@ def _run_one(
     tracer: Tracer = NULL_TRACER,
 ) -> None:
     """One claimed job: adopt, or recompute + store + mark done."""
-    if store.verify(job.key):
+    if store.get(job) is not None:
         # A previous owner stored the result but died before its done
         # marker (or sync raced us): adopt it, never recompute.
         board.mark_done(job.key, owner, adopted=True)
         report.adopted += 1
         report.done += 1
         return
-    trace = compile_trace(workload_by_name(job.workload), job.n_instrs)
-    machine = machine_from_spec(job.machine)
-    derived = cache_key(trace, machine)
-    if derived != job.key:
-        raise RuntimeError(
-            f"job key mismatch for {job.workload} on {job.machine_name}: "
-            f"board says {job.key[:12]}, derived {derived[:12]}"
-        )
+    name = job.profile.name
     if faults is not None:
-        faults.apply_job_fault(job.ordinal, job.workload, attempt,
-                               in_worker=in_worker)
+        faults.apply_job_fault(ordinal, name, attempt, in_worker=in_worker)
     result, events, sentinels = guarded_simulate(
-        trace, machine, engine, guard.plan, faults, job.ordinal, attempt,
-        tracer=tracer,
+        job.compile(), job.machine, engine, guard.plan, faults, ordinal,
+        attempt, tracer=tracer,
     )
     guard.absorb(events, sentinels)
-    store.put(trace, machine, result)
+    store.put(job, result)
     if faults is not None:
-        crash = faults.shard_fault("stored", job.workload, attempt)
+        crash = faults.shard_fault("stored", name, attempt)
         if crash is not None:
             if in_worker:
                 os._exit(1)
             raise InjectedFault(
-                f"injected shard crash after storing {job.workload} "
+                f"injected shard crash after storing {name} "
                 f"(attempt {attempt})"
             )
     board.mark_done(job.key, owner)
@@ -805,6 +776,7 @@ def run_worker(
             time.sleep(poll_seconds)
             continue
         job, attempt = claim.job, claim.attempt
+        name = job.profile.name
         report.claimed += 1
         if claim.stolen:
             report.stolen += 1
@@ -813,8 +785,8 @@ def run_worker(
         # with ``abandoned=True``) while the thief's track carries the
         # matching ``stolen=True`` span.
         jspan = tracer.span(
-            "campaign-job", kind="campaign", workload=job.workload,
-            machine=job.machine_name, attempt=attempt, owner=owner,
+            "campaign-job", kind="campaign", workload=name,
+            machine=job.machine.name, attempt=attempt, owner=owner,
             stolen=claim.stolen,
         )
         with jspan:
@@ -822,7 +794,7 @@ def run_worker(
                 # A lease-stall fault sleeps *before* the heartbeat thread
                 # starts, so the lease genuinely expires under a live
                 # worker.
-                stall = faults.shard_fault("claimed", job.workload, attempt)
+                stall = faults.shard_fault("claimed", name, attempt)
                 if stall is not None:
                     time.sleep(stall.hang_seconds)
                     if not board.owns(job.key, owner):
@@ -838,8 +810,8 @@ def run_worker(
             beat.start()
             started = time.perf_counter()
             try:
-                _run_one(board, store, job, attempt, owner, engine,
-                         guard, faults, in_worker, report, tracer)
+                _run_one(board, store, job, claim.ordinal, attempt, owner,
+                         engine, guard, faults, in_worker, report, tracer)
                 board.metrics.histogram(
                     "sim.campaign.job.seconds"
                 ).observe(time.perf_counter() - started)
@@ -849,7 +821,7 @@ def run_worker(
                 jspan.set(failed=True, error=type(exc).__name__)
                 logger.warning(
                     "campaign job %s on %s failed on attempt %d: %s",
-                    job.workload, job.machine_name, attempt, exc,
+                    name, job.machine.name, attempt, exc,
                 )
                 board.release(
                     job.key, owner, reason=f"{type(exc).__name__}: {exc}"
@@ -1092,12 +1064,12 @@ def run_campaign(
             board.telemetry.workers_lost += lost
     for record in board.read_journal():
         if record.get("event") == "lease-stolen":
-            job = board.load_job(str(record.get("key", "")))
+            workload, machine = board.job_names(str(record.get("key", "")))
             health.record_guard_event(
                 GuardEvent(
                     kind="lease-steal",
-                    workload=job.workload if job else "?",
-                    machine=job.machine_name if job else "*",
+                    workload=workload,
+                    machine=machine,
                     action="observe",
                     detail=(
                         f"{record.get('owner')} stole attempt "

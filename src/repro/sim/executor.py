@@ -3,19 +3,25 @@
 GemStone is rerun constantly — after every model adjustment and every
 simulator update (Section VII's workflow) — and a cold evaluation simulates
 45–65 workloads on two machine configurations.  Every one of those jobs is a
-pure function of its (trace, machine) pair, so they parallelise perfectly:
+pure function of its :class:`~repro.sim.result_cache.SimJob` (trace recipe
+plus machine), so they parallelise perfectly:
 :class:`SimExecutor` fans a batch of jobs across a
 :class:`~concurrent.futures.ProcessPoolExecutor` and guarantees results that
 are bit-identical to running the same jobs serially.
 
 The executor owns the whole memoisation *and* recovery story for a batch:
 
-* **deduplication** — identical in-flight jobs (same cache key) are
+* **deduplication** — identical in-flight jobs (same ``SimJob.key``) are
   simulated once and the result shared across every requesting slot;
 * **disk cache** — when built with a ``cache_dir``, jobs are probed against
-  the :class:`~repro.sim.result_cache.SimResultCache` before any process is
-  spawned; workers write their entries atomically and the parent *reaps*
-  them from disk rather than shipping results back through the pipe;
+  the :class:`~repro.sim.result_cache.SimResultCache` before any trace is
+  compiled or any process spawned; workers write their entries atomically
+  and the parent *reaps* them from disk rather than shipping results back
+  through the pipe;
+* **compile on miss** — only jobs the cache cannot answer compile their
+  trace.  The serial lane compiles each recipe once per batch and shares
+  the trace across the batch's machines; pool workers receive the small
+  recipe and compile it themselves;
 * **fault isolation** — each job is submitted individually with an optional
   per-job timeout.  A timed-out, crashed or poisoned job is rerun serially
   in the parent under a deterministic :class:`RetryPolicy`; a broken pool
@@ -55,18 +61,15 @@ from repro.sim.cpu import ENGINES, SimResult
 from repro.sim.guard import GuardEvent, GuardPlan, GuardRail, guarded_simulate
 from repro.sim.machine import MachineConfig
 from repro.sim.result_cache import (
+    SimJob,
     SimResultCache,
-    cache_key,
     cache_spec,
     open_cache_spec,
 )
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace
+from repro.workloads.trace import SyntheticTrace
 
 logger = get_logger(__name__)
-
-#: One simulation job: the executor's unit of work.
-SimJob = tuple[SyntheticTrace, MachineConfig]
 
 #: Exponent bound for :meth:`RetryPolicy.delay`.  ``2.0 ** 62`` already
 #: dwarfs any sane cap, while an unbounded ``2.0 ** attempt`` raises
@@ -212,12 +215,12 @@ class SimTelemetry(MetricView):
 
 
 def _run_job(payload):
-    """Worker-side entry point: simulate one job.
+    """Worker-side entry point: compile and simulate one job.
 
-    ``payload`` is ``(trace, machine, spec, faults, ordinal, attempt,
-    want_spans, engine, guard_plan)``.  Any fault matching (ordinal,
-    attempt) fires first — a ``crash`` fault hard-kills this worker so the
-    parent observes a genuine broken pool, and an ``oom`` fault raises
+    ``payload`` is ``(job, spec, faults, ordinal, attempt, want_spans,
+    engine, guard_plan)``.  Any fault matching (ordinal, attempt) fires
+    first — a ``crash`` fault hard-kills this worker so the parent
+    observes a genuine broken pool, and an ``oom`` fault raises
     ``MemoryError`` (the parent isolates the job to the serial lane).
 
     With a cache spec (see :func:`~repro.sim.result_cache.cache_spec`)
@@ -231,29 +234,30 @@ def _run_job(payload):
     (guard_events, sentinel_replays)`` ships the guardrail outcome back
     for the parent's :class:`GuardRail` to absorb.
     """
-    (trace, machine, spec, faults, ordinal, attempt, want_spans,
+    (job, spec, faults, ordinal, attempt, want_spans,
      engine, guard_plan) = payload
+    trace = job.compile()
     tracer = Tracer(enabled=want_spans)
     with tracer.span(
         "sim-job",
         kind="job",
-        workload=trace.name,
-        machine=machine.name,
+        workload=job.profile.name,
+        machine=job.machine.name,
         ordinal=ordinal,
         attempt=attempt,
         in_worker=True,
     ):
         if faults is not None:
-            faults.apply_job_fault(ordinal, trace.name, attempt, in_worker=True)
+            faults.apply_job_fault(
+                ordinal, job.profile.name, attempt, in_worker=True
+            )
         result, guard_events, sentinels = guarded_simulate(
-            trace, machine, engine, guard_plan, faults, ordinal, attempt,
+            trace, job.machine, engine, guard_plan, faults, ordinal, attempt,
             tracer=tracer,
         )
         if spec is not None:
             with tracer.span("cache-put", kind="cache"):
-                open_cache_spec(spec, faults=faults).put(
-                    trace, machine, result
-                )
+                open_cache_spec(spec, faults=faults).put(job, result)
             result = None
     return (
         result,
@@ -274,7 +278,9 @@ class SimExecutor:
         retry: Per-job retry policy (deterministic, jitter-free).
         timeout_seconds: Optional per-job timeout for pool attempts; a job
             exceeding it is abandoned and rerun serially in the parent.
-            Serial attempts are never interrupted.
+            A pool attempt compiles its trace in the worker, so the timeout
+            covers trace compile plus replay.  Serial attempts are never
+            interrupted.
         faults: Optional :class:`~repro.sim.faults.FaultPlan` injected into
             jobs and cache writes (chaos testing only).
         tracer: Optional :class:`~repro.obs.tracer.Tracer`; when enabled,
@@ -345,26 +351,27 @@ class SimExecutor:
         self._broken: set[str] = set()
 
     # ------------------------------------------------------------------ public
-    def run(self, trace: SyntheticTrace, machine: MachineConfig) -> SimResult:
-        """Simulate one (trace, machine) job through the cache layers.
+    def run(self, job: SimJob) -> SimResult:
+        """Simulate one job through the cache layers.
 
         Raises:
             SimJobError: If the job fails permanently (retry budget spent).
         """
-        return self.run_many([(trace, machine)])[0]
+        return self.run_many([job])[0]
 
     def run_many(
-        self, pairs: Sequence[SimJob], raise_on_error: bool = True
+        self, jobs: Sequence[SimJob], raise_on_error: bool = True
     ) -> list[SimResult | None]:
         """Simulate a batch of jobs; results align with the input order.
 
-        Identical jobs are simulated once; cached jobs are never simulated;
-        the rest fan out across the pool (or run serially for ``jobs=1``).
-        Results are bit-identical to calling :func:`~repro.sim.cpu.simulate`
-        on each pair in a loop.
+        Identical jobs are simulated once; cached jobs are never compiled
+        or simulated; the rest fan out across the pool (or run serially
+        for ``jobs=1``).  Results are bit-identical to calling
+        :func:`~repro.sim.cpu.simulate` on each job's compiled trace in a
+        loop.
 
         Args:
-            pairs: The (trace, machine) jobs.
+            jobs: The simulation jobs.
             raise_on_error: With the default ``True``, a permanently failed
                 job raises :class:`SimJobError` (after every other job has
                 completed).  With ``False``, failed slots are returned as
@@ -374,53 +381,53 @@ class SimExecutor:
         Raises:
             SimJobError: A job exhausted its retries (``raise_on_error``).
         """
-        pairs = list(pairs)
+        jobs = list(jobs)
         telemetry = self.telemetry
         telemetry.batches += 1
-        telemetry.jobs_submitted += len(pairs)
-        results: list[SimResult | None] = [None] * len(pairs)
+        telemetry.jobs_submitted += len(jobs)
+        results: list[SimResult | None] = [None] * len(jobs)
         self.last_failures: list[SimJobFailure] = []
 
         with self.tracer.span(
-            "executor-batch", kind="executor", n_jobs=len(pairs)
+            "executor-batch", kind="executor", n_jobs=len(jobs)
         ) as batch_span:
             started = perf_counter()
-            # Deduplicate in-flight jobs: slots maps each unique cache key
+            # Deduplicate in-flight jobs: slots maps each unique job key
             # to every submitted index wanting its result.
             slots: dict[str, list[int]] = {}
-            for index, (trace, machine) in enumerate(pairs):
-                slots.setdefault(cache_key(trace, machine), []).append(index)
-            telemetry.jobs_deduplicated += len(pairs) - len(slots)
+            for index, job in enumerate(jobs):
+                slots.setdefault(job.key, []).append(index)
+            telemetry.jobs_deduplicated += len(jobs) - len(slots)
 
-            pending: list[tuple[str, SyntheticTrace, MachineConfig]] = []
+            pending: list[SimJob] = []
             with self.tracer.span("cache-probe", kind="cache"):
-                for key, indices in slots.items():
-                    trace, machine = pairs[indices[0]]
-                    cached = self.cache.get(trace, machine) if self.cache else None
+                for indices in slots.values():
+                    job = jobs[indices[0]]
+                    cached = self.cache.get(job) if self.cache else None
                     if cached is not None:
                         telemetry.cache_hits += 1
                         for index in indices:
                             results[index] = cached
                     else:
-                        pending.append((key, trace, machine))
+                        pending.append(job)
             telemetry.probe_seconds += perf_counter() - started
             batch_span.set(
                 unique_jobs=len(slots), simulated=len(pending)
             )
             logger.debug(
                 "batch: %d job(s), %d unique, %d to simulate",
-                len(pairs), len(slots), len(pending),
+                len(jobs), len(slots), len(pending),
             )
 
             if pending:
                 computed = self._execute(pending)
                 started = perf_counter()
                 with self.tracer.span("reap", kind="executor"):
-                    for (key, _, _), outcome in zip(pending, computed):
+                    for job, outcome in zip(pending, computed):
                         if isinstance(outcome, SimJobFailure):
                             self.last_failures.append(outcome)
                             continue
-                        for index in slots[key]:
+                        for index in slots[job.key]:
                             results[index] = outcome
                 telemetry.reap_seconds += perf_counter() - started
                 if self.last_failures:
@@ -462,7 +469,7 @@ class SimExecutor:
 
     # --------------------------------------------------------------- internals
     def _execute(
-        self, pending: list[tuple[str, SyntheticTrace, MachineConfig]]
+        self, pending: list[SimJob]
     ) -> list[SimResult | SimJobFailure]:
         self.telemetry.jobs_run += len(pending)
         ordinals = list(range(self._next_ordinal, self._next_ordinal + len(pending)))
@@ -476,13 +483,13 @@ class SimExecutor:
         # clean siblings keep their workers.  The kill counts are recorded
         # synchronously in this thread, so the decision is deterministic.
         poisoned = [
-            i for i, (key, _, _) in enumerate(pending) if self.is_poisoned(key)
+            i for i, job in enumerate(pending) if self.is_poisoned(job.key)
         ]
         if not poisoned:
             return self._execute_pool(pending, ordinals)
         for i in poisoned:
-            key, trace, machine = pending[i]
-            self.circuit_break(trace.name, machine.name, key)
+            job = pending[i]
+            self.circuit_break(job.profile.name, job.machine.name, job.key)
         clean = [i for i in range(len(pending)) if i not in poisoned]
         outcomes: list[SimResult | SimJobFailure | None] = [None] * len(pending)
         if clean:
@@ -500,7 +507,7 @@ class SimExecutor:
 
     def _execute_pool(
         self,
-        pending: list[tuple[str, SyntheticTrace, MachineConfig]],
+        pending: list[SimJob],
         ordinals: list[int],
     ) -> list[SimResult | SimJobFailure]:
         telemetry = self.telemetry
@@ -537,12 +544,10 @@ class SimExecutor:
         try:
             try:
                 futures = {}
-                for i, ((_, trace, machine), ordinal) in enumerate(
-                    zip(pending, ordinals)
-                ):
+                for i, (job, ordinal) in enumerate(zip(pending, ordinals)):
                     futures[i] = pool.submit(
                         _run_job,
-                        (trace, machine, spec, self.faults, ordinal, 1,
+                        (job, spec, self.faults, ordinal, 1,
                          want_spans, self.engine, self.guard.plan),
                     )
             except Exception:
@@ -565,7 +570,7 @@ class SimExecutor:
                     )
                     self.tracer.event(
                         "job-timeout",
-                        workload=pending[i][1].name,
+                        workload=pending[i].profile.name,
                         timeout_seconds=self.timeout_seconds,
                     )
                 except BrokenProcessPool as exc:
@@ -584,8 +589,8 @@ class SimExecutor:
                     self.guard.record(
                         GuardEvent(
                             kind="worker-oom",
-                            workload=pending[i][1].name,
-                            machine=pending[i][2].name,
+                            workload=pending[i].profile.name,
+                            machine=pending[i].machine.name,
                             action="isolate",
                             detail=str(exc) or "worker ran out of memory",
                         )
@@ -595,7 +600,7 @@ class SimExecutor:
                     failed_error[i] = f"{type(exc).__name__}: {exc}"
                     self.tracer.event(
                         "job-error",
-                        workload=pending[i][1].name,
+                        workload=pending[i].profile.name,
                         error=type(exc).__name__,
                     )
         finally:
@@ -627,22 +632,22 @@ class SimExecutor:
         outcomes: list[SimResult | SimJobFailure | None] = [None] * len(pending)
         started = perf_counter()
         for i, result in in_band.items():
-            _, trace, machine = pending[i]
+            job = pending[i]
             if result is None and self.cache is not None:
                 # The worker wrote the cache entry; reap it from disk.  A
                 # corrupt entry is quarantined by the cache and comes back
                 # as None.
-                result = self.cache.get(trace, machine)
+                result = self.cache.get(job)
             if result is None:
                 # Reap failed (entry evicted or corrupted underneath us) —
                 # recompute in the parent; determinism makes this safe.
                 result, events, sentinels = guarded_simulate(
-                    trace, machine, self.engine, self.guard.plan,
+                    job.compile(), job.machine, self.engine, self.guard.plan,
                     self.faults, ordinals[i], tracer=self.tracer,
                 )
                 self.guard.absorb(events, sentinels)
                 if self.cache is not None:
-                    self.cache.put(trace, machine, result)
+                    self.cache.put(job, result)
             outcomes[i] = result
         telemetry.reap_seconds += perf_counter() - started
 
@@ -669,10 +674,9 @@ class SimExecutor:
             for i in indices:
                 if outcomes[i] is None:
                     telemetry.jobs_failed += 1
-                    _, trace, machine = pending[i]
                     outcomes[i] = SimJobFailure(
-                        trace_name=trace.name,
-                        machine_name=machine.name,
+                        trace_name=pending[i].profile.name,
+                        machine_name=pending[i].machine.name,
                         attempts=1,
                         kind=failed_kind[i],
                         error=failed_error[i],
@@ -685,38 +689,45 @@ class SimExecutor:
                     # fails — bystanders that were merely in flight when
                     # another job killed the worker recover serially and
                     # never accumulate kills.
-                    key = pending[i][0]
+                    key = pending[i].key
                     self._kills[key] = self._kills.get(key, 0) + 1
         return outcomes  # type: ignore[return-value]  # every slot is filled
 
     def _execute_serial(
         self,
-        pending: list[tuple[str, SyntheticTrace, MachineConfig]],
+        pending: list[SimJob],
         ordinals: list[int],
         first_attempt: int = 1,
     ) -> list[SimResult | SimJobFailure]:
         started = perf_counter()
+        # Jobs sharing a recipe (one workload on several machines) share
+        # one compiled trace, dropped when the batch ends.
+        traces: dict[str, SyntheticTrace] = {}
         results: list[SimResult | SimJobFailure] = []
-        for (_, trace, machine), ordinal in zip(pending, ordinals):
+        for job, ordinal in zip(pending, ordinals):
+            trace = traces.get(job.recipe)
+            if trace is None:
+                trace = traces[job.recipe] = job.compile()
             results.append(
-                self._run_with_retry(trace, machine, ordinal, first_attempt)
+                self._run_with_retry(job, trace, ordinal, first_attempt)
             )
         self.telemetry.simulate_seconds += perf_counter() - started
         return results
 
     def _run_with_retry(
         self,
+        job: SimJob,
         trace: SyntheticTrace,
-        machine: MachineConfig,
         ordinal: int,
         first_attempt: int,
     ) -> SimResult | SimJobFailure:
         """One job through the retry policy, in the parent process."""
         attempt = first_attempt
+        name, machine = job.profile.name, job.machine
         with self.tracer.span(
             "sim-job",
             kind="job",
-            workload=trace.name,
+            workload=name,
             machine=machine.name,
             ordinal=ordinal,
             in_worker=False,
@@ -725,7 +736,7 @@ class SimExecutor:
                 try:
                     if self.faults is not None:
                         self.faults.apply_job_fault(
-                            ordinal, trace.name, attempt, in_worker=False
+                            ordinal, name, attempt, in_worker=False
                         )
                     result, guard_events, sentinels = guarded_simulate(
                         trace, machine, self.engine, self.guard.plan,
@@ -741,11 +752,11 @@ class SimExecutor:
                         )
                         logger.warning(
                             "job %s on %s failed permanently after %d "
-                            "attempt(s): %s", trace.name, machine.name,
+                            "attempt(s): %s", name, machine.name,
                             attempt, exc,
                         )
                         return SimJobFailure(
-                            trace_name=trace.name,
+                            trace_name=name,
                             machine_name=machine.name,
                             attempts=attempt,
                             kind=(
@@ -758,7 +769,7 @@ class SimExecutor:
                     delay = self.retry.delay(attempt)
                     job_span.event(
                         "job-retry",
-                        workload=trace.name,
+                        workload=name,
                         attempt=attempt,
                         delay_seconds=delay,
                         error=type(exc).__name__,
@@ -768,23 +779,23 @@ class SimExecutor:
                     attempt += 1
                     continue
                 if self.cache is not None:
-                    self.cache.put(trace, machine, result)
+                    self.cache.put(job, result)
                 job_span.set(attempts=attempt)
                 return result
 
 
 class SimFrontEnd:
-    """Trace and result memos shared by the simulator front-ends.
+    """Result memo shared by the simulator front-ends.
 
     :class:`~repro.sim.platform.HardwarePlatform` and
-    :class:`~repro.sim.gem5.Gem5Simulation` compile each workload's trace
-    once, simulate it on their machine once, and read every later
-    measurement from the memoised :class:`~repro.sim.cpu.SimResult`.  A
-    memo miss is one :meth:`SimExecutor.run` call — the executor is the
-    only path into the simulator, so its cache, retries, guards and
-    telemetry apply to every job.  ``has_result`` / ``trace_for`` /
-    ``absorb_result`` are the batching protocol :func:`prime_engines`
-    uses to fan out every missing job up front.
+    :class:`~repro.sim.gem5.Gem5Simulation` simulate each workload profile
+    on their machine once and read every later measurement from the
+    memoised :class:`~repro.sim.cpu.SimResult`.  A memo miss is one
+    :meth:`SimExecutor.run` of the profile's :meth:`job_for` — the
+    executor is the only path into the simulator, so its cache, compile
+    on miss, retries, guards and telemetry apply to every job.
+    :func:`prime_engines` fills the memos of several front-ends in one
+    batch up front.
     """
 
     def __init__(
@@ -796,31 +807,18 @@ class SimFrontEnd:
         self.machine = machine
         self.trace_instructions = trace_instructions
         self.executor = executor
-        self._traces: dict[str, SyntheticTrace] = {}
-        self._results: dict[str, SimResult] = {}
+        self._results: dict[WorkloadProfile, SimResult] = {}
 
-    def trace_for(self, profile: WorkloadProfile) -> SyntheticTrace:
-        """Compiled (and memoised) trace for one workload profile."""
-        trace = self._traces.get(profile.name)
-        if trace is None:
-            trace = compile_trace(profile, self.trace_instructions)
-            self._traces[profile.name] = trace
-        return trace
+    def job_for(self, profile: WorkloadProfile) -> SimJob:
+        """The simulation job of one workload profile on this machine."""
+        return SimJob(profile, self.trace_instructions, self.machine)
 
     def _sim(self, profile: WorkloadProfile) -> SimResult:
-        result = self._results.get(profile.name)
+        result = self._results.get(profile)
         if result is None:
-            result = self.executor.run(self.trace_for(profile), self.machine)
-            self._results[profile.name] = result
+            result = self.executor.run(self.job_for(profile))
+            self._results[profile] = result
         return result
-
-    def has_result(self, name: str) -> bool:
-        """True when this workload's simulation is already memoised."""
-        return name in self._results
-
-    def absorb_result(self, name: str, result: SimResult) -> None:
-        """Install an externally computed simulation result."""
-        self._results[name] = result
 
 
 def prime_engines(
@@ -834,7 +832,7 @@ def prime_engines(
     ``engines`` are submitted to the executor up front, so one pool
     services the hardware and model simulations together.
 
-    Jobs that fail permanently are simply not absorbed: the owning engine
+    Jobs that fail permanently are simply not memoised: the owning engine
     retries them lazily on first use, and if they fail again the failure
     surfaces there (where dataset collection can record it and degrade
     gracefully) instead of aborting the whole batch here.
@@ -844,18 +842,17 @@ def prime_engines(
         memoised on the engines).
     """
     jobs: list[SimJob] = []
-    owners: list[tuple[object, str]] = []
+    owners: list[tuple[SimFrontEnd, WorkloadProfile]] = []
     for engine in engines:
         for profile in profiles:
-            if engine.has_result(profile.name):
-                continue
-            jobs.append((engine.trace_for(profile), engine.machine))
-            owners.append((engine, profile.name))
+            if profile not in engine._results:
+                jobs.append(engine.job_for(profile))
+                owners.append((engine, profile))
     if not jobs:
         return 0
-    for (engine, name), result in zip(
+    for (engine, profile), result in zip(
         owners, executor.run_many(jobs, raise_on_error=False)
     ):
         if result is not None:
-            engine.absorb_result(name, result)
+            engine._results[profile] = result
     return len(jobs)

@@ -13,11 +13,12 @@ flowing unchecked into the power model and validation tables:
   decode contract triggers an automatic per-job fallback to
   ``engine="scalar"`` with a structured :class:`GuardEvent` — never a
   silent wrong number.
-* **Decoded-form validation** — every cross-worker re-attach of a
+* **Decoded-form validation** — a
   :class:`~repro.workloads.trace.ColumnarTrace` is checked against its
   checksum + shape/dtype/bounds contract
-  (:func:`repro.workloads.trace.validate_columnar`); corrupt decodes are
-  quarantined and re-decoded in place.
+  (:func:`repro.workloads.trace.validate_columnar`) before its first
+  guarded replay in a process; corrupt decodes are quarantined and
+  re-decoded in place.
 
 :class:`GuardRail` is the parent-side ledger of these interventions.  The
 executor records its own scheduling decisions on it too — a worker's
@@ -57,7 +58,7 @@ SENTINEL_INTERVAL = 512
 
 #: Marker key on ``ColumnarTrace.fixpoint_seeds`` recording that this
 #: process already validated the decode (sentinel mode validates once per
-#: re-attach; paranoid re-validates every replay).
+#: decode; paranoid re-validates every replay).
 _VALIDATED_KEY = ("guard", "validated")
 
 
@@ -98,7 +99,7 @@ class GuardPlan:
 
     Attributes:
         level: ``"off"`` (no guards), ``"sentinel"`` (sampled dual-engine
-            verification + decode validation on re-attach, the default for
+            verification + decode validation on first use, the default for
             pipeline runs) or ``"paranoid"`` (every job dual-replayed,
             decode re-validated on every replay).
         sentinel_interval: Sample 1 job in N for dual-engine verification;
@@ -333,7 +334,7 @@ def guarded_simulate(
     if "corrupt-column" in fired:
         _corrupt_columns(cols)
 
-    # --- decoded-form validation (every cross-worker re-attach) -----------
+    # --- decoded-form validation (first guarded use of a decode) ----------
     if plan.level == "paranoid" or not cols.fixpoint_seeds.get(_VALIDATED_KEY):
         problems = validate_columnar(cols)
         if problems:
@@ -435,7 +436,7 @@ def _poison_memo(trace, machine, cols) -> None:
     memo is reset and repopulated with one throwaway replay first, so the
     poisoned state (and the divergence the sentinel reports) is the same
     no matter what this process replayed before — decodes are shared
-    process-wide by trace identity.
+    process-wide by recipe digest.
     """
     from repro.sim.cpu import simulate
 

@@ -1,11 +1,12 @@
-"""On-disk memoisation of simulation results, with integrity checking.
+"""Simulation jobs and the on-disk memoisation of their results.
 
 GemStone is rerun constantly — after every model adjustment, every simulator
-update (Section VII's workflow).  Simulation results depend only on the
-(trace, machine configuration) pair, both of which are fully deterministic,
-so they are safely memoised on disk: the cache key hashes the *entire*
-machine configuration (not just its name — ablation studies mutate configs
-in place) together with the trace identity.
+update (Section VII's workflow).  A result depends only on its
+:class:`SimJob`: the trace *recipe* (every profile field, target length,
+seed, trace-compiler version) and the *entire* machine configuration (not
+just its name — ablation studies mutate configs in place).  So
+:attr:`SimJob.key` names a result before any trace is compiled; the cache,
+the executor and the campaign board key on it.
 
 Entries are sealed in the checksummed envelope of :mod:`repro.atomicio`,
 which also states the write, quarantine and locking contract.  Corrupt
@@ -28,6 +29,8 @@ import hashlib
 import json
 import os
 import warnings
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.atomicio import (
     atomic_write_text,
@@ -39,8 +42,10 @@ from repro.atomicio import (
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.sim.cpu import SimResult
-from repro.sim.machine import MachineConfig
-from repro.workloads.trace import SyntheticTrace
+from repro.sim.machine import CacheGeometry, MachineConfig
+from repro.uarch.tlb import TlbHierarchyConfig
+from repro.workloads.profile import WorkloadProfile
+from repro.workloads.trace import SyntheticTrace, compile_trace, recipe_digest
 
 logger = get_logger(__name__)
 
@@ -49,8 +54,8 @@ logger = get_logger(__name__)
 LOCK_FILE_NAME = ".lock"
 
 #: Bump when SimResult's meaning or the entry format changes; invalidates
-#: every cached entry (v4: the shared repro.atomicio envelope).
-CACHE_SCHEMA_VERSION = 4
+#: every cached entry (v5: entries keyed by the recipe-addressed SimJob.key).
+CACHE_SCHEMA_VERSION = 5
 
 
 def machine_fingerprint(machine: MachineConfig) -> str:
@@ -59,18 +64,60 @@ def machine_fingerprint(machine: MachineConfig) -> str:
     return hashlib.sha1(payload.encode()).hexdigest()
 
 
-def cache_key(trace: SyntheticTrace, machine: MachineConfig) -> str:
-    """Cache key for one (trace, machine) simulation."""
-    raw = "|".join(
-        [
-            f"v{CACHE_SCHEMA_VERSION}",
-            trace.name,
-            str(trace.seed),
-            str(trace.n_instrs),
-            machine_fingerprint(machine),
-        ]
-    )
-    return hashlib.sha1(raw.encode()).hexdigest()
+def machine_from_spec(spec: dict) -> MachineConfig:
+    """Rebuild a :class:`MachineConfig` from its ``asdict`` form."""
+    data = dict(spec)
+    for level in ("l1i", "l1d", "l2"):
+        data[level] = CacheGeometry(**data[level])
+    data["tlb"] = TlbHierarchyConfig(**data["tlb"])
+    return MachineConfig(**data)
+
+
+@dataclass(frozen=True)
+class SimJob:
+    """One simulation: a trace recipe replayed on one machine configuration.
+
+    The unit of work of the executor, the result cache and the campaign
+    board.  A job carries the recipe, not the trace: :meth:`compile` builds
+    the trace on demand, and :attr:`key` names the result without
+    compiling.
+
+    The trace is compiled with the profile's default seed
+    (``workload_seed(name)``), so a recipe is the profile plus its length.
+
+    Attributes:
+        profile: Workload profile the trace is compiled from.
+        n_instrs: Target trace length (``compile_trace``'s ``n_instrs``).
+        machine: Machine configuration the trace is replayed on.
+    """
+
+    profile: WorkloadProfile
+    n_instrs: int
+    machine: MachineConfig
+
+    @cached_property
+    def recipe(self) -> str:
+        """Digest of the trace recipe (the compiled trace's ``digest``)."""
+        return recipe_digest(self.profile, self.n_instrs)
+
+    @cached_property
+    def key(self) -> str:
+        """The job's identity: recipe digest plus machine fingerprint."""
+        raw = f"{self.recipe}|{machine_fingerprint(self.machine)}"
+        return hashlib.sha1(raw.encode()).hexdigest()
+
+    def compile(self) -> SyntheticTrace:
+        """Compile the job's trace."""
+        return compile_trace(self.profile, self.n_instrs)
+
+    @classmethod
+    def from_spec(cls, spec: dict) -> "SimJob":
+        """Rebuild a job from its ``dataclasses.asdict`` form."""
+        return cls(
+            profile=WorkloadProfile(**spec["profile"]),
+            n_instrs=spec["n_instrs"],
+            machine=machine_from_spec(spec["machine"]),
+        )
 
 
 class CacheTelemetry(MetricView):
@@ -149,18 +196,30 @@ class SimResultCache:
                 stacklevel=3,
             )
 
-    def _load(self, key: str, decode):
-        """``decode(payload)`` of one verified entry, or None on a miss.
+    def get(self, job: SimJob) -> SimResult | None:
+        """Cached result for this job, or None on a miss.
 
         An entry failing the envelope check, or whose payload does not
         decode, is quarantined under the directory lock — so a concurrent
         shard's fresh ``put`` of the same key cannot be swept away between
-        our corrupt read and the move — and counts as a miss.
+        our corrupt read and the move — and counts as a miss.  Campaign
+        workers use this to adopt a result a crashed shard already stored.
         """
-        path = self._path(key)
+        path = self._path(job.key)
         try:
             _, body = unseal(path, CACHE_SCHEMA_VERSION)
-            value = decode(json.loads(body))
+            payload = json.loads(body)
+            result = SimResult(
+                machine=job.machine,
+                trace_name=payload["trace_name"],
+                threads=int(payload["threads"]),
+                counts={k: float(v) for k, v in payload["counts"].items()},
+                core_cycles=float(payload["core_cycles"]),
+                dram_stall_weight=float(payload["dram_stall_weight"]),
+                components={
+                    k: float(v) for k, v in payload["components"].items()
+                },
+            )
         except FileNotFoundError:
             self.telemetry.misses += 1
             return None
@@ -175,51 +234,17 @@ class SimResultCache:
                 quarantine(path, self.quarantine_dir)
             return None
         self.telemetry.hits += 1
-        return value
+        return result
 
-    def get(
-        self, trace: SyntheticTrace, machine: MachineConfig
-    ) -> SimResult | None:
-        """Cached result for this simulation, or None.
-
-        Entries failing the integrity check are quarantined and treated as
-        misses.
-        """
-        return self._load(
-            cache_key(trace, machine),
-            lambda payload: SimResult(
-                machine=machine,
-                trace_name=payload["trace_name"],
-                threads=int(payload["threads"]),
-                counts={k: float(v) for k, v in payload["counts"].items()},
-                core_cycles=float(payload["core_cycles"]),
-                dram_stall_weight=float(payload["dram_stall_weight"]),
-                components={
-                    k: float(v) for k, v in payload["components"].items()
-                },
-            ),
-        )
-
-    def verify(self, key: str) -> bool:
-        """True when an intact entry exists for this key.
-
-        Campaign workers use this to adopt results a crashed shard already
-        stored (by key, without re-deriving the trace): corrupt entries are
-        quarantined so the job is recomputed; a missing entry is False.
-        """
-        return self._load(key, lambda payload: True) is not None
-
-    def put(
-        self, trace: SyntheticTrace, machine: MachineConfig, result: SimResult
-    ) -> None:
-        """Store one simulation result (sealed, under the directory lock).
+    def put(self, job: SimJob, result: SimResult) -> None:
+        """Store one job's result (sealed, under the directory lock).
 
         A failed write (full or read-only filesystem) degrades the cache to
         uncached operation with a single warning; it never raises mid-batch.
         """
         if self.degraded:
             return
-        key = cache_key(trace, machine)
+        key = job.key
         path = self._path(key)
         payload = {
             "trace_name": result.trace_name,
@@ -232,7 +257,7 @@ class SimResultCache:
         nth_put = self._put_counts.get(key, 0) + 1
         self._put_counts[key] = nth_put
         corrupt = self.faults is not None and self.faults.corrupts_cache(
-            trace.name, nth_put
+            job.profile.name, nth_put
         )
         try:
             with file_lock(self._lock_path):

@@ -14,6 +14,9 @@ side per memory operation, and the branch predictor once per block.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
 import zlib
 from dataclasses import dataclass, field
 from enum import IntEnum
@@ -161,8 +164,8 @@ class ColumnarTrace:
     fixpoint_seeds: dict = field(default_factory=dict)
     # Content checksum over every immutable column, stamped at build time
     # (``fixpoint_seeds`` excluded — it is mutable accelerator state).  The
-    # guard layer re-verifies it on cross-worker re-attach; 0 means "never
-    # stamped" (hand-built instances) and is skipped by validation.
+    # guard layer re-verifies it before a decode's first guarded replay; 0
+    # means "never stamped" (hand-built instances) and is skipped.
     checksum: int = 0
 
 
@@ -199,8 +202,8 @@ def columnar_checksum(cols: "ColumnarTrace") -> int:
     """Content checksum of a decode's immutable columns.
 
     A CRC over every column's raw bytes plus its shape and dtype, cheap
-    enough (one pass over the arrays, no Python loop) to re-verify on every
-    cross-worker re-attach.  ``fixpoint_seeds`` and the stored ``checksum``
+    enough (one pass over the arrays, no Python loop) to re-verify before
+    every decode's first guarded replay.  ``fixpoint_seeds`` and the stored ``checksum``
     itself are excluded.
     """
     crc = zlib.crc32(str(cols.n_dyn).encode())
@@ -215,9 +218,9 @@ def validate_columnar(cols: "ColumnarTrace") -> list[str]:
     """Check a decode against its shape/dtype/bounds contract + checksum.
 
     Returns a list of human-readable violations (empty = the decode is
-    intact).  Used by the guard layer on cross-worker re-attach: any
-    violation means the decoded form was corrupted (or built against a
-    different contract) and must be quarantined and re-decoded.
+    intact).  Used by the guard layer before a decode's first guarded
+    replay: any violation means the decoded form was corrupted (or built
+    against a different contract) and must be quarantined and re-decoded.
     """
     problems: list[str] = []
     lengths: dict[str, tuple[str, int]] = {}
@@ -474,17 +477,32 @@ def build_columnar_trace(
     return cols
 
 
-#: Process-wide replay-table memo keyed by trace identity.  A campaign that
+#: Bump when the trace builder's output changes for an unchanged recipe: it
+#: feeds every recipe digest, so no older build's result or decode is reused.
+TRACE_COMPILER_VERSION = 1
+
+#: Process-wide replay-table memo keyed by recipe digest.  A campaign that
 #: simulates the same workload across machines, DVFS points and executor
-#: jobs decodes each trace exactly once per process: executor workers
-#: receive traces pickled without their decode (see
-#: ``SyntheticTrace.__getstate__``) and re-attach the shared tables here.
-_REPLAY_MEMO: dict[tuple[str, int, int, int], ReplayTables] = {}
+#: jobs decodes each trace exactly once per process.
+_REPLAY_MEMO: dict[str, ReplayTables] = {}
 _REPLAY_MEMO_MAX = 64
 
 
-def _trace_identity(trace: "SyntheticTrace") -> tuple[str, int, int, int]:
-    return (trace.name, trace.seed, trace.n_instrs, int(len(trace.block_seq)))
+def recipe_digest(
+    profile: WorkloadProfile, n_instrs: int, seed: int | None = None
+) -> str:
+    """Identity of the trace ``compile_trace(profile, n_instrs, seed)`` builds.
+
+    A sha1 over every profile field, the *target* length, the resolved
+    seed and :data:`TRACE_COMPILER_VERSION` — computable without compiling.
+    """
+    seed = workload_seed(profile.name) if seed is None else seed
+    payload = json.dumps(
+        [TRACE_COMPILER_VERSION, dataclasses.asdict(profile), int(n_instrs),
+         int(seed)],
+        sort_keys=True,
+    )
+    return hashlib.sha1(payload.encode()).hexdigest()
 
 
 @dataclass
@@ -506,6 +524,8 @@ class SyntheticTrace:
         branch_class_counts: Dynamic branch counts per :class:`BranchClass`.
         n_instrs: Total dynamic instructions.
         seed: Seed the trace was compiled with (reproducibility record).
+        digest: Recipe digest stamped by :func:`compile_trace` (derived
+            from the parent's by :func:`slice_trace`); keys the decode memo.
     """
 
     name: str
@@ -520,6 +540,7 @@ class SyntheticTrace:
     branch_class_counts: dict[BranchClass, int]
     n_instrs: int
     seed: int
+    digest: str
     _replay: ReplayTables | None = field(
         default=None, repr=False, compare=False
     )
@@ -527,36 +548,23 @@ class SyntheticTrace:
     def replay_tables(self) -> ReplayTables:
         """The flattened replay tables, built on first use and memoised.
 
-        The memo is shared process-wide by trace identity (name, seed,
-        instruction count, dynamic length), so re-compiled or unpickled
-        copies of the same trace — executor jobs, platform vs gem5 layers,
-        DVFS sweeps — all reuse one decode.
+        The memo is shared process-wide by recipe digest, so re-compiled
+        copies of the same trace — platform vs gem5 layers, DVFS sweeps —
+        all reuse one decode.
         """
         if self._replay is None:
-            key = _trace_identity(self)
-            tables = _REPLAY_MEMO.get(key)
+            tables = _REPLAY_MEMO.get(self.digest)
             if tables is None:
                 tables = build_replay_tables(self)
                 if len(_REPLAY_MEMO) >= _REPLAY_MEMO_MAX:
                     _REPLAY_MEMO.pop(next(iter(_REPLAY_MEMO)))
-                _REPLAY_MEMO[key] = tables
+                _REPLAY_MEMO[self.digest] = tables
             self._replay = tables
         return self._replay
 
     def columnar(self) -> ColumnarTrace:
         """The struct-of-arrays decode (shared via the replay-table memo)."""
         return self.replay_tables().columnar(self)
-
-    def __getstate__(self):
-        # Replay tables are derived data and can be megabytes of numpy
-        # arrays; drop them from pickles (executor job submission) and let
-        # the receiving process rebuild or reuse its own shared memo.
-        state = self.__dict__.copy()
-        state["_replay"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
 
     @property
     def n_branches(self) -> int:
@@ -1004,6 +1012,7 @@ class _TraceBuilder:
             branch_class_counts=class_counts,
             n_instrs=int(total_per_kind.sum()),
             seed=self.seed,
+            digest=recipe_digest(self.profile, self.target_instrs, self.seed),
         )
 
     def _generate_addresses(self, block_seq: np.ndarray) -> np.ndarray:
@@ -1043,7 +1052,8 @@ def slice_trace(trace: SyntheticTrace, start: int, end: int) -> SyntheticTrace:
     """A contiguous dynamic window ``[start, end)`` of a trace.
 
     The static program (blocks, streams) is shared; the dynamic sequences
-    and per-kind totals are recomputed for the window.  Used by the
+    and per-kind totals are recomputed for the window, and the window's
+    digest is derived from the parent's digest and the bounds.  Used by the
     run-time power analysis to evaluate power per execution window.
 
     Raises:
@@ -1085,6 +1095,7 @@ def slice_trace(trace: SyntheticTrace, start: int, end: int) -> SyntheticTrace:
         branch_class_counts=class_counts,
         n_instrs=int(total_per_kind.sum()),
         seed=trace.seed,
+        digest=hashlib.sha1(f"{trace.digest}[{start}:{end}]".encode()).hexdigest(),
     )
 
 

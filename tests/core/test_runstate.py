@@ -18,6 +18,7 @@ import pytest
 from repro.atomicio import atomic_write_bytes, atomic_write_text
 from repro.core.pipeline import GemStoneConfig
 from repro.core.runstate import PHASES, RunManifest, RunState
+from repro.workloads.suites import workload_by_name
 from tests.core import quarantined_names
 
 
@@ -250,6 +251,27 @@ class TestPhaseKeys:
         )
         for phase in PHASES:
             assert base.phase_key(phase) != changed.phase_key(phase)
+
+    def test_profile_edited_under_its_name_invalidates_the_dataset(
+        self, tmp_path
+    ):
+        catalog = workload_by_name("mi-sha")
+        edited = dataclasses.replace(catalog, ilp=1.0)
+        base, changed = (
+            RunManifest.from_config(
+                GemStoneConfig(trace_instructions=9000, workloads=(profile,))
+            )
+            for profile in (catalog, edited)
+        )
+        assert base.fingerprint != changed.fingerprint
+        assert base.phase_key("dataset") != changed.phase_key("dataset")
+        assert base.phase_key("power-dataset") == changed.phase_key(
+            "power-dataset"
+        )
+        directory = str(tmp_path / "run")
+        RunState(directory, base).checkpoint("dataset", {"rows": 1})
+        resumed = RunState(directory, changed, resume=True)
+        assert resumed.restore("dataset") is None
 
     def test_runstate_splices_shared_phases(self, tmp_path):
         directory = str(tmp_path / "run")

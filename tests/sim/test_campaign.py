@@ -18,10 +18,8 @@ from repro.core.pipeline import GemStoneConfig
 from repro.core.runstate import RunManifest
 from repro.sim.campaign import (
     CampaignBoard,
-    CampaignJob,
     _write_cumulative_snapshot,
     campaign_jobs,
-    machine_from_spec,
     run_worker,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -29,20 +27,15 @@ from repro.sim.executor import RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import GuardPlan
 from repro.sim.machine import gem5_ex5_big, hardware_a15, hardware_a7
-from repro.sim.result_cache import cache_key
+from repro.sim.platform import HardwarePlatform
+from repro.sim.result_cache import SimJob, machine_from_spec
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
 
-def _fake_job(ordinal: int, workload: str = "w") -> CampaignJob:
-    key = f"{ordinal:02d}" + "ab" * 19
-    return CampaignJob(
-        key=key,
-        workload=workload,
-        machine_name="fake",
-        machine={},
-        n_instrs=100,
-        ordinal=ordinal,
+def _fake_job(ordinal: int) -> SimJob:
+    """A distinct board job; board mechanics never compile or run it."""
+    return SimJob(
+        workload_by_name("mi-sha"), 1_000 + ordinal, hardware_a15()
     )
 
 
@@ -76,16 +69,21 @@ class TestCampaignJobs:
         # Validation workloads each need hw + gem5; the power pass shares
         # the hw results, so no extra jobs appear.
         assert len(jobs) == 4
-        assert [j.ordinal for j in jobs] == [0, 1, 2, 3]
-        machines = {(j.workload, j.machine_name) for j in jobs}
+        machines = {(j.profile.name, j.machine.name) for j in jobs}
         assert len(machines) == 4
         assert campaign_jobs(config) == jobs
-        # Keys really are the executor's cache keys.
-        job = jobs[0]
-        trace = compile_trace(
-            workload_by_name(job.workload), job.n_instrs
-        )
-        assert cache_key(trace, machine_from_spec(job.machine)) == job.key
+        # Board jobs are the executor's jobs: the front-ends key the same.
+        platform = HardwarePlatform("A15", trace_instructions=2_000)
+        assert {platform.job_for(p).key for p in profiles} <= {
+            j.key for j in jobs
+        }
+
+    def test_board_job_file_round_trips_the_recipe(self, board):
+        edited = dataclasses.replace(workload_by_name("mi-sha"), ilp=1.0)
+        job = SimJob(edited, 2_000, gem5_ex5_big())
+        board.create_or_sync("fp", [_fake_job(0), job])
+        assert board.load_job(job.key) == (job, 1)
+        assert board.load_job(job.key)[0].key == job.key
 
 
 class TestBoardSync:
@@ -122,7 +120,7 @@ class TestBoardSync:
 
 class TestLeasing:
     def test_claims_scan_sorted_and_exclude_leased(self, board):
-        jobs = [_fake_job(i) for i in range(2)]
+        jobs = sorted((_fake_job(i) for i in range(2)), key=lambda j: j.key)
         board.create_or_sync("fp", jobs)
         first = board.claim("alice")
         second = board.claim("bob")
@@ -171,6 +169,23 @@ class TestLeasing:
         assert "retry budget exhausted" in poisoned[0][2]
         assert board.all_settled()
         assert board.status()["poisoned"] == 1
+
+    def test_job_file_hashing_to_another_key_is_poisoned(self, board):
+        job = _fake_job(0)
+        board.create_or_sync("fp", [job])
+        path = board._job_path(job.key)
+        with open(path) as handle:
+            spec = json.load(handle)
+        spec["n_instrs"] += 1  # same file name, different recipe
+        with open(path, "w") as handle:
+            json.dump(spec, handle)
+        assert board.load_job(job.key) is None
+        assert board.claim("alice") is None
+        assert board.poisoned_jobs() == (
+            (job.key, "?", "job definition unreadable"),
+        )
+        assert not os.path.exists(board._lease_path(job.key))
+        assert board.all_settled()
 
     def test_release_requeues_for_the_next_claimant(self, board):
         board.create_or_sync("fp", [_fake_job(0)])
@@ -318,11 +333,7 @@ class TestWorkerGuard:
         executor = SimExecutor(
             guard=GuardPlan(level="sentinel"), faults=faults
         )
-        executor.run_many([
-            (compile_trace(workload_by_name(job.workload), job.n_instrs),
-             machine_from_spec(job.machine))
-            for job in sorted(jobs, key=lambda job: job.ordinal)
-        ])
+        executor.run_many(jobs)
         expected = executor.metrics.values_with_prefix("sim.guard.")
         assert expected["sim.guard.nan_fallbacks"] == 2
         assert metrics.values_with_prefix("sim.guard.") == expected

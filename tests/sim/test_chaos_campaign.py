@@ -136,6 +136,18 @@ class TestCleanCampaign:
         ) == claims_before
         _assert_bit_identical(again.gemstone, reference)
 
+    def test_edited_profile_is_simulated_as_given(self, tmp_path):
+        """A custom profile under a catalog name reaches the shard as the
+        job's own recipe; it is never swapped for the catalog profile."""
+        edited = dataclasses.replace(workload_by_name(TARGET), ilp=1.0)
+        profiles = (edited,) + _profiles(WORKLOADS[1:])
+        config = _config(workloads=profiles, power_workloads=profiles)
+        serial = GemStone(config)
+        result = run_campaign(config, str(tmp_path / "board"), shards=1)
+        _assert_bit_identical(
+            result.gemstone, (serial.dataset, serial.power_dataset)
+        )
+
 
 class TestShardLoss:
     def test_shard_crash_after_store_is_adopted(self, tmp_path, reference):
@@ -172,7 +184,7 @@ class TestShardLoss:
             campaign_jobs(config),
         )
         target_keys = {
-            j.key for j in campaign_jobs(config) if j.workload == TARGET
+            j.key for j in campaign_jobs(config) if j.profile.name == TARGET
         }
         victim = multiprocessing.get_context().Process(
             target=_worker_entry,

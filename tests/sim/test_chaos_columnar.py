@@ -22,9 +22,8 @@ from repro.sim.executor import RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import GuardPlan
 from repro.sim.machine import hardware_a15
-from repro.sim.result_cache import cache_key
+from repro.sim.result_cache import SimJob
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
 from tests.conftest import SMALL_FREQS, TRACE_INSTRUCTIONS
 
@@ -177,19 +176,19 @@ class TestKillAndResume:
 
 class TestPoolScenarios:
     @pytest.fixture(scope="class")
-    def traces(self):
-        return tuple(
-            compile_trace(workload_by_name(name), TRACE_INSTRUCTIONS)
-            for name in WORKLOADS
-        )
-
-    @pytest.fixture(scope="class")
     def machine(self):
         return hardware_a15()
 
     @pytest.fixture(scope="class")
-    def golden(self, traces, machine):
-        return [simulate(t, machine, "scalar") for t in traces]
+    def jobs(self, machine):
+        return [
+            SimJob(workload_by_name(name), TRACE_INSTRUCTIONS, machine)
+            for name in WORKLOADS
+        ]
+
+    @pytest.fixture(scope="class")
+    def golden(self, jobs):
+        return [simulate(j.compile(), j.machine, "scalar") for j in jobs]
 
     def _assert_same(self, results, golden):
         for result, ref in zip(results, golden):
@@ -197,14 +196,14 @@ class TestPoolScenarios:
             assert result.core_cycles == ref.core_cycles
             assert result.components == ref.components
 
-    def test_worker_oom_isolated_bit_identical(self, traces, machine, golden):
+    def test_worker_oom_isolated_bit_identical(self, jobs, golden):
         executor = SimExecutor(
             jobs=2,
             retry=NO_BACKOFF,
             faults=FaultPlan.worker_oom(TARGET),
             guard=GuardPlan(level="sentinel"),
         )
-        results = executor.run_many([(t, machine) for t in traces])
+        results = executor.run_many(jobs)
         self._assert_same(results, golden)
         assert executor.telemetry.jobs_isolated >= 1
         assert executor.guard.telemetry.oom_events == 1
@@ -212,9 +211,7 @@ class TestPoolScenarios:
         assert kinds == ["worker-oom"]
         assert executor.guard.events[0].action == "isolate"
 
-    def test_poison_job_circuit_broken_into_serial_lane(
-        self, traces, machine, golden
-    ):
+    def test_poison_job_circuit_broken_into_serial_lane(self, jobs, golden):
         executor = SimExecutor(
             jobs=2,
             retry=NO_BACKOFF,
@@ -223,19 +220,17 @@ class TestPoolScenarios:
         )
         # Two batches each lose a worker to the poison job (the batches
         # themselves fail: the crash outlives the retry budget).
-        pairs = [(t, machine) for t in traces]
         for _ in range(2):
-            results = executor.run_many(pairs, raise_on_error=False)
+            results = executor.run_many(jobs, raise_on_error=False)
             assert any(r is None for r in results)
         crashes = executor.telemetry.worker_crashes
-        poisoned_key = cache_key(traces[0], machine)
-        assert executor.is_poisoned(poisoned_key)
+        assert executor.is_poisoned(jobs[0].key)
         assert executor.guard.telemetry.poison_jobs == 0
 
         # The third batch circuit-breaks it: the poison job runs (and
         # keeps failing) in the parent's serial quarantine lane, no
         # further workers die, and the healthy jobs are untouched.
-        results = executor.run_many(pairs, raise_on_error=False)
+        results = executor.run_many(jobs, raise_on_error=False)
         assert executor.telemetry.worker_crashes == crashes
         assert executor.guard.telemetry.poison_jobs == 1
         poison = [e for e in executor.guard.events if e.kind == "poison-job"]
@@ -244,8 +239,8 @@ class TestPoolScenarios:
         assert poison[0].action == "circuit-break"
         healthy = [
             (result, ref)
-            for result, ref, trace in zip(results, golden, traces)
-            if trace.name != TARGET
+            for result, ref, job in zip(results, golden, jobs)
+            if job.profile.name != TARGET
         ]
         assert healthy
         self._assert_same(
@@ -262,29 +257,31 @@ class TestPoolScenarios:
         budget, so only the job at fault fails and only it is charged
         the kill that eventually poisons it.
         """
-        traces = tuple(
-            compile_trace(workload_by_name(name), TRACE_INSTRUCTIONS)
+        jobs = [
+            SimJob(workload_by_name(name), TRACE_INSTRUCTIONS, machine)
             for name in (
                 "mi-sha", "mi-qsort", "dhrystone",
                 "mi-crc32", "mi-dijkstra", "mi-fft",
             )
-        )
-        golden = {t.name: simulate(t, machine, "scalar") for t in traces}
+        ]
+        golden = {
+            j.profile.name: simulate(j.compile(), machine, "scalar")
+            for j in jobs
+        }
         executor = SimExecutor(
             jobs=2,
             retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
             faults=FaultPlan.crash_workload(TARGET, attempts=10),
             guard=GuardPlan(level="sentinel"),
         )
-        pairs = [(t, machine) for t in traces]
         for batch in range(1, 4):
-            results = executor.run_many(pairs, raise_on_error=False)
+            results = executor.run_many(jobs, raise_on_error=False)
             assert executor.telemetry.jobs_failed == batch
             assert [f.trace_name for f in executor.last_failures] == [TARGET]
-            for trace, result in zip(traces, results):
-                if trace.name == TARGET:
+            for job, result in zip(jobs, results):
+                if job.profile.name == TARGET:
                     assert result is None
                 else:
-                    self._assert_same([result], [golden[trace.name]])
+                    self._assert_same([result], [golden[job.profile.name]])
         poison = [e for e in executor.guard.events if e.kind == "poison-job"]
         assert [e.workload for e in poison] == [TARGET]

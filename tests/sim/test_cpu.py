@@ -1,5 +1,7 @@
 """Tests for the trace-driven CPU simulator."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.cpu import simulate
@@ -20,6 +22,24 @@ class TestDeterminism:
         assert a.counts == b.counts
         assert a.core_cycles == b.core_cycles
         assert a.dram_stall_weight == b.dram_stall_weight
+
+
+    def test_decode_memo_never_serves_another_recipe(self):
+        """A profile edited under a catalog name compiles to a trace with
+        the same name, seed and realised length; its replay must still use
+        its own decode, not the catalog trace's, in the same process."""
+        machine = hardware_a15()
+        catalog = workload_by_name("mi-sha")
+        first = compile_trace(catalog, 60_000)
+        assert simulate(first, machine).core_cycles == pytest.approx(43_606.0)
+        edited = compile_trace(replace(catalog, data_kb=catalog.data_kb * 8),
+                               60_000)
+        assert (edited.name, edited.seed, len(edited.block_seq)) == (
+            first.name, first.seed, len(first.block_seq)
+        )
+        assert simulate(edited, machine).core_cycles == pytest.approx(
+            59_759.15
+        )
 
 
 class TestCountConsistency:

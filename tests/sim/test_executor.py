@@ -19,19 +19,22 @@ from repro.sim.executor import SimExecutor, SimTelemetry, prime_engines
 from repro.sim.gem5 import Gem5Simulation
 from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
-from repro.sim.result_cache import SimResultCache, cache_key
+from repro.sim.result_cache import SimJob, SimResultCache
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
 N_INSTRS = 6_000
 
 
 @pytest.fixture(scope="module")
-def traces():
-    return tuple(
-        compile_trace(workload_by_name(name), N_INSTRS)
+def jobs():
+    return [
+        SimJob(workload_by_name(name), N_INSTRS, hardware_a15())
         for name in ("mi-sha", "mi-qsort", "dhrystone")
-    )
+    ]
+
+
+def _direct(job):
+    return simulate(job.compile(), job.machine)
 
 
 def _assert_same(a, b):
@@ -42,30 +45,25 @@ def _assert_same(a, b):
 
 
 class TestRunMany:
-    def test_serial_matches_direct_simulate(self, traces):
-        machine = hardware_a15()
-        results = SimExecutor(jobs=1).run_many([(t, machine) for t in traces])
-        for trace, result in zip(traces, results):
-            _assert_same(result, simulate(trace, machine))
+    def test_serial_matches_direct_simulate(self, jobs):
+        results = SimExecutor(jobs=1).run_many(jobs)
+        for job, result in zip(jobs, results):
+            _assert_same(result, _direct(job))
 
-    def test_parallel_matches_serial(self, traces):
-        machine = hardware_a15()
-        jobs = [(t, machine) for t in traces]
+    def test_parallel_matches_serial(self, jobs):
         serial = SimExecutor(jobs=1).run_many(jobs)
         parallel = SimExecutor(jobs=4).run_many(jobs)
         for s, p in zip(serial, parallel):
             _assert_same(s, p)
 
-    def test_results_align_with_input_order(self, traces):
-        machine = hardware_a15()
-        results = SimExecutor(jobs=2).run_many([(t, machine) for t in traces])
-        for trace, result in zip(traces, results):
-            assert result.trace_name == trace.name
+    def test_results_align_with_input_order(self, jobs):
+        results = SimExecutor(jobs=2).run_many(jobs)
+        for job, result in zip(jobs, results):
+            assert result.trace_name == job.profile.name
 
-    def test_duplicate_jobs_simulated_once(self, traces):
-        machine = hardware_a15()
+    def test_duplicate_jobs_simulated_once(self, jobs):
         ex = SimExecutor(jobs=1)
-        results = ex.run_many([(traces[0], machine)] * 3)
+        results = ex.run_many([jobs[0]] * 3)
         assert ex.telemetry.jobs_submitted == 3
         assert ex.telemetry.jobs_deduplicated == 2
         assert ex.telemetry.jobs_run == 1
@@ -83,44 +81,40 @@ class TestRunMany:
 
 
 class TestCacheIntegration:
-    def test_second_executor_hits_disk_cache(self, traces, tmp_path):
-        machine = hardware_a15()
+    def test_second_executor_hits_disk_cache(self, jobs, tmp_path):
         cache_dir = str(tmp_path / "simcache")
-        jobs = [(t, machine) for t in traces]
         first = SimExecutor(jobs=1, cache_dir=cache_dir)
         cold = first.run_many(jobs)
         assert first.telemetry.cache_hits == 0
         second = SimExecutor(jobs=1, cache_dir=cache_dir)
         warm = second.run_many(jobs)
-        assert second.telemetry.cache_hits == len(traces)
+        assert second.telemetry.cache_hits == len(jobs)
         assert second.telemetry.jobs_run == 0
         for c, w in zip(cold, warm):
             _assert_same(c, w)
 
-    def test_parallel_workers_populate_cache(self, traces, tmp_path):
-        machine = hardware_a15()
+    def test_parallel_workers_populate_cache(self, jobs, tmp_path):
         cache_dir = str(tmp_path / "simcache")
         ex = SimExecutor(jobs=4, cache_dir=cache_dir)
-        results = ex.run_many([(t, machine) for t in traces])
-        assert len(ex.cache) == len(traces)
-        for trace, result in zip(traces, results):
-            _assert_same(result, simulate(trace, machine))
+        results = ex.run_many(jobs)
+        assert len(ex.cache) == len(jobs)
+        for job, result in zip(jobs, results):
+            _assert_same(result, _direct(job))
 
 
 class TestSerialFallback:
-    def test_broken_pool_degrades_to_serial(self, traces, monkeypatch):
+    def test_broken_pool_degrades_to_serial(self, jobs, monkeypatch):
         class BrokenPool:
             def __init__(self, *args, **kwargs):
                 raise OSError("no processes in this environment")
 
         monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", BrokenPool)
-        machine = hardware_a15()
         ex = SimExecutor(jobs=4)
-        results = ex.run_many([(t, machine) for t in traces])
+        results = ex.run_many(jobs)
         assert ex.telemetry.serial_fallbacks == 1
         assert ex.telemetry.parallel_jobs_run == 0
-        for trace, result in zip(traces, results):
-            _assert_same(result, simulate(trace, machine))
+        for job, result in zip(jobs, results):
+            _assert_same(result, _direct(job))
 
 
 class TestTelemetry:
@@ -143,9 +137,6 @@ class TestPrimeEngines:
         submitted = prime_engines(ex, (platform, gem5), profiles)
         assert submitted == 2 * len(profiles)
         assert ex.telemetry.batches == 1
-        for engine in (platform, gem5):
-            for profile in profiles:
-                assert engine.has_result(profile.name)
         # A second priming finds everything memoised.
         assert prime_engines(ex, (platform, gem5), profiles) == 0
 
@@ -205,18 +196,18 @@ class TestCollectionCache:
             dataset = collect_validation_dataset(
                 platform, gem5, profiles, (1000e6,), with_power=False
             )
-            keys = {
-                cache_key(engine.trace_for(p), engine.machine)
+            jobs = {
+                engine.job_for(p).key: engine.job_for(p)
                 for engine in (platform, gem5)
                 for p in profiles
             }
-            return dataset, executor, keys
+            return dataset, executor, jobs
 
         cold, cold_ex, keys = collect()
         cache = SimResultCache(cache_dir)
         assert len(keys) == 2 * len(profiles)
         assert len(cache) == len(keys)
-        assert all(cache.verify(key) for key in keys)
+        assert all(cache.get(job) is not None for job in keys.values())
         assert cold_ex.telemetry.jobs_run == len(keys)
 
         warm, warm_ex, _ = collect()
@@ -225,6 +216,68 @@ class TestCollectionCache:
         for c, w in zip(cold.runs, warm.runs):
             assert c.hw.pmc == w.hw.pmc
             assert c.gem5.stats == w.gem5.stats
+
+
+def _count_compiles(monkeypatch) -> list[str]:
+    """Count ``compile_trace`` calls in every loaded module binding it."""
+    import sys
+
+    from repro.workloads import trace as trace_mod
+
+    original = trace_mod.compile_trace
+    calls: list[str] = []
+
+    def counting(profile, *args, **kwargs):
+        calls.append(profile.name)
+        return original(profile, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and (
+            getattr(module, "compile_trace", None) is original
+        ):
+            monkeypatch.setattr(module, "compile_trace", counting)
+    return calls
+
+
+class TestCompileOnMiss:
+    def test_traces_compile_only_on_a_cache_miss(
+        self, small_profiles, tmp_path, monkeypatch
+    ):
+        """A cold run compiles each workload once although it runs on the
+        hardware and on gem5; a warm run answers every job from the cache
+        without compiling anything."""
+        from repro.core.pipeline import GemStone, GemStoneConfig
+
+        profiles = small_profiles[:3]
+        calls = _count_compiles(monkeypatch)
+
+        def run():
+            gs = GemStone(
+                GemStoneConfig(
+                    core="A15",
+                    workloads=profiles,
+                    power_workloads=profiles,
+                    frequencies=(1000e6,),
+                    trace_instructions=N_INSTRS,
+                    cache_dir=str(tmp_path / "simcache"),
+                )
+            )
+            return gs.dataset, gs.power_dataset, gs.executor.telemetry
+
+        cold, cold_power, cold_telemetry = run()
+        assert sorted(calls) == sorted(p.name for p in profiles)
+        assert cold_telemetry.jobs_run == 2 * len(profiles)
+        del calls[:]
+        warm, warm_power, warm_telemetry = run()
+        assert calls == []
+        assert warm_telemetry.jobs_run == 0
+        assert warm_telemetry.cache_hits == 2 * len(profiles)
+        for c, w in zip(cold.runs, warm.runs):
+            assert c.hw.pmc == w.hw.pmc
+            assert c.gem5.stats == w.gem5.stats
+        assert [o.power_w for o in cold_power] == [
+            o.power_w for o in warm_power
+        ]
 
 
 @pytest.mark.bench_smoke

@@ -25,9 +25,8 @@ from repro.sim.executor import (
 )
 from repro.sim.faults import FaultPlan, FaultSpec, InjectedFault
 from repro.sim.machine import hardware_a15
-from repro.sim.result_cache import SimResultCache
+from repro.sim.result_cache import SimJob, SimResultCache
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
 pytestmark = pytest.mark.chaos
 
@@ -38,22 +37,22 @@ FAST_RETRY = RetryPolicy(max_attempts=3, base_seconds=0.0)
 
 
 @pytest.fixture(scope="module")
-def traces():
-    return tuple(
-        compile_trace(workload_by_name(name), N_INSTRS)
-        for name in ("mi-sha", "mi-qsort", "dhrystone")
-    )
-
-
-@pytest.fixture(scope="module")
 def machine():
     return hardware_a15()
 
 
 @pytest.fixture(scope="module")
-def golden(traces, machine):
+def jobs(machine):
+    return [
+        SimJob(workload_by_name(name), N_INSTRS, machine)
+        for name in ("mi-sha", "mi-qsort", "dhrystone")
+    ]
+
+
+@pytest.fixture(scope="module")
+def golden(jobs):
     """The fault-free serial reference results."""
-    return [simulate(t, machine) for t in traces]
+    return [simulate(job.compile(), job.machine) for job in jobs]
 
 
 def _assert_same(a, b):
@@ -149,29 +148,27 @@ class TestRetryPolicy:
 
 
 class TestSerialRecovery:
-    def test_flaky_job_retried_to_identical_result(self, traces, machine, golden):
+    def test_flaky_job_retried_to_identical_result(self, jobs, golden):
         ex = SimExecutor(jobs=1, retry=FAST_RETRY, faults=FaultPlan.crash_job(0))
-        results = ex.run_many([(t, machine) for t in traces])
+        results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
         assert ex.telemetry.job_retries == 1
         assert ex.telemetry.jobs_failed == 0
 
-    def test_poisoned_job_fails_permanently(self, traces, machine):
-        plan = FaultPlan.crash_workload(traces[0].name, attempts=99)
+    def test_poisoned_job_fails_permanently(self, jobs):
+        plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
         ex = SimExecutor(jobs=1, retry=FAST_RETRY, faults=plan)
         with pytest.raises(SimJobError) as err:
-            ex.run_many([(t, machine) for t in traces])
-        assert err.value.failure.trace_name == traces[0].name
+            ex.run_many(jobs)
+        assert err.value.failure.trace_name == jobs[0].profile.name
         assert err.value.failure.attempts == FAST_RETRY.max_attempts
         assert ex.telemetry.jobs_failed == 1
 
-    def test_raise_on_error_false_degrades(self, traces, machine, golden):
-        plan = FaultPlan.crash_workload(traces[0].name, attempts=99)
+    def test_raise_on_error_false_degrades(self, jobs, golden):
+        plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
         ex = SimExecutor(jobs=1, retry=FAST_RETRY, faults=plan)
-        results = ex.run_many(
-            [(t, machine) for t in traces], raise_on_error=False
-        )
+        results = ex.run_many(jobs, raise_on_error=False)
         assert results[0] is None
         for result, reference in zip(results[1:], golden[1:]):
             _assert_same(result, reference)
@@ -180,43 +177,41 @@ class TestSerialRecovery:
 
 
 class TestPoolCrashIsolation:
-    def test_worker_crash_recovers_bit_identical(self, traces, machine, golden):
+    def test_worker_crash_recovers_bit_identical(self, jobs, golden):
         """A hard worker death (os._exit) breaks the pool; only the affected
         jobs rerun serially and the batch still matches the golden run."""
         ex = SimExecutor(jobs=2, retry=FAST_RETRY, faults=FaultPlan.crash_job(0))
-        results = ex.run_many([(t, machine) for t in traces])
+        results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
         assert ex.telemetry.worker_crashes >= 1
         assert ex.telemetry.jobs_isolated >= 1
         assert ex.telemetry.jobs_failed == 0
 
-    def test_hang_times_out_and_recovers(self, traces, machine, golden):
+    def test_hang_times_out_and_recovers(self, jobs, golden):
         ex = SimExecutor(
             jobs=4,
             retry=FAST_RETRY,
             timeout_seconds=0.6,
             faults=FaultPlan.hang_job(1, seconds=3.0),
         )
-        results = ex.run_many([(t, machine) for t in traces])
+        results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
         assert ex.telemetry.job_timeouts == 1
         assert ex.telemetry.jobs_isolated == 1
 
-    def test_no_retry_budget_reports_failure(self, traces, machine):
-        plan = FaultPlan.crash_workload(traces[0].name, attempts=99)
+    def test_no_retry_budget_reports_failure(self, jobs):
+        plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
         ex = SimExecutor(
             jobs=2, retry=RetryPolicy(max_attempts=1), faults=plan
         )
-        results = ex.run_many(
-            [(t, machine) for t in traces], raise_on_error=False
-        )
+        results = ex.run_many(jobs, raise_on_error=False)
         assert results[0] is None
         assert ex.telemetry.jobs_failed >= 1
 
     def test_no_retry_budget_still_reruns_a_broken_pool(
-        self, traces, machine, golden
+        self, jobs, golden
     ):
         """A pool crash is not the job's own attempt: even at
         ``max_attempts=1`` every job in flight gets its serial isolation
@@ -226,7 +221,7 @@ class TestPoolCrashIsolation:
             retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
             faults=FaultPlan.crash_job(0),
         )
-        results = ex.run_many([(t, machine) for t in traces])
+        results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
         assert ex.telemetry.worker_crashes == 1
@@ -234,7 +229,7 @@ class TestPoolCrashIsolation:
         assert ex.telemetry.jobs_failed == 0
 
     def test_no_retry_budget_never_reruns_a_timeout(
-        self, traces, machine, golden
+        self, jobs, golden
     ):
         """A timed-out job respects the budget: it is not rerun in the
         parent (where nothing could interrupt it), even though its second
@@ -245,12 +240,10 @@ class TestPoolCrashIsolation:
             timeout_seconds=0.6,
             faults=FaultPlan.hang_job(1, seconds=3.0),
         )
-        results = ex.run_many(
-            [(t, machine) for t in traces], raise_on_error=False
-        )
+        results = ex.run_many(jobs, raise_on_error=False)
         assert results[1] is None
         assert [(f.trace_name, f.kind, f.attempts) for f in ex.last_failures] == [
-            (traces[1].name, "timeout", 1)
+            (jobs[1].profile.name, "timeout", 1)
         ]
         for i in (0, 2):
             _assert_same(results[i], golden[i])
@@ -258,17 +251,15 @@ class TestPoolCrashIsolation:
         assert ex.telemetry.jobs_failed == 1
 
     def test_no_retry_budget_never_reruns_an_oom(
-        self, traces, machine, golden
+        self, jobs, golden
     ):
         """A worker's own ``MemoryError`` respects the budget too."""
         ex = SimExecutor(
             jobs=2,
             retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
-            faults=FaultPlan.worker_oom(traces[0].name),
+            faults=FaultPlan.worker_oom(jobs[0].profile.name),
         )
-        results = ex.run_many(
-            [(t, machine) for t in traces], raise_on_error=False
-        )
+        results = ex.run_many(jobs, raise_on_error=False)
         assert results[0] is None
         assert [(f.kind, f.attempts) for f in ex.last_failures] == [("oom", 1)]
         for i in (1, 2):
@@ -279,32 +270,32 @@ class TestPoolCrashIsolation:
 
 class TestCacheCorruption:
     def test_corrupt_write_quarantined_and_recomputed(
-        self, traces, machine, golden, tmp_path
+        self, jobs, golden, tmp_path
     ):
         cache_dir = str(tmp_path / "simcache")
-        plan = FaultPlan.corrupt_cache(traces[0].name, attempts=99)
+        plan = FaultPlan.corrupt_cache(jobs[0].profile.name, attempts=99)
         ex = SimExecutor(jobs=1, retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
-        first = ex.run_many([(t, machine) for t in traces])
+        first = ex.run_many(jobs)
         for result, reference in zip(first, golden):
             _assert_same(result, reference)
         # A fresh, fault-free executor over the same directory must detect
         # the corruption, quarantine the entry, and recompute identically.
         clean = SimExecutor(jobs=1, cache_dir=cache_dir)
-        second = clean.run_many([(t, machine) for t in traces])
+        second = clean.run_many(jobs)
         for result, reference in zip(second, golden):
             _assert_same(result, reference)
         assert clean.cache.telemetry.quarantined == 1
-        assert clean.telemetry.cache_hits == len(traces) - 1
+        assert clean.telemetry.cache_hits == len(jobs) - 1
         quarantine = os.path.join(cache_dir, "quarantine")
         assert os.path.isdir(quarantine) and len(os.listdir(quarantine)) == 1
 
-    def test_parallel_corrupt_reap_recovers(self, traces, machine, golden, tmp_path):
+    def test_parallel_corrupt_reap_recovers(self, jobs, golden, tmp_path):
         """Workers write corrupt entries; the parent's reap detects it and
         recomputes in-process — results still bit-identical."""
         cache_dir = str(tmp_path / "simcache")
         plan = FaultPlan.corrupt_cache(attempts=1)  # every workload's 1st put
         ex = SimExecutor(jobs=2, retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
-        results = ex.run_many([(t, machine) for t in traces])
+        results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
         assert ex.cache.telemetry.quarantined >= 1
@@ -312,7 +303,7 @@ class TestCacheCorruption:
 
 class TestDegradedCacheDirectory:
     def test_failing_writes_degrade_with_one_warning(
-        self, traces, machine, golden, tmp_path, monkeypatch
+        self, jobs, golden, tmp_path, monkeypatch
     ):
         # chmod-based read-only dirs don't stop root, so simulate the
         # full/read-only filesystem at the atomic-rename step instead.
@@ -323,24 +314,24 @@ class TestDegradedCacheDirectory:
 
         monkeypatch.setattr(os, "replace", refuse)
         with pytest.warns(RuntimeWarning, match="degrading to uncached"):
-            cache.put(traces[0], machine, golden[0])
-            cache.put(traces[1], machine, golden[1])  # no second warning
+            cache.put(jobs[0], golden[0])
+            cache.put(jobs[1], golden[1])  # no second warning
         assert cache.degraded
         assert cache.telemetry.put_failures >= 1
-        assert cache.get(traces[0], machine) is None
+        assert cache.get(jobs[0]) is None
 
-    def test_executor_survives_unusable_cache(self, traces, machine, golden, tmp_path):
+    def test_executor_survives_unusable_cache(self, jobs, golden, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         with pytest.warns(RuntimeWarning):
             ex = SimExecutor(jobs=1, cache_dir=str(blocker / "simcache"))
-            results = ex.run_many([(t, machine) for t in traces])
+            results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
 
 
 class TestTelemetryAccounting:
-    def test_serial_fallback_counts_simulate_time_once(self, traces, monkeypatch):
+    def test_serial_fallback_counts_simulate_time_once(self, jobs, monkeypatch):
         """Satellite regression: the broken-pool fallback used to add the
         failed pool window *and* the serial window to ``simulate_seconds``.
         With a fake clock advancing 1 s per reading, the serial window is
@@ -358,8 +349,7 @@ class TestTelemetryAccounting:
         monkeypatch.setattr(
             executor_mod, "perf_counter", lambda: float(next(ticker))
         )
-        machine = hardware_a15()
         ex = SimExecutor(jobs=4)
-        ex.run_many([(t, machine) for t in traces])
+        ex.run_many(jobs)
         assert ex.telemetry.serial_fallbacks == 1
         assert ex.telemetry.simulate_seconds == 1.0

@@ -24,7 +24,7 @@ from repro.sim.guard import (
     guarded_simulate,
 )
 from repro.sim.machine import hardware_a15
-from repro.sim.result_cache import cache_key
+from repro.sim.result_cache import SimJob
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import columnar_checksum, compile_trace, validate_columnar
 
@@ -276,9 +276,11 @@ class TestPoisonBreaker:
     """
 
     @pytest.fixture(scope="class")
-    def pairs(self, trace, machine):
-        bystander = compile_trace(workload_by_name("mi-qsort"), N_INSTRS)
-        return [(trace, machine), (bystander, machine)]
+    def pairs(self, machine):
+        return [
+            SimJob(workload_by_name(name), N_INSTRS, machine)
+            for name in ("mi-sha", "mi-qsort")
+        ]
 
     @staticmethod
     def _crashing(guard):
@@ -291,7 +293,7 @@ class TestPoisonBreaker:
 
     def test_poison_accounting(self, pairs):
         executor = self._crashing(PARANOID)
-        key, bystander = (cache_key(*pair) for pair in pairs)
+        key, bystander = (job.key for job in pairs)
         assert POISON_THRESHOLD == 2
         assert not executor.is_poisoned(key)
         executor.run_many(pairs, raise_on_error=False)
@@ -324,7 +326,7 @@ class TestPoisonBreaker:
         assert not executor.guard.plan.active
         for _ in range(POISON_THRESHOLD + 1):
             executor.run_many(pairs, raise_on_error=False)
-        assert executor.is_poisoned(cache_key(*pairs[0]))
+        assert executor.is_poisoned(pairs[0].key)
         assert executor.telemetry.worker_crashes == POISON_THRESHOLD
         assert [e.kind for e in executor.guard.events] == ["poison-job"]
         assert executor.guard.telemetry.poison_jobs == 1

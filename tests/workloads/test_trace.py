@@ -9,6 +9,7 @@ from repro.workloads.trace import (
     BranchClass,
     SyntheticTrace,
     compile_trace,
+    recipe_digest,
     workload_seed,
 )
 
@@ -32,6 +33,16 @@ class TestDeterminism:
         a = compile_trace(profile, 8_000, seed=1)
         b = compile_trace(profile, 8_000, seed=2)
         assert not np.array_equal(a.mem_addrs, b.mem_addrs)
+
+    def test_trace_stamped_with_recipe_digest(self):
+        profile = workload_by_name("mi-sha")
+        trace = compile_trace(profile, 8_000)
+        assert trace.digest == recipe_digest(profile, 8_000)
+        assert trace.digest == recipe_digest(
+            profile, 8_000, workload_seed("mi-sha")
+        )
+        assert trace.digest != recipe_digest(profile, 8_000, seed=1)
+        assert trace.digest != recipe_digest(profile, 9_000)
 
     def test_workload_seed_stable(self):
         assert workload_seed("mi-sha") == workload_seed("mi-sha")

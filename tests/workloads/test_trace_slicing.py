@@ -13,6 +13,14 @@ def trace():
 
 
 class TestSliceTrace:
+    def test_slice_digest_follows_parent_and_bounds(self, trace):
+        window = slice_trace(trace, 0, 10)
+        assert window.digest == slice_trace(trace, 0, 10).digest
+        assert window.digest not in ("", trace.digest)
+        assert window.digest != slice_trace(trace, 0, 11).digest
+        other = compile_trace(workload_by_name("mi-sha"), 8_000)
+        assert window.digest != slice_trace(other, 0, 10).digest
+
     def test_full_slice_preserves_totals(self, trace):
         window = slice_trace(trace, 0, len(trace.block_seq))
         assert window.totals == trace.totals
