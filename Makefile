@@ -21,9 +21,11 @@ test-chaos:
 
 # Distributed-campaign scenarios only: shard crashes between the store
 # write and the done marker, SIGKILLed workers, leases expiring under
-# live workers, poison jobs crossing shards, coordinators killed and
-# resumed, corrupted store entries — each must converge to a dataset
-# bit-identical to a serial run with no duplicated results.
+# live workers, poison jobs crossing shards, job faults inside a shard,
+# coordinators killed and resumed, corrupted store entries — each must
+# converge to a dataset bit-identical to a serial run with no duplicated
+# results.  Includes the shard worker-loop unit tests, which drive every
+# claim through the shard's SimExecutor (cache probe, guards, job faults).
 test-dist:
 	$(PYTHON) -m pytest -q -m dist tests
 

@@ -23,11 +23,16 @@ a single result:
   filesystem's own clock (the mtime of a freshly touched probe file), so
   the protocol needs no wall-clock reads and works across hosts with
   skewed clocks.
+* **One simulate path** — a shard runs each claim through a serial
+  :class:`~repro.sim.executor.SimExecutor` over the board's result store,
+  exactly as ``gemstone report`` computes a job.  It makes one attempt per
+  claim: the board's claim budget is the campaign's only retry loop.
 * **Worker-loss recovery** — results land in the board's content-addressed
   :class:`~repro.sim.result_cache.SimResultCache` *before* the done
   marker, so a shard killed between the two leaves an orphaned-but-intact
-  result that the stealing shard verifies and adopts instead of
-  recomputing.  A job whose attempts exhaust the retry budget is poisoned
+  result that the stealing shard's executor finds on its cache probe and
+  adopts instead of recomputing.  A shard that lost its lease marks
+  nothing done.  A job whose attempts exhaust the retry budget is poisoned
   (the cross-shard analogue of the executor's poison-job circuit breaker)
   and surfaced as a structured failure instead of wedging the campaign.
 * **Incremental recompute** — :meth:`CampaignBoard.create_or_sync` diffs a
@@ -54,9 +59,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from repro.atomicio import Journal, atomic_write_text, file_lock
@@ -71,9 +78,9 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import MetricsRegistry, MetricView
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.executor import RetryPolicy
+from repro.sim.executor import RetryPolicy, SimExecutor, SimJobError
 from repro.sim.faults import InjectedFault
-from repro.sim.guard import GuardEvent, GuardPlan, GuardRail, guarded_simulate
+from repro.sim.guard import GuardEvent, GuardPlan
 from repro.sim.machine import hardware_a15, hardware_a7
 from repro.sim.result_cache import SimJob, SimResultCache
 
@@ -96,7 +103,7 @@ class CampaignTelemetry(MetricView):
         leases_stolen: Expired leases taken over by another owner.
         jobs_done: Jobs marked done (computed or adopted).
         jobs_adopted: Done jobs whose result an earlier owner had stored.
-        jobs_abandoned: Stalled claims dropped after losing the lease.
+        jobs_abandoned: Claims that lost their lease before the done marker.
         jobs_poisoned: Jobs circuit-broken after exhausting the budget.
         job_errors: Job attempts that raised (requeued, not fatal).
         workers_started: Shard processes the coordinator spawned.
@@ -261,11 +268,9 @@ class CampaignBoard:
     def _poison_path(self, key: str) -> str:
         return os.path.join(self.directory, "poisoned", f"{key}.json")
 
-    def store(self, faults=None) -> SimResultCache:
+    def store(self) -> SimResultCache:
         """The campaign's shared result store (one per call, same files)."""
-        return SimResultCache(
-            self.results_dir, faults=faults, metrics=self.metrics
-        )
+        return SimResultCache(self.results_dir, metrics=self.metrics)
 
     # ----------------------------------------------------------- primitives
     @contextlib.contextmanager
@@ -600,9 +605,18 @@ class CampaignBoard:
         self.telemetry.jobs_requeued += 1
         return True
 
-    def mark_done(self, key: str, owner: str, adopted: bool = False) -> None:
-        """Mark one job complete and drop its lease."""
+    def mark_done(self, key: str, owner: str, adopted: bool = False) -> bool:
+        """Mark one job complete and drop its lease; False if not owner.
+
+        A claimant whose lease was stolen writes no done marker: it
+        journals ``job-abandoned`` instead, so every key reaches
+        ``job-done`` exactly once.
+        """
         with self._lock():
+            if not self.owns(key, owner):
+                self._append_journal("job-abandoned", key=key, owner=owner)
+                self.telemetry.jobs_abandoned += 1
+                return False
             atomic_write_text(
                 self._done_path(key),
                 json.dumps({"owner": owner, "adopted": bool(adopted)}),
@@ -615,12 +629,7 @@ class CampaignBoard:
         self.telemetry.jobs_done += 1
         if adopted:
             self.telemetry.jobs_adopted += 1
-
-    def note_abandoned(self, key: str, owner: str) -> None:
-        """Journal a stalled claimant dropping a job it no longer owns."""
-        with self._lock():
-            self._append_journal("job-abandoned", key=key, owner=owner)
-        self.telemetry.jobs_abandoned += 1
+        return True
 
     # ---------------------------------------------------------------- status
     def all_settled(self) -> bool:
@@ -690,47 +699,34 @@ def _heartbeat_loop(
 
 
 def _run_one(
-    board: CampaignBoard,
-    store: SimResultCache,
-    job: SimJob,
-    ordinal: int,
-    attempt: int,
-    owner: str,
-    engine: str,
-    guard: GuardRail,
-    faults,
-    in_worker: bool,
+    board: CampaignBoard, executor: SimExecutor, claim: Claim, owner: str,
     report: WorkerReport,
-    tracer: Tracer = NULL_TRACER,
-) -> None:
-    """One claimed job: adopt, or recompute + store + mark done."""
-    if store.get(job) is not None:
-        # A previous owner stored the result but died before its done
-        # marker (or sync raced us): adopt it, never recompute.
-        board.mark_done(job.key, owner, adopted=True)
-        report.adopted += 1
-        report.done += 1
-        return
-    name = job.profile.name
-    if faults is not None:
-        faults.apply_job_fault(ordinal, name, attempt, in_worker=in_worker)
-    result, events, sentinels = guarded_simulate(
-        job.compile(), job.machine, engine, guard.plan, faults, ordinal,
-        attempt, tracer=tracer,
-    )
-    guard.absorb(events, sentinels)
-    store.put(job, result)
-    if faults is not None:
-        crash = faults.shard_fault("stored", name, attempt)
-        if crash is not None:
-            if in_worker:
-                os._exit(1)
+) -> bool:
+    """One claimed job through the executor; False if the lease was lost.
+
+    A result the executor's cache probe finds was stored by an earlier
+    owner that died before its done marker (or sync raced us): it is
+    adopted, never recomputed.
+    """
+    job = claim.job
+    hits = executor.telemetry.cache_hits
+    executor.run(job, ordinal=claim.ordinal, attempt=claim.attempt)
+    adopted = executor.telemetry.cache_hits > hits
+    if not adopted and executor.faults is not None:
+        name = job.profile.name
+        if executor.faults.shard_fault("stored", name, claim.attempt):
+            if multiprocessing.parent_process() is not None:
+                os._exit(1)  # a spawned shard dies for real
             raise InjectedFault(
                 f"injected shard crash after storing {name} "
-                f"(attempt {attempt})"
+                f"(attempt {claim.attempt})"
             )
-    board.mark_done(job.key, owner)
+    if not board.mark_done(job.key, owner, adopted=adopted):
+        report.abandoned += 1
+        return False
     report.done += 1
+    report.adopted += adopted
+    return True
 
 
 def run_worker(
@@ -741,7 +737,6 @@ def run_worker(
     faults=None,
     max_jobs: int | None = None,
     poll_seconds: float = 0.05,
-    in_worker: bool = True,
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
 ) -> WorkerReport:
@@ -749,91 +744,96 @@ def run_worker(
 
     Claims jobs until the board settles (every job done or poisoned) or
     ``max_jobs`` completions, heartbeating each lease from a background
-    thread.  A job that raises is journalled and released for the next
-    claimant; the board's attempt budget eventually poisons repeat
-    offenders.  ``in_worker=False`` (the coordinator's inline drain) makes
-    injected crash faults raise instead of killing the process.
+    thread.  Each claim runs through one serial
+    :class:`~repro.sim.executor.SimExecutor` over the board's result
+    store, making one attempt.  A job that raises is journalled and
+    released for the next claimant; the board's attempt budget eventually
+    poisons repeat offenders.
 
     Returns:
         A :class:`WorkerReport` of everything this shard did.
     """
     tracer = tracer if tracer is not None else NULL_TRACER
     board = CampaignBoard.open(board_dir, metrics=metrics)
-    store = board.store()
-    # Guard outcomes land in this shard's registry, so its snapshot (and
-    # the merged campaign metrics) carry the sim.guard.* counters.
-    guard = GuardRail(GuardPlan(level=guard_level), board.metrics, tracer)
+    # Guard and executor outcomes land in this shard's registry, so its
+    # snapshot (and the merged campaign metrics) carry the sim.guard.* and
+    # sim.executor.* counters.
+    executor = SimExecutor(
+        jobs=1, cache_dir=board.results_dir, retry=RetryPolicy(max_attempts=1),
+        faults=faults, engine=engine, guard=GuardPlan(level=guard_level),
+        metrics=board.metrics, tracer=tracer,
+    )
     if owner is None:
         owner = f"worker-{os.getpid()}"
     report = WorkerReport(owner=owner)
-    worker_span = tracer.span("campaign-worker", kind="campaign", owner=owner)
-    worker_span.__enter__()
-    while max_jobs is None or report.done < max_jobs:
-        claim = board.claim(owner)
-        if claim is None:
-            if board.all_settled():
-                break
-            time.sleep(poll_seconds)
-            continue
-        job, attempt = claim.job, claim.attempt
-        name = job.profile.name
-        report.claimed += 1
-        if claim.stolen:
-            report.stolen += 1
-        # The span opens before the stall-fault window so a lease lost
-        # under a live worker is visible on this shard's track (closed
-        # with ``abandoned=True``) while the thief's track carries the
-        # matching ``stolen=True`` span.
-        jspan = tracer.span(
-            "campaign-job", kind="campaign", workload=name,
-            machine=job.machine.name, attempt=attempt, owner=owner,
-            stolen=claim.stolen,
-        )
-        with jspan:
-            if faults is not None:
+    with tracer.span(
+        "campaign-worker", kind="campaign", owner=owner
+    ) as worker_span:
+        while max_jobs is None or report.done < max_jobs:
+            claim = board.claim(owner)
+            if claim is None:
+                if board.all_settled():
+                    break
+                time.sleep(poll_seconds)
+                continue
+            job, attempt = claim.job, claim.attempt
+            name = job.profile.name
+            report.claimed += 1
+            if claim.stolen:
+                report.stolen += 1
+            # The span opens before the stall-fault window so a lease lost
+            # under a live worker is visible on this shard's track (closed
+            # with ``abandoned=True``) while the thief's track carries the
+            # matching ``stolen=True`` span.
+            with tracer.span(
+                "campaign-job", kind="campaign", workload=name,
+                machine=job.machine.name, attempt=attempt, owner=owner,
+                stolen=claim.stolen,
+            ) as jspan:
                 # A lease-stall fault sleeps *before* the heartbeat thread
                 # starts, so the lease genuinely expires under a live
-                # worker.
-                stall = faults.shard_fault("claimed", name, attempt)
+                # worker, which then loses the job at its done marker.
+                stall = (
+                    faults.shard_fault("claimed", name, attempt)
+                    if faults is not None else None
+                )
                 if stall is not None:
                     time.sleep(stall.hang_seconds)
-                    if not board.owns(job.key, owner):
-                        board.note_abandoned(job.key, owner)
-                        report.abandoned += 1
+                stop = threading.Event()
+                beat = threading.Thread(
+                    target=_heartbeat_loop,
+                    args=(board, job.key, owner, stop), daemon=True,
+                )
+                beat.start()
+                started = time.perf_counter()
+                try:
+                    if not _run_one(board, executor, claim, owner, report):
                         jspan.set(abandoned=True)
-                        continue
-            stop = threading.Event()
-            beat = threading.Thread(
-                target=_heartbeat_loop, args=(board, job.key, owner, stop),
-                daemon=True,
-            )
-            beat.start()
-            started = time.perf_counter()
-            try:
-                _run_one(board, store, job, claim.ordinal, attempt, owner,
-                         engine, guard, faults, in_worker, report, tracer)
-                board.metrics.histogram(
-                    "sim.campaign.job.seconds"
-                ).observe(time.perf_counter() - started)
-            except Exception as exc:
-                report.errors += 1
-                board.telemetry.job_errors += 1
-                jspan.set(failed=True, error=type(exc).__name__)
-                logger.warning(
-                    "campaign job %s on %s failed on attempt %d: %s",
-                    name, job.machine.name, attempt, exc,
-                )
-                board.release(
-                    job.key, owner, reason=f"{type(exc).__name__}: {exc}"
-                )
-            finally:
-                stop.set()
-                beat.join()
-    worker_span.set(
-        claimed=report.claimed, done=report.done, stolen=report.stolen,
-        abandoned=report.abandoned, errors=report.errors,
-    )
-    worker_span.__exit__(None, None, None)
+                    board.metrics.histogram(
+                        "sim.campaign.job.seconds"
+                    ).observe(time.perf_counter() - started)
+                except Exception as exc:
+                    report.errors += 1
+                    board.telemetry.job_errors += 1
+                    # Journal the job's own error, not the executor's
+                    # SimJobError wrapper around it.
+                    reason = (
+                        exc.failure.error if isinstance(exc, SimJobError)
+                        else f"{type(exc).__name__}: {exc}"
+                    )
+                    jspan.set(failed=True, error=reason.partition(":")[0])
+                    logger.warning(
+                        "campaign job %s on %s failed on attempt %d: %s",
+                        name, job.machine.name, attempt, reason,
+                    )
+                    board.release(job.key, owner, reason=reason)
+                finally:
+                    stop.set()
+                    beat.join()
+        worker_span.set(
+            claimed=report.claimed, done=report.done, stolen=report.stolen,
+            abandoned=report.abandoned, errors=report.errors,
+        )
     return report
 
 
@@ -867,7 +867,6 @@ def _worker_entry(
             faults=faults,
             max_jobs=max_jobs,
             poll_seconds=poll_seconds,
-            in_worker=True,
             metrics=metrics,
             tracer=tracer,
         )
@@ -986,8 +985,6 @@ def run_campaign(
     Raises:
         ValueError: For a non-positive ``shards``.
     """
-    import multiprocessing
-
     from repro.core.runstate import RunManifest
     from repro.core.validation import CollectionHealth
 
@@ -1030,7 +1027,7 @@ def run_campaign(
                 if not any(proc.is_alive() for proc in procs):
                     # Every shard is gone (finished, crashed or capped)
                     # with work outstanding: drain inline so the campaign
-                    # always converges.  Injected crash faults raise here
+                    # always converges.  Injected shard crashes raise here
                     # instead of killing the coordinator, so the attempt
                     # budget can poison repeat offenders.
                     logger.warning(
@@ -1041,8 +1038,7 @@ def run_campaign(
                         board_dir, owner="coordinator",
                         engine=config.engine,
                         guard_level=config.guard_level,
-                        faults=config.faults, in_worker=False,
-                        poll_seconds=poll_seconds,
+                        faults=config.faults, poll_seconds=poll_seconds,
                         metrics=board.metrics, tracer=tracer,
                     )
                     break
@@ -1062,7 +1058,9 @@ def run_campaign(
                         )
                     )
             board.telemetry.workers_lost += lost
-    for record in board.read_journal():
+    journal = board.read_journal()
+    events = Counter(record.get("event") for record in journal)
+    for record in journal:
         if record.get("event") == "lease-stolen":
             workload, machine = board.job_names(str(record.get("key", "")))
             health.record_guard_event(
@@ -1084,16 +1082,8 @@ def run_campaign(
             workload, 0.0, "campaign", RuntimeError(reason)
         )
     status = board.status()
-    journal = board.read_journal()
-    stolen = sum(1 for r in journal if r.get("event") == "lease-stolen")
-    journal_claims = sum(
-        1
-        for r in journal
-        if r.get("event") in ("lease-claimed", "lease-stolen")
-    )
-    abandoned = sum(
-        1 for r in journal if r.get("event") == "job-abandoned"
-    )
+    stolen = events["lease-stolen"]
+    journal_claims = events["lease-claimed"] + stolen
     # The campaign summary is built from journal- and board-derived counts
     # only — no wall-clock, no per-owner scheduling detail — so a clean
     # campaign's report stays byte-identical traced or untraced.  The
@@ -1107,7 +1097,7 @@ def run_campaign(
         "reused": sync["reused"],
         "requeued": sync["requeued"],
         "stolen": stolen,
-        "abandoned": abandoned,
+        "abandoned": events["job-abandoned"],
         "hint": autotune_hint(
             shards,
             status["total"],

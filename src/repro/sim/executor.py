@@ -27,7 +27,8 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   in the parent under a deterministic :class:`RetryPolicy`; a broken pool
   (a hard worker death) loses only the jobs that had not finished — every
   completed sibling keeps its result, and every job the pool took down
-  with it gets its serial isolation rerun.  A job whose rerun confirms it
+  with it gets its serial isolation rerun, as does a job whose
+  worker-written entry fails to reap.  A job whose rerun confirms it
   killed the worker :data:`POISON_THRESHOLD` times is circuit-broken: it
   never touches a pool again.  Because jobs are pure, recovered results
   are bit-identical to a fault-free run;
@@ -41,6 +42,9 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   an optional :class:`~repro.obs.tracer.Tracer` records per-batch and
   per-job spans — including spans recorded *inside* worker processes,
   shipped back with the results and stitched into the parent tree.
+
+The executor is the only simulate path: the simulator front-ends and every
+campaign shard (:mod:`repro.sim.campaign`) run their jobs through it.
 """
 
 from __future__ import annotations
@@ -202,11 +206,6 @@ class SimTelemetry(MetricView):
         """Total wall-clock across all executor stages."""
         return self.probe_seconds + self.simulate_seconds + self.reap_seconds
 
-    @property
-    def cache_misses(self) -> int:
-        """Unique jobs not answered by the disk cache."""
-        return self.jobs_run
-
     def throughput(self) -> float:
         """Simulations per second of simulate-stage wall-clock."""
         if self.simulate_seconds <= 0.0:
@@ -351,13 +350,18 @@ class SimExecutor:
         self._broken: set[str] = set()
 
     # ------------------------------------------------------------------ public
-    def run(self, job: SimJob) -> SimResult:
+    def run(
+        self, job: SimJob, *, ordinal: int | None = None, attempt: int = 1
+    ) -> SimResult:
         """Simulate one job through the cache layers.
+
+        A campaign shard pins the job's ``ordinal`` (fault matching,
+        sentinel sampling) and first ``attempt`` to its board claim.
 
         Raises:
             SimJobError: If the job fails permanently (retry budget spent).
         """
-        return self.run_many([job])[0]
+        return self._run_batch([job], True, ordinal, attempt)[0]
 
     def run_many(
         self, jobs: Sequence[SimJob], raise_on_error: bool = True
@@ -381,7 +385,12 @@ class SimExecutor:
         Raises:
             SimJobError: A job exhausted its retries (``raise_on_error``).
         """
-        jobs = list(jobs)
+        return self._run_batch(list(jobs), raise_on_error)
+
+    def _run_batch(
+        self, jobs: list[SimJob], raise_on_error: bool,
+        ordinal: int | None = None, first_attempt: int = 1,
+    ) -> list[SimResult | None]:
         telemetry = self.telemetry
         telemetry.batches += 1
         telemetry.jobs_submitted += len(jobs)
@@ -420,7 +429,7 @@ class SimExecutor:
             )
 
             if pending:
-                computed = self._execute(pending)
+                computed = self._execute(pending, ordinal, first_attempt)
                 started = perf_counter()
                 with self.tracer.span("reap", kind="executor"):
                     for job, outcome in zip(pending, computed):
@@ -469,13 +478,15 @@ class SimExecutor:
 
     # --------------------------------------------------------------- internals
     def _execute(
-        self, pending: list[SimJob]
+        self, pending: list[SimJob], ordinal: int | None, first_attempt: int
     ) -> list[SimResult | SimJobFailure]:
         self.telemetry.jobs_run += len(pending)
-        ordinals = list(range(self._next_ordinal, self._next_ordinal + len(pending)))
-        self._next_ordinal += len(pending)
+        if ordinal is None:
+            ordinal = self._next_ordinal
+            self._next_ordinal += len(pending)
+        ordinals = list(range(ordinal, ordinal + len(pending)))
         if self.jobs <= 1 or len(pending) <= 1:
-            return self._execute_serial(pending, ordinals)
+            return self._execute_serial(pending, ordinals, first_attempt)
 
         # Poison-job circuit breaker: a job whose kill count reached
         # POISON_THRESHOLD never touches a pool again — it is quarantined to
@@ -632,38 +643,29 @@ class SimExecutor:
         outcomes: list[SimResult | SimJobFailure | None] = [None] * len(pending)
         started = perf_counter()
         for i, result in in_band.items():
-            job = pending[i]
             if result is None and self.cache is not None:
                 # The worker wrote the cache entry; reap it from disk.  A
                 # corrupt entry is quarantined by the cache and comes back
                 # as None.
-                result = self.cache.get(job)
-            if result is None:
-                # Reap failed (entry evicted or corrupted underneath us) —
-                # recompute in the parent; determinism makes this safe.
-                result, events, sentinels = guarded_simulate(
-                    job.compile(), job.machine, self.engine, self.guard.plan,
-                    self.faults, ordinals[i], tracer=self.tracer,
-                )
-                self.guard.absorb(events, sentinels)
-                if self.cache is not None:
-                    self.cache.put(job, result)
+                result = self.cache.get(pending[i])
             outcomes[i] = result
         telemetry.reap_seconds += perf_counter() - started
 
-        if failed_kind:
-            # Crash isolation: only the affected jobs rerun serially; every
-            # finished sibling above keeps its result.  A "crash" only says
-            # the pool broke under the job, so it always gets its isolation
-            # rerun; a timeout, error or OOM is the job's own attempt and
-            # respects the retry budget (a hung job is never rerun
-            # uninterruptibly in the parent).
-            indices = sorted(failed_kind)
-            telemetry.jobs_isolated += len(indices)
-            rerun = [
-                i for i in indices
-                if failed_kind[i] == "crash" or self.retry.max_attempts > 1
-            ]
+        # Parent-side reruns, one serial pass from attempt 2; every finished
+        # sibling above keeps its result.  A job whose entry failed to reap
+        # (evicted or corrupted underneath us) or that a broken pool took
+        # down (a "crash" only says the pool broke under it) always reruns;
+        # a timeout, error or OOM is the job's own attempt and respects the
+        # retry budget (a hung job is never rerun uninterruptibly in the
+        # parent).
+        indices = sorted(failed_kind)
+        telemetry.jobs_isolated += len(indices)
+        rerun = [
+            i for i, outcome in enumerate(outcomes)
+            if outcome is None
+            and (failed_kind.get(i) in (None, "crash") or self.retry.max_attempts > 1)
+        ]
+        if rerun:
             recovered = self._execute_serial(
                 [pending[i] for i in rerun],
                 [ordinals[i] for i in rerun],
@@ -671,26 +673,26 @@ class SimExecutor:
             )
             for i, outcome in zip(rerun, recovered):
                 outcomes[i] = outcome
-            for i in indices:
-                if outcomes[i] is None:
-                    telemetry.jobs_failed += 1
-                    outcomes[i] = SimJobFailure(
-                        trace_name=pending[i].profile.name,
-                        machine_name=pending[i].machine.name,
-                        attempts=1,
-                        kind=failed_kind[i],
-                        error=failed_error[i],
-                    )
-                elif failed_kind[i] == "crash" and isinstance(
-                    outcomes[i], SimJobFailure
-                ):
-                    # Poison-job accounting: a broken-pool crash is
-                    # attributed to a job only when its serial rerun *also*
-                    # fails — bystanders that were merely in flight when
-                    # another job killed the worker recover serially and
-                    # never accumulate kills.
-                    key = pending[i].key
-                    self._kills[key] = self._kills.get(key, 0) + 1
+        for i in indices:
+            if outcomes[i] is None:
+                telemetry.jobs_failed += 1
+                outcomes[i] = SimJobFailure(
+                    trace_name=pending[i].profile.name,
+                    machine_name=pending[i].machine.name,
+                    attempts=1,
+                    kind=failed_kind[i],
+                    error=failed_error[i],
+                )
+            elif failed_kind[i] == "crash" and isinstance(
+                outcomes[i], SimJobFailure
+            ):
+                # Poison-job accounting: a broken-pool crash is
+                # attributed to a job only when its serial rerun *also*
+                # fails — bystanders that were merely in flight when
+                # another job killed the worker recover serially and
+                # never accumulate kills.
+                key = pending[i].key
+                self._kills[key] = self._kills.get(key, 0) + 1
         return outcomes  # type: ignore[return-value]  # every slot is filled
 
     def _execute_serial(

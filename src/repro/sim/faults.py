@@ -9,13 +9,16 @@ those paths *testable* by injecting each failure class deterministically.
 A :class:`FaultPlan` is an immutable, picklable description of which faults
 fire where:
 
-* ``crash`` — a simulation job dies.  In a worker process this is a hard
-  ``os._exit`` (the pool observes a genuine ``BrokenProcessPool``); in the
-  parent's serial path it raises :class:`InjectedFault` (a poisoned job).
+* ``crash`` — a simulation job dies.  In a pool worker process this is a
+  hard ``os._exit`` (the pool observes a genuine ``BrokenProcessPool``); in
+  the executor's serial lane it raises :class:`InjectedFault` (a poisoned
+  job).  Campaign shards run their claims through that serial lane, so
+  there the crash raises and the board requeues the job.
 * ``hang`` — a job sleeps past the executor's per-job timeout.
 * ``corrupt-cache`` — a :class:`~repro.sim.result_cache.SimResultCache`
   write is replaced with truncated garbage, exercising the integrity check
-  and quarantine path on the next read.
+  and quarantine path on the next read.  It hits every executor cache
+  write: the serial lane's, a pool worker's and a campaign shard's.
 * ``drop-power`` / ``nan-power`` — the platform's 3.8 Hz power sensor loses
   samples or returns NaN, exercising the robust-mean path and the
   sample-loss accounting in :class:`~repro.core.validation.CollectionHealth`.
@@ -32,7 +35,8 @@ fire where:
 * ``shard-crash`` / ``lease-stall`` — campaign-shard faults consumed by
   :mod:`repro.sim.campaign` workers: a shard process dies *after* storing
   its result but *before* marking the job done (the orphaned result must
-  be adopted by whichever shard steals the expired lease), or a shard
+  be adopted by whichever shard steals the expired lease; outside a
+  spawned shard the fault raises :class:`InjectedFault`), or a shard
   stalls past the lease TTL while still alive (a peer must steal the
   lease and the staller must notice on waking and abandon the job so no
   result is duplicated).
@@ -74,7 +78,7 @@ SHARD_FAULT_KINDS = ("shard-crash", "lease-stall")
 
 
 class InjectedFault(RuntimeError):
-    """Raised (in-process) by a ``crash`` fault; never raised in workers."""
+    """Raised in the serial lane by a ``crash`` fault; never in pool workers."""
 
 
 @dataclass(frozen=True)

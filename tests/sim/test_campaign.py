@@ -23,7 +23,8 @@ from repro.sim.campaign import (
     run_worker,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.sim.executor import RetryPolicy, SimExecutor
+from repro.obs.tracer import Tracer
+from repro.sim.executor import RetryPolicy, SimExecutor, SimTelemetry
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import GuardPlan
 from repro.sim.machine import gem5_ex5_big, hardware_a15, hardware_a7
@@ -199,6 +200,25 @@ class TestLeasing:
         ][0]
         assert record["reason"] == "boom"
 
+    def test_stale_owner_cannot_mark_a_stolen_job_done(self, tmp_path):
+        board = CampaignBoard(str(tmp_path), ttl_seconds=0.05)
+        board.create_or_sync("fp", [_fake_job(0)])
+        key = board.claim("alice").job.key
+        past = board.now() - 1.0
+        os.utime(board._lease_path(key), (past, past))
+        assert board.claim("bob").stolen
+        assert board.mark_done(key, "bob") is True
+        # Alice wakes after the steal: her done marker must write nothing.
+        assert board.mark_done(key, "alice") is False
+        outcomes = [
+            (r["event"], r["owner"]) for r in board.read_journal()
+            if r["event"] in ("job-done", "job-abandoned")
+        ]
+        assert outcomes == [("job-done", "bob"), ("job-abandoned", "alice")]
+        assert board._read_json(board._done_path(key))["owner"] == "bob"
+        assert board.telemetry.jobs_done == 1
+        assert board.telemetry.jobs_abandoned == 1
+
     def test_heartbeat_fails_after_losing_the_lease(self, board):
         board.create_or_sync("fp", [_fake_job(0)])
         claim = board.claim("alice")
@@ -280,10 +300,11 @@ def tiny_board(tmp_path_factory):
     return directory
 
 
+@pytest.mark.dist
 class TestWorkerLoop:
     def test_worker_drains_board_and_reuses_results(self, tiny_board):
         report = run_worker(
-            tiny_board, owner="unit", engine="scalar", in_worker=False
+            tiny_board, owner="unit", engine="scalar"
         )
         assert report.done == 2
         assert report.errors == 0
@@ -291,7 +312,7 @@ class TestWorkerLoop:
         assert board.all_settled()
         # A second worker finds nothing to do.
         idle = run_worker(
-            tiny_board, owner="late", engine="scalar", in_worker=False
+            tiny_board, owner="late", engine="scalar"
         )
         assert idle.claimed == 0
 
@@ -302,31 +323,86 @@ class TestWorkerLoop:
         # done marker.
         os.remove(board._done_path(key))
         report = run_worker(
-            tiny_board, owner="healer", engine="scalar", in_worker=False
+            tiny_board, owner="healer", engine="scalar"
         )
         assert report.adopted == 1
         assert report.done == 1
         done = board._read_json(board._done_path(key))
         assert done["adopted"] is True
 
+    def test_worker_span_closes_when_a_claim_raises(
+        self, tiny_board, monkeypatch
+    ):
+        def locked_out(self, owner):
+            raise OSError("board lock unavailable")
 
+        monkeypatch.setattr(CampaignBoard, "claim", locked_out)
+        tracer = Tracer(enabled=True)
+        with pytest.raises(OSError, match="board lock unavailable"):
+            run_worker(tiny_board, owner="locked-out", tracer=tracer)
+        spans = [r for r in tracer.records if r["name"] == "campaign-worker"]
+        assert [(s["status"], s["attrs"]["error"]) for s in spans] == [
+            ("error", "OSError")
+        ]
+
+
+def _one_workload_board(tmp_path):
+    """A fresh board for ``mi-sha`` on both machines, and its jobs."""
+    profiles = (workload_by_name("mi-sha"),)
+    config = GemStoneConfig(
+        core="A15",
+        workloads=profiles,
+        power_workloads=profiles,
+        trace_instructions=2_000,
+    )
+    jobs = campaign_jobs(config)
+    board = CampaignBoard(str(tmp_path / "board"))
+    fingerprint = RunManifest.from_config(config).fingerprint
+    board.create_or_sync(fingerprint, jobs)
+    return board, fingerprint, jobs
+
+
+@pytest.mark.dist
+class TestWorkerJobFaults:
+    """Job faults reach a shard through its executor, as in a serial run."""
+
+    def test_crash_fault_raises_and_requeues(self, tmp_path):
+        board, _fp, jobs = _one_workload_board(tmp_path)
+        report = run_worker(
+            board.directory, owner="crashy", engine="scalar",
+            faults=FaultPlan.crash_workload("mi-sha", attempts=1),
+        )
+        # Attempt 1 of each job raises InjectedFault; attempt 2 completes.
+        assert (report.errors, report.done) == (len(jobs), len(jobs))
+        reasons = [
+            r["reason"] for r in board.read_journal()
+            if r["event"] == "job-requeued"
+        ]
+        assert len(reasons) == len(jobs)
+        assert all(r.startswith("InjectedFault: ") for r in reasons)
+        assert board.all_settled()
+
+    def test_corrupt_cache_fault_garbles_shard_writes(self, tmp_path):
+        board, fingerprint, jobs = _one_workload_board(tmp_path)
+        report = run_worker(
+            board.directory, owner="garbler", engine="scalar",
+            faults=FaultPlan.corrupt_cache("mi-sha"),
+        )
+        assert report.done == len(jobs)
+        # The next sync finds every garbled entry and re-queues its job.
+        assert board.create_or_sync(fingerprint, jobs)["requeued"] == len(jobs)
+        assert board.store().telemetry.quarantined == len(jobs)
+
+
+@pytest.mark.dist
 class TestWorkerGuard:
     def test_shard_records_guard_events_like_the_executor(self, tmp_path):
-        profiles = (workload_by_name("mi-sha"),)
-        config = GemStoneConfig(
-            core="A15",
-            workloads=profiles,
-            power_workloads=profiles,
-            trace_instructions=2_000,
-        )
-        jobs = campaign_jobs(config)
-        board = CampaignBoard(str(tmp_path / "board"))
-        board.create_or_sync(RunManifest.from_config(config).fingerprint, jobs)
+        board, _fp, jobs = _one_workload_board(tmp_path)
         faults = FaultPlan.nan_pass("mi-sha")
         metrics = MetricsRegistry()
         report = run_worker(
             board.directory, owner="guarded", guard_level="sentinel",
-            faults=faults, in_worker=False, metrics=metrics,
+            faults=faults, metrics=metrics,
         )
         assert report.done == len(jobs) == 2
 
@@ -337,6 +413,10 @@ class TestWorkerGuard:
         expected = executor.metrics.values_with_prefix("sim.guard.")
         assert expected["sim.guard.nan_fallbacks"] == 2
         assert metrics.values_with_prefix("sim.guard.") == expected
+        shard = SimTelemetry(metrics)
+        assert (shard.jobs_run, shard.cache_hits) == (
+            executor.telemetry.jobs_run, executor.telemetry.cache_hits
+        ) == (2, 0)
 
 
 class TestCumulativeSnapshot:

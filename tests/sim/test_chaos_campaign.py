@@ -209,7 +209,7 @@ class TestShardLoss:
             victim.kill()
             victim.join()
         thief = run_worker(
-            board_dir, owner="thief", engine="scalar", in_worker=False
+            board_dir, owner="thief", engine="scalar"
         )
         assert thief.stolen >= 1
         assert _journal_events(board_dir).count("lease-stolen") >= 1
@@ -237,14 +237,14 @@ class TestShardLoss:
                 faults=FaultPlan.lease_stall(
                     TARGET, seconds=1.0, attempts=2
                 ),
-                in_worker=False, poll_seconds=0.02,
+                poll_seconds=0.02,
             )
 
         thread = threading.Thread(target=stall_worker)
         thread.start()
         time.sleep(0.35)  # let a stalled lease expire
         reports["peer"] = run_worker(
-            board_dir, owner="peer", engine="scalar", in_worker=False,
+            board_dir, owner="peer", engine="scalar",
             poll_seconds=0.02,
         )
         thread.join()
@@ -301,6 +301,30 @@ class TestPoisoning:
         _assert_bit_identical(result.gemstone, reference)
 
 
+class TestJobFaultInShard:
+    def test_crash_fault_requeues_without_losing_a_shard(
+        self, tmp_path, reference
+    ):
+        # A job fault inside a shard goes through the shard's executor: the
+        # injected crash raises, the claim is requeued, and attempt 2 on the
+        # next claimant completes it.  No shard process dies.
+        board_dir = str(tmp_path / "board")
+        result = run_campaign(
+            _config(faults=FaultPlan.crash_workload(TARGET, attempts=1)),
+            board_dir, shards=2,
+        )
+        assert result.lost_shards == 0
+        assert result.poisoned == ()
+        requeues = [
+            r for r in CampaignBoard.open(board_dir).read_journal()
+            if r["event"] == "job-requeued"
+            and "InjectedFault" in r.get("reason", "")
+        ]
+        assert requeues
+        _assert_no_duplicate_completions(board_dir)
+        _assert_bit_identical(result.gemstone, reference)
+
+
 class TestIncrementalRecompute:
     def test_coordinator_killed_midway_resumes_without_rework(
         self, tmp_path, reference
@@ -317,7 +341,6 @@ class TestIncrementalRecompute:
         )
         partial = run_worker(
             board_dir, owner="doomed", engine="scalar", max_jobs=2,
-            in_worker=False,
         )
         assert partial.done == 2
         claims_before = _journal_events(board_dir).count("lease-claimed")
@@ -488,7 +511,7 @@ class TestTraceStitching:
         assert any("no seal" in p for p in problems)
         assert any(r.get("name") == "campaign-job" for r in records)
         thief = run_worker(
-            board_dir, owner="thief", engine="scalar", in_worker=False
+            board_dir, owner="thief", engine="scalar"
         )
         assert thief.done >= 1
         merged, names = merge_campaign_records(board_dir)
@@ -535,7 +558,7 @@ class TestTraceStitching:
                 faults=FaultPlan.lease_stall(
                     TARGET, seconds=1.0, attempts=2
                 ),
-                in_worker=False, poll_seconds=0.02,
+                poll_seconds=0.02,
                 tracer=tracers["sleepy"],
             )
 
@@ -543,7 +566,7 @@ class TestTraceStitching:
         thread.start()
         time.sleep(0.35)
         peer = run_worker(
-            board_dir, owner="peer", engine="scalar", in_worker=False,
+            board_dir, owner="peer", engine="scalar",
             poll_seconds=0.02, tracer=tracers["peer"],
         )
         thread.join()

@@ -24,6 +24,7 @@ from repro.sim.executor import (
     SimJobFailure,
 )
 from repro.sim.faults import FaultPlan, FaultSpec, InjectedFault
+from repro.sim.guard import GuardPlan
 from repro.sim.machine import hardware_a15
 from repro.sim.result_cache import SimJob, SimResultCache
 from repro.workloads.suites import workload_by_name
@@ -299,6 +300,24 @@ class TestCacheCorruption:
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
         assert ex.cache.telemetry.quarantined >= 1
+
+    def test_unreaped_entry_reruns_as_attempt_two(self, jobs, golden, tmp_path):
+        """A reap failure reruns like every other parent-side rerun of a
+        pool job: in the serial lane as attempt 2, so a fault confined to
+        attempt 1 fires once (in the worker), not again in the parent."""
+        name = jobs[0].profile.name
+        ex = SimExecutor(
+            jobs=2, retry=FAST_RETRY, cache_dir=str(tmp_path / "simcache"),
+            faults=FaultPlan.corrupt_cache(name) | FaultPlan.nan_pass(name),
+            guard=GuardPlan(level="sentinel"),
+        )
+        results = ex.run_many(jobs)
+        for result, reference in zip(results, golden):
+            _assert_same(result, reference)
+        assert ex.cache.telemetry.quarantined == 1
+        assert [(e.kind, e.workload) for e in ex.guard.events] == [
+            ("nan-result", name)
+        ]
 
 
 class TestDegradedCacheDirectory:
