@@ -180,3 +180,40 @@ class TestTrivialClustering:
         result = trivial_clustering([])
         assert result.item_names == ()
         assert result.labels == ()
+
+
+class TestPermutationInvariance:
+    @staticmethod
+    def partition(result):
+        return {frozenset(result.members(c)) for c in range(1, result.n_clusters + 1)}
+
+    @pytest.mark.parametrize("standardise", [True, False])
+    def test_item_order_does_not_change_the_clusters(self, standardise):
+        points, names = blobs()
+        base = hierarchical_clustering(points, names, n_clusters=3,
+                                       standardise=standardise)
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(len(names))
+            moved = hierarchical_clustering(
+                points[order], [names[i] for i in order], n_clusters=3,
+                standardise=standardise,
+            )
+            assert self.partition(moved) == self.partition(base)
+
+    def test_correlation_metric_ignores_item_order(self):
+        rng = np.random.default_rng(3)
+        shapes = rng.normal(size=(3, 40))
+        series = np.concatenate(
+            [shape + rng.normal(0, 0.1, size=(4, 40)) for shape in shapes]
+        )
+        names = [f"e{i}" for i in range(12)]
+        base = hierarchical_clustering(series, names, n_clusters=3,
+                                       metric="correlation")
+        assert len(self.partition(base)) == 3
+        for seed in range(5):
+            order = np.random.default_rng(seed).permutation(len(names))
+            moved = hierarchical_clustering(
+                series[order], [names[i] for i in order], n_clusters=3,
+                metric="correlation",
+            )
+            assert self.partition(moved) == self.partition(base)

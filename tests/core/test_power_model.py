@@ -81,6 +81,16 @@ class TestSelection:
         unrestricted = builder.fit(observations)
         assert unrestricted.quality.adjusted_r2 > 0.98
 
+    def test_selection_ignores_observation_order(self, observations):
+        builder = PowerModelBuilder(
+            "A15", excluded_events=restraint_pool_gem5("A15"), max_terms=5
+        )
+        terms = builder.select_events(observations)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(observations))
+            shuffled = [observations[i] for i in order]
+            assert builder.select_events(shuffled) == terms
+
 
 class TestModelQuality:
     def test_accuracy_in_paper_range(self, model):
