@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 
@@ -132,10 +133,10 @@ def simulate_columnar(
         cols = tables.columnar(trace)
 
     # ---------------------------------------------------------------- warm
-    # Every structure is replayed in batch form: the warm sequences become
-    # (compressed) mutating rows at the head of each stream, so the real
-    # state objects are only touched if the L2 fixpoint falls back to the
-    # scalar walk.
+    # The L1 structures are replayed in batch form: their warm sequences
+    # become (compressed) mutating rows at the head of each stream.  Only
+    # the L2-side objects are real state, warmed and walked in program
+    # order by the merged walk below.
     code_lines = np.asarray(tables.code_lines, dtype=np.int64)
     code_pages = np.asarray(tables.code_pages, dtype=np.int64)
     memo = cols.fixpoint_seeds
@@ -312,36 +313,24 @@ def simulate_columnar(
         )
 
     # ------------------------------------------------------------ merged walk
-    with tracer.span("replay/l2_walk", kind="replay", events=len(merged[0])):
-        batched = _replay_memo(
-            memo,
-            ("l2walk",),
-            (merged[0], merged[1], merged[2], machine),
-            lambda: _batch_l2(
-                merged, machine, state, code_lines, code_pages, l2_warm,
-                data_pages, cols.fixpoint_seeds,
-            ),
+    def _walk():
+        l2.warm_fill_many(code_lines)
+        tlb.l2_itlb.fill_many(code_pages)
+        if l2_warm is not None:
+            l2.warm_fill_many(l2_warm)
+            tlb.l2_dtlb.fill_many(data_pages)
+        # Copies, so a memo hit never aliases a reused state's counters.
+        return (
+            _l2_walk(merged, machine, l2, l2_prefetcher, tlb),
+            replace(l2.stats),
+            replace(tlb.l2_itlb.stats),
+            replace(tlb.l2_dtlb.stats),
         )
-        if batched is not None:
-            walk, l2_stats, l2_itlb_stats, l2_dtlb_stats = batched
-        else:
-            # Prefetch fixpoint exhausted: warm the real objects and take
-            # the exact scalar walk.  Bit-exact, but worth a guard-visible
-            # breadcrumb — an exhausted fixpoint on every replay of a trace
-            # means its streaming seed never converges.
-            tracer.event(
-                "guard", guard_kind="fixpoint-exhausted",
-                pass_name="l2_walk", workload=trace.name,
-            )
-            l2.warm_fill_many(code_lines)
-            tlb.l2_itlb.fill_many(code_pages)
-            if l2_warm is not None:
-                l2.warm_fill_many(l2_warm)
-                tlb.l2_dtlb.fill_many(data_pages)
-            walk = _l2_walk(merged, machine, l2, l2_prefetcher, tlb)
-            l2_stats = l2.stats
-            l2_itlb_stats = tlb.l2_itlb.stats
-            l2_dtlb_stats = tlb.l2_dtlb.stats
+
+    with tracer.span("replay/l2_walk", kind="replay", events=len(merged[0])):
+        walk, l2_stats, l2_itlb_stats, l2_dtlb_stats = _replay_memo(
+            memo, ("l2walk",), (merged[0], merged[1], merged[2], machine), _walk
+        )
     (
         stall_icache,
         stall_itlb,
@@ -642,348 +631,6 @@ def _warm_memo(memo, tag, seq, n_sets, assoc):
         rows = warm_content_rows(seq, n_sets, assoc)
         memo[key] = rows
     return rows
-
-
-def _tlb_batch_hits(geom, warm_pages, pages, memo=None, tag=None):
-    """Batch one L2-TLB lookup stream; returns per-lookup hit flags.
-
-    ``lookup`` always inserts on miss, so every row mutates; the silent
-    warm prefix is compressed to its closed-form final content first.
-    """
-    if memo is not None:
-        warm_rows = _warm_memo(memo, tag, warm_pages, geom.n_sets, geom.assoc)
-    else:
-        warm_rows = warm_content_rows(warm_pages, geom.n_sets, geom.assoc)
-    nw = len(warm_rows)
-    keys = np.concatenate([warm_rows, pages])
-    res = _replay_memo(
-        memo,
-        ("l2tlb_replay", tag, geom.n_sets, geom.assoc),
-        (keys,),
-        lambda: batch_lru_replay(keys, geom.n_sets, geom.assoc),
-    )
-    return res.hit[nw:]
-
-
-def _derive_prefetches(trig_after, trig_lines, degree):
-    """Clone of :class:`StridePrefetcher` over one round's trigger misses.
-
-    ``trig_after``/``trig_lines`` are the static-row indices and lines of
-    the demand misses that call ``train`` this round, in stream order.
-    Returns the prefetch insertions they imply: for each issued prefetch,
-    the static row it follows and the line it fills.
-    """
-    pf_after: list[int] = []
-    pf_line: list[int] = []
-    last_line = -1
-    last_delta = 0
-    confidence = 0
-    for r, line in zip(trig_after, trig_lines):
-        delta = line - last_line
-        if delta == last_delta and delta != 0:
-            confidence = min(confidence + 1, 4)
-        else:
-            confidence = 0
-            last_delta = delta
-        last_line = line
-        if confidence >= 2:
-            for i in range(1, degree + 1):
-                pf_after.append(r)
-                pf_line.append(line + last_delta * i)
-    return np.asarray(pf_after, dtype=np.int64), np.asarray(pf_line, dtype=np.int64)
-
-
-def _batch_l2(merged, machine: MachineConfig, state, code_lines, code_pages,
-              l2_warm, data_pages, seeds, max_rounds: int = 40):
-    """Batched replay of the L2-facing event stream.
-
-    Resolves the L2 TLBs as straight LRU batches, then the shared L2 as an
-    LRU batch around a prefetch fixpoint: guess the prefetcher's fill
-    schedule, replay the demand stream with those fills interleaved,
-    re-derive the schedule from the resulting miss outcomes, repeat until
-    it reproduces itself.  As with the L1D streaming fixpoint, any
-    fixpoint equals real execution and each round extends the exact
-    prefix, so the iteration converges; ``None`` is returned if
-    ``max_rounds`` is exhausted and the caller falls back to the scalar
-    walk.  All float stalls/weights are accumulated with ``np.cumsum``
-    over per-event cost slots, which is bitwise-identical to the scalar
-    walk's ordered ``+=`` sequence.
-    """
-    kind, arg0, arg1 = merged
-    n_ev = len(kind)
-    l2 = state.l2
-    tlb = state.tlb
-    degree = state.l2_prefetcher.degree
-    lines_per_page = PAGE_BYTES // CACHE_LINE_BYTES
-
-    k_l1d = kind == _EV_L1D_MISS
-    k_dtlb = kind == _EV_DTLB_MISS
-    k_wb = kind == _EV_L1D_WB
-    k_l1i = kind == _EV_L1I_MISS
-    k_strm = kind == _EV_L1D_STREAM
-    k_wptlb = kind == _EV_WP_TLB
-    k_wpl1i = kind == _EV_WP_L1I
-    k_itlb = kind == _EV_ITLB_MISS
-
-    # ------------------------------------------------------------ L2 TLBs
-    # Lookup streams are fully determined by the events; each structure is
-    # one pure-LRU batch (lookups always insert on miss).
-    unified = tlb.l2_itlb is tlb.l2_dtlb
-    itlb_side = k_itlb | k_wptlb
-    l2tlb_hit = np.zeros(n_ev, dtype=bool)
-    if unified:
-        mask = itlb_side | k_dtlb
-        hits = _tlb_batch_hits(
-            tlb.l2_itlb, np.concatenate([code_pages, data_pages]), arg0[mask],
-            memo=seeds, tag=("l2tlb_u", l2.size_bytes),
-        )
-        l2tlb_hit[mask] = hits
-        nlk = int(mask.sum(dtype=np.int64))
-        nh = int(hits.sum(dtype=np.int64))
-        l2_itlb_stats = l2_dtlb_stats = TlbStats(
-            lookups=nlk, hits=nh, misses=nlk - nh
-        )
-    else:
-        hits = _tlb_batch_hits(tlb.l2_itlb, code_pages, arg0[itlb_side],
-                               memo=seeds, tag="l2tlb_i")
-        l2tlb_hit[itlb_side] = hits
-        nlk = int(itlb_side.sum(dtype=np.int64))
-        nh = int(hits.sum(dtype=np.int64))
-        l2_itlb_stats = TlbStats(lookups=nlk, hits=nh, misses=nlk - nh)
-        hits = _tlb_batch_hits(tlb.l2_dtlb, data_pages, arg0[k_dtlb],
-                               memo=seeds, tag=("l2tlb_d", l2.size_bytes))
-        l2tlb_hit[k_dtlb] = hits
-        nlk = int(k_dtlb.sum(dtype=np.int64))
-        nh = int(hits.sum(dtype=np.int64))
-        l2_dtlb_stats = TlbStats(lookups=nlk, hits=nh, misses=nlk - nh)
-
-    walks_inst = int(np.count_nonzero(k_itlb & ~l2tlb_hit))
-    walks_data = int(np.count_nonzero(k_dtlb & ~l2tlb_hit))
-
-    # ------------------------------------------- static L2 demand stream
-    walk_ev = (k_itlb | k_dtlb) & ~l2tlb_hit
-    row_mask = k_l1d | k_wb | k_strm | k_l1i | k_wpl1i | walk_ev
-    row_ev = np.flatnonzero(row_mask)
-    row_kind = kind[row_ev]
-    row_key = arg0[row_ev].copy()
-    row_key[row_kind == _EV_L1D_WB] ^= 0x1
-    is_walk_row = (row_kind == _EV_DTLB_MISS) | (row_kind == _EV_ITLB_MISS)
-    row_key[is_walk_row] *= lines_per_page
-    row_w = (
-        (row_kind == _EV_L1D_WB)
-        | (row_kind == _EV_L1D_STREAM)
-        | ((row_kind == _EV_L1D_MISS) & (arg1[row_ev] != 0))
-    )
-    n_rows = len(row_key)
-    trainable = (row_kind == _EV_L1D_MISS) | (row_kind == _EV_L1I_MISS)
-    trig_rows = np.flatnonzero(trainable)
-
-    if seeds is not None:
-        wkey = ("warm", ("l2", l2.size_bytes), l2.n_sets, l2.assoc)
-        warm_rows = seeds.get(wkey)
-        if warm_rows is None:
-            warm_seq = code_lines if l2_warm is None else np.concatenate(
-                [code_lines, l2_warm]
-            )
-            warm_rows = warm_content_rows(warm_seq, l2.n_sets, l2.assoc)
-            seeds[wkey] = warm_rows
-    else:
-        warm_seq = code_lines if l2_warm is None else np.concatenate(
-            [code_lines, l2_warm]
-        )
-        warm_rows = warm_content_rows(warm_seq, l2.n_sets, l2.assoc)
-    nw = len(warm_rows)
-
-    # ------------------------------------------------- prefetch fixpoint
-    seed_key = ("l2", l2.n_sets, l2.assoc, degree, n_rows)
-    seeded = seeds.get(seed_key) if seeds is not None else None
-    if degree == 0:
-        pf_after = pf_line = np.empty(0, dtype=np.int64)
-        pf_mut = np.empty(0, dtype=bool)
-    elif seeded is not None:
-        pf_after, pf_line, pf_mut = seeded
-    else:
-        pf_after = pf_line = np.empty(0, dtype=np.int64)
-        pf_mut = np.empty(0, dtype=bool)
-
-    res = None
-    for _ in range(max_rounds):
-        ins_at = pf_after + 1
-        keys = np.concatenate([warm_rows, np.insert(row_key, ins_at, pf_line)])
-        mut = np.concatenate(
-            [np.ones(nw, bool), np.insert(np.ones(n_rows, bool), ins_at, pf_mut)]
-        )
-        w = np.concatenate(
-            [np.zeros(nw, bool),
-             np.insert(row_w, ins_at, np.zeros(len(pf_line), bool))]
-        )
-        res = _replay_memo(
-            seeds,
-            ("l2_round", l2.n_sets, l2.assoc),
-            (keys, mut, w),
-            lambda: batch_lru_replay(keys, l2.n_sets, l2.assoc, mutating=mut,
-                                     is_write=w, track_writebacks=True),
-        )
-        if degree == 0:
-            break
-        # Positions of static / prefetch rows inside the interleaved batch.
-        stat_pos = nw + np.arange(n_rows) + np.searchsorted(
-            pf_after, np.arange(n_rows), side="left"
-        )
-        pf_pos = nw + pf_after + 1 + np.arange(len(pf_after))
-        trig_hit = res.hit[stat_pos[trig_rows]]
-        miss_trigs = trig_rows[~trig_hit]
-        trig_lines = row_key[miss_trigs]
-        new_after, new_line = _replay_memo(
-            seeds,
-            ("l2_pf_derive", degree),
-            (miss_trigs, trig_lines),
-            lambda: _derive_prefetches(
-                miss_trigs.tolist(), trig_lines.tolist(), degree
-            ),
-        )
-        # A prefetch already present in this round keeps its observed
-        # presence; new ones are guessed absent (verified next round).
-        new_mut = np.ones(len(new_line), dtype=bool)
-        k = min(len(new_line), len(pf_line))
-        if k:
-            same = (new_after[:k] == pf_after[:k]) & (new_line[:k] == pf_line[:k])
-            new_mut[:k][same] = ~res.hit[pf_pos[:k][same]]
-        if (
-            np.array_equal(new_after, pf_after)
-            and np.array_equal(new_line, pf_line)
-            and np.array_equal(new_mut, pf_mut)
-        ):
-            break
-        pf_after, pf_line, pf_mut = new_after, new_line, new_mut
-    else:
-        return None  # fixpoint exhausted; caller takes the scalar walk
-    if seeds is not None and degree:
-        seeds[seed_key] = (pf_after, pf_line, pf_mut)
-
-    # ------------------------------------------------- per-event outcomes
-    n_pf = len(pf_line)
-    stat_pos = nw + np.arange(n_rows) + np.searchsorted(
-        pf_after, np.arange(n_rows), side="left"
-    )
-    pf_pos = nw + pf_after + 1 + np.arange(n_pf)
-    stat_hit = res.hit[stat_pos]
-    stat_wb = res.wrote_back[stat_pos]
-    pf_wb = res.wrote_back[pf_pos]
-    pf_filled = pf_mut  # mutating prefetch rows are exactly the fills
-
-    l2_hit_ev = np.ones(n_ev, dtype=bool)
-    l2_wb_ev = np.zeros(n_ev, dtype=bool)
-    l2_hit_ev[row_ev] = stat_hit
-    l2_wb_ev[row_ev] = stat_wb
-
-    # --------------------------------------------------------- DRAM counts
-    demand_read_miss = (
-        (k_l1d | k_l1i | k_wpl1i | walk_ev) & ~l2_hit_ev & ~k_strm
-    )
-    dram_reads = int(np.count_nonzero(demand_read_miss & ~(k_strm | k_wb)))
-    wb_counted = (k_l1d | k_wb | k_l1i | k_strm) & l2_wb_ev
-    dram_writes = int(np.count_nonzero(wb_counted)) + int(
-        np.count_nonzero(k_strm & ~l2_hit_ev)
-    )
-
-    # ------------------------------------------------------- stall cumsums
-    l2_lat = machine.l2.latency
-    l2tlb_lat = machine.tlb.l2_latency
-    walk_cycles = machine.tlb.walk_cycles
-    mem_overlap = machine.mem_overlap
-    store_exposure = machine.store_miss_exposure
-    dram_exposure = 1.0 - machine.dram_overlap
-
-    icache_cost = l2_lat * 0.8
-    dtlb_l2_cost = l2tlb_lat * (1.0 - mem_overlap)
-    dtlb_walk_cost = walk_cycles * (1.0 - 0.5 * mem_overlap)
-    stream_cost = l2_lat * 0.05
-    write_cost = l2_lat * store_exposure
-    read_cost = l2_lat * (1.0 - mem_overlap)
-    write_weight = store_exposure * 0.5
-    wp_walk_cost = walk_cycles * 0.5
-
-    stall_icache = _repeated_sum(icache_cost, int(np.count_nonzero(k_l1i)))
-
-    # stall_dcache: one unconditional term per L1D_MISS / L1D_STREAM event.
-    dc_mask = k_l1d | k_strm
-    dc = np.where(
-        k_strm[dc_mask], stream_cost,
-        np.where(arg1[dc_mask] != 0, write_cost, read_cost),
-    )
-    stall_dcache = float(np.cumsum(dc)[-1]) if len(dc) else 0.0
-
-    # stall_dtlb: l2tlb term always, walk term on L2-TLB miss — two ordered
-    # slots per event (adding the zero slots is bitwise-exact).
-    nd = int(np.count_nonzero(k_dtlb))
-    if nd:
-        slots = np.zeros((nd, 2))
-        slots[:, 0] = dtlb_l2_cost
-        slots[~l2tlb_hit[k_dtlb], 1] = dtlb_walk_cost
-        stall_dtlb = float(np.cumsum(slots.ravel())[-1])
-    else:
-        stall_dtlb = 0.0
-
-    # stall_itlb: ITLB_MISS and WP_TLB events interleaved in stream order.
-    it_mask = k_itlb | k_wptlb
-    ni = int(np.count_nonzero(it_mask))
-    if ni:
-        slots = np.zeros((ni, 2))
-        slots[:, 0] = l2tlb_lat
-        tlb_missed = ~l2tlb_hit[it_mask]
-        is_wp = k_wptlb[it_mask]
-        slots[tlb_missed & ~is_wp, 1] = walk_cycles
-        slots[tlb_missed & is_wp, 1] = wp_walk_cost
-        stall_itlb = float(np.cumsum(slots.ravel())[-1])
-    else:
-        stall_itlb = 0.0
-
-    # dram_weight: one term per weighted miss, in stream order.
-    wvec = np.zeros(n_ev)
-    m = k_l1d & ~l2_hit_ev
-    wvec[m] = np.where(arg1[m] != 0, write_weight, dram_exposure)
-    wvec[k_dtlb & walk_ev & ~l2_hit_ev] = 0.4
-    wvec[k_l1i & ~l2_hit_ev] = 0.9
-    wvec[k_strm & ~l2_hit_ev] = 0.12
-    wvec[k_itlb & walk_ev & ~l2_hit_ev] = 0.5
-    nz = wvec[wvec != 0.0]
-    dram_weight = float(np.cumsum(nz)[-1]) if len(nz) else 0.0
-
-    # ------------------------------------------------------------ L2 stats
-    reads = int(np.count_nonzero(~row_w))
-    writes = int(np.count_nonzero(row_w))
-    read_misses = int(np.count_nonzero(~stat_hit & ~row_w))
-    write_misses = int(np.count_nonzero(~stat_hit & row_w))
-    # Replacements: per set, fills beyond the post-warm free space.
-    alloc_keys = np.concatenate([row_key[~stat_hit], pf_line[pf_filled]])
-    n_sets = l2.n_sets
-    occ = np.bincount(warm_rows % n_sets, minlength=n_sets)
-    allocs = np.bincount(alloc_keys % n_sets, minlength=n_sets)
-    replacements = int(np.maximum(occ + allocs - l2.assoc, 0).sum())
-    l2_stats = CacheStats(
-        read_accesses=reads,
-        write_accesses=writes,
-        read_misses=read_misses,
-        write_misses=write_misses,
-        write_refills=write_misses,
-        writebacks=int(np.count_nonzero(stat_wb)) + int(np.count_nonzero(pf_wb)),
-        replacements=replacements,
-        prefetches_issued=n_pf,
-    )
-
-    walk = (
-        stall_icache,
-        stall_itlb,
-        stall_dcache,
-        stall_dtlb,
-        float(dram_reads),
-        float(dram_writes),
-        dram_weight,
-        walks_inst,
-        walks_data,
-    )
-    return walk, l2_stats, l2_itlb_stats, l2_dtlb_stats
 
 
 def _l2_walk(merged, machine: MachineConfig, l2, l2_prefetcher, tlb):

@@ -119,8 +119,8 @@ class SetAssociativeCache:
     def reset(self) -> None:
         """Clear contents and counters."""
         # Clear in place: rebuilding thousands of per-set lists dominates
-        # reset cost on large L2s, and after a columnar run they are
-        # usually still empty.
+        # reset cost on large L2s, and the columnar engine, which batches
+        # the L1s, leaves those objects empty.
         for s in self._sets:
             if s:
                 s.clear()
@@ -328,10 +328,9 @@ class SetAssociativeCache:
 #    ``assoc``-th window first after the chain's last touch, located by
 #    the same chunked scan.
 #
-# Caches that break the pure-LRU premise (the Cortex-A15's streaming
-# stores do not allocate; the L2 prefetcher inserts without refreshing
-# recency on hit) are handled by verified fixpoint iterations layered on
-# top of this primitive.
+# The Cortex-A15's streaming stores break the pure-LRU premise (they do
+# not allocate); :func:`batch_l1d_replay` handles them with a verified
+# fixpoint iteration layered on top of this primitive.
 
 _CHUNK = 16          # initial window-first scan width per vectorised step
 _CHUNK_MAX = 256     # chunk width doubles per step up to this cap

@@ -159,7 +159,7 @@ class ColumnarTrace:
     # Converged fixpoint guesses from prior replays, keyed by geometry
     # tuple.  Purely an accelerator: replaying the same trace on the same
     # geometry (executor sweeps, DVFS points, repeated runs) seeds the
-    # streaming/prefetch fixpoints with their known solution, which the
+    # L1D write-streaming fixpoint with its known solution, which the
     # engine still verifies before accepting.
     fixpoint_seeds: dict = field(default_factory=dict)
     # Content checksum over every immutable column, stamped at build time

@@ -107,7 +107,10 @@ def test_simulator_reuse_bit_identical_to_cold(engine):
     _assert_bit_identical(swept, simulate(trace_a, machine_b, engine=engine))
 
 
-@pytest.mark.parametrize("machine_name", ["hw-a7", "hw-a15"])
+@pytest.mark.parametrize(
+    "machine_name",
+    ["hw-a7", "hw-a15", "gem5-ex5-big", "gem5-ex5-big-fixed", "gem5-ex5-little"],
+)
 def test_dvfs_sweep_matches_single_replays(machine_name):
     """Decode-once sweep points equal independent per-point replays."""
     machine = machine_by_name(machine_name)
