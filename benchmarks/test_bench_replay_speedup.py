@@ -70,8 +70,8 @@ def _steady_seconds(sim: CpuSimulator, trace, reps: int) -> float:
 def _bench_pair(workload: str, machine_name: str) -> dict:
     machine = machine_by_name(machine_name)
     profile = workload_by_name(workload)
-    # Distinct seeds: each cold timing must start from an undecoded
-    # trace, and the process-wide decode memo is keyed by recipe digest.
+    # Separate traces: each cold timing must start from an undecoded
+    # trace, and the decode lives on the trace object.
     trace_single = compile_trace(profile, TRACE_INSTRUCTIONS, seed=101)
     trace_sweep = compile_trace(profile, TRACE_INSTRUCTIONS, seed=202)
 

@@ -165,7 +165,9 @@ def simulate_columnar(
 
     # ---------------------------------------------------------- control pass
     with tracer.span("replay/control_pass", kind="replay"):
-        ctrl = _control_pass(trace, machine, cols, cond_miss, ras, shadow_stack, indirect)
+        ctrl = _control_pass(
+            trace, machine, cols, code_pages, cond_miss, ras, shadow_stack, indirect
+        )
     (
         wp_pos,
         wp_page,
@@ -420,7 +422,9 @@ def simulate_columnar(
     return result
 
 
-def _control_pass(trace, machine, cols, cond_miss, ras, shadow_stack, indirect):
+def _control_pass(
+    trace, machine, cols, code_pages, cond_miss, ras, shadow_stack, indirect
+):
     """Sparse scalar walk over control blocks that share speculative state.
 
     Only calls, returns, indirect branches and mispredicted conditionals
@@ -440,10 +444,7 @@ def _control_pass(trace, machine, cols, cond_miss, ras, shadow_stack, indirect):
     far_fraction = machine.wrongpath_far_fraction
     ras_corruption = machine.ras_corruption
     indirect_corruption = machine.indirect_corruption
-    code_pages = cols_code_pages = np.asarray(
-        trace.replay_tables().code_pages, dtype=np.int64
-    )
-    n_code_pages = len(cols_code_pages)
+    n_code_pages = len(code_pages)
     lines_per_page = PAGE_BYTES // CACHE_LINE_BYTES
 
     # Gather every walked column into python lists up front: the loop is
@@ -454,7 +455,7 @@ def _control_pass(trace, machine, cols, cond_miss, ras, shadow_stack, indirect):
     addr_walk = cols.addr_seq[walk_positions].tolist()
     target_walk = cols.target_seq[walk_positions].tolist()
     wp_near_walk = cols.wp_near_seq[walk_positions].tolist()
-    code_pages_l = cols_code_pages.tolist()
+    code_pages_l = code_pages.tolist()
 
     ras_push = ras.push
     ras_pop = ras.pop

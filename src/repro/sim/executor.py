@@ -19,9 +19,10 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   and the parent *reaps* them from disk rather than shipping results back
   through the pipe;
 * **compile on miss** — only jobs the cache cannot answer compile their
-  trace.  The serial lane compiles each recipe once per batch and shares
-  the trace across the batch's machines; pool workers receive the small
-  recipe and compile it themselves;
+  trace.  The serial lane runs a batch recipe by recipe: it compiles each
+  recipe once, shares the trace across the batch's machines and drops it
+  after the recipe's last job; pool workers receive the small recipe and
+  compile it themselves;
 * **fault isolation** — each job is submitted individually with an optional
   per-job timeout.  A timed-out, crashed or poisoned job is rerun serially
   in the parent under a deterministic :class:`RetryPolicy`; a broken pool
@@ -702,19 +703,27 @@ class SimExecutor:
         first_attempt: int = 1,
     ) -> list[SimResult | SimJobFailure]:
         started = perf_counter()
-        # Jobs sharing a recipe (one workload on several machines) share
-        # one compiled trace, dropped when the batch ends.
-        traces: dict[str, SyntheticTrace] = {}
-        results: list[SimResult | SimJobFailure] = []
-        for job, ordinal in zip(pending, ordinals):
-            trace = traces.get(job.recipe)
-            if trace is None:
-                trace = traces[job.recipe] = job.compile()
-            results.append(
-                self._run_with_retry(job, trace, ordinal, first_attempt)
-            )
+        # Run recipe by recipe, in order of first appearance: jobs sharing a
+        # recipe (one workload on several machines) share one compiled
+        # trace, which owns its decode and replay memos and is dropped
+        # after its recipe's last job.  Each job keeps its ordinal (fault
+        # matching, sentinel sampling), and guard outcomes are recorded in
+        # submission order, as the pool lane records them.
+        by_recipe: dict[str, list[int]] = {}
+        for i, job in enumerate(pending):
+            by_recipe.setdefault(job.recipe, []).append(i)
+        outcomes: list = [None] * len(pending)
+        for indices in by_recipe.values():
+            trace = pending[indices[0]].compile()
+            for i in indices:
+                outcomes[i] = self._run_with_retry(
+                    pending[i], trace, ordinals[i], first_attempt
+                )
+            del trace
+        for _, guard_payload in outcomes:
+            self.guard.absorb(*guard_payload)
         self.telemetry.simulate_seconds += perf_counter() - started
-        return results
+        return [result for result, _ in outcomes]
 
     def _run_with_retry(
         self,
@@ -722,8 +731,12 @@ class SimExecutor:
         trace: SyntheticTrace,
         ordinal: int,
         first_attempt: int,
-    ) -> SimResult | SimJobFailure:
-        """One job through the retry policy, in the parent process."""
+    ) -> tuple[SimResult | SimJobFailure, tuple]:
+        """One job through the retry policy, in the parent process.
+
+        Returns the outcome and its guard payload ``(guard_events,
+        sentinel_replays)`` for the caller to record.
+        """
         attempt = first_attempt
         name, machine = job.profile.name, job.machine
         with self.tracer.span(
@@ -744,7 +757,6 @@ class SimExecutor:
                         trace, machine, self.engine, self.guard.plan,
                         self.faults, ordinal, attempt, tracer=self.tracer,
                     )
-                    self.guard.absorb(guard_events, sentinels)
                 except Exception as exc:
                     if attempt >= self.retry.max_attempts:
                         self.telemetry.jobs_failed += 1
@@ -766,7 +778,7 @@ class SimExecutor:
                                 else "crash"
                             ),
                             error=f"{type(exc).__name__}: {exc}",
-                        )
+                        ), ((), 0)
                     self.telemetry.job_retries += 1
                     delay = self.retry.delay(attempt)
                     job_span.event(
@@ -783,7 +795,7 @@ class SimExecutor:
                 if self.cache is not None:
                     self.cache.put(job, result)
                 job_span.set(attempts=attempt)
-                return result
+                return result, (guard_events, sentinels)
 
 
 class SimFrontEnd:

@@ -298,8 +298,8 @@ def guarded_simulate(
     """Simulate one job with the guardrail checks of ``plan`` applied.
 
     The pure function both the executor's serial lane and its workers call
-    (worker events ship back in-band, so nothing here touches process
-    globals beyond the trace's own decode memo).
+    (worker events ship back in-band, so the only state touched here is
+    the trace's own decode memo).
 
     Returns:
         ``(result, events, sentinel_replays)``: the (possibly
@@ -435,8 +435,8 @@ def _poison_memo(trace, machine, cols) -> None:
     divergent replay — exactly what the sentinel exists to catch.  The
     memo is reset and repopulated with one throwaway replay first, so the
     poisoned state (and the divergence the sentinel reports) is the same
-    no matter what this process replayed before — decodes are shared
-    process-wide by recipe digest.
+    no matter what was replayed on this trace object before — the serial
+    lane replays one trace on every machine of its batch.
     """
     from repro.sim.cpu import simulate
 

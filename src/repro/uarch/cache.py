@@ -759,8 +759,8 @@ class BatchL1dResult:
         """Whether the streaming fixpoint gave up and ran the scalar path.
 
         Still bit-exact (the scalar fallback is the reference), but the
-        outcome array is not a reusable fixpoint seed; the guard layer's
-        telemetry distinguishes these from converged replays.
+        outcome array is not a reusable fixpoint seed, so the columnar
+        engine stores no seed for it.
         """
         return self.rounds < 0
 

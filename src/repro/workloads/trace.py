@@ -281,8 +281,8 @@ class ReplayTables:
     dynamic block) and the dynamic sequences as plain Python lists.  None
     of it depends on the machine configuration, and every trace is
     simulated on at least two machines (hardware and model), so the tables
-    are built once per trace via :meth:`SyntheticTrace.replay_tables` and
-    shared across simulations.
+    are built once per trace object via :meth:`SyntheticTrace.replay_tables`
+    and shared by every simulation of that object.
 
     ``page_tails`` / ``line_tails`` drop each block's first entry: pages
     and lines within a block are distinct and visited in order, so only a
@@ -381,11 +381,9 @@ def _expand_csr(
 
 
 def build_columnar_trace(
-    trace: "SyntheticTrace", tables: ReplayTables | None = None
+    trace: "SyntheticTrace", tables: ReplayTables
 ) -> ColumnarTrace:
     """Decode one trace into :class:`ColumnarTrace` struct-of-arrays form."""
-    if tables is None:
-        tables = trace.replay_tables()
     bs = np.asarray(trace.block_seq, dtype=np.int32)
     n_dyn = int(bs.size)
     taken = np.asarray(trace.taken_seq, dtype=np.int8)
@@ -478,14 +476,8 @@ def build_columnar_trace(
 
 
 #: Bump when the trace builder's output changes for an unchanged recipe: it
-#: feeds every recipe digest, so no older build's result or decode is reused.
+#: feeds every recipe digest, so no older build's cached result is reused.
 TRACE_COMPILER_VERSION = 1
-
-#: Process-wide replay-table memo keyed by recipe digest.  A campaign that
-#: simulates the same workload across machines, DVFS points and executor
-#: jobs decodes each trace exactly once per process.
-_REPLAY_MEMO: dict[str, ReplayTables] = {}
-_REPLAY_MEMO_MAX = 64
 
 
 def recipe_digest(
@@ -525,7 +517,8 @@ class SyntheticTrace:
         n_instrs: Total dynamic instructions.
         seed: Seed the trace was compiled with (reproducibility record).
         digest: Recipe digest stamped by :func:`compile_trace` (derived
-            from the parent's by :func:`slice_trace`); keys the decode memo.
+            from the parent's by :func:`slice_trace`); equals the
+            ``SimJob.recipe`` that names it in the result cache.
     """
 
     name: str
@@ -548,23 +541,13 @@ class SyntheticTrace:
     def replay_tables(self) -> ReplayTables:
         """The flattened replay tables, built on first use and memoised.
 
-        The memo is shared process-wide by recipe digest, so re-compiled
-        copies of the same trace — platform vs gem5 layers, DVFS sweeps —
-        all reuse one decode.
+        The tables (with the columnar decode and its replay memos) live on
+        this trace object and die with it: callers that replay one recipe
+        several times — both machines, a DVFS sweep — reuse one trace.
         """
         if self._replay is None:
-            tables = _REPLAY_MEMO.get(self.digest)
-            if tables is None:
-                tables = build_replay_tables(self)
-                if len(_REPLAY_MEMO) >= _REPLAY_MEMO_MAX:
-                    _REPLAY_MEMO.pop(next(iter(_REPLAY_MEMO)))
-                _REPLAY_MEMO[self.digest] = tables
-            self._replay = tables
+            self._replay = build_replay_tables(self)
         return self._replay
-
-    def columnar(self) -> ColumnarTrace:
-        """The struct-of-arrays decode (shared via the replay-table memo)."""
-        return self.replay_tables().columnar(self)
 
     @property
     def n_branches(self) -> int:

@@ -9,14 +9,23 @@ benchmark prints the speedup on capable hosts.
 from __future__ import annotations
 
 import os
+import weakref
 
 import pytest
 
+import repro.sim.cpu as cpu_mod
 import repro.sim.executor as executor_mod
 from repro.core.validation import collect_validation_dataset
 from repro.sim.cpu import simulate
-from repro.sim.executor import SimExecutor, SimTelemetry, prime_engines
+from repro.sim.executor import (
+    RetryPolicy,
+    SimExecutor,
+    SimTelemetry,
+    prime_engines,
+)
+from repro.sim.faults import FaultPlan
 from repro.sim.gem5 import Gem5Simulation
+from repro.sim.guard import GuardPlan
 from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
 from repro.sim.result_cache import SimJob, SimResultCache
@@ -216,6 +225,106 @@ class TestCollectionCache:
         for c, w in zip(cold.runs, warm.runs):
             assert c.hw.pmc == w.hw.pmc
             assert c.gem5.stats == w.gem5.stats
+
+
+@pytest.fixture(scope="module")
+def machine_major():
+    """Three recipes on two machines, submitted machine-major (the order
+    ``prime_engines`` submits): every recipe's jobs are split apart."""
+    return [
+        SimJob(workload_by_name(name), N_INSTRS, machine)
+        for machine in (hardware_a15(), gem5_ex5_big())
+        for name in ("mi-sha", "mi-qsort", "dhrystone")
+    ]
+
+
+def _where(job):
+    return (job.profile.name, job.machine.name)
+
+
+class TestRecipeMajorSerialLane:
+    def test_each_trace_is_released_after_its_last_job(
+        self, machine_major, monkeypatch
+    ):
+        """When a recipe's jobs start, no earlier recipe's replay tables
+        (decode, seeds, replay memos) are still alive."""
+        original = executor_mod.guarded_simulate
+        tables: dict[str, weakref.ref] = {}
+        started: list[str] = []
+
+        def tracking(trace, *args, **kwargs):
+            if trace.digest not in started:
+                alive = [
+                    digest for digest in started
+                    if tables[digest]() is not None
+                ]
+                assert alive == [], f"{trace.name}: earlier tables alive"
+                started.append(trace.digest)
+            outcome = original(trace, *args, **kwargs)
+            tables[trace.digest] = weakref.ref(trace.replay_tables())
+            return outcome
+
+        monkeypatch.setattr(executor_mod, "guarded_simulate", tracking)
+        SimExecutor(jobs=1).run_many(machine_major)
+        assert len(started) == 3
+
+    def test_results_follow_submission_order(self, machine_major):
+        results = SimExecutor(jobs=1).run_many(machine_major)
+        for job, result in zip(machine_major, results):
+            assert result.trace_name == job.profile.name
+            _assert_same(result, _direct(job))
+
+    def test_ordinal_pinned_fault_hits_the_submitted_job(self, machine_major):
+        ex = SimExecutor(
+            jobs=1,
+            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            faults=FaultPlan.crash_job(1),
+        )
+        results = ex.run_many(machine_major, raise_on_error=False)
+        assert [
+            (f.trace_name, f.machine_name) for f in ex.last_failures
+        ] == [_where(machine_major[1])]
+        assert [i for i, r in enumerate(results) if r is None] == [1]
+
+    def test_sentinels_sample_the_submitted_ordinals(
+        self, machine_major, monkeypatch
+    ):
+        plan = GuardPlan(level="sentinel", sentinel_interval=3, seed=2)
+        original = cpu_mod.simulate
+        scalar: list[tuple[str, str]] = []
+
+        def recording(trace, machine, engine="columnar", **kwargs):
+            if engine == "scalar":
+                scalar.append((trace.name, machine.name))
+            return original(trace, machine, engine, **kwargs)
+
+        monkeypatch.setattr(cpu_mod, "simulate", recording)
+        ex = SimExecutor(jobs=1, guard=plan)
+        ex.run_many(machine_major)
+        sampled = [
+            _where(job) for i, job in enumerate(machine_major)
+            if plan.samples(i)
+        ]
+        assert len(sampled) == 2
+        assert sorted(scalar) == sorted(sampled)
+        assert ex.guard.telemetry.sentinel_replays == 2
+
+    def test_guard_events_are_recorded_in_submission_order(
+        self, machine_major
+    ):
+        faults = FaultPlan.nan_pass("mi-sha") | FaultPlan.nan_pass("mi-qsort")
+        expected = [
+            ("nan-result",) + _where(job) for job in machine_major
+            if job.profile.name in ("mi-sha", "mi-qsort")
+        ]
+        for jobs in (1, 2):
+            ex = SimExecutor(
+                jobs=jobs, faults=faults, guard=GuardPlan(level="sentinel")
+            )
+            ex.run_many(machine_major)
+            assert [
+                (e.kind, e.workload, e.machine) for e in ex.guard.events
+            ] == expected
 
 
 def _count_compiles(monkeypatch) -> list[str]:
