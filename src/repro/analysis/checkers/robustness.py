@@ -31,7 +31,7 @@ that wedges every other shard sharing the directory.
 ROB003 enforces the guardrail contract of :mod:`repro.sim.guard`: a
 recovery handler inside ``repro.sim`` that degrades (engine fallback,
 quarantine, skipped entry) must leave a trace — a
-:class:`~repro.sim.guard.GuardEvent`/health record, a telemetry counter
+:class:`~repro.sim.guard.GuardEvent`/health record, a registry counter
 bump, a tracer event or at minimum a log line.  A handler that just
 ``return``s a default swallows the *fact* that something went wrong, which
 is exactly the "silent wrong number" failure mode the guard layer exists
@@ -119,11 +119,13 @@ def _open_mode(node: ast.Call) -> str | None:
 
 
 #: Terminal attribute names whose call counts as "the degradation was
-#: recorded": guard/health records, telemetry counters and span/tracer
-#: attributes, structured logging, warnings.
+#: recorded": guard/health records, registry counter bumps
+#: (``metrics.counter(name).inc()``), span/tracer attributes, structured
+#: logging, warnings.
 _EMISSION_CALLS = frozenset(
     {
         "record",
+        "inc",
         "record_failure",
         "record_guard_event",
         "absorb",
@@ -147,10 +149,12 @@ def _emits_record(handler: ast.ExceptHandler) -> bool:
 
     Recognised traces: re-raising (or raising a transformed error), calling
     an emission-style method (:data:`_EMISSION_CALLS` — guard events,
-    health records, tracer events, log calls, warnings, the cache's
-    degrade helper), constructing a ``GuardEvent`` (the guard layer's
-    structured record of a degradation), or bumping a telemetry counter via
-    an augmented attribute assignment (``self.telemetry.misses += 1``).
+    health records, registry counter bumps such as
+    ``self.metrics.counter("sim.cache.misses").inc()``, tracer events, log
+    calls, warnings, the cache's degrade helper), constructing a
+    ``GuardEvent`` (the guard layer's structured record of a degradation),
+    or an augmented attribute assignment (the executor's
+    ``self.telemetry.jobs_failed += 1``).
     """
     for node in ast.walk(handler):
         if isinstance(node, ast.Raise):
@@ -173,7 +177,7 @@ def _emits_record(handler: ast.ExceptHandler) -> bool:
     "silent degradation in a recovery path",
     Severity.ERROR,
     "An engine-fallback or quarantine handler that absorbs an exception "
-    "without emitting a GuardEvent, health record, telemetry bump, tracer "
+    "without emitting a GuardEvent, health record, counter bump, tracer "
     "event or log line hides that the run degraded — the silent-wrong-"
     "number failure mode the guard layer exists to prevent.",
     scope=("repro.sim",),
@@ -194,7 +198,7 @@ class SilentDegradationChecker(BaseChecker):
                 self.report(
                     handler,
                     f"'except {caught}:' degrades silently; record the "
-                    "fallback (GuardEvent/health record, telemetry counter, "
+                    "fallback (GuardEvent/health record, registry counter, "
                     "tracer event or log line) or re-raise",
                 )
 

@@ -24,6 +24,10 @@ campaign board's journal and lock.  The contract, stated once:
   directory under ``<stem>-<sha1[:12]><ext>`` (:func:`quarantine`): the
   bytes survive for post-mortems, out of the live namespace, and repeated
   quarantines of the same name never overwrite each other.
+* **Remove and touch.**  Files whose absence is the goal are deleted with
+  :func:`remove_quietly`, which treats "already gone" as success, and
+  mtime clocks are stamped with :func:`touch`.  Neither fsyncs the parent
+  directory.
 * **Lock.**  :func:`file_lock` is an exclusive advisory ``flock`` over a
   lock file, for writers in different processes or hosts sharing a
   directory.  It is a no-op only where ``fcntl`` is missing.
@@ -67,8 +71,7 @@ def atomic_write_bytes(path: str, data: bytes, fsync: bool = True) -> None:
                 os.fsync(handle.fileno())
         os.replace(tmp_path, path)
     except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(tmp_path)
+        remove_quietly(tmp_path)
         raise
 
 
@@ -157,10 +160,38 @@ def quarantine(path: str, directory: str) -> str | None:
         os.makedirs(directory, exist_ok=True)
         os.replace(path, dest)
     except OSError:
-        with contextlib.suppress(OSError):
-            os.remove(path)
+        remove_quietly(path)
         return None
     return dest
+
+
+# --------------------------------------------------------------- remove/touch
+def remove_quietly(path: str) -> bool:
+    """Remove ``path``; False when it was already gone or is not removable.
+
+    For files whose absence is the goal (a failed write's temporary file,
+    a retired or released campaign artifact, a cleared cache entry): a
+    concurrent remover or a read-only directory is not an error.
+    """
+    try:
+        os.remove(path)
+    except OSError:
+        return False
+    return True
+
+
+def touch(path: str) -> None:
+    """Set ``path``'s mtime to now, creating it empty when missing.
+
+    The campaign board keeps time in mtimes: its clock probe file and
+    every lease heartbeat are touched.
+
+    Raises:
+        OSError: When the file cannot be created or stamped.
+    """
+    with open(path, "a"):
+        pass
+    os.utime(path)
 
 
 # ----------------------------------------------------------------------- lock

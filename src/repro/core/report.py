@@ -393,7 +393,7 @@ def render_full_report(gemstone, include_telemetry: bool = True) -> str:
             render_sim_telemetry(
                 executor.telemetry,
                 executor.jobs,
-                cache_telemetry=cache.telemetry if cache is not None else None,
+                cache_metrics=cache.metrics if cache is not None else None,
             )
         )
 
@@ -404,8 +404,11 @@ def render_full_report(gemstone, include_telemetry: bool = True) -> str:
     return "\n\n".join(sections)
 
 
-def render_sim_telemetry(telemetry, jobs: int, cache_telemetry=None) -> str:
-    """Simulation-executor telemetry: job accounting and stage wall-clock."""
+def render_sim_telemetry(telemetry, jobs: int, cache_metrics=None) -> str:
+    """Simulation-executor telemetry: job accounting and stage wall-clock.
+
+    The cache rows render from ``cache_metrics``, the disk cache's registry.
+    """
     rows = [
         ["worker processes", jobs],
         ["jobs submitted", telemetry.jobs_submitted],
@@ -425,9 +428,10 @@ def render_sim_telemetry(telemetry, jobs: int, cache_telemetry=None) -> str:
         ["reap wall-clock (s)", telemetry.reap_seconds],
         ["throughput (sims/s)", telemetry.throughput()],
     ]
-    if cache_telemetry is not None:
-        rows.append(["cache entries quarantined", cache_telemetry.quarantined])
-        rows.append(["cache write failures", cache_telemetry.put_failures])
+    if cache_metrics is not None:
+        count = cache_metrics.counter
+        rows.append(["cache entries quarantined", count("sim.cache.quarantined").value])
+        rows.append(["cache write failures", count("sim.cache.put_failures").value])
     return text_table(
         ["simulation executor", "value"],
         rows,
@@ -445,18 +449,18 @@ def render_guardrails(guard, max_events: int = 12) -> str:
     renders all zeros — the section states that the guarantees were
     *checked*, not just assumed.
     """
-    telemetry = guard.telemetry
+    count = guard.metrics.counter
     rows = [
         ["guard level", guard.plan.level],
         ["sentinel interval (1 in N jobs)", guard.plan.interval],
-        ["sentinel dual-engine replays", telemetry.sentinel_replays],
-        ["divergences caught", telemetry.divergences],
-        ["NaN/overflow results rejected", telemetry.nan_fallbacks],
-        ["corrupt decodes re-decoded", telemetry.decode_quarantines],
-        ["engine errors recovered", telemetry.engine_errors],
-        ["scalar fallbacks (total)", telemetry.fallbacks],
-        ["poison jobs circuit-broken", telemetry.poison_jobs],
-        ["worker out-of-memory isolations", telemetry.oom_events],
+        ["sentinel dual-engine replays", count("sim.guard.sentinel_replays").value],
+        ["divergences caught", count("sim.guard.divergences").value],
+        ["NaN/overflow results rejected", count("sim.guard.nan_fallbacks").value],
+        ["corrupt decodes re-decoded", count("sim.guard.decode_quarantines").value],
+        ["engine errors recovered", count("sim.guard.engine_errors").value],
+        ["scalar fallbacks (total)", count("sim.guard.fallbacks").value],
+        ["poison jobs circuit-broken", count("sim.guard.poison_jobs").value],
+        ["worker out-of-memory isolations", count("sim.guard.oom_events").value],
     ]
     lines = [text_table(["guardrails", "value"], rows, title="Guardrails")]
     for event in guard.events[:max_events]:

@@ -61,7 +61,7 @@ from repro.atomicio import (
     seal,
     unseal,
 )
-from repro.obs.metrics import MetricsRegistry, MetricView
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 #: Bump when the journal/checkpoint envelope format changes; old artifacts
@@ -208,23 +208,6 @@ class RunManifest:
         ).hexdigest()
 
 
-class RunStateTelemetry(MetricView):
-    """Counters for one run-state instance's lifetime.
-
-    A view over the ``core.runstate.*`` counters of a
-    :class:`~repro.obs.metrics.MetricsRegistry`; the attribute API is
-    unchanged.
-    """
-
-    _fields = {
-        name: f"core.runstate.{name}"
-        for name in (
-            "restored", "checkpointed", "quarantined", "spliced",
-            "journal_records_dropped",
-        )
-    }
-
-
 def _recorded_phase_key(path: str) -> str | None:
     """The ``phase_key`` in a checkpoint's verified header, or None."""
     try:
@@ -250,7 +233,12 @@ class RunState:
         tracer: Optional :class:`~repro.obs.tracer.Tracer`; checkpoint,
             restore, quarantine and interruption become trace events.
         metrics: Shared :class:`~repro.obs.metrics.MetricsRegistry` the
-            ``core.runstate.*`` counters live in; private when not given.
+            run state bumps its counters in; private when not given.  They
+            are ``core.runstate.restored``, ``.checkpointed``,
+            ``.quarantined`` (corrupt or stale artifacts moved aside),
+            ``.spliced`` (a previous run's checkpoints kept) and
+            ``.journal_records_dropped`` (torn journal lines an append
+            truncated).
 
     A directory holding a *different* fingerprint's artifacts is detected
     on open: everything in it is quarantined and the run starts fresh.
@@ -268,7 +256,7 @@ class RunState:
         self.manifest = manifest
         self.resume = resume
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.telemetry = RunStateTelemetry(metrics)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.inert = False
         self._warned = False
         self._journal = Journal(self.journal_path)
@@ -374,8 +362,8 @@ class RunState:
             elif name not in ("journal.jsonl", "manifest.json"):
                 continue
             quarantine(path, self.quarantine_dir)
-            self.telemetry.quarantined += 1
-        self.telemetry.spliced += len(spliced)
+            self.metrics.counter("core.runstate.quarantined").inc()
+        self.metrics.counter("core.runstate.spliced").inc(len(spliced))
         return spliced
 
     # ---------------------------------------------------------------- journal
@@ -388,17 +376,18 @@ class RunState:
         except OSError as exc:
             self._degrade(exc)
         else:
-            self.telemetry.journal_records_dropped += self._journal.dropped
+            self.metrics.counter("core.runstate.journal_records_dropped").inc(
+                self._journal.dropped
+            )
 
     def read_journal(self) -> list[dict]:
         """Verified journal records, oldest first.
 
         A torn or corrupt line (a crash mid-append) invalidates itself and
-        everything after it; the next append truncates them.
+        everything after it; the next append truncates them and counts
+        them, so reading never changes the count.
         """
-        records = self._journal.read()
-        self.telemetry.journal_records_dropped += self._journal.dropped
-        return records
+        return self._journal.read()
 
     # ------------------------------------------------------------ checkpoints
     def checkpoint(self, phase: str, payload: Any) -> bool:
@@ -418,7 +407,7 @@ class RunState:
         except OSError as exc:
             self._degrade(exc)
             return False
-        self.telemetry.checkpointed += 1
+        self.metrics.counter("core.runstate.checkpointed").inc()
         self.journal("checkpointed", phase=phase, n_bytes=len(body))
         self.tracer.event("checkpointed", phase=phase, n_bytes=len(body))
         return True
@@ -447,13 +436,13 @@ class RunState:
         except Exception as exc:  # noqa: BLE001 - any corruption -> recompute
             reason = f"{type(exc).__name__}: {exc}"
             quarantine(path, self.quarantine_dir)
-            self.telemetry.quarantined += 1
+            self.metrics.counter("core.runstate.quarantined").inc()
             self.journal("quarantined", artifact=f"{phase}.ckpt", reason=reason)
             self.tracer.event(
                 "runstate-quarantined", artifact=f"{phase}.ckpt", reason=reason
             )
             return None
-        self.telemetry.restored += 1
+        self.metrics.counter("core.runstate.restored").inc()
         self.journal("restored", phase=phase)
         self.tracer.event("restored", phase=phase)
         return payload

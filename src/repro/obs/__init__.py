@@ -1,15 +1,11 @@
 """Unified observability: structured tracing, metrics, exporters, logging.
 
-The pipeline's measurement story used to live in three disconnected ad-hoc
-records (the executor's ``SimTelemetry``, the result cache's
-``CacheTelemetry``, the run-state journal).  ``repro.obs`` replaces that
-with one subsystem, designed around the same constraint as the paper's
-methodology: measurement must be low-overhead and must never perturb the
-thing being measured.
+``repro.obs`` is the pipeline's one measurement subsystem, designed
+around the same constraint as the paper's methodology: measurement must
+be low-overhead and must never perturb the thing being measured.
 
 * :mod:`repro.obs.metrics` — a process-local registry of counters, gauges
-  and histograms.  The legacy telemetry dataclasses survive as thin views
-  over the registry, so nothing downstream had to change.
+  and histograms, bumped and read by dotted name.
 * :mod:`repro.obs.tracer` — a hierarchical span tracer with a
   context-manager API.  Span identities derive from the span path and a
   monotonic counter — never from wall-clock or PIDs — so the span *tree*

@@ -1,13 +1,13 @@
 """The metrics registry: counters, gauges and histograms by dotted name.
 
 One :class:`MetricsRegistry` instance is the single source of truth for a
-pipeline run's job accounting: the executor, the result cache and the run
-state all write into the registry they are handed (or a private one when
-constructed standalone), and the legacy telemetry records
-(:class:`~repro.sim.executor.SimTelemetry`,
-:class:`~repro.sim.result_cache.CacheTelemetry`,
-:class:`~repro.core.runstate.RunStateTelemetry`) are thin attribute views
-over it — see :class:`MetricView`.
+pipeline run's job accounting.  The executor, the result cache, the run
+state, the guardrails and the campaign board each write into the registry
+they are handed (or a private one when constructed standalone), bumping
+counters by their dotted names — ``metrics.counter("sim.cache.hits").inc()``
+— and readers (the report, the exports, campaign merges) read the same
+names back.  The one attribute view left is the executor's
+:class:`~repro.sim.executor.SimTelemetry`.
 
 Metrics are process-local and deliberately unsynchronised: worker processes
 own their own registries, and anything a worker must report travels back
@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 class Counter:
     """A cumulative value (int or float).
 
-    ``inc`` is the normal write path; ``set`` exists so legacy ``+=`` code
-    working through a :class:`MetricView` keeps its exact semantics.
+    ``inc`` is the normal write path; ``set`` backs the ``+=`` writes of
+    :class:`~repro.sim.executor.SimTelemetry` and snapshot reloads.
     """
 
     __slots__ = ("name", "value")
@@ -207,54 +207,3 @@ class MetricsRegistry:
                     mine.min = min(mine.min, metric.min)
                     mine.max = max(mine.max, metric.max)
 
-
-class MetricView:
-    """Attribute facade exposing registry counters under legacy names.
-
-    Subclasses set ``_fields`` (attribute -> metric name).  Reading an
-    attribute reads the counter; writing sets it, so existing
-    ``telemetry.jobs_run += n`` call sites keep their exact behaviour while
-    the registry stays the single source of truth.  Keyword arguments give
-    initial values, matching the dataclasses these views replaced.
-    """
-
-    _fields: dict[str, str] = {}
-
-    def __init__(
-        self, registry: MetricsRegistry | None = None, **values: float
-    ):
-        object.__setattr__(
-            self, "registry", registry if registry is not None else MetricsRegistry()
-        )
-        fields = type(self)._fields
-        for name, value in values.items():
-            if name not in fields:
-                raise TypeError(
-                    f"{type(self).__name__} has no field {name!r}"
-                )
-            self.registry.counter(fields[name]).set(value)
-
-    def __getattr__(self, name: str):
-        fields = type(self)._fields
-        if name in fields:
-            return self.registry.counter(fields[name]).value
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
-
-    def __setattr__(self, name: str, value) -> None:
-        fields = type(self)._fields
-        if name in fields:
-            self.registry.counter(fields[name]).set(value)
-            return
-        object.__setattr__(self, name, value)
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            attr: self.registry.counter(metric).value
-            for attr, metric in type(self)._fields.items()
-        }
-
-    def __repr__(self) -> str:  # keeps test failure output readable
-        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
-        return f"{type(self).__name__}({body})"

@@ -66,7 +66,13 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 
-from repro.atomicio import Journal, atomic_write_text, file_lock
+from repro.atomicio import (
+    Journal,
+    atomic_write_text,
+    file_lock,
+    remove_quietly,
+    touch,
+)
 from repro.obs.exporters import write_prometheus_snapshot
 from repro.obs.log import get_logger
 from repro.obs.merge import (
@@ -76,7 +82,7 @@ from repro.obs.merge import (
     merge_board_metrics,
     registry_from_snapshot,
 )
-from repro.obs.metrics import MetricsRegistry, MetricView
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.executor import RetryPolicy, SimExecutor, SimJobError
 from repro.sim.faults import InjectedFault
@@ -89,45 +95,6 @@ logger = get_logger(__name__)
 #: Bump when the board layout or journal envelope changes (v3: job files
 #: hold the SimJob recipe instead of a workload name).
 BOARD_SCHEMA_VERSION = 3
-
-
-class CampaignTelemetry(MetricView):
-    """Campaign counters, a view over the ``sim.campaign.*`` metrics.
-
-    Attributes:
-        jobs_queued: Jobs newly added to the board.
-        jobs_reused: Jobs satisfied by a verified existing result at sync.
-        jobs_requeued: Jobs given back (sync invalidation or a job error).
-        jobs_retired: Board jobs no longer wanted by the synced config.
-        jobs_claimed: Leases granted (fresh claims and steals).
-        leases_stolen: Expired leases taken over by another owner.
-        jobs_done: Jobs marked done (computed or adopted).
-        jobs_adopted: Done jobs whose result an earlier owner had stored.
-        jobs_abandoned: Claims that lost their lease before the done marker.
-        jobs_poisoned: Jobs circuit-broken after exhausting the budget.
-        job_errors: Job attempts that raised (requeued, not fatal).
-        workers_started: Shard processes the coordinator spawned.
-        workers_lost: Shard processes that exited abnormally.
-    """
-
-    _fields = {
-        name: f"sim.campaign.{name}"
-        for name in (
-            "jobs_queued",
-            "jobs_reused",
-            "jobs_requeued",
-            "jobs_retired",
-            "jobs_claimed",
-            "leases_stolen",
-            "jobs_done",
-            "jobs_adopted",
-            "jobs_abandoned",
-            "jobs_poisoned",
-            "job_errors",
-            "workers_started",
-            "workers_lost",
-        )
-    }
 
 
 # ------------------------------------------------------------------- jobs
@@ -192,7 +159,9 @@ class CampaignBoard:
         directory: Board directory (created on demand).
         ttl_seconds: Heartbeat TTL; an older lease is stealable.
         max_attempts: Claims allowed per job before it is poisoned.
-        metrics: Shared registry for the ``sim.campaign.*`` counters.
+        metrics: Shared registry the board bumps its ``sim.campaign.*``
+            counters in, one per journalled outcome (``jobs_claimed``,
+            ``leases_stolen``, ``jobs_done``, ...); private when not given.
     """
 
     def __init__(
@@ -211,7 +180,6 @@ class CampaignBoard:
         self.max_attempts = int(max_attempts)
         self._journal = Journal(self.journal_path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.telemetry = CampaignTelemetry(self.metrics)
         for sub in ("jobs", "state", "leases", "done", "poisoned", "results",
                     "obs"):
             os.makedirs(os.path.join(directory, sub), exist_ok=True)
@@ -296,9 +264,7 @@ class CampaignBoard:
         (a determinism lint error in ``repro.sim``).
         """
         probe = os.path.join(self.directory, ".clock")
-        with open(probe, "a"):
-            pass
-        os.utime(probe)
+        touch(probe)
         return os.stat(probe).st_mtime
 
     def _append_journal(self, event: str, **fields) -> None:
@@ -435,8 +401,7 @@ class CampaignBoard:
                     self._lease_path(key), self._done_path(key),
                     self._poison_path(key),
                 ):
-                    with contextlib.suppress(OSError):
-                        os.remove(path)
+                    remove_quietly(path)
                 self._append_journal("job-retired", key=key)
                 counts["retired"] += 1
             for key, (ordinal, job) in sorted(
@@ -470,8 +435,7 @@ class CampaignBoard:
                     # was invalidated or corrupted; give the job a fresh
                     # budget and re-queue it.
                     for path in (self._done_path(key), self._state_path(key)):
-                        with contextlib.suppress(OSError):
-                            os.remove(path)
+                        remove_quietly(path)
                     self._append_journal(
                         "job-requeued", key=key, owner="sync",
                         reason="result missing or corrupt",
@@ -481,10 +445,10 @@ class CampaignBoard:
                     counts["queued"] += 1
                 else:
                     counts["pending"] += 1
-        self.telemetry.jobs_queued += counts["queued"]
-        self.telemetry.jobs_reused += counts["reused"]
-        self.telemetry.jobs_requeued += counts["requeued"]
-        self.telemetry.jobs_retired += counts["retired"]
+        for outcome in ("queued", "reused", "requeued", "retired"):
+            self.metrics.counter(f"sim.campaign.jobs_{outcome}").inc(
+                counts[outcome]
+            )
         return counts
 
     # --------------------------------------------------------------- leasing
@@ -547,12 +511,12 @@ class CampaignBoard:
                         "lease-stolen", key=key, owner=owner,
                         previous=(lease or {}).get("owner"), attempt=attempt,
                     )
-                    self.telemetry.leases_stolen += 1
+                    self.metrics.counter("sim.campaign.leases_stolen").inc()
                 else:
                     self._append_journal(
                         "lease-claimed", key=key, owner=owner, attempt=attempt
                     )
-                self.telemetry.jobs_claimed += 1
+                self.metrics.counter("sim.campaign.jobs_claimed").inc()
                 loaded = self.load_job(key)
                 if loaded is None:
                     # The job file itself is gone, corrupt or hashes to
@@ -570,10 +534,9 @@ class CampaignBoard:
         atomic_write_text(
             self._poison_path(key), json.dumps({"reason": reason})
         )
-        with contextlib.suppress(OSError):
-            os.remove(self._lease_path(key))
+        remove_quietly(self._lease_path(key))
         self._append_journal("job-poisoned", key=key, reason=reason)
-        self.telemetry.jobs_poisoned += 1
+        self.metrics.counter("sim.campaign.jobs_poisoned").inc()
 
     def owns(self, key: str, owner: str) -> bool:
         """True while ``owner`` still holds the lease on ``key``."""
@@ -586,7 +549,7 @@ class CampaignBoard:
             if not self.owns(key, owner):
                 return False
             try:
-                os.utime(self._lease_path(key))
+                touch(self._lease_path(key))
             except OSError as exc:
                 logger.debug("heartbeat on %s failed: %s", key, exc)
                 return False
@@ -597,12 +560,11 @@ class CampaignBoard:
         with self._lock():
             if not self.owns(key, owner):
                 return False
-            with contextlib.suppress(OSError):
-                os.remove(self._lease_path(key))
+            remove_quietly(self._lease_path(key))
             self._append_journal(
                 "job-requeued", key=key, owner=owner, reason=reason
             )
-        self.telemetry.jobs_requeued += 1
+        self.metrics.counter("sim.campaign.jobs_requeued").inc()
         return True
 
     def mark_done(self, key: str, owner: str, adopted: bool = False) -> bool:
@@ -615,20 +577,19 @@ class CampaignBoard:
         with self._lock():
             if not self.owns(key, owner):
                 self._append_journal("job-abandoned", key=key, owner=owner)
-                self.telemetry.jobs_abandoned += 1
+                self.metrics.counter("sim.campaign.jobs_abandoned").inc()
                 return False
             atomic_write_text(
                 self._done_path(key),
                 json.dumps({"owner": owner, "adopted": bool(adopted)}),
             )
-            with contextlib.suppress(OSError):
-                os.remove(self._lease_path(key))
+            remove_quietly(self._lease_path(key))
             self._append_journal(
                 "job-done", key=key, owner=owner, adopted=bool(adopted)
             )
-        self.telemetry.jobs_done += 1
+        self.metrics.counter("sim.campaign.jobs_done").inc()
         if adopted:
-            self.telemetry.jobs_adopted += 1
+            self.metrics.counter("sim.campaign.jobs_adopted").inc()
         return True
 
     # ---------------------------------------------------------------- status
@@ -814,7 +775,7 @@ def run_worker(
                     ).observe(time.perf_counter() - started)
                 except Exception as exc:
                     report.errors += 1
-                    board.telemetry.job_errors += 1
+                    board.metrics.counter("sim.campaign.job_errors").inc()
                     # Journal the job's own error, not the executor's
                     # SimJobError wrapper around it.
                     reason = (
@@ -1022,7 +983,7 @@ def run_campaign(
                 )
                 proc.start()
                 procs.append(proc)
-            board.telemetry.workers_started += len(procs)
+            board.metrics.counter("sim.campaign.workers_started").inc(len(procs))
             while not board.all_settled():
                 if not any(proc.is_alive() for proc in procs):
                     # Every shard is gone (finished, crashed or capped)
@@ -1057,7 +1018,7 @@ def run_campaign(
                             ),
                         )
                     )
-            board.telemetry.workers_lost += lost
+            board.metrics.counter("sim.campaign.workers_lost").inc(lost)
     journal = board.read_journal()
     events = Counter(record.get("event") for record in journal)
     for record in journal:

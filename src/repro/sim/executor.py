@@ -37,8 +37,8 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   process, and a pool that cannot even be constructed (pickling-hostile
   environment) degrades to the serial path with the identical results;
 * **observability** — job accounting lives in a
-  :class:`~repro.obs.metrics.MetricsRegistry` (:class:`SimTelemetry` is a
-  thin view over it, surfaced by
+  :class:`~repro.obs.metrics.MetricsRegistry` (:class:`SimTelemetry` is an
+  attribute view over its ``sim.executor.*`` counters, surfaced by
   :func:`repro.core.report.render_sim_telemetry` in the full report), and
   an optional :class:`~repro.obs.tracer.Tracer` records per-batch and
   per-job spans — including spans recorded *inside* worker processes,
@@ -60,7 +60,7 @@ from time import perf_counter
 from typing import Iterable, Sequence
 
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry, MetricView
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.cpu import ENGINES, SimResult
 from repro.sim.guard import GuardEvent, GuardPlan, GuardRail, guarded_simulate
@@ -147,14 +147,16 @@ class SimJobError(RuntimeError):
         )
 
 
-class SimTelemetry(MetricView):
+class SimTelemetry:
     """Counters and per-stage wall-clock for one executor's lifetime.
 
-    Since the ``repro.obs`` unification this is a *view* over a
+    An attribute view over the ``sim.executor.*`` counters of a
     :class:`~repro.obs.metrics.MetricsRegistry` (the single source of
-    truth, exported by the Prometheus snapshot); every attribute below
-    reads — and ``+=`` writes — the ``sim.executor.*`` counter of the
-    same name, so the legacy API is unchanged.
+    truth, exported by the Prometheus snapshot): every attribute below
+    reads — and ``+=`` writes — the counter of the same name.  Keyword
+    arguments give initial values; a private registry is made when none
+    is given.  Every other component bumps its registry counters directly;
+    this view stays because the report and perfbench read it.
 
     Attributes:
         jobs_submitted: Jobs requested across all ``run_many`` batches.
@@ -201,6 +203,38 @@ class SimTelemetry(MetricView):
             "reap_seconds",
         )
     }
+
+    def __init__(
+        self, registry: MetricsRegistry | None = None, **values: float
+    ):
+        object.__setattr__(
+            self, "registry", registry if registry is not None else MetricsRegistry()
+        )
+        for name, value in values.items():
+            if name not in self._fields:
+                raise TypeError(f"SimTelemetry has no field {name!r}")
+            self.registry.counter(self._fields[name]).set(value)
+
+    def __getattr__(self, name: str):
+        if name in self._fields:
+            return self.registry.counter(self._fields[name]).value
+        raise AttributeError(f"'SimTelemetry' object has no attribute {name!r}")
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in self._fields:
+            self.registry.counter(self._fields[name]).set(value)
+            return
+        object.__setattr__(self, name, value)
+
+    def as_dict(self) -> dict[str, float]:
+        return {
+            attr: self.registry.counter(metric).value
+            for attr, metric in self._fields.items()
+        }
+
+    def __repr__(self) -> str:  # keeps test failure output readable
+        body = ", ".join(f"{k}={v}" for k, v in self.as_dict().items())
+        return f"SimTelemetry({body})"
 
     @property
     def wall_seconds(self) -> float:
@@ -288,8 +322,9 @@ class SimExecutor:
             included) record spans.  Defaults to the shared disabled
             tracer, whose per-span cost is one attribute check.
         metrics: Shared :class:`~repro.obs.metrics.MetricsRegistry`; one
-            is created privately when not given.  :attr:`telemetry` (and
-            the cache's) are views over it.
+            is created privately when not given.  The cache and the
+            guardrails bump their counters in it, and :attr:`telemetry`
+            is the attribute view over its ``sim.executor.*`` counters.
         guard: Optional :class:`~repro.sim.guard.GuardPlan`; defaults to
             guards off.  When active, every simulated job runs through
             :func:`~repro.sim.guard.guarded_simulate` (decode validation,

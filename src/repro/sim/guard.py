@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, MetricView
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.sim.machine import MachineConfig
 from repro.workloads.trace import SyntheticTrace, validate_columnar
@@ -146,51 +146,16 @@ class GuardPlan:
         return (ordinal + self.seed) % self.interval == 0
 
 
-class GuardTelemetry(MetricView):
-    """Guardrail counters, a view over the shared metrics registry.
-
-    Attributes:
-        sentinel_replays: Jobs dual-replayed through both engines.
-        divergences: Sentinel comparisons that found a mismatch.
-        nan_fallbacks: Columnar results rejected for NaN/overflow.
-        decode_quarantines: Corrupt decodes quarantined and re-decoded.
-        engine_errors: Columnar replays that raised and fell back.
-        fallbacks: Total per-job fallbacks to the scalar engine.
-        poison_jobs: Jobs circuit-broken into the serial quarantine lane.
-        oom_events: Pool jobs that raised ``MemoryError`` (injected or real).
-        shard_losses: Campaign shard processes that exited abnormally.
-        lease_steals: Expired campaign leases taken over by another shard.
-        events: All guard events recorded.
-    """
-
-    _fields = {
-        name: f"sim.guard.{name}"
-        for name in (
-            "sentinel_replays",
-            "divergences",
-            "nan_fallbacks",
-            "decode_quarantines",
-            "engine_errors",
-            "fallbacks",
-            "poison_jobs",
-            "oom_events",
-            "shard_losses",
-            "lease_steals",
-            "events",
-        )
-    }
-
-
-#: GuardEvent.kind -> GuardTelemetry counter attribute.
+#: GuardEvent.kind -> the counter it bumps besides ``sim.guard.events``.
 _KIND_COUNTERS = {
-    "divergence": "divergences",
-    "nan-result": "nan_fallbacks",
-    "decode-corrupt": "decode_quarantines",
-    "engine-error": "engine_errors",
-    "poison-job": "poison_jobs",
-    "worker-oom": "oom_events",
-    "shard-lost": "shard_losses",
-    "lease-steal": "lease_steals",
+    "divergence": "sim.guard.divergences",
+    "nan-result": "sim.guard.nan_fallbacks",
+    "decode-corrupt": "sim.guard.decode_quarantines",
+    "engine-error": "sim.guard.engine_errors",
+    "poison-job": "sim.guard.poison_jobs",
+    "worker-oom": "sim.guard.oom_events",
+    "shard-lost": "sim.guard.shard_losses",
+    "lease-steal": "sim.guard.lease_steals",
 }
 
 #: Event kinds that mean a job's columnar result was replaced by the
@@ -203,7 +168,10 @@ class GuardRail:
 
     Collects :class:`GuardEvent` records (worker-side events ship back
     in-band with results and are absorbed here) and mirrors them into
-    ``sim.guard.*`` metrics and tracer events.
+    tracer events and ``sim.guard.*`` counters of :attr:`metrics`:
+    ``events`` (all records), one counter per event kind
+    (:data:`_KIND_COUNTERS`), ``fallbacks`` (results replaced by the
+    scalar reference) and ``sentinel_replays`` (jobs dual-replayed).
     """
 
     def __init__(
@@ -215,7 +183,6 @@ class GuardRail:
         self.plan = plan if plan is not None else GuardPlan()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.telemetry = GuardTelemetry(self.metrics)
         #: Every anomaly recorded over this executor's lifetime.
         self.events: list[GuardEvent] = []
 
@@ -226,12 +193,12 @@ class GuardRail:
     def record(self, event: GuardEvent) -> None:
         """Absorb one guard event: list + metrics + tracer."""
         self.events.append(event)
-        self.telemetry.events += 1
+        self.metrics.counter("sim.guard.events").inc()
         counter = _KIND_COUNTERS.get(event.kind)
         if counter is not None:
-            setattr(self.telemetry, counter, getattr(self.telemetry, counter) + 1)
+            self.metrics.counter(counter).inc()
         if event.kind in _FALLBACK_KINDS:
-            self.telemetry.fallbacks += 1
+            self.metrics.counter("sim.guard.fallbacks").inc()
         self.tracer.event(
             "guard",
             guard_kind=event.kind,
@@ -243,7 +210,9 @@ class GuardRail:
     def absorb(self, events, sentinel_replays: int = 0) -> None:
         """Absorb a worker job's shipped-back guard outcome."""
         if sentinel_replays:
-            self.telemetry.sentinel_replays += sentinel_replays
+            self.metrics.counter("sim.guard.sentinel_replays").inc(
+                sentinel_replays
+            )
         for event in events or ():
             self.record(event)
 

@@ -10,8 +10,8 @@ the executor and the campaign board key on it.
 
 Entries are sealed in the checksummed envelope of :mod:`repro.atomicio`,
 which also states the write, quarantine and locking contract.  Corrupt
-entries are quarantined to ``<cache>/quarantine/`` and counted in
-:class:`CacheTelemetry`; a full or read-only cache directory degrades the
+entries are quarantined to ``<cache>/quarantine/`` and counted in the
+``sim.cache.*`` metrics; a full or read-only cache directory degrades the
 cache to uncached operation with a single warning instead of aborting a
 batch.  Mutations run under the directory's advisory lock, so processes
 sharing one directory — executor workers, campaign shards — cannot race a
@@ -23,7 +23,6 @@ re-running an evaluation after a restart then costs seconds, not minutes.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import json
@@ -36,11 +35,12 @@ from repro.atomicio import (
     atomic_write_text,
     file_lock,
     quarantine,
+    remove_quietly,
     seal,
     unseal,
 )
 from repro.obs.log import get_logger
-from repro.obs.metrics import MetricsRegistry, MetricView
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.cpu import SimResult
 from repro.sim.machine import CacheGeometry, MachineConfig
 from repro.uarch.tlb import TlbHierarchyConfig
@@ -120,26 +120,6 @@ class SimJob:
         )
 
 
-class CacheTelemetry(MetricView):
-    """Counters for one cache instance's lifetime.
-
-    A view over the ``sim.cache.*`` counters of a
-    :class:`~repro.obs.metrics.MetricsRegistry` (shared with the executor
-    when the cache is built by one); the attribute API is unchanged.
-
-    Attributes:
-        hits: Reads answered from a verified entry.
-        misses: Reads with no entry on disk.
-        quarantined: Corrupt entries moved to the quarantine directory.
-        put_failures: Writes abandoned because the directory is unusable.
-    """
-
-    _fields = {
-        name: f"sim.cache.{name}"
-        for name in ("hits", "misses", "quarantined", "put_failures")
-    }
-
-
 class SimResultCache:
     """A directory of checksummed, JSON-serialised :class:`SimResult` objects.
 
@@ -152,7 +132,12 @@ class SimResultCache:
             ``corrupt-cache`` faults garble matching writes so the
             quarantine path can be exercised deterministically.
         metrics: Shared :class:`~repro.obs.metrics.MetricsRegistry` the
-            ``sim.cache.*`` counters live in; private when not given.
+            cache bumps its counters in; private when not given.  They are
+            ``sim.cache.hits`` (reads answered from a verified entry),
+            ``sim.cache.misses`` (reads with no entry on disk),
+            ``sim.cache.quarantined`` (corrupt entries moved aside) and
+            ``sim.cache.put_failures`` (writes abandoned because the
+            directory is unusable).
     """
 
     def __init__(
@@ -163,7 +148,7 @@ class SimResultCache:
     ):
         self.directory = directory
         self.faults = faults
-        self.telemetry = CacheTelemetry(metrics)
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.degraded = False
         self._warned = False
         self._put_counts: dict[str, int] = {}
@@ -186,7 +171,7 @@ class SimResultCache:
 
     def _degrade(self, exc: OSError) -> None:
         self.degraded = True
-        self.telemetry.put_failures += 1
+        self.metrics.counter("sim.cache.put_failures").inc()
         if not self._warned:
             self._warned = True
             warnings.warn(
@@ -221,11 +206,11 @@ class SimResultCache:
                 },
             )
         except FileNotFoundError:
-            self.telemetry.misses += 1
+            self.metrics.counter("sim.cache.misses").inc()
             return None
         except (OSError, KeyError, TypeError, ValueError, AttributeError) as exc:
             logger.debug("quarantining cache entry %s: %s", path, exc)
-            self.telemetry.quarantined += 1
+            self.metrics.counter("sim.cache.quarantined").inc()
             try:
                 with file_lock(self._lock_path):
                     quarantine(path, self.quarantine_dir)
@@ -233,7 +218,7 @@ class SimResultCache:
                 logger.debug("cache lock unavailable (%s); quarantining unlocked", lock_exc)
                 quarantine(path, self.quarantine_dir)
             return None
-        self.telemetry.hits += 1
+        self.metrics.counter("sim.cache.hits").inc()
         return result
 
     def put(self, job: SimJob, result: SimResult) -> None:
@@ -286,9 +271,7 @@ class SimResultCache:
             return 0
         for name in names:
             if name.endswith(".json"):
-                with contextlib.suppress(OSError):
-                    os.remove(os.path.join(self.directory, name))
-                    removed += 1
+                removed += remove_quietly(os.path.join(self.directory, name))
         return removed
 
     def __len__(self) -> int:
@@ -303,8 +286,8 @@ class SimResultCache:
 def cache_spec(cache: SimResultCache | None) -> str | None:
     """Picklable description of a cache, for reconstruction in workers.
 
-    Pool workers cannot receive the cache object itself (it holds a
-    metrics registry and open telemetry); they receive its directory and
+    Pool workers cannot receive the cache object itself (it holds the
+    parent's metrics registry); they receive its directory and
     rebuild an equivalent writer over it.
     """
     return None if cache is None else cache.directory

@@ -86,6 +86,11 @@ class TestRob003SilentDegradation:
             "def f(self, x):\n    try:\n        return int(x)\n"
             "    except ValueError:\n        self.telemetry.rejected += 1\n"
             "        return 0\n",
+            # So does bumping a registry counter by its dotted name.
+            "def f(self, x):\n    try:\n        return int(x)\n"
+            "    except ValueError:\n"
+            "        self.metrics.counter('sim.x.rejected').inc()\n"
+            "        return 0\n",
             # Constructing a GuardEvent is the guard layer's record.
             "def f(events, x):\n    try:\n        return int(x)\n"
             "    except ValueError:\n"
@@ -97,10 +102,24 @@ class TestRob003SilentDegradation:
             "def f(tracer, x):\n    try:\n        return int(x)\n"
             "    except ValueError:\n        tracer.event('guard')\n        return 0\n",
         ],
-        ids=["log", "counter", "guard-event", "transform-raise", "tracer"],
+        ids=[
+            "log", "counter", "registry-inc", "guard-event",
+            "transform-raise", "tracer",
+        ],
     )
     def test_allows_recording_handlers(self, snippet):
         assert lint_snippet(snippet) == []
+
+    def test_an_inc_outside_the_handler_leaves_it_silent(self):
+        # The bump must be in the handler: one on the happy path records
+        # nothing about the failure the empty handler absorbs.
+        snippet = (
+            "def f(self, x):\n    try:\n"
+            "        self.metrics.counter('sim.x.parsed').inc()\n"
+            "        return int(x)\n"
+            "    except ValueError:\n        pass\n"
+        )
+        assert rule_ids(lint_snippet(snippet)) == ["ROB003"]
 
     def test_bare_handlers_are_rob001s_domain(self):
         # One bad handler never double-reports across the two rules.

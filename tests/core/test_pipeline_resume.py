@@ -100,8 +100,8 @@ def test_killed_after_each_phase_resumes_byte_identically(
     # Resume: finished phases restore, the rest compute, bytes match.
     resumed = GemStone(_config(sim_cache_dir, directory, resume=True))
     assert resumed.report() == reference_report
-    assert resumed.runstate.telemetry.restored == kill_after + 1
-    assert resumed.runstate.telemetry.quarantined == 0
+    assert resumed.runstate.metrics.counter("core.runstate.restored").value == kill_after + 1
+    assert resumed.runstate.metrics.counter("core.runstate.quarantined").value == 0
     assert resumed.runstate.completed_phases() == list(PHASES)
 
 
@@ -114,8 +114,8 @@ def test_fully_completed_run_resumes_from_the_report_checkpoint(
     resumed = GemStone(_config(sim_cache_dir, directory, resume=True))
     assert resumed.report() == reference_report
     # The report itself is a checkpointed phase: nothing is recomputed.
-    assert resumed.runstate.telemetry.restored == 1
-    assert resumed.runstate.telemetry.checkpointed == 0
+    assert resumed.runstate.metrics.counter("core.runstate.restored").value == 1
+    assert resumed.runstate.metrics.counter("core.runstate.checkpointed").value == 0
 
 
 def test_mismatched_config_splices_the_shared_subgraph(
@@ -137,15 +137,15 @@ def test_mismatched_config_splices_the_shared_subgraph(
         "manifest.json", "power-energy.ckpt", "report.ckpt",
         "workload-clusters.ckpt",
     ]
-    assert len(quarantined) == changed.runstate.telemetry.quarantined
-    assert changed.runstate.telemetry.spliced == 7
+    assert len(quarantined) == changed.runstate.metrics.counter("core.runstate.quarantined").value
+    assert changed.runstate.metrics.counter("core.runstate.spliced").value == 7
 
     report = changed.report()
     assert report != reference_report  # a different experiment, honestly run
     # Exactly the invalidated subgraph recomputed; everything whose
     # phase key survived the config change restored from its checkpoint.
-    assert changed.runstate.telemetry.restored == 7
-    assert changed.runstate.telemetry.checkpointed == 5
+    assert changed.runstate.metrics.counter("core.runstate.restored").value == 7
+    assert changed.runstate.metrics.counter("core.runstate.checkpointed").value == 5
     assert changed.runstate.completed_phases() == list(PHASES)
     events = [r["event"] for r in changed.runstate.read_journal()]
     assert "phases-spliced" in events

@@ -90,7 +90,20 @@ class TestJournal:
             handle.write('{"seq": 2, "event": "torn"')  # crash mid-append
         records = state.read_journal()
         assert [r["event"] for r in records] == ["run-start", "first"]
-        assert state.telemetry.journal_records_dropped == 1
+
+    def test_a_torn_line_counts_once_when_an_append_truncates_it(self, tmp_path):
+        state = RunState(str(tmp_path / "run"), _manifest())
+        with open(state.journal_path, "a") as handle:
+            handle.write('{"seq": 1, "event": "torn"')  # crash mid-append
+        dropped = state.metrics.counter("core.runstate.journal_records_dropped")
+        state.read_journal()
+        state.read_journal()
+        assert dropped.value == 0  # reading truncates nothing
+        state.journal("next")
+        assert dropped.value == 1
+        assert [r["event"] for r in state.read_journal()] == ["run-start", "next"]
+        state.journal("after")
+        assert dropped.value == 1
 
     def test_corrupt_record_invalidates_the_suffix(self, tmp_path):
         state = RunState(str(tmp_path / "run"), _manifest())
@@ -116,7 +129,7 @@ class TestJournal:
             "run-start", "first", "run-start", "checkpointed", "restored",
         ]
         assert [r["seq"] for r in records] == [0, 1, 2, 3, 4]
-        assert resumed.telemetry.journal_records_dropped == 1
+        assert resumed.metrics.counter("core.runstate.journal_records_dropped").value == 1
 
     def test_sequence_continues_across_instances(self, tmp_path):
         directory = str(tmp_path / "run")
@@ -134,19 +147,19 @@ class TestCheckpoints:
         assert writer.checkpoint("dataset", {"answer": 42})
         reader = RunState(directory, _manifest(), resume=True)
         assert reader.restore("dataset") == {"answer": 42}
-        assert reader.telemetry.restored == 1
+        assert reader.metrics.counter("core.runstate.restored").value == 1
 
     def test_without_resume_checkpoints_are_never_read(self, tmp_path):
         directory = str(tmp_path / "run")
         RunState(directory, _manifest()).checkpoint("dataset", 1)
         fresh = RunState(directory, _manifest(), resume=False)
         assert fresh.restore("dataset") is None
-        assert fresh.telemetry.restored == 0
+        assert fresh.metrics.counter("core.runstate.restored").value == 0
 
     def test_missing_phase_restores_none(self, tmp_path):
         state = RunState(str(tmp_path / "run"), _manifest(), resume=True)
         assert state.restore("dvfs") is None
-        assert state.telemetry.quarantined == 0
+        assert state.metrics.counter("core.runstate.quarantined").value == 0
 
     def test_corrupt_checkpoint_is_quarantined(self, tmp_path):
         directory = str(tmp_path / "run")
@@ -158,7 +171,7 @@ class TestCheckpoints:
         atomic_write_bytes(path, bytes(blob))
         reader = RunState(directory, _manifest(), resume=True)
         assert reader.restore("dataset") is None
-        assert reader.telemetry.quarantined == 1
+        assert reader.metrics.counter("core.runstate.quarantined").value == 1
         assert not os.path.exists(path)
         assert quarantined_names(reader.quarantine_dir) == ["dataset.ckpt"]
         events = [r["event"] for r in reader.read_journal()]
@@ -195,7 +208,7 @@ class TestCheckpoints:
         atomic_write_bytes(path, blob[: len(blob) // 2])
         reader = RunState(directory, _manifest(), resume=True)
         assert reader.restore("dataset") is None
-        assert reader.telemetry.quarantined == 1
+        assert reader.metrics.counter("core.runstate.quarantined").value == 1
 
     def test_completed_phases_are_in_pipeline_order(self, tmp_path):
         state = RunState(str(tmp_path / "run"), _manifest())
@@ -290,12 +303,12 @@ class TestPhaseKeys:
         )
         assert fresh.restore("dataset") == {"rows": 1}
         assert fresh.restore("workload-clusters") is None
-        assert fresh.telemetry.spliced == 1
+        assert fresh.metrics.counter("core.runstate.spliced").value == 1
         quarantined = quarantined_names(fresh.quarantine_dir)
         assert quarantined == [
             "journal.jsonl", "manifest.json", "workload-clusters.ckpt",
         ]
-        assert len(quarantined) == fresh.telemetry.quarantined
+        assert len(quarantined) == fresh.metrics.counter("core.runstate.quarantined").value
         events = [r["event"] for r in fresh.read_journal()]
         assert "phases-spliced" in events
 
@@ -307,10 +320,10 @@ class TestStaleDirectory:
         old.checkpoint("dataset", 1)
         fresh = RunState(directory, _manifest("new"), resume=True)
         assert fresh.restore("dataset") is None
-        assert fresh.telemetry.restored == 0
+        assert fresh.metrics.counter("core.runstate.restored").value == 0
         quarantined = quarantined_names(fresh.quarantine_dir)
         assert quarantined == ["dataset.ckpt", "journal.jsonl", "manifest.json"]
-        assert len(quarantined) == fresh.telemetry.quarantined
+        assert len(quarantined) == fresh.metrics.counter("core.runstate.quarantined").value
         manifest = json.load(open(fresh.manifest_path))
         assert manifest["fingerprint"] == "fp-new"
 
@@ -323,7 +336,7 @@ class TestStaleDirectory:
         assert fresh.restore("dataset") is None
         quarantined = quarantined_names(fresh.quarantine_dir)
         assert quarantined == ["dataset.ckpt", "journal.jsonl", "manifest.json"]
-        assert len(quarantined) == fresh.telemetry.quarantined
+        assert len(quarantined) == fresh.metrics.counter("core.runstate.quarantined").value
 
 
 class TestDegradation:

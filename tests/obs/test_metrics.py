@@ -1,4 +1,4 @@
-"""Counters, gauges, histograms, the registry, and the MetricView facade."""
+"""Counters, gauges, histograms and the registry."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    MetricView,
 )
 
 
@@ -101,39 +100,3 @@ class TestRegistry:
         assert a.histogram("h").count == 2
         assert a.gauge("g").value == 9.0
 
-
-class _View(MetricView):
-    _fields = {"hits": "t.hits", "misses": "t.misses"}
-
-
-class TestMetricView:
-    def test_reads_and_writes_go_to_the_registry(self):
-        reg = MetricsRegistry()
-        view = _View(reg)
-        assert view.hits == 0
-        view.hits += 2
-        assert reg.value("t.hits") == 2
-        reg.counter("t.hits").inc()
-        assert view.hits == 3
-
-    def test_keyword_construction_matches_old_dataclasses(self):
-        view = _View(hits=4, misses=1)
-        assert view.hits == 4 and view.misses == 1
-
-    def test_unknown_keyword_raises(self):
-        with pytest.raises(TypeError):
-            _View(bogus=1)
-
-    def test_unknown_attribute_raises(self):
-        with pytest.raises(AttributeError):
-            _View().bogus
-
-    def test_private_registry_when_none_given(self):
-        a, b = _View(), _View()
-        a.hits += 1
-        assert b.hits == 0
-
-    def test_as_dict_and_repr(self):
-        view = _View(hits=1)
-        assert view.as_dict() == {"hits": 1, "misses": 0}
-        assert "hits=1" in repr(view)

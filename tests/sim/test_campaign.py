@@ -156,7 +156,7 @@ class TestLeasing:
         ][0]
         assert record["previous"] == "alice"
         assert record["owner"] == "bob"
-        assert board.telemetry.leases_stolen == 1
+        assert board.metrics.counter("sim.campaign.leases_stolen").value == 1
 
     def test_exhausted_attempts_poison_the_job(self, tmp_path):
         board = CampaignBoard(str(tmp_path), ttl_seconds=0.05, max_attempts=1)
@@ -216,8 +216,8 @@ class TestLeasing:
         ]
         assert outcomes == [("job-done", "bob"), ("job-abandoned", "alice")]
         assert board._read_json(board._done_path(key))["owner"] == "bob"
-        assert board.telemetry.jobs_done == 1
-        assert board.telemetry.jobs_abandoned == 1
+        assert board.metrics.counter("sim.campaign.jobs_done").value == 1
+        assert board.metrics.counter("sim.campaign.jobs_abandoned").value == 1
 
     def test_heartbeat_fails_after_losing_the_lease(self, board):
         board.create_or_sync("fp", [_fake_job(0)])
@@ -391,7 +391,7 @@ class TestWorkerJobFaults:
         assert report.done == len(jobs)
         # The next sync finds every garbled entry and re-queues its job.
         assert board.create_or_sync(fingerprint, jobs)["requeued"] == len(jobs)
-        assert board.store().telemetry.quarantined == len(jobs)
+        assert board.store().metrics.counter("sim.cache.quarantined").value == len(jobs)
 
 
 @pytest.mark.dist

@@ -170,7 +170,7 @@ class TestKillAndResume:
         assert resumed.report() == reference
         # The dataset phase restored (events came back from the
         # checkpoint), the later phases recomputed their own.
-        assert resumed.runstate.telemetry.restored >= 1
+        assert resumed.runstate.metrics.counter("core.runstate.restored").value >= 1
         assert resumed.health.guard_events
 
 
@@ -206,7 +206,7 @@ class TestPoolScenarios:
         results = executor.run_many(jobs)
         self._assert_same(results, golden)
         assert executor.telemetry.jobs_isolated >= 1
-        assert executor.guard.telemetry.oom_events == 1
+        assert executor.guard.metrics.counter("sim.guard.oom_events").value == 1
         kinds = [e.kind for e in executor.guard.events]
         assert kinds == ["worker-oom"]
         assert executor.guard.events[0].action == "isolate"
@@ -225,14 +225,14 @@ class TestPoolScenarios:
             assert any(r is None for r in results)
         crashes = executor.telemetry.worker_crashes
         assert executor.is_poisoned(jobs[0].key)
-        assert executor.guard.telemetry.poison_jobs == 0
+        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 0
 
         # The third batch circuit-breaks it: the poison job runs (and
         # keeps failing) in the parent's serial quarantine lane, no
         # further workers die, and the healthy jobs are untouched.
         results = executor.run_many(jobs, raise_on_error=False)
         assert executor.telemetry.worker_crashes == crashes
-        assert executor.guard.telemetry.poison_jobs == 1
+        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 1
         poison = [e for e in executor.guard.events if e.kind == "poison-job"]
         assert len(poison) == 1
         assert poison[0].workload == TARGET

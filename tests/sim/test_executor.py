@@ -16,6 +16,7 @@ import pytest
 import repro.sim.cpu as cpu_mod
 import repro.sim.executor as executor_mod
 from repro.core.validation import collect_validation_dataset
+from repro.obs.metrics import MetricsRegistry
 from repro.sim.cpu import simulate
 from repro.sim.executor import (
     RetryPolicy,
@@ -135,6 +136,39 @@ class TestTelemetry:
         t = SimTelemetry(jobs_run=4, simulate_seconds=2.0)
         assert t.throughput() == 2.0
         assert SimTelemetry().throughput() == 0.0
+
+    def test_reads_and_writes_go_to_the_registry(self):
+        reg = MetricsRegistry()
+        t = SimTelemetry(reg)
+        assert t.cache_hits == 0
+        t.cache_hits += 2
+        assert reg.value("sim.executor.cache_hits") == 2
+        reg.counter("sim.executor.cache_hits").inc()
+        assert t.cache_hits == 3
+
+    def test_keyword_construction_sets_initial_values(self):
+        t = SimTelemetry(jobs_run=4, jobs_failed=1)
+        assert t.jobs_run == 4 and t.jobs_failed == 1
+
+    def test_unknown_keyword_raises(self):
+        with pytest.raises(TypeError):
+            SimTelemetry(bogus=1)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            SimTelemetry().bogus
+
+    def test_private_registry_when_none_given(self):
+        a, b = SimTelemetry(), SimTelemetry()
+        a.jobs_run += 1
+        assert b.jobs_run == 0
+
+    def test_as_dict_and_repr(self):
+        t = SimTelemetry(jobs_run=1)
+        assert t.as_dict()["jobs_run"] == 1
+        assert t.as_dict()["jobs_failed"] == 0
+        assert set(t.as_dict()) == set(SimTelemetry._fields)
+        assert "jobs_run=1" in repr(t)
 
 
 class TestPrimeEngines:
@@ -307,7 +341,7 @@ class TestRecipeMajorSerialLane:
         ]
         assert len(sampled) == 2
         assert sorted(scalar) == sorted(sampled)
-        assert ex.guard.telemetry.sentinel_replays == 2
+        assert ex.guard.metrics.counter("sim.guard.sentinel_replays").value == 2
 
     def test_guard_events_are_recorded_in_submission_order(
         self, machine_major

@@ -285,7 +285,7 @@ class TestCacheCorruption:
         second = clean.run_many(jobs)
         for result, reference in zip(second, golden):
             _assert_same(result, reference)
-        assert clean.cache.telemetry.quarantined == 1
+        assert clean.cache.metrics.counter("sim.cache.quarantined").value == 1
         assert clean.telemetry.cache_hits == len(jobs) - 1
         quarantine = os.path.join(cache_dir, "quarantine")
         assert os.path.isdir(quarantine) and len(os.listdir(quarantine)) == 1
@@ -299,7 +299,7 @@ class TestCacheCorruption:
         results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
-        assert ex.cache.telemetry.quarantined >= 1
+        assert ex.cache.metrics.counter("sim.cache.quarantined").value >= 1
 
     def test_unreaped_entry_reruns_as_attempt_two(self, jobs, golden, tmp_path):
         """A reap failure reruns like every other parent-side rerun of a
@@ -314,7 +314,7 @@ class TestCacheCorruption:
         results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
-        assert ex.cache.telemetry.quarantined == 1
+        assert ex.cache.metrics.counter("sim.cache.quarantined").value == 1
         assert [(e.kind, e.workload) for e in ex.guard.events] == [
             ("nan-result", name)
         ]
@@ -336,7 +336,7 @@ class TestDegradedCacheDirectory:
             cache.put(jobs[0], golden[0])
             cache.put(jobs[1], golden[1])  # no second warning
         assert cache.degraded
-        assert cache.telemetry.put_failures >= 1
+        assert cache.metrics.counter("sim.cache.put_failures").value >= 1
         assert cache.get(jobs[0]) is None
 
     def test_executor_survives_unusable_cache(self, jobs, golden, tmp_path):

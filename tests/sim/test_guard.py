@@ -249,11 +249,11 @@ class TestGuardRail:
         rail = GuardRail(PARANOID)
         rail.record(GuardEvent("divergence", "w", "m", "fallback-scalar"))
         rail.record(GuardEvent("decode-corrupt", "w", "m", "requarantine-decode"))
-        assert rail.telemetry.events == 2
-        assert rail.telemetry.divergences == 1
-        assert rail.telemetry.decode_quarantines == 1
+        assert rail.metrics.counter("sim.guard.events").value == 2
+        assert rail.metrics.counter("sim.guard.divergences").value == 1
+        assert rail.metrics.counter("sim.guard.decode_quarantines").value == 1
         # Only genuine result replacements count as fallbacks.
-        assert rail.telemetry.fallbacks == 1
+        assert rail.metrics.counter("sim.guard.fallbacks").value == 1
         assert len(rail.events) == 2
 
     def test_absorb_worker_payload(self):
@@ -261,8 +261,8 @@ class TestGuardRail:
         shipped = (GuardEvent("nan-result", "w", "m", "fallback-scalar"),)
         rail.absorb(shipped, sentinel_replays=1)
         rail.absorb((), sentinel_replays=1)
-        assert rail.telemetry.sentinel_replays == 2
-        assert rail.telemetry.nan_fallbacks == 1
+        assert rail.metrics.counter("sim.guard.sentinel_replays").value == 2
+        assert rail.metrics.counter("sim.guard.nan_fallbacks").value == 1
         assert [e.kind for e in rail.events] == ["nan-result"]
 
 
@@ -303,7 +303,7 @@ class TestPoisonBreaker:
         assert not executor.is_poisoned(bystander)
         assert executor.telemetry.worker_crashes == 2
         # The breaker announces when it routes the job, not when it arms.
-        assert executor.guard.telemetry.poison_jobs == 0
+        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 0
 
     def test_circuit_break_announces_once(self, pairs):
         executor = self._crashing(PARANOID)
@@ -315,7 +315,7 @@ class TestPoisonBreaker:
             assert results[0] is None and results[1] is not None
         # Quarantined batches run in the parent: no further worker dies.
         assert executor.telemetry.worker_crashes == crashes
-        assert executor.guard.telemetry.poison_jobs == 1
+        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 1
         assert [e.kind for e in executor.guard.events] == ["poison-job"]
         event = executor.guard.events[0]
         assert (event.workload, event.action) == ("mi-sha", "circuit-break")
@@ -329,4 +329,4 @@ class TestPoisonBreaker:
         assert executor.is_poisoned(pairs[0].key)
         assert executor.telemetry.worker_crashes == POISON_THRESHOLD
         assert [e.kind for e in executor.guard.events] == ["poison-job"]
-        assert executor.guard.telemetry.poison_jobs == 1
+        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 1

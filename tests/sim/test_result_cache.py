@@ -207,7 +207,7 @@ class TestIntegrity:
 
         self._rewrite_payload(path, bump)
         assert cache.get(job) is None
-        assert cache.telemetry.quarantined == 1
+        assert cache.metrics.counter("sim.cache.quarantined").value == 1
         # The corrupt bytes are preserved for post-mortems, out of the key
         # namespace so they can never answer another read; the destination
         # name is suffixed with a content hash of the corrupt bytes.
@@ -238,7 +238,7 @@ class TestIntegrity:
 
             self._rewrite_payload(path, bump)
             assert cache.get(job) is None
-        assert cache.telemetry.quarantined == 2
+        assert cache.metrics.counter("sim.cache.quarantined").value == 2
         stem = os.path.splitext(os.path.basename(path))[0]
         quarantined = [
             name
@@ -258,7 +258,7 @@ class TestIntegrity:
         with open(path, "wb") as handle:
             handle.write(json.dumps(header).encode() + b"\n" + body)
         assert cache.get(job) is None
-        assert cache.telemetry.quarantined == 1
+        assert cache.metrics.counter("sim.cache.quarantined").value == 1
 
     def test_rewrite_after_quarantine_recovers(self, cache, job, trace):
         machine = hardware_a15()
@@ -278,10 +278,10 @@ class TestIntegrity:
         assert cache.get(job) is None
         cache.put(job, simulate(trace, machine))
         assert cache.get(job) is not None
-        assert cache.telemetry.misses == 1
-        assert cache.telemetry.hits == 1
-        assert cache.telemetry.quarantined == 0
-        assert cache.telemetry.put_failures == 0
+        assert cache.metrics.counter("sim.cache.misses").value == 1
+        assert cache.metrics.counter("sim.cache.hits").value == 1
+        assert cache.metrics.counter("sim.cache.quarantined").value == 0
+        assert cache.metrics.counter("sim.cache.put_failures").value == 0
 
 
 class TestIntegration:
@@ -346,7 +346,7 @@ class TestGet:
             handle.write("garbage")
         assert cache.get(job) is None           # corrupt -> quarantined
         assert cache.get(job) is None           # and stays gone
-        assert cache.telemetry.quarantined == 1
+        assert cache.metrics.counter("sim.cache.quarantined").value == 1
 
 
 class TestCacheSpec:
