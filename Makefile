@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof lint check
+.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint check
 
 # Tier-1: the full unit/integration suite (includes the chaos scenarios).
 test:
@@ -76,6 +76,13 @@ bench-lint:
 # of simulated cycles; refreshes BENCH_prof.json at the repo root.
 bench-prof:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_profiler_overhead.py
+
+# Process start-up: `import repro.cli` and import plus GemStone(paper
+# config) in fresh interpreters, median and IQR of 9 each; asserts only
+# that no process imports scipy.stats, and refreshes BENCH_startup.json at
+# the repo root.
+bench-startup:
+	$(PYTHON) -m pytest -q -s benchmarks/test_bench_startup.py
 
 # Full paper-figure benchmark suite, including the throughput benchmark.
 bench:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from repro.core.pipeline import GemStone, GemStoneConfig
@@ -63,6 +64,12 @@ def paper_row(label: str, paper: str, measured: str) -> str:
 def print_header(title: str) -> None:
     print()
     print(f"=== {title} ===")
+
+
+def median_and_iqr(values: list[float]) -> tuple[float, float]:
+    """The median of ``values`` and their interquartile range."""
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q3 - q1)
 
 
 class CompiledJob(SimJob):

@@ -25,10 +25,9 @@ import json
 import os
 import time
 
-import numpy as np
 import pytest
 
-from benchmarks.conftest import paper_row, print_header
+from benchmarks.conftest import median_and_iqr, paper_row, print_header
 from repro.core.pipeline import GemStoneConfig
 from repro.sim.campaign import run_campaign
 from repro.sim.executor import RetryPolicy
@@ -73,11 +72,6 @@ def _drain_seconds(board_dir: str, shards: int) -> tuple[float, dict]:
     return elapsed, result.status
 
 
-def _median_and_iqr(values: list[float]) -> tuple[float, float]:
-    q1, median, q3 = np.percentile(values, [25, 50, 75])
-    return float(median), float(q3 - q1)
-
-
 @pytest.mark.dist
 def test_bench_campaign_scaling(tmp_path):
     timings: dict[int, list[float]] = {shards: [] for shards in SHARD_COUNTS}
@@ -94,11 +88,11 @@ def test_bench_campaign_scaling(tmp_path):
 
     rows = []
     for shards in SHARD_COUNTS:
-        seconds, seconds_iqr = _median_and_iqr(timings[shards])
+        seconds, seconds_iqr = median_and_iqr(timings[shards])
         ratios = [
             one / many for one, many in zip(timings[1], timings[shards])
         ]
-        speedup, speedup_iqr = _median_and_iqr(ratios)
+        speedup, speedup_iqr = median_and_iqr(ratios)
         rows.append(
             {
                 "shards": shards,

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _scipy_stats
+from scipy.special import stdtr
 
 from repro.core.stats.ols import OlsResult, fit_ols, variance_inflation_factors
 
@@ -266,7 +266,7 @@ def _screen(
         beta = np.vstack([(r_inv @ q_y)[:, None] - g * beta_c, beta_c])
         var = np.vstack([(r_inv**2).sum(axis=1)[:, None] + g**2 / rc2, 1.0 / rc2])
         t_abs = np.abs(beta[1:]) / np.sqrt(var[1:] * (rss / dof))
-        max_p = (2.0 * _scipy_stats.t.sf(t_abs, dof)).max(axis=0)
+        max_p = (2.0 * stdtr(dof, -t_abs)).max(axis=0)
         # kappa^2 <= (columns) * trace of the inverse unit-scaled Gram matrix.
         kappa2 = var.shape[0] * var.sum(axis=0)
         slack = _ROUNDING_SAFETY * np.finfo(float).eps * kappa2 * y2 / rss

@@ -448,7 +448,7 @@ class SimExecutor:
             with self.tracer.span("cache-probe", kind="cache"):
                 for indices in slots.values():
                     job = jobs[indices[0]]
-                    cached = self.cache.get(job) if self.cache else None
+                    cached = self.cache.get(job) if self.cache is not None else None
                     if cached is not None:
                         telemetry.cache_hits += 1
                         for index in indices:

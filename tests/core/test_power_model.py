@@ -91,6 +91,29 @@ class TestSelection:
             shuffled = [observations[i] for i in order]
             assert builder.select_events(shuffled) == terms
 
+    #: Row order only reorders the floating-point sums inside each OLS
+    #: fit, so coefficients may move by rounding, never by more than this.
+    PERMUTATION_REL_TOL = 1e-12
+
+    def test_per_opp_fit_ignores_observation_order(self, observations):
+        builder = PowerModelBuilder(
+            "A15", excluded_events=restraint_pool_gem5("A15"), max_terms=5
+        )
+        reference = builder.fit(observations)
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(len(observations))
+            shuffled = builder.fit([observations[i] for i in order])
+            assert shuffled.terms == reference.terms
+            assert shuffled.per_opp.keys() == reference.per_opp.keys()
+            for key, fit in reference.per_opp.items():
+                other = shuffled.per_opp[key]
+                assert other.names == fit.names
+                np.testing.assert_allclose(
+                    np.r_[other.intercept, other.coefficients],
+                    np.r_[fit.intercept, fit.coefficients],
+                    rtol=self.PERMUTATION_REL_TOL, atol=0,
+                )
+
 
 class TestModelQuality:
     def test_accuracy_in_paper_range(self, model):

@@ -38,6 +38,7 @@ RUN = {
     "core.runstate.checkpointed": 12,
     "core.runstate.journal_records_dropped": 0,
     "pipeline.phases_computed": 11,
+    "sim.cache.misses": 6,
     "sim.executor.batches": 1,
     "sim.executor.jobs_deduplicated": 0,
     "sim.executor.jobs_run": 6,
@@ -81,7 +82,9 @@ RESUME_AFTER_KILL = {
     "sim.guard.sentinel_replays": 1,
 }
 
-#: The merged campaign snapshot (coordinator plus both shards).
+#: The merged campaign snapshot (coordinator plus both shards).  Every
+#: job misses the store twice: once in the coordinator's board sync and
+#: once in the cache probe of the shard that claims it.
 CAMPAIGN = {
     "sim.campaign.jobs_claimed": 6,
     "sim.campaign.jobs_done": 6,
@@ -91,6 +94,7 @@ CAMPAIGN = {
     "sim.campaign.jobs_reused": 0,
     "sim.campaign.workers_lost": 0,
     "sim.campaign.workers_started": 2,
+    "sim.cache.misses": 12,
     "sim.executor.batches": 6,
     "sim.executor.cache_hits": 0,
     "sim.executor.jobs_deduplicated": 0,
@@ -98,12 +102,6 @@ CAMPAIGN = {
     "sim.executor.jobs_submitted": 6,
     "sim.guard.sentinel_replays": 1,
 }
-
-#: The executor skips its cache probe while the store directory is still
-#: empty, so how many shard probes count as misses depends on when the
-#: first result lands relative to the other shard's first claim.
-CAMPAIGN_TIMING_DEPENDENT = ("sim.cache.misses",)
-
 
 def _config(tmp_path, faults=FAULTS, **overrides) -> GemStoneConfig:
     profiles = tuple(workload_by_name(name) for name in WORKLOADS)
@@ -123,13 +121,12 @@ def _config(tmp_path, faults=FAULTS, **overrides) -> GemStoneConfig:
     return GemStoneConfig(**settings)
 
 
-def _counters(registry, skip=()) -> dict[str, float]:
+def _counters(registry) -> dict[str, float]:
     return {
         name: data["value"]
         for name, data in registry.snapshot().items()
         if data["type"] == "counter"
         and not name.endswith("seconds")
-        and name not in skip
     }
 
 
@@ -169,5 +166,5 @@ def test_two_shard_campaign_merged_snapshot(tmp_path):
     result = run_campaign(config, board_dir, shards=2, collate=False)
     assert result.status["done"] == result.status["total"] == 6
     merged = merge_board_metrics(board_dir)
-    _assert_pinned(_counters(merged, skip=CAMPAIGN_TIMING_DEPENDENT), CAMPAIGN)
+    _assert_pinned(_counters(merged), CAMPAIGN)
     assert os.path.exists(os.path.join(board_dir, "obs", "metrics.prom"))

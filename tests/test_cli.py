@@ -1,7 +1,12 @@
 """Tests for the gemstone CLI."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -68,3 +73,26 @@ class TestJobsFlag:
         assert main(["headline", "--instructions", "4000", "--jobs", "2"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == serial
+
+
+class TestStartup:
+    def test_import_does_not_load_scipy_stats(self):
+        """Every ``gemstone`` run pays its imports; ``scipy.stats`` alone
+        (with the spatial, sparse, optimize and linalg packages it pulls in)
+        once cost about a second of a warm rerun's start-up."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (src, env.get("PYTHONPATH")))
+        )
+        probe = (
+            "import sys, repro.cli; "
+            "print('repro.core.stats.stepwise' in sys.modules, "
+            "'scipy.stats' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        # The fits are imported, and still without scipy.stats.
+        assert out == ["True", "False"]

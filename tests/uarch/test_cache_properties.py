@@ -1,6 +1,6 @@
 """Property-based tests for cache and TLB invariants (hypothesis)."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.uarch.cache import SetAssociativeCache
 from repro.uarch.tlb import Tlb
@@ -58,6 +58,39 @@ def test_bigger_cache_never_misses_more(accesses):
         small.access(line)
         large.access(line)
     assert large.stats.misses <= small.stats.misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ways=st.lists(
+        st.sampled_from([1, 2, 4, 8]), min_size=2, max_size=2, unique=True
+    ).map(sorted),
+    n_sets=st.sampled_from([1, 4, 16]),
+    accesses=st.lists(
+        st.tuples(st.integers(0, 200), st.booleans()), min_size=1, max_size=300
+    ),
+)
+# A FIFO cache (a hit that does not refresh recency) breaks inclusion on
+# this stream: the 4-way set evicts line 0 on the miss on line 4, while
+# the 2-way set, having re-filled 0 later, still holds it.  Random streams
+# rarely show such an anomaly, so it is pinned here.
+@example(
+    ways=[2, 4],
+    n_sets=1,
+    accesses=[(line, False) for line in (0, 1, 2, 3, 0, 4, 0)],
+)
+def test_lru_stack_inclusion_per_access(ways, n_sets, accesses):
+    """LRU is a stack algorithm: at equal set counts, the contents of an
+    a-way set are always the a most recent lines of the b-way set (a < b),
+    so every access that hits in the smaller cache hits in the larger."""
+    small_ways, large_ways = ways
+    small = SetAssociativeCache("s", 64 * n_sets * small_ways, 64, small_ways)
+    large = SetAssociativeCache("l", 64 * n_sets * large_ways, 64, large_ways)
+    assert small.n_sets == large.n_sets == n_sets
+    for line, is_write in accesses:
+        small_hit, _, _ = small.access(line, is_write)
+        large_hit, _, _ = large.access(line, is_write)
+        assert large_hit or not small_hit, (line, is_write)
 
 
 @settings(max_examples=30, deadline=None)
