@@ -31,6 +31,14 @@ campaign board's journal and lock.  The contract, stated once:
 * **Lock.**  :func:`file_lock` is an exclusive advisory ``flock`` over a
   lock file, for writers in different processes or hosts sharing a
   directory.  It is a no-op only where ``fcntl`` is missing.
+* **No directory fsync.**  After a power loss a rename or a new file's
+  directory entry may be lost.  Every artifact here can be recomputed when
+  missing: a result entry on a cache miss, a checkpoint's phase by the
+  phase, ``board.json`` and job files by the next board sync, a lease by
+  the next claim, and a lost board journal re-queues its jobs, whose
+  stored results are adopted.  Journals are appended in place, never
+  renamed; metric snapshots are telemetry.  An artifact that cannot be
+  recomputed must fsync its directory.
 
 Writing an artifact with a plain ``open(path, "w")`` in :mod:`repro.sim` or
 :mod:`repro.core` is a lint error (rule ``ROB002``); ``flock`` outside this
@@ -218,6 +226,10 @@ def file_lock(path: str) -> Iterator[None]:
 class Journal:
     """An append-only JSONL journal of checksummed, numbered records.
 
+    The object keeps the prefix it verified (inode, length, digest and
+    records) and parses only the bytes past it; another inode or a changed
+    prefix is rescanned from the start.
+
     Attributes:
         path: The journal file.
         dropped: Non-blank lines past the verified prefix at the last
@@ -227,17 +239,24 @@ class Journal:
     def __init__(self, path: str):
         self.path = path
         self.dropped = 0
+        self._inode: int | None = None
+        self._end, self._records, self._digest = 0, [], hashlib.sha1()
 
-    def _scan(self) -> tuple[list[dict], int]:
-        """The verified records and the byte length of their prefix."""
+    def read(self) -> list[dict]:
+        """Verified records, oldest first; a bad line ends the prefix."""
         self.dropped = 0
         try:
             with open(self.path, "rb") as handle:
-                lines = handle.read().splitlines(keepends=True)
+                inode = os.fstat(handle.fileno()).st_ino
+                data = handle.read()
         except OSError:
-            return [], 0
-        records: list[dict] = []
-        end = 0
+            inode, data = None, b""
+        if inode != self._inode or (
+            hashlib.sha1(data[: self._end]).digest() != self._digest.digest()
+        ):
+            self._inode = inode
+            self._end, self._records, self._digest = 0, [], hashlib.sha1()
+        lines = data[self._end :].splitlines(keepends=True)
         for index, line in enumerate(lines):
             if line.strip():
                 try:
@@ -250,13 +269,10 @@ class Journal:
                 except (ValueError, KeyError, TypeError, AttributeError):
                     self.dropped = sum(1 for rest in lines[index:] if rest.strip())
                     break
-                records.append(record)
-            end += len(line)
-        return records, end
-
-    def read(self) -> list[dict]:
-        """Verified records, oldest first; a bad line ends the prefix."""
-        return self._scan()[0]
+                self._records.append(record)
+            self._end += len(line)
+            self._digest.update(line)
+        return list(self._records)
 
     def append(self, event: str, **fields: Any) -> dict:
         """Append one record (fsync'd) after truncating any torn tail.
@@ -266,13 +282,13 @@ class Journal:
         Raises:
             OSError: If the journal cannot be written.
         """
-        records, end = self._scan()
+        records = self.read()
         seq = int(records[-1]["seq"]) + 1 if records else 0
         record: dict[str, Any] = {"seq": seq, "event": event, **fields}
         record["sha1"] = _sha1_json(record)
         with open(self.path, "ab") as handle:
             if self.dropped:
-                handle.truncate(end)
+                handle.truncate(self._end)
             handle.write(json.dumps(record, sort_keys=True).encode() + b"\n")
             handle.flush()
             os.fsync(handle.fileno())

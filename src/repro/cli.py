@@ -561,7 +561,6 @@ def _campaign_detail(board_dir, status, journal) -> list[str]:
             _bump(owner, "claimed")
         elif event == "lease-stolen":
             _bump(owner, "stolen")
-            _bump(record.get("victim", ""), "claimed")
         elif event == "job-abandoned":
             _bump(owner, "abandoned")
         elif event == "job-poisoned":

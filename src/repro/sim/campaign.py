@@ -12,10 +12,11 @@ a single result:
   shared directory: one immutable job file per
   :attr:`~repro.sim.result_cache.SimJob.key` holding the job's recipe
   (profile, machine, length) and ordinal, a lease file per in-flight
-  job (owner + attempt, heartbeat = the lease file's mtime), done/poison
-  markers, and a :class:`~repro.atomicio.Journal`.  All board mutations
-  run under one :func:`~repro.atomicio.file_lock`, so claims and steals
-  are atomic across processes and hosts.
+  job (owner + attempt, heartbeat = the lease file's mtime), and a
+  :class:`~repro.atomicio.Journal`, the only record of job state: each
+  transition is one append.  All board mutations run under one
+  :func:`~repro.atomicio.file_lock`, so claims and steals are atomic
+  across processes and hosts.
 * **Lease-based work stealing** — a worker claims the first unleased,
   unfinished job; a lease whose heartbeat is older than the board TTL is
   *expired* and deterministically stolen by the next claimant (attempt
@@ -28,13 +29,14 @@ a single result:
   exactly as ``gemstone report`` computes a job.  It makes one attempt per
   claim: the board's claim budget is the campaign's only retry loop.
 * **Worker-loss recovery** — results land in the board's content-addressed
-  :class:`~repro.sim.result_cache.SimResultCache` *before* the done
-  marker, so a shard killed between the two leaves an orphaned-but-intact
-  result that the stealing shard's executor finds on its cache probe and
-  adopts instead of recomputing.  A shard that lost its lease marks
-  nothing done.  A job whose attempts exhaust the retry budget is poisoned
-  (the cross-shard analogue of the executor's poison-job circuit breaker)
-  and surfaced as a structured failure instead of wedging the campaign.
+  :class:`~repro.sim.result_cache.SimResultCache` *before* the
+  ``job-done`` append, so a shard killed between the two leaves an
+  orphaned-but-intact result that the stealing shard's executor finds on
+  its cache probe and adopts instead of recomputing.  A shard that lost
+  its lease marks nothing done.  A job whose attempts exhaust the retry
+  budget is poisoned (the cross-shard analogue of the executor's
+  poison-job circuit breaker) and surfaced as a structured failure
+  instead of wedging the campaign.
 * **Incremental recompute** — :meth:`CampaignBoard.create_or_sync` diffs a
   new :class:`~repro.core.runstate.RunManifest` against the board: jobs
   whose content-addressed key still has a verified result are marked done
@@ -92,9 +94,9 @@ from repro.sim.result_cache import SimJob, SimResultCache
 
 logger = get_logger(__name__)
 
-#: Bump when the board layout or journal envelope changes (v3: job files
-#: hold the SimJob recipe instead of a workload name).
-BOARD_SCHEMA_VERSION = 3
+#: Bump when the board layout or journal envelope changes (v4: job state
+#: lives only in the journal; no state/, done/ or poisoned/ markers).
+BOARD_SCHEMA_VERSION = 4
 
 
 # ------------------------------------------------------------------- jobs
@@ -132,6 +134,57 @@ class Claim:
     stolen: bool
 
 
+@dataclass(frozen=True)
+class JobState:
+    """One key's state as folded from the board journal."""
+
+    status: str = "queued"  # queued | leased | done | poisoned
+    attempts: int = 0
+    reason: str = ""
+
+
+QUEUED = JobState()
+SETTLED = ("done", "poisoned")
+
+
+def fold_job_states(records: list[dict]) -> dict[str, JobState]:
+    """Each key's state after replaying verified board journal records.
+
+    An unmentioned key is :data:`QUEUED`.  A ``job-requeued`` by
+    ``release()`` keeps the attempt count, so the retry budget poisons
+    repeat offenders; one by a board sync starts a fresh budget.
+    ``job-retired`` forgets the key; ``job-abandoned`` changes nothing.
+    """
+    states: dict[str, JobState] = {}
+    for record in records:
+        event, key = record.get("event"), record.get("key")
+        state = states.get(key, QUEUED)
+        if event == "job-queued":
+            states[key] = QUEUED
+        elif event in ("lease-claimed", "lease-stolen"):
+            states[key] = JobState("leased", int(record["attempt"]))
+        elif event in ("job-done", "job-reused"):
+            states[key] = dataclasses.replace(state, status="done")
+        elif event == "job-poisoned":
+            states[key] = dataclasses.replace(
+                state, status="poisoned", reason=record.get("reason", "")
+            )
+        elif event == "job-requeued":
+            fresh = record.get("owner") == "sync"
+            states[key] = JobState(attempts=0 if fresh else state.attempts)
+        elif event == "job-retired":
+            states.pop(key, None)
+    return states
+
+
+def _check_schema(directory: str, meta: dict) -> None:
+    if meta.get("schema") != BOARD_SCHEMA_VERSION:
+        raise ValueError(
+            f"board at {directory} has schema {meta.get('schema')!r}; "
+            f"this build reads schema {BOARD_SCHEMA_VERSION}"
+        )
+
+
 # ------------------------------------------------------------------ board
 class CampaignBoard:
     """File-backed job board for one campaign under a shared directory.
@@ -141,19 +194,18 @@ class CampaignBoard:
         board.json           schema, fingerprint, ttl, retry budget
         board.lock           file_lock serialising all mutations
         .clock               probe file; its mtime is the board's clock
-        journal.jsonl        the board's repro.atomicio.Journal
+        journal.jsonl        the board's repro.atomicio.Journal: job state
         jobs/<key>.json      immutable SimJob recipes plus ordinal
-        state/<key>.json     mutable attempt/steal counters
         leases/<key>.lease   owner + attempt; mtime is the heartbeat
-        done/<key>.json      completion markers
-        poisoned/<key>.json  circuit-broken jobs with their reason
         results/<key>.json   the result store (a SimResultCache)
 
-    Every mutation (claim, steal, release, done, poison, journal append)
-    runs under the board's lock, so any number of processes —
-    on any number of hosts sharing the directory — see a consistent
-    board.  Lease expiry compares mtimes against the mtime of a freshly
-    touched probe file (:meth:`now`), never a wall clock.
+    The journal is the only record of job state: :meth:`job_states` folds
+    it (:func:`fold_job_states`), and each transition (queue, claim,
+    steal, release, done, poison, retire) commits with exactly one
+    append.  Every mutation runs under the board's lock, so any number of
+    processes — on any number of hosts sharing the directory — see a
+    consistent board.  Lease expiry compares mtimes against the mtime of
+    a freshly touched probe file (:meth:`now`), never a wall clock.
 
     Args:
         directory: Board directory (created on demand).
@@ -180,8 +232,7 @@ class CampaignBoard:
         self.max_attempts = int(max_attempts)
         self._journal = Journal(self.journal_path)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        for sub in ("jobs", "state", "leases", "done", "poisoned", "results",
-                    "obs"):
+        for sub in ("jobs", "leases", "results", "obs"):
             os.makedirs(os.path.join(directory, sub), exist_ok=True)
 
     @classmethod
@@ -192,15 +243,11 @@ class CampaignBoard:
 
         Raises:
             FileNotFoundError: When the directory holds no ``board.json``.
-            ValueError: When the board was written by a newer schema.
+            ValueError: When the board was written by another schema.
         """
         with open(os.path.join(directory, "board.json")) as handle:
             meta = json.load(handle)
-        if meta.get("schema") != BOARD_SCHEMA_VERSION:
-            raise ValueError(
-                f"board at {directory} has schema {meta.get('schema')!r}; "
-                f"this build reads schema {BOARD_SCHEMA_VERSION}"
-            )
+        _check_schema(directory, meta)
         return cls(
             directory,
             ttl_seconds=meta["ttl_seconds"],
@@ -224,17 +271,8 @@ class CampaignBoard:
     def _job_path(self, key: str) -> str:
         return os.path.join(self.directory, "jobs", f"{key}.json")
 
-    def _state_path(self, key: str) -> str:
-        return os.path.join(self.directory, "state", f"{key}.json")
-
     def _lease_path(self, key: str) -> str:
         return os.path.join(self.directory, "leases", f"{key}.lease")
-
-    def _done_path(self, key: str) -> str:
-        return os.path.join(self.directory, "done", f"{key}.json")
-
-    def _poison_path(self, key: str) -> str:
-        return os.path.join(self.directory, "poisoned", f"{key}.json")
 
     def store(self) -> SimResultCache:
         """The campaign's shared result store (one per call, same files)."""
@@ -268,18 +306,17 @@ class CampaignBoard:
         return os.stat(probe).st_mtime
 
     def _append_journal(self, event: str, **fields) -> None:
-        """Append one journal record; the caller holds the board lock.
+        """Commit one transition to the journal; the caller holds the lock.
 
         ``clock`` stamps the record with the board's shared-filesystem
         clock (never wall time), so ``campaign status --detail`` can derive
         completion rates and an ETA from journal deltas.
+
+        Raises:
+            OSError: When the append fails; the transition did not happen.
         """
         started = time.perf_counter()
-        clock = self.now()
-        try:
-            self._journal.append(event, clock=clock, **fields)
-        except OSError as exc:
-            logger.warning("campaign journal append failed: %s", exc)
+        self._journal.append(event, clock=self.now(), **fields)
         if self._journal.dropped:
             logger.warning(
                 "campaign journal at %s had a torn tail; truncated %d line(s)",
@@ -293,25 +330,18 @@ class CampaignBoard:
         """Verified journal records, oldest first (torn tail dropped)."""
         return self._journal.read()
 
+    def job_states(self) -> dict[str, JobState]:
+        """Each board job's state folded from the journal, in key order."""
+        states = fold_job_states(self.read_journal())
+        return {key: states.get(key, QUEUED) for key in self.job_keys()}
+
     def _read_json(self, path: str) -> dict | None:
         try:
             with open(path) as handle:
                 return json.load(handle)
-        except FileNotFoundError:
-            logger.debug("board artifact absent: %s", path)
-            return None
         except (OSError, ValueError) as exc:
-            logger.debug("unreadable board artifact %s: %s", path, exc)
+            logger.debug("absent or unreadable board artifact: %s", exc)
             return None
-
-    def _read_state(self, key: str) -> dict:
-        state = self._read_json(self._state_path(key))
-        if state is None:
-            return {"attempts": 0, "steals": 0}
-        return {
-            "attempts": int(state.get("attempts", 0)),
-            "steals": int(state.get("steals", 0)),
-        }
 
     def job_keys(self) -> list[str]:
         """Every job key on the board, sorted (the claim scan order)."""
@@ -363,17 +393,23 @@ class CampaignBoard:
 
         The incremental-recompute entry point: jobs whose content-addressed
         key already has a *verified* result are marked done (``job-reused``
-        in the journal, never re-run); done markers whose result is missing
-        or corrupt are re-queued with a fresh attempt budget; keys the new
+        in the journal, never re-run); done jobs whose result is missing or
+        corrupt are re-queued with a fresh attempt budget; keys the new
         configuration no longer wants are retired.  Everything else is
         queued.  Returns the counts, which tests assert against the
         journal.
+
+        Raises:
+            ValueError: When the board was written by another schema; no
+                file is touched.
         """
         counts = {"queued": 0, "reused": 0, "requeued": 0, "retired": 0,
                   "pending": 0}
         store = self.store()
         with self._lock():
             meta = self._read_json(self.meta_path)
+            if meta is not None:
+                _check_schema(self.directory, meta)
             if meta is None or meta.get("fingerprint") != fingerprint:
                 atomic_write_text(
                     self.meta_path,
@@ -393,16 +429,13 @@ class CampaignBoard:
                     fingerprint=fingerprint,
                     previous=meta.get("fingerprint") if meta else None,
                 )
+            states = self.job_states()
             wanted = {job.key: (ordinal, job) for ordinal, job in enumerate(jobs)}
-            known = set(self.job_keys())
+            known = set(states)
             for key in sorted(known - set(wanted)):
-                for path in (
-                    self._job_path(key), self._state_path(key),
-                    self._lease_path(key), self._done_path(key),
-                    self._poison_path(key),
-                ):
-                    remove_quietly(path)
                 self._append_journal("job-retired", key=key)
+                remove_quietly(self._job_path(key))
+                remove_quietly(self._lease_path(key))
                 counts["retired"] += 1
             for key, (ordinal, job) in sorted(
                 wanted.items(), key=lambda item: item[1][0]
@@ -419,23 +452,14 @@ class CampaignBoard:
                         "job-queued", key=key, workload=job.profile.name,
                         machine=job.machine.name,
                     )
-                was_done = os.path.exists(self._done_path(key))
+                was_done = states.get(key, QUEUED).status == "done"
                 if store.get(job) is not None:
                     if not was_done:
-                        atomic_write_text(
-                            self._done_path(key),
-                            json.dumps({"owner": "sync", "adopted": True}),
-                        )
                         self._append_journal(
                             "job-reused", key=key, workload=job.profile.name
                         )
                     counts["reused"] += 1
-                elif was_done:
-                    # Done marker without an intact result: the store entry
-                    # was invalidated or corrupted; give the job a fresh
-                    # budget and re-queue it.
-                    for path in (self._done_path(key), self._state_path(key)):
-                        remove_quietly(path)
+                elif was_done:  # result invalidated or corrupted
                     self._append_journal(
                         "job-requeued", key=key, owner="sync",
                         reason="result missing or corrupt",
@@ -461,12 +485,9 @@ class CampaignBoard:
         """
         with self._lock():
             now = self.now()
-            for key in self.job_keys():
-                if os.path.exists(self._done_path(key)) or os.path.exists(
-                    self._poison_path(key)
-                ):
+            for key, state in self.job_states().items():
+                if state.status in SETTLED:
                     continue
-                state = self._read_state(key)
                 lease_path = self._lease_path(key)
                 lease = self._read_json(lease_path)
                 stolen = False
@@ -482,41 +503,29 @@ class CampaignBoard:
                     if age <= self.ttl_seconds:
                         continue
                     stolen = True
-                if state["attempts"] >= self.max_attempts:
+                if state.attempts >= self.max_attempts:
                     self._poison_locked(
                         key,
                         f"retry budget exhausted after "
-                        f"{state['attempts']} attempt(s)",
+                        f"{state.attempts} attempt(s)",
                     )
                     continue
-                attempt = state["attempts"] + 1
-                atomic_write_text(
-                    self._state_path(key),
-                    json.dumps(
-                        {
-                            "attempts": attempt,
-                            "steals": state["steals"] + int(stolen),
-                        },
-                        sort_keys=True,
-                    ),
+                attempt = state.attempts + 1
+                # The append commits the claim; the lease then heartbeats it.
+                self._append_journal(
+                    "lease-stolen" if stolen else "lease-claimed", key=key,
+                    owner=owner, attempt=attempt,
+                    **({"previous": lease.get("owner")} if stolen else {}),
                 )
+                if stolen:
+                    self.metrics.counter("sim.campaign.leases_stolen").inc()
+                self.metrics.counter("sim.campaign.jobs_claimed").inc()
                 atomic_write_text(
                     lease_path,
                     json.dumps(
                         {"owner": owner, "attempt": attempt}, sort_keys=True
                     ),
                 )
-                if stolen:
-                    self._append_journal(
-                        "lease-stolen", key=key, owner=owner,
-                        previous=(lease or {}).get("owner"), attempt=attempt,
-                    )
-                    self.metrics.counter("sim.campaign.leases_stolen").inc()
-                else:
-                    self._append_journal(
-                        "lease-claimed", key=key, owner=owner, attempt=attempt
-                    )
-                self.metrics.counter("sim.campaign.jobs_claimed").inc()
                 loaded = self.load_job(key)
                 if loaded is None:
                     # The job file itself is gone, corrupt or hashes to
@@ -531,11 +540,8 @@ class CampaignBoard:
 
     def _poison_locked(self, key: str, reason: str) -> None:
         """Poison one job (caller holds the board lock)."""
-        atomic_write_text(
-            self._poison_path(key), json.dumps({"reason": reason})
-        )
-        remove_quietly(self._lease_path(key))
         self._append_journal("job-poisoned", key=key, reason=reason)
+        remove_quietly(self._lease_path(key))
         self.metrics.counter("sim.campaign.jobs_poisoned").inc()
 
     def owns(self, key: str, owner: str) -> bool:
@@ -560,33 +566,30 @@ class CampaignBoard:
         with self._lock():
             if not self.owns(key, owner):
                 return False
-            remove_quietly(self._lease_path(key))
             self._append_journal(
                 "job-requeued", key=key, owner=owner, reason=reason
             )
+            remove_quietly(self._lease_path(key))
         self.metrics.counter("sim.campaign.jobs_requeued").inc()
         return True
 
     def mark_done(self, key: str, owner: str, adopted: bool = False) -> bool:
         """Mark one job complete and drop its lease; False if not owner.
 
-        A claimant whose lease was stolen writes no done marker: it
-        journals ``job-abandoned`` instead, so every key reaches
-        ``job-done`` exactly once.
+        A claimant whose lease was stolen, or whose job the journal already
+        settled, changes nothing: it journals ``job-abandoned`` instead, so
+        every key reaches ``job-done`` exactly once.
         """
         with self._lock():
-            if not self.owns(key, owner):
+            state = self.job_states().get(key, QUEUED)
+            if state.status in SETTLED or not self.owns(key, owner):
                 self._append_journal("job-abandoned", key=key, owner=owner)
                 self.metrics.counter("sim.campaign.jobs_abandoned").inc()
                 return False
-            atomic_write_text(
-                self._done_path(key),
-                json.dumps({"owner": owner, "adopted": bool(adopted)}),
-            )
-            remove_quietly(self._lease_path(key))
             self._append_journal(
                 "job-done", key=key, owner=owner, adopted=bool(adopted)
             )
+            remove_quietly(self._lease_path(key))
         self.metrics.counter("sim.campaign.jobs_done").inc()
         if adopted:
             self.metrics.counter("sim.campaign.jobs_adopted").inc()
@@ -595,44 +598,21 @@ class CampaignBoard:
     # ---------------------------------------------------------------- status
     def all_settled(self) -> bool:
         """True once every board job is done or poisoned."""
-        keys = self.job_keys()
-        return all(
-            os.path.exists(self._done_path(key))
-            or os.path.exists(self._poison_path(key))
-            for key in keys
-        )
+        return all(s.status in SETTLED for s in self.job_states().values())
 
     def poisoned_jobs(self) -> tuple[tuple[str, str, str], ...]:
         """Every poisoned job as ``(key, workload, reason)``, sorted."""
-        out = []
-        for key in self.job_keys():
-            marker = self._read_json(self._poison_path(key))
-            if marker is None:
-                continue
-            out.append(
-                (key, self.job_names(key)[0], marker.get("reason", ""))
-            )
-        return tuple(out)
+        return tuple(
+            (key, self.job_names(key)[0], state.reason)
+            for key, state in self.job_states().items()
+            if state.status == "poisoned"
+        )
 
     def status(self) -> dict[str, int]:
         """Board-level counts: total/done/poisoned/leased/queued."""
-        keys = self.job_keys()
-        done = sum(1 for k in keys if os.path.exists(self._done_path(k)))
-        poisoned = sum(
-            1 for k in keys if os.path.exists(self._poison_path(k))
-        )
-        leased = sum(
-            1
-            for k in keys
-            if os.path.exists(self._lease_path(k))
-            and not os.path.exists(self._done_path(k))
-        )
-        return {
-            "total": len(keys),
-            "done": done,
-            "poisoned": poisoned,
-            "leased": leased,
-            "queued": len(keys) - done - poisoned - leased,
+        counts = Counter(s.status for s in self.job_states().values())
+        return {"total": sum(counts.values())} | {
+            s: counts[s] for s in ("done", "poisoned", "leased", "queued")
         }
 
 
@@ -666,7 +646,7 @@ def _run_one(
     """One claimed job through the executor; False if the lease was lost.
 
     A result the executor's cache probe finds was stored by an earlier
-    owner that died before its done marker (or sync raced us): it is
+    owner that died before its ``job-done`` append (or sync raced us): it is
     adopted, never recomputed.
     """
     job = claim.job
@@ -753,7 +733,7 @@ def run_worker(
             ) as jspan:
                 # A lease-stall fault sleeps *before* the heartbeat thread
                 # starts, so the lease genuinely expires under a live
-                # worker, which then loses the job at its done marker.
+                # worker, which then loses the job at ``mark_done``.
                 stall = (
                     faults.shard_fault("claimed", name, attempt)
                     if faults is not None else None
@@ -844,7 +824,8 @@ def _write_cumulative_snapshot(
     Cumulative across campaign resumes: an owner (a shard or the
     coordinator) re-spawned on the same board folds its previous snapshot
     in, so the merged campaign snapshot keeps matching the (append-only)
-    journal.  An unreadable prior snapshot is logged and replaced.
+    journal.  A missing prior snapshot is the owner's first run; an
+    unreadable one is logged at WARNING and replaced.
     """
     os.makedirs(obs_dir, exist_ok=True)
     snapshot_path = os.path.join(obs_dir, "metrics.json")
@@ -854,6 +835,8 @@ def _write_cumulative_snapshot(
             prior = json.load(handle)
         if isinstance(prior, dict):
             cumulative.absorb(registry_from_snapshot(prior))
+    except FileNotFoundError:
+        logger.debug("no prior %s snapshot; starting fresh", owner)
     except (OSError, ValueError, TypeError, KeyError) as exc:
         logger.warning(
             "prior %s snapshot unusable (%s: %s); starting fresh",

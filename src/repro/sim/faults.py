@@ -180,7 +180,7 @@ class FaultPlan:
     def shard_crash(cls, workload: str, attempts: int = 1) -> "FaultPlan":
         """Kill a campaign shard after storing ``workload``'s result.
 
-        Fires between the store write and the done marker, so the lease
+        Fires between the store write and the ``job-done`` append, so the lease
         expires with an orphaned-but-intact result on disk; the stealing
         shard must adopt it instead of recomputing.
         """
@@ -251,7 +251,7 @@ class FaultPlan:
 
         ``phase`` is where the worker currently is: ``"claimed"`` (lease
         held, job not yet run — where ``lease-stall`` sleeps) or
-        ``"stored"`` (result written, done marker not yet placed — where
+        ``"stored"`` (result written, ``job-done`` not yet journalled — where
         ``shard-crash`` kills the shard).  Matching is by workload name
         and attempt count, same as the executor job faults.
         """

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import logging
 import os
+from collections import Counter
 
 import pytest
 
@@ -17,7 +19,11 @@ from repro.cli import main
 from repro.core.pipeline import GemStoneConfig
 from repro.core.runstate import RunManifest
 from repro.sim.campaign import (
+    BOARD_SCHEMA_VERSION,
+    QUEUED,
     CampaignBoard,
+    JobState,
+    fold_job_states,
     _write_cumulative_snapshot,
     campaign_jobs,
     run_worker,
@@ -208,16 +214,28 @@ class TestLeasing:
         os.utime(board._lease_path(key), (past, past))
         assert board.claim("bob").stolen
         assert board.mark_done(key, "bob") is True
-        # Alice wakes after the steal: her done marker must write nothing.
+        # Alice wakes after the steal: her mark_done must change nothing.
         assert board.mark_done(key, "alice") is False
         outcomes = [
             (r["event"], r["owner"]) for r in board.read_journal()
             if r["event"] in ("job-done", "job-abandoned")
         ]
         assert outcomes == [("job-done", "bob"), ("job-abandoned", "alice")]
-        assert board._read_json(board._done_path(key))["owner"] == "bob"
+        assert board.job_states()[key] == JobState("done", attempts=2)
+        assert board.status()["done"] == 1
         assert board.metrics.counter("sim.campaign.jobs_done").value == 1
         assert board.metrics.counter("sim.campaign.jobs_abandoned").value == 1
+
+    def test_released_attempts_count_toward_the_budget(self, tmp_path):
+        board = CampaignBoard(str(tmp_path), max_attempts=2)
+        board.create_or_sync("fp", [_fake_job(0)])
+        for owner in ("alice", "bob"):
+            key = board.claim(owner).job.key
+            assert board.release(key, owner, reason="boom")
+        assert board.claim("carol") is None
+        assert board.job_states()[key] == JobState(
+            "poisoned", 2, "retry budget exhausted after 2 attempt(s)"
+        )
 
     def test_heartbeat_fails_after_losing_the_lease(self, board):
         board.create_or_sync("fp", [_fake_job(0)])
@@ -225,6 +243,54 @@ class TestLeasing:
         assert board.heartbeat(claim.job.key, "alice")
         board.release(claim.job.key, "alice")
         assert not board.heartbeat(claim.job.key, "alice")
+
+
+class TestFoldJobStates:
+    @staticmethod
+    def _fold(*events):
+        return fold_job_states(
+            [{"event": event, "key": "k", **fields} for event, fields in events]
+        )
+
+    CLAIM = ("lease-claimed", {"owner": "a", "attempt": 1})
+    STEAL = ("lease-stolen", {"owner": "b", "previous": "a", "attempt": 2})
+
+    @pytest.mark.parametrize("events, expected", [
+        ([], None),
+        ([("job-queued", {})], QUEUED),
+        ([CLAIM], JobState("leased", 1)),
+        ([CLAIM, STEAL], JobState("leased", 2)),
+        ([CLAIM, ("job-requeued", {"owner": "a"})], JobState("queued", 1)),
+        ([CLAIM, STEAL, ("job-done", {"owner": "b"})], JobState("done", 2)),
+        ([CLAIM, STEAL, ("job-done", {"owner": "b"}),
+          ("job-requeued", {"owner": "sync"})], QUEUED),
+        ([("job-reused", {})], JobState("done")),
+        ([CLAIM, ("job-poisoned", {"reason": "boom"})],
+         JobState("poisoned", 1, "boom")),
+        ([CLAIM, ("job-abandoned", {"owner": "z"})], JobState("leased", 1)),
+        ([CLAIM, ("job-done", {}), ("job-retired", {})], None),
+        ([CLAIM, ("job-retired", {}), ("job-queued", {})], QUEUED),
+    ], ids=[
+        "unmentioned", "queued", "claimed", "stolen", "released-keeps-budget",
+        "done", "sync-requeue-fresh-budget", "reused", "poisoned",
+        "abandoned-changes-nothing", "retired-forgotten", "requeued-fresh",
+    ])
+    def test_fold(self, events, expected):
+        assert self._fold(*events).get("k") == expected
+
+    def test_board_state_comes_from_the_journal_alone(self, tmp_path):
+        board = CampaignBoard(str(tmp_path), ttl_seconds=0.05)
+        board.create_or_sync("fp", [_fake_job(i) for i in range(3)])
+        done, leased = board.claim("a"), board.claim("b")
+        board.mark_done(done.job.key, "a")
+        assert board.status() == {
+            "total": 3, "done": 1, "poisoned": 0, "leased": 1, "queued": 1,
+        }
+        assert sorted(os.listdir(tmp_path)) == [
+            ".clock", "board.json", "board.lock", "jobs", "journal.jsonl",
+            "leases", "obs", "results",
+        ]
+        assert os.listdir(tmp_path / "leases") == [f"{leased.job.key}.lease"]
 
 
 class TestJournal:
@@ -272,6 +338,30 @@ class TestBoardOpen:
         with pytest.raises(ValueError, match="schema"):
             CampaignBoard.open(str(tmp_path))
 
+    def test_sync_rejects_another_schema_and_touches_nothing(self, tmp_path):
+        board = CampaignBoard(str(tmp_path))
+        jobs = [_fake_job(0)]
+        board.create_or_sync("fp", jobs)
+        meta = json.load(open(board.meta_path))
+        meta["schema"] = BOARD_SCHEMA_VERSION - 1
+        with open(board.meta_path, "w") as handle:
+            json.dump(meta, handle)
+
+        def tree():
+            return {
+                os.path.join(root, name): (
+                    open(os.path.join(root, name), "rb").read(),
+                    os.stat(os.path.join(root, name)).st_mtime_ns,
+                )
+                for root, _dirs, names in os.walk(tmp_path)
+                for name in names
+            }
+
+        before = tree()
+        with pytest.raises(ValueError, match="schema"):
+            board.create_or_sync("fp", jobs)
+        assert tree() == before
+
     def test_invalid_settings_are_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="ttl_seconds"):
             CampaignBoard(str(tmp_path), ttl_seconds=0)
@@ -316,19 +406,23 @@ class TestWorkerLoop:
         )
         assert idle.claimed == 0
 
-    def test_orphaned_result_is_adopted_not_recomputed(self, tiny_board):
-        board = CampaignBoard.open(tiny_board)
-        key = board.job_keys()[0]
-        # Simulate a shard that stored its result but died before the
-        # done marker.
-        os.remove(board._done_path(key))
+    def test_orphaned_result_is_adopted_not_recomputed(self, tmp_path):
+        board, _fp, jobs = _one_workload_board(tmp_path)
+        metrics = MetricsRegistry()
+        # Attempt 1 of each job stores its result, then the in-process
+        # shard crash raises before the job-done append: an orphaned but
+        # intact result, whose requeued job attempt 2 adopts.
         report = run_worker(
-            tiny_board, owner="healer", engine="scalar"
+            board.directory, owner="healer", engine="scalar",
+            faults=FaultPlan.shard_crash("mi-sha", attempts=1),
+            metrics=metrics,
         )
-        assert report.adopted == 1
-        assert report.done == 1
-        done = board._read_json(board._done_path(key))
-        assert done["adopted"] is True
+        assert (report.errors, report.adopted, report.done) == (2, 2, 2)
+        assert SimTelemetry(metrics).jobs_run == len(jobs)
+        done = [r for r in board.read_journal() if r["event"] == "job-done"]
+        assert sorted(r["key"] for r in done) == sorted(j.key for j in jobs)
+        assert all(r["adopted"] for r in done)
+        assert {board.job_states()[j.key].attempts for j in jobs} == {2}
 
     def test_worker_span_closes_when_a_claim_raises(
         self, tiny_board, monkeypatch
@@ -395,6 +489,37 @@ class TestWorkerJobFaults:
 
 
 @pytest.mark.dist
+class TestDurableWrites:
+    def test_a_drained_job_costs_four_fsyncs(self, tmp_path, monkeypatch):
+        board, _fp, jobs = _one_workload_board(tmp_path)
+        journal = os.stat(board.journal_path).st_ino
+        synced = []
+        real_fsync = os.fsync
+
+        def recording(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        report = run_worker(board.directory, owner="w", engine="scalar")
+        monkeypatch.undo()
+        assert report.done == len(jobs)
+        results = {
+            os.stat(os.path.join(board.results_dir, name)).st_ino
+            for name in os.listdir(board.results_dir)
+        }
+        kinds = Counter(
+            "journal" if ino == journal
+            else "result" if ino in results else "lease"
+            for ino in synced
+        )
+        # Per job: the lease, the claim and done appends, the result.
+        assert kinds == {
+            "lease": len(jobs), "journal": 2 * len(jobs), "result": len(jobs),
+        }
+
+
+@pytest.mark.dist
 class TestWorkerGuard:
     def test_shard_records_guard_events_like_the_executor(self, tmp_path):
         board, _fp, jobs = _one_workload_board(tmp_path)
@@ -433,6 +558,24 @@ class TestCumulativeSnapshot:
         with open(os.path.join(obs, "metrics.json")) as handle:
             snapshot = json.load(handle)
         assert snapshot == self._registry(5).snapshot()
+
+    def test_first_snapshot_is_quiet_and_garbage_warns_once(
+        self, tmp_path, caplog
+    ):
+        obs = tmp_path / "shard-0"
+        obs.mkdir()
+        with caplog.at_level("DEBUG", logger="repro.sim.campaign"):
+            _write_cumulative_snapshot(str(obs), "shard-0", self._registry(1))
+        assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+        (obs / "metrics.json").write_text("garbage")
+        caplog.clear()
+        with caplog.at_level("DEBUG", logger="repro.sim.campaign"):
+            _write_cumulative_snapshot(str(obs), "shard-0", self._registry(2))
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1
+        assert "prior shard-0 snapshot unusable" in warnings[0].getMessage()
+        snapshot = json.loads((obs / "metrics.json").read_text())
+        assert snapshot == self._registry(2).snapshot()
 
     def test_unusable_prior_snapshot_is_logged_and_replaced(
         self, tmp_path, caplog

@@ -1,8 +1,8 @@
 """Chaos suite: distributed campaigns under seeded worker-loss faults.
 
 Every scenario asserts the campaign layer's core promise: whatever
-happens to the shards — crashes between the store write and the done
-marker, literal ``SIGKILL`` while a lease is held, stalls that let a
+happens to the shards — crashes between the store write and the
+``job-done`` append, a crash after any journal commit, literal ``SIGKILL`` while a lease is held, stalls that let a
 lease expire under a live worker, repeat offenders exhausting the retry
 budget, a coordinator dying mid-campaign, corrupted store entries —
 the collated datasets stay *bit-identical* to a serial run, no job ever
@@ -17,8 +17,11 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import os
+import shutil
 import threading
 import time
+from collections import Counter
 
 import pytest
 
@@ -31,7 +34,7 @@ from repro.sim.campaign import (
     run_campaign,
     run_worker,
 )
-from repro.sim.executor import RetryPolicy
+from repro.sim.executor import RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.workloads.suites import workload_by_name
 
@@ -323,6 +326,91 @@ class TestJobFaultInShard:
         assert requeues
         _assert_no_duplicate_completions(board_dir)
         _assert_bit_identical(result.gemstone, reference)
+
+
+def _store_bytes(directory):
+    return {
+        os.path.relpath(os.path.join(root, name), directory):
+            open(os.path.join(root, name), "rb").read()
+        for root, _dirs, names in os.walk(directory)
+        for name in names
+    }
+
+
+class TestCrashAtEveryCommit:
+    """A board cut after any journal record resumes to the same store.
+
+    The journal is the board's only record of job state and every
+    transition is one append, so a crash is a journal prefix: for every
+    prefix length N the drained board's files with only N records kept
+    must resume to a settled board in which each key is done once.
+    """
+
+    def test_every_journal_prefix_resumes_to_the_serial_store(
+        self, tmp_path
+    ):
+        config = _config(
+            workloads=_profiles(("mi-sha",)),
+            power_workloads=_profiles(("mi-sha", "dhrystone")),
+            trace_instructions=2_000,
+        )
+        jobs = campaign_jobs(config)
+        assert len(jobs) == 3
+        serial = SimExecutor(cache_dir=str(tmp_path / "serial"))
+        serial.run_many(jobs)
+        expected = _store_bytes(str(tmp_path / "serial"))
+
+        board_dir = str(tmp_path / "board")
+        board = CampaignBoard(board_dir, ttl_seconds=5.0, max_attempts=3)
+        board.create_or_sync(RunManifest.from_config(config).fingerprint, jobs)
+        # Alice's lease is aged past the TTL (stolen by bob); a job of
+        # another workload errors once and is released.
+        alice = board.claim("alice")
+        past = board.now() - 10.0
+        os.utime(board._lease_path(alice.job.key), (past, past))
+        crash = "dhrystone" if alice.job.profile.name == "mi-sha" else "mi-sha"
+        report = run_worker(
+            board_dir, owner="bob", engine="scalar",
+            faults=FaultPlan.crash_workload(crash, attempts=1),
+        )
+        assert (report.stolen, report.done) == (1, 3)
+        assert report.errors >= 1
+        assert not board.mark_done(alice.job.key, "alice")
+        journal = board.read_journal()
+        events = {r["event"] for r in journal}
+        assert {"lease-stolen", "job-requeued", "job-abandoned"} <= events
+        assert _store_bytes(board.results_dir) == expected
+        with open(board.journal_path, "rb") as handle:
+            lines = handle.readlines()
+        assert len(lines) == len(journal)
+
+        keys = sorted(job.key for job in jobs)
+        for n in range(len(lines) + 1):
+            cut = str(tmp_path / f"cut-{n}")
+            shutil.copytree(board_dir, cut)
+            with open(os.path.join(cut, "journal.jsonl"), "wb") as handle:
+                handle.writelines(lines[:n])
+            run_worker(cut, owner="resume", engine="scalar")
+            resumed = CampaignBoard.open(cut)
+            assert resumed.all_settled(), n
+            records = resumed.read_journal()
+            assert records[:n] == journal[:n]
+            finished = ("job-done", "job-reused")
+            before = Counter(
+                r["key"] for r in records[:n] if r["event"] in finished
+            )
+            after = Counter(
+                r["key"] for r in records[n:] if r["event"] in finished
+            )
+            assert {k: before[k] + after[k] for k in keys} == dict.fromkeys(
+                keys, 1
+            ), n
+            assert _store_bytes(resumed.results_dir) == expected, n
+            status = resumed.status()
+            assert status["done"] == status["total"] == len(keys)
+            assert sum(
+                v for k, v in status.items() if k != "total"
+            ) == status["total"]
 
 
 class TestIncrementalRecompute:

@@ -12,12 +12,14 @@ import hashlib
 import json
 import multiprocessing
 import os
+import stat
 
 import pytest
 
 from repro.atomicio import (
     EnvelopeError,
     Journal,
+    atomic_write_bytes,
     file_lock,
     quarantine,
     seal,
@@ -87,6 +89,46 @@ class TestJournal:
         assert record["seq"] == 1
         assert [r["event"] for r in journal.read()] == ["a", "d"]
 
+    def test_a_second_writers_corrupt_line_ends_the_verified_prefix(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "journal.jsonl")
+        first, second = Journal(path), Journal(path)
+        first.append("a")
+        assert [r["event"] for r in first.read()] == ["a"]
+        second.append("b")
+        forged = dict(second.append("c"), event="forged")
+        # The second writer's torn append, then a well-formed record
+        # after it: neither may join the first reader's verified prefix.
+        with open(path, "ab") as handle:
+            handle.write(json.dumps(forged, sort_keys=True).encode() + b"\n")
+        valid_looking = second.read()[-1] | {"seq": 4}
+        valid_looking["sha1"] = hashlib.sha1(json.dumps(
+            {k: v for k, v in valid_looking.items() if k != "sha1"},
+            sort_keys=True,
+        ).encode()).hexdigest()
+        with open(path, "ab") as handle:
+            handle.write(
+                json.dumps(valid_looking, sort_keys=True).encode() + b"\n"
+            )
+        assert [r["event"] for r in first.read()] == ["a", "b", "c"]
+        assert first.dropped == 2
+        record = first.append("d")
+        assert record["seq"] == 3
+        assert [r["event"] for r in second.read()] == ["a", "b", "c", "d"]
+        assert second.dropped == 0
+
+    def test_a_rewritten_prefix_is_rescanned(self, tmp_path):
+        journal = Journal(str(tmp_path / "journal.jsonl"))
+        for event in ("a", "b"):
+            journal.append(event)
+        assert len(journal.read()) == 2
+        data = open(journal.path, "rb").read()
+        with open(journal.path, "wb") as handle:  # same inode and length
+            handle.write(data.replace(b'"a"', b'"x"', 1))
+        assert journal.read() == []
+        assert journal.dropped == 2
+
     @pytest.mark.dist
     def test_two_processes_share_one_journal_under_the_lock(self, tmp_path):
         path = str(tmp_path / "journal.jsonl")
@@ -115,6 +157,29 @@ def _append_many(path: str, lock: str, owner: str, n: int) -> None:
     for i in range(n):
         with file_lock(lock):
             journal.append("tick", owner=owner, i=i)
+
+
+class TestAtomicWrite:
+    def test_one_atomic_write_fsyncs_exactly_its_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        synced = []
+        real_fsync = os.fsync
+
+        def recording(fd):
+            synced.append(os.fstat(fd))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording)
+        path = str(tmp_path / "artifact.json")
+        atomic_write_bytes(path, b"payload")
+        monkeypatch.undo()
+        # No directory fsync: the one fsync'd file is the temporary file,
+        # renamed over the destination.
+        assert len(synced) == 1
+        assert stat.S_ISREG(synced[0].st_mode)
+        assert synced[0].st_ino == os.stat(path).st_ino
+        assert os.listdir(tmp_path) == ["artifact.json"]
 
 
 class TestEnvelope:
