@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-chaos test-dist trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint check
+.PHONY: test test-chaos test-dist test-replay trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint check
 
 # Tier-1: the full unit/integration suite (includes the chaos scenarios).
 test:
@@ -46,6 +46,16 @@ trace-campaign-smoke:
 # so executor regressions surface without the full benchmark suite.
 bench-smoke:
 	$(PYTHON) -m pytest -q -m bench_smoke tests/sim/test_executor.py
+
+# Replay-engine equivalence gates in one fast command: the scalar
+# goldens, the randomized columnar-vs-scalar suite, the L2 walk and the
+# columnar chaos scenarios, plus the cache/TLB/branch model tests that pin
+# the batched LRU replay and the streaming L1D walk to the scalar models.
+test-replay:
+	$(PYTHON) -m pytest -q tests/sim/test_cpu_golden.py \
+		tests/sim/test_columnar_equivalence.py \
+		tests/sim/test_columnar_l2_walk.py \
+		tests/sim/test_chaos_columnar.py tests/uarch
 
 # Columnar replay speedup floor: scalar vs columnar and the decode-once
 # DVFS sweep, asserting the >=4x steady-state floor and refreshing

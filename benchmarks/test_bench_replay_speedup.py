@@ -7,7 +7,7 @@ trace nearly free.  This benchmark measures both regimes on four
 representative (workload, machine) pairs at the production trace length:
 
 * **cold**: the first-ever replay of a trace — pays decode, the
-  streaming fixpoint and memo construction;
+  streaming L1D walk and memo construction;
 * **steady**: replays through a reused :class:`CpuSimulator` — the
   one-trace-many-configs / DVFS-sweep regime the engine targets.
 

@@ -7,7 +7,7 @@ as vectorized passes.  A ``for`` loop that iterates a numpy array — or
 scalar boxing* per element, which is exactly the cost profile the
 columnar engine exists to avoid; indexing ``arr[i]`` inside such a loop
 is slower still.  Sequential residues that genuinely cannot be
-vectorized (LRU state machines, fixpoint derives) should iterate plain
+vectorized (LRU state machines, program-order walks) should iterate plain
 Python lists — ``.tolist()`` the array once, which is also faster than
 iterating the array — or carry an explicit ``# repro: noqa[PERF001]``
 naming the reason the loop must stay scalar.

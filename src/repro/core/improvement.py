@@ -19,8 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
+from repro.core.stats.metrics import mape, mpe
 from repro.sim.cpu import simulate
 from repro.sim.machine import MachineConfig
 from repro.workloads.profile import WorkloadProfile
@@ -84,12 +83,10 @@ def _evaluate(
     hw_times: Sequence[float],
     freq_hz: float,
 ) -> tuple[float, float]:
-    errors = []
-    for trace, hw_time in zip(traces, hw_times):
-        model_time = simulate(trace, machine).time_seconds(freq_hz)
-        errors.append((hw_time - model_time) / hw_time * 100.0)
-    errors_arr = np.asarray(errors)
-    return float(np.abs(errors_arr).mean()), float(errors_arr.mean())
+    model_times = [
+        simulate(trace, machine).time_seconds(freq_hz) for trace in traces
+    ]
+    return mape(hw_times, model_times), mpe(hw_times, model_times)
 
 
 def iterative_improvement(

@@ -15,10 +15,11 @@ whole-trace passes instead:
    stack, indirect predictor, and the LCG that picks wrong-path targets.
 3. **L1 passes** — the L1I, L1D, ITLB and DTLB access streams are fully
    known once the control pass has fixed the wrong-path fetches, and each
-   structure is pure LRU (the A15's streaming stores are resolved by
-   :func:`repro.uarch.cache.batch_l1d_replay`'s verified fixpoint), so
-   per-op hits, streamed stores and writebacks come from the batched
-   stack-distance machinery in :mod:`repro.uarch.cache`.
+   structure except the A15's write-streaming L1D is pure LRU, so per-op
+   hits and writebacks come from the batched stack-distance machinery in
+   :mod:`repro.uarch.cache`.  The streaming L1D, whose store misses
+   allocate or not depending on detector state, is resolved by one exact
+   program-order walk (:func:`repro.uarch.cache.batch_l1d_replay`).
 4. **Merged L2 walk** — only the events that reach the shared L2 /
    L2 TLB / prefetcher (a few percent of all accesses) are replayed in
    exact program order against the real scalar models.  All
@@ -40,6 +41,18 @@ from dataclasses import replace
 import numpy as np
 
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.sim.cpu import (
+    _CLS_CALL,
+    _CLS_RANDOM,
+    _CLS_RETURN,
+    _LCG_ADD,
+    _LCG_MASK,
+    _LCG_MULT,
+    _SHADOW_STACK_DEPTH,
+    _data_warm_arrays,
+    _finalise,
+    _make_state,
+)
 from repro.sim.machine import MachineConfig
 from repro.uarch.branch import predict_conditional_batch
 from repro.uarch.cache import (
@@ -54,14 +67,6 @@ from repro.workloads.trace import (
     PAGE_BYTES,
     SyntheticTrace,
 )
-
-_LCG_MULT = 1103515245
-_LCG_ADD = 12345
-_LCG_MASK = 0x7FFFFFFF
-
-_CLS_RANDOM = 3  # BranchClass.RANDOM: last conditional class
-_CLS_CALL = 4
-_CLS_RETURN = 5
 
 # Merged-walk event kinds, ordered roughly by expected frequency.
 _EV_L1D_MISS = 0
@@ -112,13 +117,6 @@ def simulate_columnar(
     ``state`` is an optional reused `_SimState` (reset by the caller);
     only its L2-side objects and geometry carriers are used here.
     """
-    from repro.sim.cpu import (
-        _SHADOW_STACK_DEPTH,
-        _data_warm_arrays,
-        _finalise,
-        _make_state,
-    )
-
     if state is None:
         state = _make_state(machine)
     l2 = state.l2
@@ -139,7 +137,7 @@ def simulate_columnar(
     # order by the merged walk below.
     code_lines = np.asarray(tables.code_lines, dtype=np.int64)
     code_pages = np.asarray(tables.code_pages, dtype=np.int64)
-    memo = cols.fixpoint_seeds
+    memo = cols.memo
     dw_key = ("data_warm", l2.size_bytes)
     if dw_key in memo:
         l2_warm, l1d_warm, data_pages = memo[dw_key]
@@ -273,38 +271,20 @@ def simulate_columnar(
             memo, ("l1d", l2.size_bytes), l1d_warm, l1d.n_sets, l1d.assoc
         )
         n_warm = len(l1d_warm_c)
-        # The stream (and hence the memoised seed/op-index) is determined
-        # by the trace plus the L2 capacity that sized the warm prefix.
-        stream_key = (l2.size_bytes, n_warm)
-        seed_key = ("l1d", l1d.n_sets, l1d.assoc, l1d.write_allocate,
-                    l1d.write_streaming, stream_key)
         l1d_keys = np.concatenate([l1d_warm_c, cols.mem_line])
         l1d_writes = np.concatenate([np.zeros(n_warm, bool), cols.mem_write])
-
-        def _run_l1d():
-            res = batch_l1d_replay(
-                l1d_keys,
-                l1d_writes,
-                n_warm,
-                l1d,
-                seed_streamed=cols.fixpoint_seeds.get(seed_key),
-                aux_memo=cols.fixpoint_seeds.setdefault(
-                    ("l1d_ctx", stream_key), {}
-                ),
-            )
-            if not res.exhausted:
-                cols.fixpoint_seeds[seed_key] = res.streamed
-            return res
-
+        # The stream depends on the trace and on the L2 capacity that sized
+        # the warm prefix.
         l1d_res = _replay_memo(
             memo,
-            ("l1d_replay",) + seed_key[1:],
-            (l1d_keys, l1d_writes),
-            _run_l1d,
+            ("l1d_replay", l1d.n_sets, l1d.assoc, l1d.write_streaming,
+             l2.size_bytes),
+            (l1d_keys, l1d_writes, n_warm),
+            lambda: batch_l1d_replay(l1d_keys, l1d_writes, n_warm, l1d),
         )
-        mem_hit = l1d_res.hit[n_warm:]
-        mem_streamed = l1d_res.streamed[n_warm:]
-        mem_wb = l1d_res.wrote_back[n_warm:]
+        mem_hit, mem_streamed, mem_wb = (
+            l1d_res.hit, l1d_res.streamed, l1d_res.wrote_back
+        )
 
     # --------------------------------------------------------- merged events
     with tracer.span("replay/merge_events", kind="replay"):
@@ -600,7 +580,7 @@ def _replay_memo(memo, tag, inputs, compute):
     equality check of every input against the cached copy, so a stale or
     colliding entry can never alter results — it just recomputes.  Repeat
     replays of one trace (and sibling DVFS points, whose hit streams are
-    identical) skip the heavy LRU/fixpoint work entirely.
+    identical) skip the heavy LRU and walk work entirely.
     """
     if memo is None:
         return compute()

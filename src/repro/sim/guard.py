@@ -56,7 +56,7 @@ GUARD_LEVELS = ("off", "sentinel", "paranoid")
 #: steady-state campaign under the 5% budget asserted by BENCH_guard.json.
 SENTINEL_INTERVAL = 512
 
-#: Marker key on ``ColumnarTrace.fixpoint_seeds`` recording that this
+#: Marker key on ``ColumnarTrace.memo`` recording that this
 #: process already validated the decode (sentinel mode validates once per
 #: decode; paranoid re-validates every replay).
 _VALIDATED_KEY = ("guard", "validated")
@@ -304,7 +304,7 @@ def guarded_simulate(
         _corrupt_columns(cols)
 
     # --- decoded-form validation (first guarded use of a decode) ----------
-    if plan.level == "paranoid" or not cols.fixpoint_seeds.get(_VALIDATED_KEY):
+    if plan.level == "paranoid" or not cols.memo.get(_VALIDATED_KEY):
         problems = validate_columnar(cols)
         if problems:
             events.append(
@@ -318,7 +318,7 @@ def guarded_simulate(
             )
             tables._columnar = None
             cols = tables.columnar(trace)
-        cols.fixpoint_seeds[_VALIDATED_KEY] = True
+        cols.memo[_VALIDATED_KEY] = True
 
     if "poison-memo" in fired:
         _poison_memo(trace, machine, cols)
@@ -382,7 +382,7 @@ def guarded_simulate(
 
 def _quarantine_decode(tables, cols) -> None:
     """Discard a suspect decode and its memos; the next replay rebuilds."""
-    cols.fixpoint_seeds.clear()
+    cols.memo.clear()
     tables._columnar = None
 
 
@@ -409,9 +409,9 @@ def _poison_memo(trace, machine, cols) -> None:
     """
     from repro.sim.cpu import simulate
 
-    cols.fixpoint_seeds.clear()
+    cols.memo.clear()
     simulate(trace, machine, "columnar")
-    for key, value in list(cols.fixpoint_seeds.items()):
+    for key, value in list(cols.memo.items()):
         if (
             isinstance(key, tuple)
             and key
@@ -419,4 +419,4 @@ def _poison_memo(trace, machine, cols) -> None:
             and isinstance(value, np.ndarray)
             and value.size
         ):
-            cols.fixpoint_seeds[key] = value + 1
+            cols.memo[key] = value + 1

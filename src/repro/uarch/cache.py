@@ -11,8 +11,6 @@ gem5 model's over-aggressive L2 prefetching is another Fig. 6 divergence).
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_right
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -77,10 +75,9 @@ class SetAssociativeCache:
         size_bytes: Total capacity.
         line_bytes: Line size (64 B throughout this reproduction).
         assoc: Associativity; capped at the number of lines.
-        write_allocate: Allocate lines on write misses.  With
-            ``write_streaming`` enabled, sequential store streams bypass
-            allocation after a short training period, like the Cortex-A15.
-        write_streaming: Enable streaming-store detection.
+        write_streaming: Enable streaming-store detection: sequential store
+            streams bypass allocation after a short training period, like
+            the Cortex-A15.  Every other write miss allocates.
 
     The cache is deliberately dictionary-free in the hot path: each set is a
     plain list ordered MRU-first, and dirty lines live in a per-set set().
@@ -94,7 +91,6 @@ class SetAssociativeCache:
         size_bytes: int,
         line_bytes: int = 64,
         assoc: int = 4,
-        write_allocate: bool = True,
         write_streaming: bool = False,
     ):
         if size_bytes <= 0 or line_bytes <= 0:
@@ -106,7 +102,6 @@ class SetAssociativeCache:
         self.line_bytes = line_bytes
         self.assoc = assoc
         self.n_sets = max(1, n_lines // assoc)
-        self.write_allocate = write_allocate
         self.write_streaming = write_streaming
         self.stats = CacheStats()
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
@@ -213,8 +208,6 @@ class SetAssociativeCache:
                     # no future writeback for this line.
                     stats.streaming_stores += 1
                     return False, False, False
-            if not self.write_allocate:
-                return False, False, False
             stats.write_refills += 1
             wrote_back = self._fill(set_index, tag, dirty=True)
             return False, wrote_back, True
@@ -329,8 +322,8 @@ class SetAssociativeCache:
 #    the same chunked scan.
 #
 # The Cortex-A15's streaming stores break the pure-LRU premise (they do
-# not allocate); :func:`batch_l1d_replay` handles them with a verified
-# fixpoint iteration layered on top of this primitive.
+# not allocate); :func:`batch_l1d_replay` resolves a write-streaming L1D
+# with an exact program-order walk instead.
 
 _CHUNK = 16          # initial window-first scan width per vectorised step
 _CHUNK_MAX = 256     # chunk width doubles per step up to this cap
@@ -747,158 +740,11 @@ def batch_lru_replay(
 
 @dataclass
 class BatchL1dResult:
-    """Per-op outcome of :func:`batch_l1d_replay` (warm prefix included)."""
+    """Per-op outcome of :func:`batch_l1d_replay` (ops after the warm prefix)."""
 
     hit: np.ndarray
     streamed: np.ndarray     # write misses that bypassed allocation
     wrote_back: np.ndarray
-    rounds: int              # fixpoint iterations (0 = no streaming path)
-
-    @property
-    def exhausted(self) -> bool:
-        """Whether the streaming fixpoint gave up and ran the scalar path.
-
-        Still bit-exact (the scalar fallback is the reference), but the
-        outcome array is not a reusable fixpoint seed, so the columnar
-        engine stores no seed for it.
-        """
-        return self.rounds < 0
-
-
-def _build_line_ops(lines: np.ndarray, is_write: np.ndarray) -> dict:
-    """Per-line op index for the sparse streaming derive.
-
-    Maps each line that is ever stored to the positions (and write flags)
-    of all ops touching it — reads included, since a demand read is what
-    re-allocates a streamed-out line.  Depends only on the access stream,
-    so callers replaying the same stream repeatedly memoise it.
-    """
-    written = np.unique(lines[is_write])
-    cand_idx = np.flatnonzero(is_write | np.isin(lines, written))
-    cl = lines[cand_idx]
-    order = _stable_key_order(cl)
-    sl = cl[order]
-    sp = cand_idx[order]
-    sw = is_write[cand_idx][order]
-    line_ops: dict = {}
-    if len(sl) == 0:
-        return line_ops
-    bounds = np.flatnonzero(sl[1:] != sl[:-1]) + 1
-    edges = [0, *bounds.tolist(), len(sl)]
-    # Plain python lists: the derive loop does many tiny point lookups,
-    # where list indexing + bisect beat numpy scalar calls by ~10x.
-    sp_list = sp.tolist()
-    sw_list = sw.tolist()
-    for a, b in zip(edges[:-1], edges[1:]):
-        line_ops[int(sl[a])] = (sp_list[a:b], sw_list[a:b])
-    return line_ops
-
-
-def _derive_stream_decisions(
-    miss_idx: list,
-    miss_lines: list,
-    line_ops: dict,
-    train: int,
-    n_trackers: int,
-    n: int,
-) -> np.ndarray:
-    """Replay the streaming detectors against one round's hit outcomes.
-
-    A clone of ``SetAssociativeCache._stream_check`` driven by the round's
-    store misses, with an *absent overlay*: a streamed store leaves its
-    line out of the cache, so the line's next ops behave differently from
-    what the stale hit flags claim — a follow-on store really misses (and
-    trains the detectors), a read really misses and re-allocates.  Those
-    overlay ops are injected sparsely through a heap of per-line cursors
-    instead of scanning every candidate op, so a round costs
-    O(store misses + ops on absent lines).
-
-    On an outcome prefix that matches real execution both the hit flags
-    and the overlay are exact, so the derived decisions are exact at least
-    one step beyond the prefix — which is what makes the outer fixpoint
-    both exact and convergent.
-    """
-    streamed = np.zeros(n, dtype=bool)
-    trackers: list[list[int]] = []
-    victim = 0
-    streamed_idx: list[int] = []
-    absent: set[int] = set()
-    done: set[int] = set()  # positions already replayed as training events
-    # (position, line, index into line's op list) of injected overlay ops
-    heap: list[tuple[int, int, int]] = []
-    mi = 0
-    nm = len(miss_idx)
-
-    def push_next(line: int, after: int) -> None:
-        pos_list, _ = line_ops[line]
-        k = bisect_right(pos_list, after)
-        if k < len(pos_list):
-            heapq.heappush(heap, (pos_list[k], line, k))
-
-    while mi < nm or heap:
-        if heap and (mi >= nm or heap[0][0] <= miss_idx[mi]):
-            pos, line, k = heapq.heappop(heap)
-            if line not in absent or pos in done:
-                continue
-            if not line_ops[line][1][k]:
-                # A read of an absent line misses and re-allocates it.
-                absent.discard(line)
-                continue
-        else:
-            pos, line = miss_idx[mi], miss_lines[mi]
-            mi += 1
-            if pos in done:
-                continue
-        # Store miss in real execution: train the detectors.
-        done.add(pos)
-        stream = False
-        matched = False
-        for tracker in trackers:
-            if line == tracker[0] + 1:
-                tracker[0] = line
-                tracker[1] += 1
-                stream = tracker[1] >= train
-                matched = True
-                break
-            if line == tracker[0]:
-                stream = tracker[1] >= train
-                matched = True
-                break
-        if not matched:
-            if len(trackers) < n_trackers:
-                trackers.append([line, 0])
-            else:
-                trackers[victim] = [line, 0]
-                victim = (victim + 1) % n_trackers
-        if stream:
-            streamed_idx.append(pos)
-            absent.add(line)
-            push_next(line, pos)
-        else:
-            absent.discard(line)
-    streamed[streamed_idx] = True
-    return streamed
-
-
-def _scalar_l1d_replay(
-    lines: np.ndarray,
-    is_write: np.ndarray,
-    n_warm: int,
-    cache: SetAssociativeCache,
-) -> BatchL1dResult:
-    """Exact scalar fallback: drive a throwaway cache op by op."""
-    n = len(lines)
-    hit = np.zeros(n, dtype=bool)
-    streamed = np.zeros(n, dtype=bool)
-    wrote_back = np.zeros(n, dtype=bool)
-    for i in range(n_warm):
-        cache.fill(int(lines[i]))
-    for i in range(n_warm, n):
-        h, wb, allocated = cache.access(int(lines[i]), bool(is_write[i]))
-        hit[i] = h
-        wrote_back[i] = wb
-        streamed[i] = is_write[i] and not h and not allocated
-    return BatchL1dResult(hit, streamed, wrote_back, rounds=-1)
 
 
 def batch_l1d_replay(
@@ -906,82 +752,75 @@ def batch_l1d_replay(
     is_write: np.ndarray,
     n_warm: int,
     geometry: SetAssociativeCache,
-    max_rounds: int = 12,
-    seed_streamed: np.ndarray | None = None,
-    aux_memo: dict | None = None,
 ) -> BatchL1dResult:
-    """Batched replay of an L1D access stream, streaming stores included.
+    """Resolve an L1D access stream, streaming stores included.
 
     ``lines``/``is_write`` cover the whole stream in time order; the first
-    ``n_warm`` ops are counter-silent warm fills (``is_write`` False there).
-    ``geometry`` supplies ``n_sets``/``assoc``/streaming parameters; it is
-    *not* mutated.
+    ``n_warm`` ops are counter-silent warm fills (``is_write`` False there)
+    and the result covers the ops after them.  ``geometry`` supplies
+    ``n_sets``/``assoc``/``write_streaming``; it is *not* mutated.
 
-    Streaming-store caches are not pure LRU — whether a store allocates
-    depends on detector state, which depends on earlier hit outcomes, which
-    depend on earlier allocation decisions.  The loop below iterates on the
-    set of streamed stores: replay under the current guess, re-derive the
-    detector decisions from the resulting outcomes, repeat until the guess
-    reproduces itself.  Any fixpoint equals real execution (induction on
-    the first disagreement), and each round extends the exact prefix by at
-    least one decision, so the iteration terminates; a scalar fallback
-    covers pathological streams that exhaust ``max_rounds``.
-
-    ``seed_streamed`` optionally seeds the initial guess — callers that
-    replay the same stream repeatedly (executor sweeps, repeated runs) can
-    pass a previously converged decision set, reducing steady state to a
-    single verification round.  A wrong seed only costs rounds, never
-    correctness: the result is accepted only once the guess reproduces
-    itself.  ``aux_memo``, likewise stream-keyed by the caller, caches the
-    per-line op index the derive step needs.
+    A non-streaming L1D is pure LRU and goes through
+    :func:`batch_lru_replay`.  A write-streaming one is not: whether a store
+    miss allocates depends on detector state, which earlier store misses
+    trained, which depend on earlier allocation decisions.  It is resolved
+    by one exact program-order walk over a fresh cache of the same
+    geometry: :meth:`SetAssociativeCache.access` replayed inline over plain
+    lists (its counters are not needed), with the cache's own
+    ``_stream_check`` consulted on store misses only.
     """
-    n = len(lines)
     lines = np.asarray(lines, dtype=np.int64)
-    n_sets, assoc = geometry.n_sets, geometry.assoc
-    if not geometry.write_allocate:
-        fresh = SetAssociativeCache(
-            geometry.name, geometry.size_bytes, geometry.line_bytes,
-            geometry.assoc, write_allocate=False,
-            write_streaming=geometry.write_streaming,
-        )
-        return _scalar_l1d_replay(lines, is_write, n_warm, fresh)
+    is_write = np.asarray(is_write, dtype=bool)
+    n = len(lines) - n_warm
     if not geometry.write_streaming:
-        res = batch_lru_replay(lines, n_sets, assoc, is_write=is_write,
-                               track_writebacks=True)
-        return BatchL1dResult(res.hit, np.zeros(n, bool), res.wrote_back, rounds=0)
+        res = batch_lru_replay(lines, geometry.n_sets, geometry.assoc,
+                               is_write=is_write, track_writebacks=True)
+        return BatchL1dResult(res.hit[n_warm:], np.zeros(n, bool),
+                              res.wrote_back[n_warm:])
 
-    if aux_memo is not None and "line_ops" in aux_memo:
-        line_ops = aux_memo["line_ops"]
-    else:
-        line_ops = _build_line_ops(lines, is_write)
-        if aux_memo is not None:
-            aux_memo["line_ops"] = line_ops
-
-    if seed_streamed is not None and len(seed_streamed) == n:
-        streamed = seed_streamed.astype(bool, copy=True)
-    else:
-        streamed = np.zeros(n, dtype=bool)
-    train, n_trackers = geometry.STREAM_TRAIN, geometry.N_STREAM_TRACKERS
-    for round_no in range(1, max_rounds + 1):
-        res = batch_lru_replay(lines, n_sets, assoc, mutating=~streamed,
-                               is_write=is_write & ~streamed,
-                               track_writebacks=True)
-        miss_idx = np.flatnonzero(is_write & ~res.hit)
-        derived = _derive_stream_decisions(
-            miss_idx.tolist(), lines[miss_idx].tolist(), line_ops,
-            train, n_trackers, n,
-        )
-        if np.array_equal(derived, streamed):
-            hit = res.hit.copy()
-            hit[streamed] = False  # streamed stores report as misses
-            return BatchL1dResult(hit, streamed, res.wrote_back, rounds=round_no)
-        streamed = derived
-    fresh = SetAssociativeCache(
+    cache = SetAssociativeCache(
         geometry.name, geometry.size_bytes, geometry.line_bytes,
-        geometry.assoc, write_allocate=True,
-        write_streaming=True,
+        geometry.assoc, write_streaming=True,
     )
-    return _scalar_l1d_replay(lines, is_write, n_warm, fresh)
+    cache.warm_fill_many(lines[:n_warm])
+    n_sets, assoc = cache.n_sets, cache.assoc
+    sets, dirty = cache._sets, cache._dirty
+    stream_check = cache._stream_check
+    misses: list[int] = []
+    streamed: list[int] = []
+    wrote_back: list[int] = []
+    for i, (line, write) in enumerate(
+        zip(lines[n_warm:].tolist(), is_write[n_warm:].tolist())
+    ):
+        s = line % n_sets
+        tag = line // n_sets
+        ways = sets[s]
+        if tag in ways:
+            if ways[0] != tag:
+                ways.remove(tag)
+                ways.insert(0, tag)
+            if write:
+                dirty[s].add(tag)
+            continue
+        misses.append(i)
+        if write and stream_check(line):
+            streamed.append(i)  # written around the cache: no allocation
+            continue
+        ways.insert(0, tag)
+        if len(ways) > assoc:
+            victim = ways.pop()
+            if victim in dirty[s]:
+                dirty[s].discard(victim)
+                wrote_back.append(i)
+        if write:
+            dirty[s].add(tag)
+    hit = np.ones(n, dtype=bool)
+    hit[misses] = False
+    streamed_arr = np.zeros(n, dtype=bool)
+    streamed_arr[streamed] = True
+    wb = np.zeros(n, dtype=bool)
+    wb[wrote_back] = True
+    return BatchL1dResult(hit, streamed_arr, wb)
 
 
 class StridePrefetcher:

@@ -156,14 +156,14 @@ class ColumnarTrace:
     cond_pc: np.ndarray          # int64
     cond_taken: np.ndarray       # int8
     cond_backward: np.ndarray    # bool
-    # Converged fixpoint guesses from prior replays, keyed by geometry
-    # tuple.  Purely an accelerator: replaying the same trace on the same
-    # geometry (executor sweeps, DVFS points, repeated runs) seeds the
-    # L1D write-streaming fixpoint with its known solution, which the
-    # engine still verifies before accepting.
-    fixpoint_seeds: dict = field(default_factory=dict)
+    # Replay memos keyed by tuple (warm rows, verified per-pass results,
+    # the guard's validation marker).  Purely an accelerator: replaying the
+    # same trace on the same geometry (executor sweeps, DVFS points,
+    # repeated runs) reuses them, and a pass result is reused only after
+    # its inputs compare equal.
+    memo: dict = field(default_factory=dict)
     # Content checksum over every immutable column, stamped at build time
-    # (``fixpoint_seeds`` excluded — it is mutable accelerator state).  The
+    # (``memo`` excluded — it is mutable accelerator state).  The
     # guard layer re-verifies it before a decode's first guarded replay; 0
     # means "never stamped" (hand-built instances) and is skipped.
     checksum: int = 0
@@ -203,8 +203,8 @@ def columnar_checksum(cols: "ColumnarTrace") -> int:
 
     A CRC over every column's raw bytes plus its shape and dtype, cheap
     enough (one pass over the arrays, no Python loop) to re-verify before
-    every decode's first guarded replay.  ``fixpoint_seeds`` and the stored ``checksum``
-    itself are excluded.
+    every decode's first guarded replay.  ``memo`` and the stored
+    ``checksum`` itself are excluded.
     """
     crc = zlib.crc32(str(cols.n_dyn).encode())
     for name, _, _ in _COLUMN_SPEC:

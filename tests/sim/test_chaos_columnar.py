@@ -1,7 +1,7 @@
 """Chaos suite: columnar faults against guarded campaigns.
 
 Every scenario asserts the guard layer's core promise: whatever columnar
-fault is injected — corrupt decoded columns, poisoned fixpoint memos, NaNs
+fault is injected — corrupt decoded columns, poisoned warm-row memos, NaNs
 leaking out of a vectorized pass, workers dying over and over on one job,
 workers running out of memory — the campaign's numbers stay *bit-identical*
 to an all-scalar fault-free run, and every intervention is recorded as a

@@ -73,9 +73,7 @@ def test_l2_walk_memo_hit_does_not_alias_reused_state():
     # The third replay took the memo: the reset L2 was never walked.
     assert state.l2.stats.accesses == 0
     cols = trace_a.replay_tables().columnar(trace_a)
-    _, (_, l2_stats, l2_itlb_stats, l2_dtlb_stats) = cols.fixpoint_seeds[
-        ("l2walk",)
-    ]
+    _, (_, l2_stats, l2_itlb_stats, l2_dtlb_stats) = cols.memo[("l2walk",)]
     live = (state.l2.stats, state.tlb.l2_itlb.stats, state.tlb.l2_dtlb.stats)
     for cached in (l2_stats, l2_itlb_stats, l2_dtlb_stats):
         assert all(cached is not obj for obj in live)

@@ -107,12 +107,6 @@ class TestWriteback:
         _, wb, _ = cache.access(2)
         assert wb
 
-    def test_no_write_allocate(self):
-        cache = make_cache(write_allocate=False)
-        _, _, allocated = cache.access(0, is_write=True)
-        assert not allocated
-        assert not cache.contains(0)
-
 
 class TestWriteStreaming:
     def test_streaming_store_run_bypasses_allocation(self):

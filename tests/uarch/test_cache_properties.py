@@ -1,8 +1,9 @@
 """Property-based tests for cache and TLB invariants (hypothesis)."""
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.uarch.cache import SetAssociativeCache
+from repro.uarch.cache import SetAssociativeCache, batch_l1d_replay
 from repro.uarch.tlb import Tlb
 
 
@@ -114,3 +115,102 @@ def test_fill_then_access_always_hits_immediately(lines):
         cache.fill(line)
         hit, _, _ = cache.access(line)
         assert hit
+
+
+def _reference_l1d(warm, ops, cache):
+    """Per-op (hit, streamed, wrote_back) from driving ``cache`` directly."""
+    for line in warm:
+        cache.fill(line)
+    outcomes = []
+    for line, is_write in ops:
+        hit, wrote_back, allocated = cache.access(line, is_write)
+        outcomes.append((hit, is_write and not hit and not allocated, wrote_back))
+    return outcomes
+
+
+def _walk_l1d(warm, ops, cache):
+    """Per-op (hit, streamed, wrote_back) from :func:`batch_l1d_replay`."""
+    lines = np.array(list(warm) + [line for line, _ in ops], dtype=np.int64)
+    writes = np.array([False] * len(warm) + [w for _, w in ops], dtype=bool)
+    res = batch_l1d_replay(lines, writes, len(warm), cache)
+    return list(zip(res.hit.tolist(), res.streamed.tolist(),
+                    res.wrote_back.tolist()))
+
+
+def _interleaved_runs():
+    """Eight sequential store runs long enough to stream, two more that
+    rotate the tracker victims, a re-read and re-store of a streamed line,
+    then reads that evict dirty lines."""
+    bases = [1000 * r for r in range(10)]
+    ops = []
+    for step in range(6):
+        ops += [(bases[r] + step, True) for r in range(8)]
+    for step in range(6):
+        ops += [(bases[r] + step, True) for r in (8, 9)]
+    ops += [(bases[0] + 5, False), (bases[0] + 5, True), (bases[0] + 5, False)]
+    ops += [(line, False) for line in range(64)]
+    return ops
+
+
+@st.composite
+def _l1d_streams(draw):
+    """A warm prefix plus bursts of up to 12 sequential store runs,
+    interleaved with re-reads of recently stored run lines and random
+    reads and writes."""
+    n_runs = draw(st.integers(1, 12))
+    heads = [draw(st.integers(0, 40)) * 64 for _ in range(n_runs)]
+    warm = draw(st.lists(st.integers(0, 3000), max_size=40))
+    ops = []
+    steps = st.tuples(
+        st.sampled_from(["stores", "stores", "reread", "read", "write"]),
+        st.integers(0, n_runs - 1),
+        st.integers(0, 3000),
+    )
+    for kind, run, line in draw(st.lists(steps, min_size=4, max_size=60)):
+        if kind == "stores":
+            burst = 1 + line % 8
+            ops += [(heads[run] + k, True) for k in range(burst)]
+            heads[run] += burst
+        elif kind == "reread":
+            ops.append((max(0, heads[run] - 1 - line % 4), False))
+        else:
+            ops.append((line, kind == "write"))
+    return warm, ops
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    assoc=st.sampled_from([1, 2, 4]),
+    n_sets=st.sampled_from([1, 4, 16]),
+    write_streaming=st.booleans(),
+    stream=_l1d_streams(),
+)
+@example(assoc=1, n_sets=4, write_streaming=True, stream=([], _interleaved_runs()))
+@example(assoc=2, n_sets=4, write_streaming=True, stream=([], _interleaved_runs()))
+@example(assoc=4, n_sets=4, write_streaming=True, stream=([], _interleaved_runs()))
+def test_l1d_resolver_matches_per_op_access(assoc, n_sets, write_streaming, stream):
+    """The L1D resolver (the exact walk for a write-streaming cache, the
+    batched LRU replay otherwise) reproduces ``access`` op by op after the
+    same warm ``fill`` prefix."""
+    warm, ops = stream
+
+    def make():
+        return SetAssociativeCache("l1d", 64 * n_sets * assoc, 64, assoc,
+                                   write_streaming=write_streaming)
+
+    assert _walk_l1d(warm, ops, make()) == _reference_l1d(warm, ops, make())
+
+
+def test_interleaved_runs_cover_the_streaming_corner_cases():
+    """The pinned examples above really exercise what they are meant to."""
+    ops = _interleaved_runs()
+    for assoc in (1, 2, 4):
+        cache = SetAssociativeCache("l1d", 64 * 4 * assoc, 64, assoc,
+                                    write_streaming=True)
+        outcomes = _reference_l1d([], ops, cache)
+        assert cache._stream_victim == 2  # two tracker victims rotated out
+        assert cache.stats.writebacks > 0
+        reread = ops.index((5, False))
+        assert outcomes[ops.index((5, True))][1]  # line 5 streamed, then is
+        assert outcomes[reread][0] is False       # read again: miss, allocate,
+        assert outcomes[reread + 1][0] is True    # and the next store hits it
