@@ -87,10 +87,11 @@ bench-lint:
 bench-prof:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_profiler_overhead.py
 
-# Process start-up: `import repro.cli` and import plus GemStone(paper
-# config) in fresh interpreters, median and IQR of 9 each; asserts only
-# that no process imports scipy.stats, and refreshes BENCH_startup.json at
-# the repo root.
+# Process start-up: `import repro.cli`, import plus GemStone(paper
+# config), and that plus a warm report() on a result cache filled once, in
+# fresh interpreters, median and IQR of 9 each; asserts only that no
+# process imports scipy.stats and that the warm reports replay nothing,
+# and refreshes BENCH_startup.json at the repo root.
 bench-startup:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_startup.py
 

@@ -233,15 +233,23 @@ def dvfs_scaling(
             workload_clusters.clusters.item_names, workload_clusters.clusters.labels
         )
     }
+    # Model power per (run, source), evaluated once; every OPP's rows look
+    # the base OPP's values up.
+    power = {
+        (run.workload, freq): (
+            application.apply_to_hw(run.hw).power_w,
+            application.apply_to_gem5(run.gem5).power_w,
+        )
+        for freq in dataset.frequencies
+        for run in dataset.runs_at(freq)
+    }
     base_runs = {r.workload: r for r in dataset.runs_at(base_freq_hz)}
     rows: list[ScalingRow] = []
     for freq in dataset.frequencies:
         for run in dataset.runs_at(freq):
             base = base_runs[run.workload]
-            hw_power = application.apply_to_hw(run.hw).power_w
-            hw_power_base = application.apply_to_hw(base.hw).power_w
-            gem5_power = application.apply_to_gem5(run.gem5).power_w
-            gem5_power_base = application.apply_to_gem5(base.gem5).power_w
+            hw_power, gem5_power = power[(run.workload, freq)]
+            hw_power_base, gem5_power_base = power[(base.workload, base_freq_hz)]
             hw_speedup = base.hw_time / run.hw_time
             gem5_speedup = base.gem5_time / run.gem5_time
             hw_energy_ratio = (hw_power * run.hw_time) / (

@@ -247,11 +247,12 @@ class PowerModel:
         components = {"intercept": model.intercept}
         total = model.intercept
         for term in self.terms:
-            if term.name in model.names:
-                watts = model.coefficient(term.name) * term.rate(rates)
+            name = term.name
+            if name in model.names:
+                watts = model.coefficient(name) * term.rate(rates)
             else:
                 watts = 0.0
-            components[term.name] = watts
+            components[name] = watts
             total += watts
         return PowerEstimate(power_w=total, components=components)
 

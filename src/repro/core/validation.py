@@ -299,12 +299,25 @@ class ValidationDataset:
     def gem5_rate_matrix(
         self, freq_hz: float, stats: Sequence[str] | None = None
     ) -> tuple[np.ndarray, list[str]]:
-        """(workloads x stats) matrix of gem5 statistic rates."""
+        """(workloads x stats) matrix of gem5 statistic rates.
+
+        Element for element equal to ``run.gem5.rate(stat)``: the raw stats
+        are gathered once, and the columns that are not rate-like (by the
+        catalog of the dataset's gem5 model) are divided by each run's
+        ``sim_seconds`` in one array division.
+        """
         runs = self.runs_at(freq_hz)
         if stats is None:
             stats = sorted(runs[0].gem5.stats)
         stats = list(stats)
-        matrix = np.array([[run.gem5.rate(s) for s in stats] for run in runs])
+        matrix = np.array(
+            [[run.gem5.stats[s] for s in stats] for run in runs], dtype=float
+        )
+        if runs:
+            catalog = runs[0].gem5.catalog
+            counts = [not catalog.is_rate_like(s) for s in stats]
+            seconds = np.array([run.gem5.sim_seconds for run in runs])
+            matrix[:, counts] /= seconds[:, None]
         return matrix, stats
 
 

@@ -58,10 +58,22 @@ LOCK_FILE_NAME = ".lock"
 CACHE_SCHEMA_VERSION = 5
 
 
+#: Machine fingerprints by configuration value.
+_FINGERPRINTS: dict[MachineConfig, str] = {}
+
+
 def machine_fingerprint(machine: MachineConfig) -> str:
-    """Stable hash of every field of a machine configuration."""
-    payload = json.dumps(dataclasses.asdict(machine), sort_keys=True)
-    return hashlib.sha1(payload.encode()).hexdigest()
+    """Stable hash of every field of a machine configuration.
+
+    Each distinct configuration is hashed once per process; the memo is
+    keyed by value, so an edited configuration is a new key.
+    """
+    fingerprint = _FINGERPRINTS.get(machine)
+    if fingerprint is None:
+        payload = json.dumps(dataclasses.asdict(machine), sort_keys=True)
+        fingerprint = hashlib.sha1(payload.encode()).hexdigest()
+        _FINGERPRINTS[machine] = fingerprint
+    return fingerprint
 
 
 def machine_from_spec(spec: dict) -> MachineConfig:

@@ -480,6 +480,10 @@ def build_columnar_trace(
 TRACE_COMPILER_VERSION = 1
 
 
+#: Recipe digests by every input they hash, the compiler version included.
+_RECIPE_DIGESTS: dict[tuple[int, WorkloadProfile, int, int], str] = {}
+
+
 def recipe_digest(
     profile: WorkloadProfile, n_instrs: int, seed: int | None = None
 ) -> str:
@@ -487,14 +491,20 @@ def recipe_digest(
 
     A sha1 over every profile field, the *target* length, the resolved
     seed and :data:`TRACE_COMPILER_VERSION` — computable without compiling.
+    Each distinct input is hashed once per process: the memo key holds the
+    current compiler version, so a version bump never reads an older digest,
+    and an edited profile is a new key.
     """
     seed = workload_seed(profile.name) if seed is None else seed
-    payload = json.dumps(
-        [TRACE_COMPILER_VERSION, dataclasses.asdict(profile), int(n_instrs),
-         int(seed)],
-        sort_keys=True,
-    )
-    return hashlib.sha1(payload.encode()).hexdigest()
+    key = (TRACE_COMPILER_VERSION, profile, int(n_instrs), int(seed))
+    digest = _RECIPE_DIGESTS.get(key)
+    if digest is None:
+        payload = json.dumps(
+            [key[0], dataclasses.asdict(profile), key[2], key[3]], sort_keys=True
+        )
+        digest = hashlib.sha1(payload.encode()).hexdigest()
+        _RECIPE_DIGESTS[key] = digest
+    return digest
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Tests for the simulated hardware platform (PMU, sensors, thermals)."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,30 @@ from repro.workloads.suites import workload_by_name
 @pytest.fixture(scope="module")
 def measurement(platform_a15):
     return platform_a15.characterize(workload_by_name("mi-qsort"), 1000e6)
+
+
+def _field_bytes(measurement) -> dict[str, bytes]:
+    """Each field of a measurement as bytes: floats, dicts and arrays
+    compare bit for bit, NaN included."""
+    return {
+        f.name: pickle.dumps(getattr(measurement, f.name))
+        for f in dataclasses.fields(measurement)
+    }
+
+
+def _scalar_multiplexed_pmc(self, sim, freq_hz, time_seconds, repeat, rng):
+    """Reference: the PMU capture with one ``rng.normal`` call per draw."""
+    ideal = self._ideal_pmc(sim, freq_hz, time_seconds, repeat)
+    numbers = sorted(ideal)
+    pmc = {}
+    for group_start in range(0, len(numbers), MAX_PMU_COUNTERS):
+        group = numbers[group_start:group_start + MAX_PMU_COUNTERS]
+        group_jitter = 1.0 + rng.normal(0.0, 0.004)
+        for event in group:
+            event_noise = 1.0 + rng.normal(0.0, 0.002)
+            pmc[event] = ideal[event] * group_jitter * event_noise
+    pmc[0x11] = ideal[0x11] * (1.0 + rng.normal(0.0, 0.001))  # cycle counter
+    return pmc
 
 
 class TestConstruction:
@@ -41,10 +68,11 @@ class TestCharacterize(object):
     def test_deterministic(self, platform_a15):
         profile = workload_by_name("mi-sha")
         a = platform_a15.characterize(profile, 1000e6)
-        b = platform_a15.characterize(profile, 1000e6)
-        assert a.time_seconds == b.time_seconds
-        assert a.pmc == b.pmc
-        assert a.power_w == b.power_w
+        b = HardwarePlatform(
+            "A15", trace_instructions=platform_a15.trace_instructions
+        ).characterize(profile, 1000e6)
+        assert a is not b
+        assert _field_bytes(a) == _field_bytes(b)
 
     def test_covers_all_a15_events(self, measurement):
         expected = {e.number for e in events_for_core("A15")}
@@ -195,3 +223,68 @@ class TestFaultPlan:
         assert a.pmc == b.pmc
         assert b.power_samples_lost > 0
         assert faulty.executor.telemetry.job_retries == 0
+
+
+class TestMemo:
+    def test_repeated_point_returns_the_memoised_measurement(self):
+        platform = HardwarePlatform("A15", trace_instructions=2_000)
+        profile = workload_by_name("mi-sha")
+        first = platform.characterize(profile, 1000e6)
+        assert platform.characterize(profile, 1000e6) is first
+        assert platform.characterize(profile, 600e6) is not first
+        timing_only = platform.characterize(profile, 1000e6, with_power=False)
+        assert timing_only is not first
+        assert np.isnan(timing_only.power_w)
+
+    def test_failed_characterisation_is_retried(self, monkeypatch):
+        platform = HardwarePlatform("A15", trace_instructions=2_000)
+        profile = workload_by_name("mi-sha")
+        real_sim = platform._sim
+        calls = []
+
+        def flaky_sim(p):
+            calls.append(p)
+            if len(calls) == 1:
+                raise OSError("board unreachable")
+            return real_sim(p)
+
+        monkeypatch.setattr(platform, "_sim", flaky_sim)
+        with pytest.raises(OSError):
+            platform.characterize(profile, 1000e6)
+        measurement = platform.characterize(profile, 1000e6)
+        assert platform.characterize(profile, 1000e6) is measurement
+        assert len(calls) == 2
+
+
+class TestNoiseDrawOracle:
+    """The PMU capture draws its noise in one vector; it must equal the
+    scalar loop of one ``rng.normal`` per draw byte for byte, including
+    every draw made after it from the same stream (the power window)."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [None, FaultPlan.drop_power(fraction=0.3), FaultPlan.nan_power(fraction=0.3)],
+        ids=["clean", "drop-power", "nan-power"],
+    )
+    @pytest.mark.parametrize("core", ["A7", "A15"])
+    def test_vector_draw_equals_scalar_draws(self, core, faults, monkeypatch):
+        # The A7's 29 events leave a partial last counter group.
+        if core == "A7":
+            assert len(events_for_core("A7")) % MAX_PMU_COUNTERS != 0
+        platform = HardwarePlatform(core, trace_instructions=2_000, faults=faults)
+        profile = workload_by_name("parsec-canneal-4")
+        throttled = False
+        for freq in platform.opps.frequencies():
+            for with_power in (True, False):
+                vector = platform._characterize(profile, freq, with_power)
+                with monkeypatch.context() as patch:
+                    patch.setattr(
+                        HardwarePlatform, "_multiplexed_pmc", _scalar_multiplexed_pmc
+                    )
+                    scalar = platform._characterize(profile, freq, with_power)
+                assert _field_bytes(vector) == _field_bytes(scalar), (freq, with_power)
+                if faults is not None and with_power:
+                    assert vector.power_samples_lost > 0
+                throttled |= vector.throttled
+        # The A15's 2 GHz point is throttled to 1.8 GHz; it is covered too.
+        assert throttled == (core == "A15")

@@ -10,7 +10,7 @@ import pytest
 from repro.sim.cpu import simulate
 from repro.sim.executor import SimExecutor
 from repro.sim.gem5 import Gem5Simulation
-from repro.sim.machine import gem5_ex5_big, hardware_a15
+from repro.sim.machine import CacheGeometry, MachineConfig, gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
 from repro.sim.result_cache import (
     CACHE_SCHEMA_VERSION,
@@ -20,7 +20,9 @@ from repro.sim.result_cache import (
     machine_fingerprint,
     open_cache_spec,
 )
+from repro.uarch.tlb import TlbHierarchyConfig
 from repro.workloads import trace as trace_mod
+from repro.workloads.profile import WorkloadProfile
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import recipe_digest, workload_seed
 
@@ -110,6 +112,16 @@ class TestKeys:
         assert ex.run(edited).counts == simulate(
             edited.compile(), machine
         ).counts
+
+    @pytest.mark.parametrize(
+        "cls", [WorkloadProfile, MachineConfig, CacheGeometry, TlbHierarchyConfig]
+    )
+    def test_identity_memos_see_every_field(self, cls):
+        """Fingerprints and recipe digests are memoised by value, so two
+        configurations that compare equal must agree on every field."""
+        assert all(
+            f.compare and f.hash is not False for f in dataclasses.fields(cls)
+        )
 
     def test_spec_round_trip_keeps_key(self, job):
         spec = json.loads(json.dumps(dataclasses.asdict(job)))
