@@ -75,9 +75,9 @@ bench-guard:
 bench-campaign:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_campaign.py
 
-# Lint-engine throughput: serial vs parallel per-file phase and cold vs
-# warm incremental cache over the real tree; asserts the warm-cache
-# speedup floor and refreshes BENCH_lint.json at the repo root.
+# Lint-engine wall time: the serial lint of the `make lint` tree, 3 runs;
+# records the median, IQR and finding count in BENCH_lint.json at the
+# repo root (no floor).
 bench-lint:
 	$(PYTHON) -m pytest -q -s -m bench_lint benchmarks/test_bench_lint.py
 
@@ -103,13 +103,6 @@ bench:
 # installed, then the project's own determinism & worker-purity linter
 # (always; `repro-lint --format json` emits machine-readable findings for
 # CI annotation).  Known-bad rule fixtures are excluded by construction.
-# repro-lint runs with the parallel per-file phase and the content-hash
-# incremental cache (.lint-cache/) by default; findings are byte-identical
-# to a cold serial run, and LINT_NO_CACHE=1 forces one for debugging.
-LINT_OPTS = --jobs 0 --cache-dir .lint-cache
-ifdef LINT_NO_CACHE
-LINT_OPTS =
-endif
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
@@ -118,7 +111,7 @@ lint:
 		MYPYPATH=src mypy -p repro.analysis; \
 	else echo "mypy not installed; skipping type checks"; fi
 	$(PYTHON) -m repro.analysis src tests benchmarks examples \
-		--exclude tests/analysis/fixtures $(LINT_OPTS)
+		--exclude tests/analysis/fixtures
 
 # Full local PR gate: static analysis plus the tier-1 suite.
 check: lint test

@@ -9,7 +9,10 @@ Each shard count is timed :data:`REPEATS` times, every timing on a fresh
 board.  Repeats run in rounds that visit every shard count, so slow drift
 on a shared host lands on all counts alike, and a count's speedup is the
 median over rounds of ``1-shard seconds / N-shard seconds``.  The JSON
-records each count's median seconds and their interquartile range.
+records each count's median seconds and their interquartile range, and
+for every timing the jobs each shard finished and the leases stolen, as
+the board journal recorded them: a slow round with an uneven split is
+shard skew, one with an even split is host contention.
 
 Asserted floor: the median 2-shard speedup is >=1.5x on any machine with
 >=2 cores.  The 4-shard point is reported but not gated — 6+ cores are
@@ -28,6 +31,7 @@ import time
 import pytest
 
 from benchmarks.conftest import median_and_iqr, paper_row, print_header
+from repro.atomicio import Journal
 from repro.core.pipeline import GemStoneConfig
 from repro.sim.campaign import run_campaign
 from repro.sim.executor import RetryPolicy
@@ -60,6 +64,18 @@ def _config() -> GemStoneConfig:
     )
 
 
+def _journal_counts(board_dir: str) -> dict:
+    """Jobs each shard finished and leases stolen, from the board journal."""
+    done: dict[str, int] = {}
+    steals = 0
+    for record in Journal(os.path.join(board_dir, "journal.jsonl")).read():
+        if record["event"] == "job-done":
+            done[record["owner"]] = done.get(record["owner"], 0) + 1
+        elif record["event"] == "lease-stolen":
+            steals += 1
+    return {"done_per_shard": dict(sorted(done.items())), "steals": steals}
+
+
 def _drain_seconds(board_dir: str, shards: int) -> tuple[float, dict]:
     started = time.perf_counter()
     result = run_campaign(
@@ -75,15 +91,18 @@ def _drain_seconds(board_dir: str, shards: int) -> tuple[float, dict]:
 @pytest.mark.dist
 def test_bench_campaign_scaling(tmp_path):
     timings: dict[int, list[float]] = {shards: [] for shards in SHARD_COUNTS}
+    journals: dict[int, list[dict]] = {shards: [] for shards in SHARD_COUNTS}
     jobs = 0
     for round_index in range(REPEATS):
         for shards in SHARD_COUNTS:
             # A fresh board per timing: every run pays the same sync,
             # claim and simulation costs from zero.
-            elapsed, status = _drain_seconds(
-                str(tmp_path / f"board-{shards}-{round_index}"), shards
-            )
+            board_dir = str(tmp_path / f"board-{shards}-{round_index}")
+            elapsed, status = _drain_seconds(board_dir, shards)
             timings[shards].append(elapsed)
+            journal = _journal_counts(board_dir)
+            assert sum(journal["done_per_shard"].values()) == status["total"]
+            journals[shards].append(journal)
             jobs = status["total"]
 
     rows = []
@@ -100,6 +119,7 @@ def test_bench_campaign_scaling(tmp_path):
                 "seconds": seconds,
                 "seconds_iqr": seconds_iqr,
                 "timings": timings[shards],
+                "journal": journals[shards],
                 "speedup": speedup,
                 "speedup_iqr": speedup_iqr,
             }
@@ -119,6 +139,12 @@ def test_bench_campaign_scaling(tmp_path):
                 f"= {row['speedup']:.2f}x",
             )
         )
+        for seconds, journal in zip(row["timings"], row["journal"]):
+            print(
+                f"    {seconds:.2f}s: done per shard "
+                f"{list(journal['done_per_shard'].values())}, "
+                f"{journal['steals']} steal(s)"
+            )
 
     cores = os.cpu_count() or 1
     two_shard = next(r for r in rows if r["shards"] == 2)

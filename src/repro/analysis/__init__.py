@@ -30,12 +30,10 @@ SUP002   malformed or blanket suppressions
 PARSE001 files that do not parse
 ======== ===================================================================
 
-Analysis is project-wide: per-file passes fan out over a process pool and
-feed a cross-module symbol table + call graph
+Analysis is project-wide: each file is parsed once, in one process, and
+its summary feeds a cross-module symbol table + call graph
 (:mod:`repro.analysis.project`), which the THR rules, DET004 and the
-interprocedural half of PURE001 traverse.  A content-hash incremental
-cache (``--cache-dir``) keeps warm runs proportional to the edit, and
-``--baseline`` adopts new rules without blocking on legacy findings.
+interprocedural half of PURE001 traverse.
 
 Run it via ``repro-lint``, ``python -m repro.analysis`` or
 ``gemstone lint``; suppress a single line with ``# repro: noqa[RULE]``.
@@ -43,17 +41,11 @@ Run it via ``repro-lint``, ``python -m repro.analysis`` or
 
 from __future__ import annotations
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.cli import main
 from repro.analysis.engine import (
     REGISTRY,
     FileAnalysis,
     LintConfig,
-    RunStats,
     analyze_file,
     analyze_source,
     derive_module,
@@ -77,19 +69,15 @@ __all__ = [
     "ProjectIndex",
     "REGISTRY",
     "Rule",
-    "RunStats",
     "Severity",
     "analyze_file",
     "analyze_source",
-    "apply_baseline",
     "derive_module",
     "iter_python_files",
     "lint_file",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
     "render_json",
     "render_text",
-    "write_baseline",
 ]

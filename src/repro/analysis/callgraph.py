@@ -5,8 +5,7 @@ Nodes are fully qualified function names (``repro.sim.guard.guarded_simulate``,
 resolved call sites collected by :mod:`repro.analysis.project`.  Every
 traversal is deterministic: adjacency lists are sorted at build time and
 breadth-first search visits neighbours in sorted order, so findings derived
-from the graph are byte-identical across runs, process pools and cache
-replays.
+from the graph are byte-identical across runs.
 
 The graph is *bounded* by construction — traversals carry an explicit
 ``max_depth`` and a visited set, so mutual recursion and call cycles

@@ -22,12 +22,8 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.callgraph import DEFAULT_MAX_DEPTH
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.project import (
-    ModuleInventory,
-    ProjectIndex,
-    first_impurity,
-)
+from repro.analysis.findings import Severity
+from repro.analysis.project import ProjectIndex, first_impurity
 from repro.analysis.rules import (
     BaseChecker,
     ProjectChecker,
@@ -52,10 +48,6 @@ class SubmitPurityChecker(BaseChecker):
     reported here; transitive (and cross-module) impurity is reported by
     the project-phase pass over the call graph.
     """
-
-    def run(self, tree: ast.Module) -> list[Finding]:
-        self._inventory = ModuleInventory.from_tree(tree, self.ctx.imports)
-        return super().run(tree)
 
     def visit_Call(self, node: ast.Call) -> None:
         if (
@@ -83,8 +75,8 @@ class SubmitPurityChecker(BaseChecker):
         if not isinstance(callable_expr, ast.Name):
             return
         name = callable_expr.id
-        if name in self._inventory.nested_functions or (
-            name in self._inventory.lambda_bound
+        if name in self.ctx.inventory.nested_functions or (
+            name in self.ctx.inventory.lambda_bound
         ):
             self.report(
                 site,
@@ -93,10 +85,10 @@ class SubmitPurityChecker(BaseChecker):
                 "module level",
             )
             return
-        fn = self._inventory.top_functions.get(name)
+        fn = self.ctx.inventory.top_functions.get(name)
         if fn is None:
             return
-        reason = first_impurity(fn, self._inventory)
+        reason = first_impurity(fn, self.ctx.inventory)
         if reason is not None:
             self.report(
                 site,

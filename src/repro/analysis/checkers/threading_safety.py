@@ -2,13 +2,12 @@
 THR002 (lock acquired without ``with``/try-finally), THR003 (flag fields
 read unsynchronised across a thread boundary).
 
-The runtime guardrails (:mod:`repro.sim.guard`) sit on the executor's
-scheduling path and the observability layer (:mod:`repro.obs`) is where
-background helpers tend to grow, so those two trees are the scope.
-Neither runs a thread today; the rules keep any new one honest: state
-shared between a thread and the main thread is only touched under the
-owning lock, and plain boolean flags are not a synchronisation
-primitive.
+The scope is where the threads are: the campaign's lease heartbeat
+(:mod:`repro.sim.campaign`) is the only ``threading.Thread`` in the
+package, and a test keeps every module that starts one inside the scope.
+The rules keep the boundary honest: state shared between a thread and
+the main thread is only touched under the owning lock, and plain boolean
+flags are not a synchronisation primitive.
 
 THR001/THR003 need the project call graph (a write is "on the thread
 side" if it happens in the ``Thread`` target *or any callee*), so they run
@@ -24,9 +23,9 @@ from repro.analysis.names import dotted_parts
 from repro.analysis.project import ClassSummary, ModuleSummary, ProjectIndex
 from repro.analysis.rules import BaseChecker, ProjectChecker, project_rule, rule
 
-#: Blast radius: the guardrail/executor boundary and the observability
-#: layer.  Widen deliberately, not by default.
-THREADING_SCOPE = ("repro.sim.guard", "repro.obs")
+#: Every module that starts a thread: today the campaign lease heartbeat.
+#: A module that starts a new one joins the scope with it.
+THREADING_SCOPE = ("repro.sim.campaign",)
 
 
 def _is_lockish_chain(parts: list[str] | None) -> bool:
@@ -40,10 +39,10 @@ def _is_lockish_chain(parts: list[str] | None) -> bool:
     "THR001",
     "shared attribute written from a thread without the owning lock",
     Severity.ERROR,
-    "An attribute written by the supervisor thread (the Thread target or "
+    "An attribute written by a background thread (the Thread target or "
     "any of its callees) and also touched by main-thread methods is a data "
-    "race unless every write holds the class's lock; races here corrupt "
-    "the very guardrail state that is supposed to detect corruption.",
+    "race unless every write holds the class's lock; a race here corrupts "
+    "the lease and job state that the campaign's recovery trusts.",
     scope=THREADING_SCOPE,
 )
 class SharedWriteProjectChecker(ProjectChecker):

@@ -8,17 +8,11 @@ or internal error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Sequence
 
-from repro.analysis.baseline import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.engine import REGISTRY, LintConfig, RunStats, lint_paths
+from repro.analysis.engine import REGISTRY, LintConfig, lint_paths
 from repro.analysis.reporters import render_json, render_text
 
 
@@ -101,41 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         "linting; scoped rules normally key off the package location)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-file analysis worker processes (1 = serial, 0 = one per "
-        "CPU; default: serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="enable the content-hash incremental cache rooted at DIR; "
-        "warm runs re-analyse only changed files and their reverse "
-        "import dependencies",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="subtract a recorded findings baseline; only findings absent "
-        "from FILE fail the run",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="FILE",
-        help="record the current findings to FILE and exit 0 (adopt-"
-        "new-rule workflow)",
-    )
-    parser.add_argument(
-        "--stats",
-        action="store_true",
-        help="print cache/fan-out statistics to stderr after the run",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule catalogue and exit",
@@ -169,15 +128,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             + " (see --list-rules)"
         )
 
-    stats = RunStats()
     try:
-        findings = lint_paths(
-            args.paths or _default_paths(),
-            config=config,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            stats=stats,
-        )
+        findings = lint_paths(args.paths or _default_paths(), config=config)
     except FileNotFoundError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
@@ -187,45 +139,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             file=sys.stderr,
         )
         return 2
-
-    if args.stats:
-        print(
-            f"repro-lint: {stats.files} files, {stats.analysed} analysed, "
-            f"{stats.summaries_cached} summaries cached, "
-            f"{stats.findings_cached} findings cached, "
-            f"{len(stats.refinalized)} re-merged, "
-            f"{stats.quarantined} quarantined, jobs={stats.jobs}",
-            file=sys.stderr,
-        )
-
-    if args.write_baseline is not None:
-        try:
-            write_baseline(findings, args.write_baseline)
-        except OSError as exc:
-            print(f"repro-lint: cannot write baseline: {exc}", file=sys.stderr)
-            return 2
-        print(
-            f"repro-lint: wrote {len(findings)} finding(s) to "
-            f"{args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.baseline is not None:
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, matched, stale = apply_baseline(findings, baseline)
-        if matched or stale:
-            note = f"repro-lint: baseline absorbed {matched} finding(s)"
-            if stale:
-                note += (
-                    f"; {stale} baseline entr(y/ies) no longer fire — "
-                    "re-run --write-baseline to shrink the file"
-                )
-            print(note, file=sys.stderr)
 
     renderer = render_json if args.format == "json" else render_text
     _emit(renderer(findings))

@@ -1,19 +1,17 @@
 """The lint engine: discovery, the three-phase driver, suppressions.
 
-A run has three phases:
+A run has three phases, in one process:
 
 * **Phase A — per-file analysis.**  Tokenize for ``# repro: noqa[...]``
   comments → parse once → run every in-scope per-file rule → extract a
   :class:`~repro.analysis.project.ModuleSummary`.  The result
-  (:class:`FileAnalysis`) is a pure function of one file's bytes, which is
-  what makes it safe to fan out over a process pool and to cache by
-  content digest.
+  (:class:`FileAnalysis`) is a pure function of one file's bytes.
 * **Phase B — project analysis.**  Assemble all summaries into a
   :class:`~repro.analysis.project.ProjectIndex` (symbol table + call
   graph) and run every :class:`~repro.analysis.rules.ProjectChecker`.
 * **Phase C — merge.**  Per file: local + project findings → same-line
   suppressions → suppression-hygiene findings → sort.  Output order is
-  (path, line, col, rule), so serial, parallel and warm-cache runs are
+  (path, line, col, rule), so every run over the same bytes is
   byte-identical.
 
 ``lint_source``/``lint_file`` run the same pipeline over a single-file
@@ -24,16 +22,19 @@ impure same-module helper) are still caught without any project setup.
 from __future__ import annotations
 
 import ast
-import concurrent.futures
-import hashlib
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import repro.analysis.checkers  # noqa: F401  (registers the rule catalogue)
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.names import ImportMap
-from repro.analysis.project import ModuleSummary, ProjectIndex, summarize_module
+from repro.analysis.project import (
+    ModuleInventory,
+    ModuleSummary,
+    ProjectIndex,
+    summarize_module,
+)
 from repro.analysis.rules import REGISTRY, LintContext, Rule
 from repro.analysis.suppressions import SuppressionIndex
 
@@ -187,19 +188,16 @@ def iter_python_files(
 
 
 # ---------------------------------------------------------------------------
-# Phase A: per-file analysis (parallelisable, cacheable)
+# Phase A: per-file analysis
 # ---------------------------------------------------------------------------
 
 @dataclass
 class FileAnalysis:
-    """The complete, picklable result of analysing one file in isolation.
+    """The result of analysing one file in isolation.
 
     Attributes:
         path: Report path.
         module: Dotted module name used for rule scoping.
-        is_package: Whether the file is a package ``__init__``.
-        digest: SHA-256 hex digest of the file bytes ('' when unknown,
-            e.g. for in-memory sources — such analyses are never cached).
         findings: Per-file rule findings, *pre-suppression*.
         summary: Module summary for the project phase (None on parse error).
         suppressions: The file's ``# repro: noqa`` index.
@@ -207,36 +205,9 @@ class FileAnalysis:
 
     path: str
     module: str
-    is_package: bool
-    digest: str
     findings: list[Finding]
     summary: ModuleSummary | None
     suppressions: SuppressionIndex
-
-
-@dataclass
-class RunStats:
-    """Observability for one ``lint_paths`` run (cache behaviour, fan-out).
-
-    Attributes:
-        files: Files discovered.
-        analysed: Files that went through a full Phase A parse this run.
-        summaries_cached: Files whose Phase A result came from the cache.
-        findings_cached: Files whose *final* findings came from the cache
-            (neither the file nor anything it transitively imports changed).
-        refinalized: Paths whose final findings were recomputed this run —
-            on a warm run, the edited files plus their reverse dependencies.
-        quarantined: Corrupt cache entries deleted during the run.
-        jobs: Worker processes used for Phase A (1 = in-process serial).
-    """
-
-    files: int = 0
-    analysed: int = 0
-    summaries_cached: int = 0
-    findings_cached: int = 0
-    refinalized: tuple[str, ...] = ()
-    quarantined: int = 0
-    jobs: int = 1
 
 
 def analyze_source(
@@ -245,7 +216,6 @@ def analyze_source(
     module: str | None = None,
     config: LintConfig | None = None,
     is_package: bool = False,
-    digest: str = "",
 ) -> FileAnalysis:
     """Phase A over one source string: local rules + module summary."""
     config = config or LintConfig()
@@ -268,68 +238,56 @@ def analyze_source(
                 )
             )
         return FileAnalysis(
-            path=path, module=module, is_package=is_package, digest=digest,
-            findings=findings, summary=None, suppressions=suppressions,
+            path=path, module=module, findings=findings, summary=None,
+            suppressions=suppressions,
         )
 
     imports = ImportMap.from_tree(tree)
-    ctx = LintContext(path=path, module=module, imports=imports)
+    inventory = ModuleInventory.from_tree(tree, imports)
+    ctx = LintContext(
+        path=path, module=module, imports=imports, inventory=inventory
+    )
     for rule_ in active.values():
         if rule_.checker is None or not rule_.applies_to(module):
             continue
         findings.extend(rule_.checker(rule_, ctx).run(tree))
 
     summary = summarize_module(
-        tree, module=module, path=path, imports=imports, is_package=is_package
+        tree, module=module, path=path, imports=imports, inventory=inventory,
+        is_package=is_package,
     )
     return FileAnalysis(
-        path=path, module=module, is_package=is_package, digest=digest,
-        findings=findings, summary=summary, suppressions=suppressions,
+        path=path, module=module, findings=findings, summary=summary,
+        suppressions=suppressions,
     )
 
 
-def analyze_file(
-    path: str, config: LintConfig | None = None, source: str | None = None
-) -> FileAnalysis:
+def analyze_file(path: str, config: LintConfig | None = None) -> FileAnalysis:
     """Phase A over one file (unreadable/undecodable → PARSE001)."""
     config = config or LintConfig()
-    if source is None:
-        try:
-            with open(path, "rb") as handle:
-                raw = handle.read()
-            source = raw.decode("utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            module = config.assume_module or derive_module(path)
-            return FileAnalysis(
-                path=path, module=module,
-                is_package=os.path.basename(path) == "__init__.py",
-                digest="",
-                findings=[
-                    Finding(
-                        path=path, line=1, col=1, rule="PARSE001",
-                        message=f"file cannot be read: {exc}",
-                        severity=Severity.ERROR,
-                    )
-                ],
-                summary=None,
-                suppressions=SuppressionIndex.from_source(""),
-            )
-        digest = hashlib.sha256(raw).hexdigest()
-    else:
-        digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
+    try:
+        with open(path, "rb") as handle:
+            source = handle.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        return FileAnalysis(
+            path=path,
+            module=config.assume_module or derive_module(path),
+            findings=[
+                Finding(
+                    path=path, line=1, col=1, rule="PARSE001",
+                    message=f"file cannot be read: {exc}",
+                    severity=Severity.ERROR,
+                )
+            ],
+            summary=None,
+            suppressions=SuppressionIndex.from_source(""),
+        )
     return analyze_source(
         source,
         path=path,
         config=config,
         is_package=os.path.basename(path) == "__init__.py",
-        digest=digest,
     )
-
-
-def _pool_analyze(payload: tuple[str, LintConfig]) -> FileAnalysis:
-    """Process-pool entry point for Phase A (module-level: picklable)."""
-    path, config = payload
-    return analyze_file(path, config)
 
 
 # ---------------------------------------------------------------------------
@@ -378,24 +336,24 @@ def finalize_file(
     return sorted(kept)
 
 
-def _finalize_all(
-    analyses: Sequence[FileAnalysis],
-    project_findings: Sequence[Finding],
-    config: LintConfig,
-) -> dict[str, list[Finding]]:
+def _lint(
+    analyses: Sequence[FileAnalysis], config: LintConfig
+) -> list[Finding]:
+    """Phases B and C over analysed files: the sorted final findings."""
     by_path: dict[str, list[Finding]] = {}
-    for finding in project_findings:
+    for finding in run_project_rules(analyses, config):
         by_path.setdefault(finding.path, []).append(finding)
-    return {
-        analysis.path: finalize_file(
+    return sorted(
+        finding
+        for analysis in analyses
+        for finding in finalize_file(
             analysis, by_path.get(analysis.path, ()), config
         )
-        for analysis in analyses
-    }
+    )
 
 
 # ---------------------------------------------------------------------------
-# Public single-file API (a one-file project)
+# Public API
 # ---------------------------------------------------------------------------
 
 def lint_source(
@@ -415,236 +373,27 @@ def lint_source(
     """
     config = config or LintConfig()
     analysis = analyze_source(source, path=path, module=module, config=config)
-    project = run_project_rules([analysis], config)
-    return finalize_file(analysis, project, config)
+    return _lint([analysis], config)
 
 
 def lint_file(path: str, config: LintConfig | None = None) -> list[Finding]:
     """Lint one file from disk as a single-file project."""
     config = config or LintConfig()
-    analysis = analyze_file(path, config=config)
-    project = run_project_rules([analysis], config)
-    return finalize_file(analysis, project, config)
-
-
-# ---------------------------------------------------------------------------
-# The multi-file driver
-# ---------------------------------------------------------------------------
-
-def _resolve_jobs(jobs: int | None) -> int:
-    if jobs is None or jobs == 1:
-        return 1
-    if jobs == 0:
-        return max(os.cpu_count() or 1, 1)
-    return max(jobs, 1)
-
-
-def _run_phase_a(
-    pending: list[str],
-    config: LintConfig,
-    jobs: int,
-) -> list[FileAnalysis]:
-    """Analyse ``pending`` files, fanning out over a process pool if asked.
-
-    Results come back in input order regardless of worker scheduling, so
-    parallel runs are byte-identical to serial ones.
-    """
-    if jobs <= 1 or len(pending) < 2:
-        return [analyze_file(path, config) for path in pending]
-    payloads = [(path, config) for path in pending]
-    chunksize = max(len(payloads) // (jobs * 4), 1)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_pool_analyze, payloads, chunksize=chunksize))
+    return _lint([analyze_file(path, config=config)], config)
 
 
 def lint_paths(
-    paths: Iterable[str],
-    config: LintConfig | None = None,
-    *,
-    jobs: int | None = None,
-    cache_dir: str | None = None,
-    stats: RunStats | None = None,
+    paths: Iterable[str], config: LintConfig | None = None
 ) -> list[Finding]:
-    """Lint files and directory trees; the CLI's workhorse.
+    """Lint files and directory trees as one project; the CLI's workhorse.
 
     Args:
         paths: Files and/or directories to lint.
         config: Engine configuration.
-        jobs: Phase A worker processes — None/1 = in-process serial,
-            0 = one per CPU, N = exactly N.
-        cache_dir: Enable the content-hash incremental cache rooted here;
-            warm runs re-analyse only changed files, and re-merge only
-            changed files plus their reverse import dependencies.
-        stats: Optional :class:`RunStats` instance filled in-place.
 
     Returns:
-        All findings sorted by (path, line, col, rule) — byte-identical
-        across serial, parallel and warm-cache runs.
+        All findings sorted by (path, line, col, rule).
     """
     config = config or LintConfig()
-    stats = stats if stats is not None else RunStats()
-    jobs_resolved = _resolve_jobs(jobs)
-    stats.jobs = jobs_resolved
-
     files = iter_python_files(list(paths), exclude=config.exclude)
-    stats.files = len(files)
-
-    cache = None
-    if cache_dir is not None:
-        from repro.analysis.cache import LintCache
-
-        cache = LintCache(cache_dir, config)
-
-    # Phase A, through the summary cache where possible.
-    digests: dict[str, str] = {}
-    analyses_by_path: dict[str, FileAnalysis] = {}
-    pending: list[str] = []
-    for path in files:
-        digest = _digest_file(path)
-        digests[path] = digest
-        cached = (
-            cache.load_analysis(path, digest, stats)
-            if cache is not None and digest
-            else None
-        )
-        if cached is not None:
-            analyses_by_path[path] = cached
-            stats.summaries_cached += 1
-        else:
-            pending.append(path)
-
-    for analysis in _run_phase_a(pending, config, jobs_resolved):
-        analyses_by_path[analysis.path] = analysis
-        stats.analysed += 1
-        if cache is not None and analysis.digest:
-            cache.store_analysis(analysis)
-
-    analyses = [analyses_by_path[path] for path in files]
-
-    # Dependency fingerprints over the project import graph.
-    dep_fps = _dependency_fingerprints(analyses) if cache is not None else {}
-
-    # Final-findings cache: a file whose transitive import closure is
-    # byte-identical to the cached run reuses its final findings outright.
-    final: dict[str, list[Finding]] = {}
-    stale: list[FileAnalysis] = []
-    for analysis in analyses:
-        cached_findings = (
-            cache.load_findings(analysis.path, dep_fps[analysis.path], stats)
-            if cache is not None and analysis.digest
-            else None
-        )
-        if cached_findings is not None:
-            final[analysis.path] = cached_findings
-            stats.findings_cached += 1
-        else:
-            stale.append(analysis)
-
-    if stale:
-        project_findings = run_project_rules(analyses, config)
-        refinalized = _finalize_all(stale, project_findings, config)
-        for analysis in stale:
-            findings = refinalized[analysis.path]
-            final[analysis.path] = findings
-            if cache is not None and analysis.digest:
-                cache.store_findings(
-                    analysis.path, dep_fps[analysis.path], findings
-                )
-    stats.refinalized = tuple(analysis.path for analysis in stale)
-
-    merged: list[Finding] = []
-    for path in files:
-        merged.extend(final[path])
-    return sorted(merged)
-
-
-def _digest_file(path: str) -> str:
-    try:
-        with open(path, "rb") as handle:
-            return hashlib.sha256(handle.read()).hexdigest()
-    except OSError:
-        return ""
-
-
-def _dependency_fingerprints(
-    analyses: Sequence[FileAnalysis],
-) -> dict[str, str]:
-    """Per-file fingerprint of the transitive *project* import closure.
-
-    Import targets are mapped onto project modules by longest dotted-prefix
-    match (``from repro.sim.guard import GuardRail`` depends on module
-    ``repro.sim.guard``), then the closure is walked over the module graph.
-    The fingerprint hashes the sorted (module, digest) pairs of the closure
-    including the file itself — so any byte change in anything a file
-    transitively imports changes the file's fingerprint and invalidates
-    its cached findings (this is how reverse dependencies of an edit get
-    re-merged).
-    """
-    by_module: dict[str, FileAnalysis] = {}
-    for analysis in analyses:
-        by_module.setdefault(analysis.module, analysis)
-
-    known = sorted(by_module)
-    known_set = set(known)
-
-    def to_project_module(target: str) -> str | None:
-        candidate = target
-        while candidate:
-            if candidate in known_set:
-                return candidate
-            candidate = candidate.rpartition(".")[0]
-        return None
-
-    edges: dict[str, tuple[str, ...]] = {}
-    for module, analysis in by_module.items():
-        imported = (
-            analysis.summary.imported_modules
-            if analysis.summary is not None
-            else ()
-        )
-        deps = {
-            resolved
-            for resolved in (to_project_module(t) for t in imported)
-            if resolved is not None and resolved != module
-        }
-        # A submodule implicitly depends on its package __init__ chain.
-        parent = module.rpartition(".")[0]
-        while parent:
-            if parent in known_set:
-                deps.add(parent)
-            parent = parent.rpartition(".")[0]
-        edges[module] = tuple(sorted(deps))
-
-    closures: dict[str, frozenset[str]] = {}
-
-    def closure_of(module: str) -> frozenset[str]:
-        cached = closures.get(module)
-        if cached is not None:
-            return cached
-        seen = {module}
-        frontier = [module]
-        while frontier:
-            current = frontier.pop()
-            for dep in edges.get(current, ()):
-                if dep not in seen:
-                    seen.add(dep)
-                    frontier.append(dep)
-        result = frozenset(seen)
-        closures[module] = result
-        return result
-
-    fingerprints: dict[str, str] = {}
-    for analysis in analyses:
-        closure = closure_of(analysis.module)
-        hasher = hashlib.sha256()
-        for module in sorted(closure):
-            member = by_module[module]
-            hasher.update(module.encode())
-            hasher.update(b"\x00")
-            hasher.update(member.digest.encode())
-            hasher.update(b"\x00")
-        # Files sharing a module name (assume_module) still hash their own
-        # digest so they never alias each other's cache entries.
-        hasher.update(analysis.digest.encode())
-        fingerprints[analysis.path] = hasher.hexdigest()
-    return fingerprints
+    return _lint([analyze_file(path, config) for path in files], config)

@@ -4,16 +4,11 @@ Single-file AST rules see one module at a time; the invariants they guard
 stopped being single-file long ago (pool workers calling across modules,
 heartbeat threads sharing state with the campaign board, decoded columns
 flowing between ``repro.sim`` and ``repro.uarch``).  This module extracts a
-compact, picklable :class:`ModuleSummary` from every analysed file — the
-facts a cross-module pass needs, without keeping ASTs alive — and
-assembles them into a :class:`ProjectIndex`: a symbol table plus a
-deterministic :class:`~repro.analysis.callgraph.CallGraph`, resolved
-through each file's :class:`~repro.analysis.names.ImportMap`.
-
-Summaries are pure functions of one file's bytes, which is what makes the
-incremental cache (:mod:`repro.analysis.cache`) sound: a summary is keyed
-by content digest alone, and only the graph-dependent *findings* carry a
-dependency fingerprint.
+compact :class:`ModuleSummary` from every analysed file — the facts a
+cross-module pass needs, without keeping ASTs alive — and assembles them
+into a :class:`ProjectIndex`: a symbol table plus a deterministic
+:class:`~repro.analysis.callgraph.CallGraph`, resolved through each
+file's :class:`~repro.analysis.names.ImportMap`.
 """
 
 from __future__ import annotations
@@ -120,7 +115,7 @@ def _is_constant_style(name: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Per-file fact records (all picklable, all hashable value objects)
+# Per-file fact records (all hashable value objects)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -228,7 +223,6 @@ class ModuleSummary:
     classes: dict[str, ClassSummary] = field(default_factory=dict)
     submit_sites: tuple[SubmitSite, ...] = ()
     thread_spawns: tuple[ThreadSpawn, ...] = ()
-    imported_modules: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -599,34 +593,15 @@ def _summarize_function(
     )
 
 
-def _collect_imported_modules(tree: ast.Module, module: str,
-                              is_package: bool) -> tuple[str, ...]:
-    """Absolute dotted module targets of every import statement."""
-    targets: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                targets.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = "." * node.level + (node.module or "")
-            base = absolutize(base, module, is_package)
-            if base:
-                targets.add(base)
-                for alias in node.names:
-                    if alias.name != "*":
-                        targets.add(f"{base}.{alias.name}")
-    return tuple(sorted(targets))
-
-
 def summarize_module(
     tree: ast.Module,
     module: str,
     path: str,
     imports: ImportMap,
+    inventory: ModuleInventory,
     is_package: bool = False,
 ) -> ModuleSummary:
     """Extract the project-phase facts from one parsed module."""
-    inventory = ModuleInventory.from_tree(tree, imports)
     top_level = set(inventory.top_functions) | {
         stmt.name for stmt in tree.body if isinstance(stmt, ast.ClassDef)
     }
@@ -668,7 +643,6 @@ def summarize_module(
         classes=classes,
         submit_sites=submit_sites,
         thread_spawns=thread_spawns,
-        imported_modules=_collect_imported_modules(tree, module, is_package),
     )
 
 

@@ -23,7 +23,7 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.names import ImportMap
 
 if TYPE_CHECKING:
-    from repro.analysis.project import ProjectIndex
+    from repro.analysis.project import ModuleInventory, ProjectIndex
 
 
 @dataclass(frozen=True)
@@ -35,11 +35,14 @@ class LintContext:
         module: Dotted module name derived from the file's package location
             (or forced via ``--assume-module``); drives rule scoping.
         imports: Import-alias map for qualified-name resolution.
+        inventory: Module-level facts for worker-purity judgements, built
+            once per file and shared with the module summary.
     """
 
     path: str
     module: str
     imports: ImportMap
+    inventory: "ModuleInventory"
 
 
 @dataclass(frozen=True)

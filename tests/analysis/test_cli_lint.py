@@ -15,6 +15,7 @@ pytestmark = pytest.mark.lint
 FIXTURES = Path(__file__).parent / "fixtures"
 ALL_RULES = str(FIXTURES / "all_rules.py")
 SUPPRESSED = str(FIXTURES / "suppressed.py")
+XPROJ = str(FIXTURES / "xproj")
 AS_SIM = ["--assume-module", "repro.sim._fixture"]
 AS_ATOMICIO = ["--assume-module", "repro.atomicio"]
 
@@ -124,6 +125,29 @@ class TestExitCodesAndFlags:
         assert "all_rules.py:21:12: DET001" in out
         assert out.strip().endswith("7 error(s), 5 warning(s)")
 
+    def test_project_fixture_reports_its_eight_findings(self, capsys):
+        assert lint_main([XPROJ, "--format", "json"]) == 1
+        document = json.loads(capsys.readouterr().out)
+        assert document["total"] == 8
+        assert set(document["counts"].values()) == {1}
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            ["--jobs", "2"],
+            ["--cache-dir", "lint-cache"],
+            ["--baseline", "baseline.json"],
+            ["--write-baseline", "baseline.json"],
+            ["--stats"],
+        ],
+    )
+    def test_deleted_engine_options_are_usage_errors(self, option, capsys):
+        # The engine has one path: no cache, process pool or baseline.
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([XPROJ, *option])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestGemstoneLintSubcommand:
     def test_gemstone_lint_delegates_to_repro_lint(self, capsys):
@@ -143,62 +167,3 @@ class TestGemstoneLintSubcommand:
         """Option-first invocations must reach repro-lint, not argparse."""
         assert gemstone_main(["lint", "--list-rules"]) == 0
         assert "DET001" in capsys.readouterr().out
-
-
-XPROJ = str(FIXTURES / "xproj")
-
-
-class TestProjectWideFlags:
-    """--jobs / --cache-dir / --baseline: the PR-8 engine surface."""
-
-    def test_jobs_and_cache_do_not_change_findings(self, tmp_path, capsys):
-        lint_main([XPROJ, "--format", "json"])
-        reference = json.loads(capsys.readouterr().out)["findings"]
-        assert len(reference) == 8
-
-        lint_main([XPROJ, "--format", "json", "--jobs", "2"])
-        parallel = json.loads(capsys.readouterr().out)["findings"]
-        cache_dir = str(tmp_path / "cache")
-        lint_main([XPROJ, "--format", "json", "--cache-dir", cache_dir])
-        cold = json.loads(capsys.readouterr().out)["findings"]
-        lint_main([XPROJ, "--format", "json", "--cache-dir", cache_dir])
-        warm = json.loads(capsys.readouterr().out)["findings"]
-        assert parallel == reference
-        assert cold == reference
-        assert warm == reference
-
-    def test_stats_flag_reports_cache_behaviour(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        lint_main([XPROJ, "--cache-dir", cache_dir, "--stats"])
-        cold_err = capsys.readouterr().err
-        assert "0 findings cached" in cold_err
-
-        lint_main([XPROJ, "--cache-dir", cache_dir, "--stats"])
-        warm_err = capsys.readouterr().err
-        assert "0 analysed" in warm_err
-        assert "0 re-merged" in warm_err
-
-    def test_baseline_workflow_roundtrip(self, tmp_path, capsys):
-        baseline = str(tmp_path / "lint-baseline.json")
-        assert lint_main([XPROJ, "--write-baseline", baseline]) == 0
-        capsys.readouterr()
-
-        # With the baseline applied the same tree is clean: exit 0.
-        exit_code = lint_main([XPROJ, "--baseline", baseline])
-        captured = capsys.readouterr()
-        assert exit_code == 0
-        assert "absorbed 8 finding(s)" in captured.err
-        assert "no findings" in captured.out
-
-    def test_missing_baseline_is_a_usage_error(self, capsys):
-        exit_code = lint_main(
-            [XPROJ, "--baseline", "/nonexistent/baseline.json"]
-        )
-        assert exit_code == 2
-        assert "bad baseline" in capsys.readouterr().err
-
-    def test_malformed_baseline_is_a_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "baseline.json"
-        bad.write_text("[]")
-        assert lint_main([XPROJ, "--baseline", str(bad)]) == 2
-        assert "bad baseline" in capsys.readouterr().err

@@ -16,6 +16,7 @@ from repro.analysis import (
     lint_paths,
     lint_source,
 )
+from repro.analysis.project import ModuleInventory
 from tests.analysis import rule_ids
 
 pytestmark = pytest.mark.lint
@@ -198,3 +199,25 @@ class TestRegistry:
         assert rule_ids(findings) == ["DET002"]
         assert findings[0].path == str(pkg / "mod.py")
         assert os.path.basename(findings[0].path) == "mod.py"
+
+    def test_module_inventory_is_built_once_per_file(self, monkeypatch):
+        # PURE001's per-file checker and the module summary share one
+        # inventory; building it twice doubled the cost of a lint.
+        built = []
+        real = ModuleInventory.from_tree.__func__
+
+        def spy(cls, tree, imports=None):
+            built.append(tree)
+            return real(cls, tree, imports)
+
+        monkeypatch.setattr(ModuleInventory, "from_tree", classmethod(spy))
+        source = (
+            "_cache = {}\n"
+            "def job(x):\n"
+            "    _cache[x] = x\n"
+            "def run(pool):\n"
+            "    pool.submit(job, 1)\n"
+        )
+        findings = lint_source(source, module="repro.sim.mod")
+        assert rule_ids(findings) == ["PURE001"]
+        assert len(built) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import shutil
 from pathlib import Path
 
 import pytest
@@ -115,6 +116,23 @@ class TestCrossModuleFixture:
             module="repro.jobs.submitter",
         )
         assert findings == []
+
+    def test_editing_a_callee_changes_its_importers_findings(self, tmp_path):
+        # Make the leaf pure: the PURE001 two modules away disappears
+        # although submitter.py itself was never edited.
+        root = tmp_path / "xproj"
+        shutil.copytree(XPROJ, root)
+        before = lint_paths([str(root)])
+        assert [f.rule for f in before if f.rule == "PURE001"] == ["PURE001"]
+
+        leaf = root / "repro" / "jobs" / "leaf.py"
+        leaf.write_text(
+            '"""Leaf module, now pure."""\n\n\n'
+            "def remember(key, value):\n"
+            "    return value\n"
+        )
+        after = lint_paths([str(root)])
+        assert [f for f in before if f.rule != "PURE001"] == after
 
 
 class TestSubsumption:

@@ -1,17 +1,24 @@
-"""THR rule family: thread-safety checks scoped to the watchdog/obs trees."""
+"""THR rule family: thread-safety checks scoped to the thread's module."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import REGISTRY, derive_module, iter_python_files
+from repro.analysis.names import ImportMap
 from tests.analysis import lint_snippet, rule_ids
 
 pytestmark = pytest.mark.lint
 
-GUARD_MODULE = "repro.sim.guard"
+THREAD_MODULE = "repro.sim.campaign"
+
+PACKAGE = Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
-def thr_ids(source: str, module: str = GUARD_MODULE) -> list[str]:
+def thr_ids(source: str, module: str = THREAD_MODULE) -> list[str]:
     findings = lint_snippet(source, module=module)
     return [f.rule for f in findings if f.rule.startswith("THR")]
 
@@ -91,7 +98,7 @@ class TestTHR001SharedWrite:
                 def snapshot(self):
                     return self._count
         """
-        findings = lint_snippet(source, module=GUARD_MODULE)
+        findings = lint_snippet(source, module=THREAD_MODULE)
         [thr] = [f for f in findings if f.rule == "THR001"]
         assert "'_bump'" in thr.message
 
@@ -175,7 +182,7 @@ class TestTHR003FlagVisibility:
             ),
             main_body="return self._tripped",
         ).replace("self._count = 0", "self._tripped = False")
-        findings = lint_snippet(source, module=GUARD_MODULE)
+        findings = lint_snippet(source, module=THREAD_MODULE)
         rules = [f.rule for f in findings if f.rule.startswith("THR")]
         assert rules == ["THR003"]
         assert "'_tripped'" in findings[-1].message
@@ -236,13 +243,28 @@ class TestTHR003FlagVisibility:
         assert thr_ids(source) == []
 
 
+def thread_modules() -> list[str]:
+    """Modules of the package that construct or subclass threading.Thread."""
+    modules = []
+    for path in iter_python_files([str(PACKAGE)]):
+        tree = ast.parse(Path(path).read_text(), filename=path)
+        imports = ImportMap.from_tree(tree)
+        candidates: list[ast.expr] = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                candidates.append(node.func)
+            elif isinstance(node, ast.ClassDef):
+                candidates.extend(node.bases)
+        if any(imports.resolve(c) == "threading.Thread" for c in candidates):
+            modules.append(derive_module(path))
+    return modules
+
+
 class TestRuleMetadata:
     def test_thr_rules_registered_with_scope(self):
-        from repro.analysis.rules import REGISTRY
-
         for rule_id in ("THR001", "THR002", "THR003"):
             rule_ = REGISTRY[rule_id]
-            assert rule_.scope == ("repro.sim.guard", "repro.obs")
+            assert rule_.scope == ("repro.sim.campaign",)
             assert rule_.rationale
 
     def test_ids_helper_sees_no_other_rules(self):
@@ -251,4 +273,13 @@ class TestRuleMetadata:
             thread_body="pass",
             main_body="return self._count",
         )
-        assert rule_ids(lint_snippet(source, module=GUARD_MODULE)) == []
+        assert rule_ids(lint_snippet(source, module=THREAD_MODULE)) == []
+
+    def test_every_module_that_starts_a_thread_is_in_scope(self):
+        modules = thread_modules()
+        assert THREAD_MODULE in modules
+        for rule_id in ("THR001", "THR002", "THR003"):
+            assert [
+                module for module in modules
+                if not REGISTRY[rule_id].applies_to(module)
+            ] == []
