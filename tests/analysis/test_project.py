@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_paths, lint_source
+from repro.analysis import LintConfig, lint_paths, lint_source
 from repro.analysis.callgraph import CallGraph
 from tests.analysis import rule_ids
 
 pytestmark = pytest.mark.lint
 
 XPROJ = Path(__file__).resolve().parent / "fixtures" / "xproj"
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestCallGraph:
@@ -133,6 +137,74 @@ class TestCrossModuleFixture:
         )
         after = lint_paths([str(root)])
         assert [f for f in before if f.rule != "PURE001"] == after
+
+
+def _key(finding):
+    return (finding.path, finding.rule, finding.line, finding.col,
+            finding.message)
+
+
+class TestOneLintPath:
+    """A lint is a pure function of the bytes it reads and its config."""
+
+    def test_repeated_runs_agree_exactly(self):
+        first = [_key(f) for f in lint_paths([str(XPROJ)])]
+        second = [_key(f) for f in lint_paths([str(XPROJ)])]
+        assert first == second
+        assert len(first) == 8
+
+    def test_json_output_does_not_depend_on_the_hash_seed(self):
+        outputs = []
+        for seed in ("0", "1"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(SRC)}
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.analysis", str(XPROJ),
+                 "--format", "json"],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 1, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert '"total": 8' in outputs[0]
+
+    def test_argument_order_does_not_change_findings(self):
+        package = XPROJ / "repro"
+        parts = sorted(str(p) for p in package.iterdir()
+                       if p.suffix == ".py" or p.is_dir())
+        whole = [_key(f) for f in lint_paths([str(XPROJ)])]
+        assert [_key(f) for f in lint_paths(parts[::-1])] == whole
+        assert [_key(f) for f in lint_paths(parts)] == whole
+
+    def test_comment_only_edit_keeps_every_finding(self, tmp_path):
+        root = tmp_path / "xproj"
+        shutil.copytree(XPROJ, root)
+        before = [_key(f) for f in lint_paths([str(root)])]
+        leaf = root / "repro" / "jobs" / "leaf.py"
+        leaf.write_text(leaf.read_text() + "\n# a trailing comment\n")
+        assert [_key(f) for f in lint_paths([str(root)])] == before
+
+    def test_rule_selection_narrows_project_findings(self):
+        everything = lint_paths([str(XPROJ)])
+        only_pure = lint_paths(
+            [str(XPROJ)], LintConfig(select=frozenset({"PURE001"}))
+        )
+        without_pure = lint_paths(
+            [str(XPROJ)], LintConfig(ignore=frozenset({"PURE001"}))
+        )
+        assert [f.rule for f in only_pure] == ["PURE001"]
+        assert without_pure == [f for f in everything if f.rule != "PURE001"]
+
+    def test_unparseable_file_does_not_hide_the_rest(self, tmp_path):
+        root = tmp_path / "xproj"
+        shutil.copytree(XPROJ, root)
+        before = lint_paths([str(root)])
+        broken = root / "repro" / "jobs" / "broken.py"
+        broken.write_text("def broken(:\n")
+        after = lint_paths([str(root)])
+        [parse] = [f for f in after if f.rule == "PARSE001"]
+        assert parse.path == str(broken)
+        assert [f for f in after if f.rule != "PARSE001"] == before
 
 
 class TestSubsumption:

@@ -275,6 +275,17 @@ class TestRuleMetadata:
         )
         assert rule_ids(lint_snippet(source, module=THREAD_MODULE)) == []
 
+    @pytest.mark.parametrize("module", ["repro.sim.guard", "repro.obs"])
+    def test_former_scope_modules_get_no_thread_rules(self, module):
+        # Neither module starts a thread, so the THR rules stay silent
+        # there even on a racy thread body.
+        source = WATCHDOG_TEMPLATE.format(
+            thread_body="self._count = self._count + 1",
+            main_body="return self._count",
+        )
+        assert thr_ids(source) == ["THR001"]
+        assert thr_ids(source, module=module) == []
+
     def test_every_module_that_starts_a_thread_is_in_scope(self):
         modules = thread_modules()
         assert THREAD_MODULE in modules
