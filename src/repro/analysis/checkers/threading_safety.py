@@ -94,8 +94,8 @@ class SharedWriteProjectChecker(ProjectChecker):
                     summary.path,
                     access.line,
                     access.col,
-                    f"attribute {access.attr!r} is written from the "
-                    f"supervisor thread (via {method.name!r}) without "
+                    f"attribute {access.attr!r} is written from a "
+                    f"background thread (via {method.name!r}) without "
                     f"holding the owning lock, but is shared with "
                     "main-thread methods; wrap the write in the class's "
                     "lock",

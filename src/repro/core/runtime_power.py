@@ -11,19 +11,21 @@ power analysis within gem5 itself".  This module implements the second path:
   ``MathExprPowerModel`` expression parser;
 * :func:`runtime_power_trace` runs a workload through the gem5 model in
   windows and evaluates the compiled equations per window, producing the
-  power-vs-time trace a run-time power model yields inside gem5.
+  power-vs-time trace a run-time power model yields inside gem5.  Each
+  window is one windowed :class:`~repro.sim.result_cache.SimJob` on the
+  model's executor, so windows are cached, guarded and traced like every
+  other simulation.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
 from repro.sim.gem5 import Gem5Simulation, Gem5Stats
 from repro.sim.platform import HardwarePlatform
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import compile_trace, slice_trace
 
 _LINE_RE = re.compile(r"^power\[(\d+)MHz\]\s*=\s*(.+)$")
 _TERM_RE = re.compile(r"([+-])\s*([0-9.eE+-]+)\*rate\(([A-Za-z0-9_.]+)\)")
@@ -150,28 +152,28 @@ def runtime_power_trace(
     """Per-window power of one workload, evaluated inside the simulation.
 
     The trace is split into ``n_windows`` contiguous windows; each window is
-    simulated and the compiled equations are evaluated on its statistics —
-    the behaviour of a gem5 ``MathExprPowerModel`` sampled periodically.
+    simulated through ``gem5.executor`` (one batch, so a cache miss
+    compiles the trace once for every window) and the compiled equations
+    are evaluated on its statistics — the behaviour of a gem5
+    ``MathExprPowerModel`` sampled periodically.  The window bounds need
+    the trace's dynamic block count, so the trace is compiled here once
+    even when the cache answers every window.
 
     Raises:
         ValueError: For fewer than one window.
     """
     if n_windows < 1:
         raise ValueError("need at least one window")
-    from repro.sim.cpu import simulate
-
-    full = compile_trace(profile, gem5.trace_instructions)
-    n_blocks = len(full.block_seq)
+    job = gem5.job_for(profile)
+    n_blocks = len(job.compile().block_seq)
     bounds = [round(i * n_blocks / n_windows) for i in range(n_windows + 1)]
+    windows = [(start, end) for start, end in zip(bounds, bounds[1:]) if end > start]
+    results = gem5.executor.run_many([replace(job, window=w) for w in windows])
     repeat = HardwarePlatform.repeat_count(profile, gem5.trace_instructions)
 
     samples: list[PowerSample] = []
     clock = 0.0
-    for start, end in zip(bounds, bounds[1:]):
-        if end <= start:
-            continue
-        window = slice_trace(full, start, end)
-        result = simulate(window, gem5.machine)
+    for result in results:
         duration = result.time_seconds(freq_hz) * repeat
         scale = repeat * profile.threads
         counts = {k: v * scale for k, v in result.counts.items()}

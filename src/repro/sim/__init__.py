@@ -3,7 +3,10 @@
 * :mod:`repro.sim.machine` — machine configurations.  The *hardware* configs
   carry the true Cortex-A7/A15 parameters; the *gem5* configs carry the
   documented specification errors of ``ex5_LITTLE.py`` / ``ex5_big.py``.
-* :mod:`repro.sim.cpu` — the shared trace-driven CPU simulator.
+* :mod:`repro.sim.cpu` — the shared trace-driven CPU simulator.  Each
+  :func:`simulate` call replays one trace on a fresh micro-architectural
+  state; its :class:`SimResult` projects time and cycles to any DVFS
+  operating point without another replay.
 * :mod:`repro.sim.dvfs` — operating performance points and voltage tables.
 * :mod:`repro.sim.platform` — the ODROID-XU3-like hardware platform with a
   multiplexed PMU, 3.8 Hz power sensors, and thermal throttling.
@@ -12,18 +15,14 @@
 * :mod:`repro.sim.power_ground_truth` — the "silicon" power process.
 * :mod:`repro.sim.executor` — fault-tolerant parallel fan-out of
   independent simulation jobs across worker processes, with dedup, disk
-  caching, bounded retry/timeout/crash isolation and telemetry.
+  caching, bounded retry/timeout/crash isolation and telemetry.  It is the
+  way into :func:`simulate` for the library; the one exception is the
+  Section VII improvement loop (:mod:`repro.core.improvement`).
 * :mod:`repro.sim.faults` — deterministic fault injection (worker crashes,
   hangs, cache corruption, power-sample loss) for chaos testing.
 """
 
-from repro.sim.cpu import (
-    CpuSimulator,
-    DvfsPointResult,
-    SimResult,
-    simulate,
-    simulate_dvfs_sweep,
-)
+from repro.sim.cpu import SimResult, simulate
 from repro.sim.dvfs import OperatingPoint, OppTable, opp_table_for
 from repro.sim.executor import (
     RetryPolicy,
@@ -49,11 +48,8 @@ from repro.sim.platform import HardwarePlatform, HwMeasurement
 from repro.sim.power_ground_truth import PowerGroundTruth
 
 __all__ = [
-    "CpuSimulator",
-    "DvfsPointResult",
     "SimResult",
     "simulate",
-    "simulate_dvfs_sweep",
     "OperatingPoint",
     "OppTable",
     "opp_table_for",

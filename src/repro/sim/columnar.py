@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import zlib
 from collections import deque
-from dataclasses import replace
 
 import numpy as np
 
@@ -108,17 +107,15 @@ def _repeated_sum(value: float, n: int) -> float:
 def simulate_columnar(
     trace: SyntheticTrace,
     machine: MachineConfig,
-    state=None,
     tracer: Tracer = NULL_TRACER,
 ):
     """Replay ``trace`` on ``machine`` with the columnar engine.
 
     Returns a `SimResult` bit-identical to ``repro.sim.cpu._simulate``.
-    ``state`` is an optional reused `_SimState` (reset by the caller);
-    only its L2-side objects and geometry carriers are used here.
+    Only the fresh state's L2-side objects and geometry carriers are used
+    here.
     """
-    if state is None:
-        state = _make_state(machine)
+    state = _make_state(machine)
     l2 = state.l2
     l2_prefetcher = state.l2_prefetcher
     tlb = state.tlb
@@ -301,12 +298,11 @@ def simulate_columnar(
         if l2_warm is not None:
             l2.warm_fill_many(l2_warm)
             tlb.l2_dtlb.fill_many(data_pages)
-        # Copies, so a memo hit never aliases a reused state's counters.
         return (
             _l2_walk(merged, machine, l2, l2_prefetcher, tlb),
-            replace(l2.stats),
-            replace(tlb.l2_itlb.stats),
-            replace(tlb.l2_dtlb.stats),
+            l2.stats,
+            tlb.l2_itlb.stats,
+            tlb.l2_dtlb.stats,
         )
 
     with tracer.span("replay/l2_walk", kind="replay", events=len(merged[0])):
@@ -579,7 +575,7 @@ def _replay_memo(memo, tag, inputs, compute):
     result.  The cached result is only reused after an element-wise
     equality check of every input against the cached copy, so a stale or
     colliding entry can never alter results — it just recomputes.  Repeat
-    replays of one trace (and sibling DVFS points, whose hit streams are
+    replays of one trace (and sibling configurations whose hit streams are
     identical) skip the heavy LRU and walk work entirely.
     """
     if memo is None:

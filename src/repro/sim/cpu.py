@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import zlib
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,11 +146,8 @@ class SimResult:
 class _SimState:
     """All mutable micro-architectural state for one simulation pass.
 
-    Building predictor tables and cache/TLB set lists dominates the cost
-    of short runs; :class:`CpuSimulator` allocates one bundle and
-    :meth:`reset` restores it to the exact cold-construction state between
-    runs, so sweeps don't pay the allocation per run.  The golden and
-    reuse tests assert reset-and-reuse is bit-identical to cold start.
+    Every replay builds a fresh bundle with :func:`_make_state`, so no
+    state survives from one replay to the next.
     """
 
     machine: MachineConfig
@@ -164,17 +160,6 @@ class _SimState:
     ras: ReturnAddressStack
     shadow_stack: deque
     indirect: IndirectPredictor
-
-    def reset(self) -> None:
-        self.l1i.reset()
-        self.l1d.reset()
-        self.l2.reset()
-        self.l2_prefetcher.reset()
-        self.tlb.reset()
-        self.predictor.reset()
-        self.ras.reset()
-        self.shadow_stack.clear()
-        self.indirect.reset()
 
 
 def _make_state(machine: MachineConfig) -> _SimState:
@@ -209,78 +194,8 @@ def _make_state(machine: MachineConfig) -> _SimState:
     )
 
 
-#: Engine names accepted by :func:`simulate` / :class:`CpuSimulator`.
+#: Engine names accepted by :func:`simulate`.
 ENGINES = ("columnar", "scalar")
-
-
-class CpuSimulator:
-    """Reusable simulator bound to one machine configuration.
-
-    Allocates the micro-architectural state once and resets it between
-    runs, and (with the default columnar engine) shares each trace's
-    decoded columnar form through the trace-level memo — so sweeping one
-    trace over many configurations or many traces over one configuration
-    pays neither repeated decode nor repeated allocation.
-    """
-
-    def __init__(self, machine: MachineConfig, engine: str = "columnar"):
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-        self.machine = machine
-        self.engine = engine
-        self._state: _SimState | None = None
-
-    def run(self, trace: SyntheticTrace) -> SimResult:
-        """Simulate one trace pass, reusing state across calls."""
-        if self._state is None:
-            self._state = _make_state(self.machine)
-        else:
-            self._state.reset()
-        return _dispatch(trace, self.machine, self.engine, self._state)
-
-
-@dataclass(frozen=True)
-class DvfsPointResult:
-    """One DVFS operating point of a decode-once sweep."""
-
-    freq_hz: float
-    result: SimResult
-    time_seconds: float
-    cycles: float
-
-
-def simulate_dvfs_sweep(
-    trace: SyntheticTrace,
-    machine: MachineConfig,
-    freqs_hz: Sequence[float] | None = None,
-    engine: str = "columnar",
-) -> list[DvfsPointResult]:
-    """Replay one trace at every DVFS operating point of ``machine``.
-
-    The trace is decoded once; each point replays through one reused
-    :class:`CpuSimulator`, so after the first replay the columnar engine's
-    verified memos make the remaining points nearly free (the event counts
-    are frequency-invariant; only the timing projection changes).  With no
-    explicit ``freqs_hz``, the paper's Experiment-1 sweep frequencies for
-    the machine's core are used.
-    """
-    if freqs_hz is None:
-        from repro.sim.dvfs import experiment_frequencies
-
-        freqs_hz = experiment_frequencies(machine.core)
-    sim = CpuSimulator(machine, engine=engine)
-    points = []
-    for freq_hz in freqs_hz:
-        result = sim.run(trace)
-        points.append(
-            DvfsPointResult(
-                freq_hz=float(freq_hz),
-                result=result,
-                time_seconds=result.time_seconds(freq_hz),
-                cycles=result.cycles(freq_hz),
-            )
-        )
-    return points
 
 
 def simulate(
@@ -300,28 +215,15 @@ def simulate(
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    return _dispatch(trace, machine, engine, None, tracer)
-
-
-def _dispatch(
-    trace: SyntheticTrace,
-    machine: MachineConfig,
-    engine: str,
-    state: _SimState | None,
-    tracer: Tracer = NULL_TRACER,
-) -> SimResult:
     if engine == "scalar":
-        return _simulate(trace, machine, state)
+        return _simulate(trace, machine)
     from repro.sim.columnar import simulate_columnar
 
-    return simulate_columnar(trace, machine, state, tracer)
+    return simulate_columnar(trace, machine, tracer)
 
 
-def _simulate(
-    trace: SyntheticTrace, machine: MachineConfig, state: _SimState | None = None
-) -> SimResult:
-    if state is None:
-        state = _make_state(machine)
+def _simulate(trace: SyntheticTrace, machine: MachineConfig) -> SimResult:
+    state = _make_state(machine)
     l1i = state.l1i
     l1d = state.l1d
     l2 = state.l2

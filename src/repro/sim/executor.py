@@ -20,9 +20,9 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   through the pipe;
 * **compile on miss** — only jobs the cache cannot answer compile their
   trace.  The serial lane runs a batch recipe by recipe: it compiles each
-  recipe once, shares the trace across the batch's machines and drops it
-  after the recipe's last job; pool workers receive the small recipe and
-  compile it themselves;
+  recipe once, shares the trace across the batch's machines, slices it
+  once per window for windowed jobs, and drops it after the recipe's last
+  job; pool workers receive the small recipe and compile it themselves;
 * **fault isolation** — each job is submitted individually with an optional
   per-job timeout.  A timed-out, crashed or poisoned job is rerun serially
   in the parent under a deterministic :class:`RetryPolicy`; a broken pool
@@ -44,8 +44,15 @@ The executor owns the whole memoisation *and* recovery story for a batch:
   per-job spans — including spans recorded *inside* worker processes,
   shipped back with the results and stitched into the parent tree.
 
-The executor is the only simulate path: the simulator front-ends and every
-campaign shard (:mod:`repro.sim.campaign`) run their jobs through it.
+The executor is the library's way into the simulator: the simulator
+front-ends, every campaign shard (:mod:`repro.sim.campaign`), the Fig. 4
+micro-benchmarks and the run-time power windows run their jobs through it.
+The one exception is the Section VII improvement loop
+(:mod:`repro.core.improvement`).  It replays each compiled trace against
+many candidate machines across its greedy rounds.  Submitting one batch
+per round would drop every trace at the end of its batch: about 14 %
+more wall time, six times the compiles and half the replay-memo hits on
+a 12-workload probe.
 """
 
 from __future__ import annotations
@@ -72,7 +79,7 @@ from repro.sim.result_cache import (
     open_cache_spec,
 )
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace
+from repro.workloads.trace import SyntheticTrace, compile_trace
 
 logger = get_logger(__name__)
 
@@ -739,20 +746,23 @@ class SimExecutor:
     ) -> list[SimResult | SimJobFailure]:
         started = perf_counter()
         # Run recipe by recipe, in order of first appearance: jobs sharing a
-        # recipe (one workload on several machines) share one compiled
-        # trace, which owns its decode and replay memos and is dropped
-        # after its recipe's last job.  Each job keeps its ordinal (fault
-        # matching, sentinel sampling), and guard outcomes are recorded in
-        # submission order, as the pool lane records them.
+        # recipe (one workload on several machines, or several windows of
+        # it) share one compiled trace, which owns its decode and replay
+        # memos and is dropped after the recipe's last job.  Each job keeps
+        # its ordinal (fault matching, sentinel sampling), and guard
+        # outcomes are recorded in submission order, as the pool lane
+        # records them.
         by_recipe: dict[str, list[int]] = {}
         for i, job in enumerate(pending):
             by_recipe.setdefault(job.recipe, []).append(i)
         outcomes: list = [None] * len(pending)
         for indices in by_recipe.values():
-            trace = pending[indices[0]].compile()
+            first = pending[indices[0]]
+            trace = compile_trace(first.profile, first.n_instrs)
             for i in indices:
                 outcomes[i] = self._run_with_retry(
-                    pending[i], trace, ordinals[i], first_attempt
+                    pending[i], pending[i].window_of(trace), ordinals[i],
+                    first_attempt,
                 )
             del trace
         for _, guard_payload in outcomes:

@@ -45,7 +45,13 @@ from repro.sim.cpu import SimResult
 from repro.sim.machine import CacheGeometry, MachineConfig
 from repro.uarch.tlb import TlbHierarchyConfig
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace, recipe_digest
+from repro.workloads.trace import (
+    SyntheticTrace,
+    compile_trace,
+    recipe_digest,
+    slice_trace,
+    window_digest,
+)
 
 logger = get_logger(__name__)
 
@@ -101,34 +107,51 @@ class SimJob:
         profile: Workload profile the trace is compiled from.
         n_instrs: Target trace length (``compile_trace``'s ``n_instrs``).
         machine: Machine configuration the trace is replayed on.
+        window: Optional dynamic-block window ``(start, end)``: the job
+            replays ``slice_trace(trace, start, end)`` of the recipe's
+            trace instead of the whole trace.
     """
 
     profile: WorkloadProfile
     n_instrs: int
     machine: MachineConfig
+    window: tuple[int, int] | None = None
 
     @cached_property
     def recipe(self) -> str:
-        """Digest of the trace recipe (the compiled trace's ``digest``)."""
+        """Digest of the trace recipe (the compiled trace's ``digest``).
+
+        Windows of one recipe share it: they share one compiled trace.
+        """
         return recipe_digest(self.profile, self.n_instrs)
 
     @cached_property
     def key(self) -> str:
-        """The job's identity: recipe digest plus machine fingerprint."""
-        raw = f"{self.recipe}|{machine_fingerprint(self.machine)}"
+        """The job's identity: replayed trace's digest plus machine
+        fingerprint.  An unwindowed job replays its recipe's trace."""
+        digest = self.recipe
+        if self.window is not None:
+            digest = window_digest(digest, *self.window)
+        raw = f"{digest}|{machine_fingerprint(self.machine)}"
         return hashlib.sha1(raw.encode()).hexdigest()
 
     def compile(self) -> SyntheticTrace:
-        """Compile the job's trace."""
-        return compile_trace(self.profile, self.n_instrs)
+        """Compile the trace the job replays (its window, if it has one)."""
+        return self.window_of(compile_trace(self.profile, self.n_instrs))
+
+    def window_of(self, trace: SyntheticTrace) -> SyntheticTrace:
+        """The job's window of ``trace``, the trace compiled from its recipe."""
+        return trace if self.window is None else slice_trace(trace, *self.window)
 
     @classmethod
     def from_spec(cls, spec: dict) -> "SimJob":
         """Rebuild a job from its ``dataclasses.asdict`` form."""
+        window = spec.get("window")
         return cls(
             profile=WorkloadProfile(**spec["profile"]),
             n_instrs=spec["n_instrs"],
             machine=machine_from_spec(spec["machine"]),
+            window=None if window is None else tuple(window),
         )
 
 

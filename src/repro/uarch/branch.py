@@ -38,9 +38,6 @@ class BranchPredictor:
     def update(self, pc: int, taken: bool, backward: bool) -> None:
         raise NotImplementedError
 
-    def reset(self) -> None:
-        raise NotImplementedError
-
 
 class BimodalPredictor(BranchPredictor):
     """PC-indexed table of 2-bit saturating counters."""
@@ -48,13 +45,8 @@ class BimodalPredictor(BranchPredictor):
     def __init__(self, table_bits: int = 12):
         if table_bits < 1:
             raise ValueError("table_bits must be >= 1")
-        self.table_bits = table_bits
         self._mask = (1 << table_bits) - 1
-        self._table = bytearray([2]) * 0  # placeholder, built in reset()
-        self.reset()
-
-    def reset(self) -> None:
-        self._table = bytearray([2]) * (1 << self.table_bits)
+        self._table = bytearray([2]) * (1 << table_bits)
 
     def _index(self, pc: int) -> int:
         return (pc >> 2) & self._mask
@@ -74,14 +66,9 @@ class GsharePredictor(BranchPredictor):
     def __init__(self, table_bits: int = 12, history_bits: int = 10):
         if table_bits < 1 or history_bits < 1:
             raise ValueError("table_bits and history_bits must be >= 1")
-        self.table_bits = table_bits
-        self.history_bits = history_bits
         self._mask = (1 << table_bits) - 1
         self._hist_mask = (1 << history_bits) - 1
-        self.reset()
-
-    def reset(self) -> None:
-        self._table = bytearray([2]) * (1 << self.table_bits)
+        self._table = bytearray([2]) * (1 << table_bits)
         self.history = 0
 
     def _index(self, pc: int) -> int:
@@ -105,12 +92,6 @@ class TournamentPredictor(BranchPredictor):
         self.gshare = GsharePredictor(table_bits, history_bits)
         self._choice_mask = (1 << table_bits) - 1
         self._choice = bytearray([2]) * (1 << table_bits)
-        self.table_bits = table_bits
-
-    def reset(self) -> None:
-        self.bimodal.reset()
-        self.gshare.reset()
-        self._choice = bytearray([2]) * (1 << self.table_bits)
 
     def _components(self, pc: int, backward: bool) -> tuple[bool, bool, int]:
         local = self.bimodal.predict(pc, backward)
@@ -168,10 +149,6 @@ class ReturnAddressStack:
         self.pops = 0
         self.incorrect = 0
 
-    def reset(self) -> None:
-        self._stack.clear()
-        self.pushes = self.pops = self.incorrect = 0
-
     def push(self, address: int) -> None:
         self.pushes += 1
         self._stack.append(address)
@@ -201,10 +178,6 @@ class IndirectPredictor:
         self._targets: dict[int, int] = {}
         self.lookups = 0
         self.hits = 0
-
-    def reset(self) -> None:
-        self._targets.clear()
-        self.lookups = self.hits = 0
 
     def predict_and_update(self, pc: int, target: int) -> bool:
         """One lookup+train step; returns True on a correct prediction."""

@@ -111,21 +111,6 @@ class SetAssociativeCache:
         self._stream_trackers: list[list[int]] = []
         self._stream_victim = 0
 
-    def reset(self) -> None:
-        """Clear contents and counters."""
-        # Clear in place: rebuilding thousands of per-set lists dominates
-        # reset cost on large L2s, and the columnar engine, which batches
-        # the L1s, leaves those objects empty.
-        for s in self._sets:
-            if s:
-                s.clear()
-        for d in self._dirty:
-            if d:
-                d.clear()
-        self.stats = CacheStats()
-        self._stream_trackers = []
-        self._stream_victim = 0
-
     N_STREAM_TRACKERS = 8
 
     def _stream_check(self, line: int) -> bool:
@@ -838,12 +823,6 @@ class StridePrefetcher:
             raise ValueError("degree must be non-negative")
         self.cache = cache
         self.degree = degree
-        self._last_line = -1
-        self._last_delta = 0
-        self._confidence = 0
-
-    def reset(self) -> None:
-        """Clear training state (the attached cache is reset separately)."""
         self._last_line = -1
         self._last_delta = 0
         self._confidence = 0

@@ -42,12 +42,6 @@ class Tlb:
         self.stats = TlbStats()
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
 
-    def reset(self) -> None:
-        for s in self._sets:
-            if s:
-                s.clear()
-        self.stats = TlbStats()
-
     def lookup(self, page: int) -> bool:
         """Translate one page; fills on miss.  Returns hit/miss."""
         stats = self.stats
@@ -184,15 +178,6 @@ class TlbHierarchy:
         else:
             self.l2_itlb = Tlb("itb_walker", config.l2_entries, config.l2_assoc)
             self.l2_dtlb = Tlb("dtb_walker", config.l2_entries, config.l2_assoc)
-        self.walks_inst = 0
-        self.walks_data = 0
-
-    def reset(self) -> None:
-        self.itlb.reset()
-        self.dtlb.reset()
-        self.l2_itlb.reset()
-        if self.l2_dtlb is not self.l2_itlb:
-            self.l2_dtlb.reset()
         self.walks_inst = 0
         self.walks_data = 0
 

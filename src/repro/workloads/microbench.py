@@ -11,16 +11,19 @@ Because a pointer chase is a single dependency chain, no memory-level
 parallelism applies; the probe therefore runs the machine with its overlap
 factors disabled, exactly as the real micro-benchmark defeats the hardware's
 MLP by construction.
+
+Each probe is a :class:`~repro.sim.result_cache.SimJob` run on a private
+serial, uncached :class:`~repro.sim.executor.SimExecutor`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace as dc_replace
 
-from repro.sim.cpu import simulate
+from repro.sim.executor import SimExecutor
 from repro.sim.machine import MachineConfig
+from repro.sim.result_cache import SimJob
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import compile_trace
 
 #: Default probe sizes (KiB), log-spaced through the hierarchy.
 DEFAULT_SIZES_KB: tuple[int, ...] = (
@@ -87,10 +90,14 @@ def memory_latency_sweep(
         One :class:`LatencyPoint` per size, in sweep order.
     """
     probe_machine = _chain_machine(machine)
+    results = SimExecutor().run_many(
+        [
+            SimJob(_chase_profile(size_kb, stride_b), n_instrs, probe_machine)
+            for size_kb in sizes_kb
+        ]
+    )
     points = []
-    for size_kb in sizes_kb:
-        trace = compile_trace(_chase_profile(size_kb, stride_b), n_instrs)
-        result = simulate(trace, probe_machine)
+    for size_kb, result in zip(sizes_kb, results):
         # Attribute all memory-related stall time to the loads; the base
         # pipeline cost per access is the in-cache (L1) latency floor.
         loads = result.counts["inst_load"]
@@ -150,8 +157,7 @@ def memory_bandwidth(
         ilp=2.2,
         natural_seconds=1.0,
     )
-    trace = compile_trace(profile, n_instrs)
-    result = simulate(trace, machine)
+    result = SimExecutor().run(SimJob(profile, n_instrs, machine))
     seconds = result.time_seconds(freq_hz)
     bytes_read = result.counts["inst_load"] * 8.0  # 64-bit stream loads
     return bytes_read / seconds

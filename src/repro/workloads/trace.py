@@ -123,7 +123,7 @@ class ColumnarTrace:
     scalar loop performs baked in), the flat data-side line/page/write
     columns, and the conditional-branch subsequence the branch predictor
     sees.  Everything here is machine-independent, so one decode serves
-    every machine configuration and every DVFS point of a sweep.
+    every machine configuration the trace is replayed on.
 
     ``*_pos`` columns give the dynamic block index of each event and
     ``*_intra`` its ordinal within the block's phase; together with a
@@ -158,9 +158,9 @@ class ColumnarTrace:
     cond_backward: np.ndarray    # bool
     # Replay memos keyed by tuple (warm rows, verified per-pass results,
     # the guard's validation marker).  Purely an accelerator: replaying the
-    # same trace on the same geometry (executor sweeps, DVFS points,
-    # repeated runs) reuses them, and a pass result is reused only after
-    # its inputs compare equal.
+    # same trace on the same geometry (executor sweeps, repeated runs)
+    # reuses them, and a pass result is reused only after its inputs
+    # compare equal.
     memo: dict = field(default_factory=dict)
     # Content checksum over every immutable column, stamped at build time
     # (``memo`` excluded — it is mutable accelerator state).  The
@@ -553,7 +553,8 @@ class SyntheticTrace:
 
         The tables (with the columnar decode and its replay memos) live on
         this trace object and die with it: callers that replay one recipe
-        several times — both machines, a DVFS sweep — reuse one trace.
+        several times — both machines, an improvement sweep — reuse one
+        trace.
         """
         if self._replay is None:
             self._replay = build_replay_tables(self)
@@ -1041,6 +1042,11 @@ class _TraceBuilder:
         return mem_addrs
 
 
+def window_digest(digest: str, start: int, end: int) -> str:
+    """Digest of the window ``[start, end)`` of the trace named ``digest``."""
+    return hashlib.sha1(f"{digest}[{start}:{end}]".encode()).hexdigest()
+
+
 def slice_trace(trace: SyntheticTrace, start: int, end: int) -> SyntheticTrace:
     """A contiguous dynamic window ``[start, end)`` of a trace.
 
@@ -1088,7 +1094,7 @@ def slice_trace(trace: SyntheticTrace, start: int, end: int) -> SyntheticTrace:
         branch_class_counts=class_counts,
         n_instrs=int(total_per_kind.sum()),
         seed=trace.seed,
-        digest=hashlib.sha1(f"{trace.digest}[{start}:{end}]".encode()).hexdigest(),
+        digest=window_digest(trace.digest, start, end),
     )
 
 

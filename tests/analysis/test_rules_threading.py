@@ -101,6 +101,7 @@ class TestTHR001SharedWrite:
         findings = lint_snippet(source, module=THREAD_MODULE)
         [thr] = [f for f in findings if f.rule == "THR001"]
         assert "'_bump'" in thr.message
+        assert "written from a background thread" in thr.message
 
     def test_no_thread_spawn_means_no_findings(self):
         source = """

@@ -1,4 +1,4 @@
-"""Randomized scalar-vs-columnar equivalence and simulator-reuse tests.
+"""Randomized scalar-vs-columnar equivalence tests.
 
 The columnar replay engine must be *bit-identical* to the scalar model —
 not approximately equal — for every trace and machine.  The golden suite
@@ -7,10 +7,9 @@ randomized traces (workload profile, thread count, trace seed and length
 all drawn from one fixed-seed RNG) crossed with randomized machine
 configurations (all four hardware/gem5 configs, both branch predictors).
 
-It also pins the :class:`CpuSimulator` reuse contract: running through a
-reset-and-reused simulator is bit-identical to cold construction, and a
-repeat replay of the same trace (which exercises the verified memos on
-the decoded columnar form) is bit-identical to the first.
+It also pins that a repeat replay of the same trace (which exercises the
+verified memos on the decoded columnar form) is bit-identical to the
+first, and that a DVFS operating point is a projection of one replay.
 """
 
 from __future__ import annotations
@@ -20,7 +19,8 @@ import random
 
 import pytest
 
-from repro.sim.cpu import CpuSimulator, simulate, simulate_dvfs_sweep
+from repro.sim.cpu import simulate
+from repro.sim.dvfs import experiment_frequencies
 from repro.sim.machine import machine_by_name
 from repro.workloads.suites import all_workloads
 from repro.workloads.trace import compile_trace
@@ -83,42 +83,20 @@ def test_columnar_matches_scalar(profile, n_instrs, seed, machine):
     _assert_bit_identical(columnar, again)
 
 
-@pytest.mark.parametrize("engine", ["scalar", "columnar"])
-def test_simulator_reuse_bit_identical_to_cold(engine):
-    """Satellite contract: reset-and-reuse == cold construction."""
-    machine_a = machine_by_name("hw-a15")
-    machine_b = machine_by_name("gem5-ex5-big")
-    profiles = list(all_workloads())
-    trace_a = compile_trace(profiles[3], 6_000)
-    trace_b = compile_trace(profiles[11], 6_000)
-
-    reused = CpuSimulator(machine_a, engine=engine)
-    warm_a = reused.run(trace_a)  # populates state
-    warm_b = reused.run(trace_b)  # reset() + reuse
-    warm_a2 = reused.run(trace_a)  # reset() + reuse, same trace again
-
-    _assert_bit_identical(warm_a, CpuSimulator(machine_a, engine=engine).run(trace_a))
-    _assert_bit_identical(warm_b, CpuSimulator(machine_a, engine=engine).run(trace_b))
-    _assert_bit_identical(warm_a, warm_a2)
-
-    # One trace, many configs: a different simulator sharing the decoded
-    # trace must agree with a cold run on its own machine.
-    swept = CpuSimulator(machine_b, engine=engine).run(trace_a)
-    _assert_bit_identical(swept, simulate(trace_a, machine_b, engine=engine))
-
-
 @pytest.mark.parametrize(
     "machine_name",
     ["hw-a7", "hw-a15", "gem5-ex5-big", "gem5-ex5-big-fixed", "gem5-ex5-little"],
 )
-def test_dvfs_sweep_matches_single_replays(machine_name):
-    """Decode-once sweep points equal independent per-point replays."""
+def test_dvfs_projection_matches_scalar(machine_name):
+    """A replay takes no frequency: every operating point is a projection
+    of one columnar replay, equal to the scalar engine's projection."""
     machine = machine_by_name(machine_name)
     trace = compile_trace(list(all_workloads())[7], 6_000)
-    points = simulate_dvfs_sweep(trace, machine)
-    assert len(points) == 4  # the paper's per-cluster sweep
+    columnar = simulate(trace, machine)
     reference = simulate(trace, machine, engine="scalar")
-    for point in points:
-        _assert_bit_identical(point.result, reference)
-        assert point.time_seconds == reference.time_seconds(point.freq_hz)
-        assert point.cycles == reference.cycles(point.freq_hz)
+    _assert_bit_identical(columnar, reference)
+    freqs = experiment_frequencies(machine.core)
+    assert len(freqs) == 4  # the paper's per-cluster sweep
+    for freq_hz in freqs:
+        assert columnar.time_seconds(freq_hz) == reference.time_seconds(freq_hz)
+        assert columnar.cycles(freq_hz) == reference.cycles(freq_hz)

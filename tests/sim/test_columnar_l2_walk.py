@@ -7,11 +7,10 @@ what that design promises:
 
 * the trace that used to exhaust a batched prefetch fixpoint replays
   bit-identically to the scalar engine and records no guard event;
-* a memo hit through a reset-and-reused simulator never aliases the
-  reused state's live counters, so A, B, A replays each equal a fresh
-  replay.
+* replays A, B, A, each on a fresh state, equal the scalar engine, and
+  the second replay of A takes the walk memo instead of walking.
 
-Decode-once DVFS sweeps on every machine are pinned in
+DVFS projections on every machine are pinned in
 ``test_columnar_equivalence.py``.
 """
 
@@ -20,7 +19,8 @@ from __future__ import annotations
 import pytest
 
 from repro.obs.tracer import Tracer
-from repro.sim.cpu import CpuSimulator, simulate
+from repro.sim import columnar as columnar_mod
+from repro.sim.cpu import simulate
 from repro.sim.guard import compare_results
 from repro.sim.machine import machine_by_name
 from repro.workloads.suites import workload_by_name
@@ -55,25 +55,22 @@ def test_former_fixpoint_exhaustion_is_exact_and_silent(
     assert "replay-profile" in names
 
 
-def test_l2_walk_memo_hit_does_not_alias_reused_state():
+def test_l2_walk_memo_hit_matches_fresh_replays(monkeypatch):
     machine = machine_by_name("gem5-ex5-big")
     trace_a = compile_trace(workload_by_name("mi-qsort"), 6_000)
     trace_b = compile_trace(workload_by_name("parsec-canneal-1"), 6_000)
+    walked = []
+    real_walk = columnar_mod._l2_walk
 
-    sim = CpuSimulator(machine)
-    first_a = sim.run(trace_a)
-    run_b = sim.run(trace_b)  # reset-in-place, walks B on the same objects
-    again_a = sim.run(trace_a)  # reset-in-place, l2walk memo hit for A
+    def counting_walk(*args):
+        walked.append(args)
+        return real_walk(*args)
+
+    monkeypatch.setattr(columnar_mod, "_l2_walk", counting_walk)
+    first_a = simulate(trace_a, machine)
+    run_b = simulate(trace_b, machine)
+    again_a = simulate(trace_a, machine)  # l2walk memo hit for A
+    assert len(walked) == 2
 
     for result, trace in ((first_a, trace_a), (run_b, trace_b), (again_a, trace_a)):
-        _assert_same(result, simulate(trace, machine))
         _assert_same(result, simulate(trace, machine, "scalar"))
-
-    state = sim._state
-    # The third replay took the memo: the reset L2 was never walked.
-    assert state.l2.stats.accesses == 0
-    cols = trace_a.replay_tables().columnar(trace_a)
-    _, (_, l2_stats, l2_itlb_stats, l2_dtlb_stats) = cols.memo[("l2walk",)]
-    live = (state.l2.stats, state.tlb.l2_itlb.stats, state.tlb.l2_dtlb.stats)
-    for cached in (l2_stats, l2_itlb_stats, l2_dtlb_stats):
-        assert all(cached is not obj for obj in live)

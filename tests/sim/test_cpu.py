@@ -178,15 +178,6 @@ class TestHardwareVsGem5Divergence:
         assert gem5.time_seconds(1e9) < hw.time_seconds(1e9)
 
 
-class TestCpuSimulatorClass:
-    def test_run_equals_module_function(self, qsort_trace):
-        from repro.sim.cpu import CpuSimulator
-        machine = hardware_a15()
-        assert CpuSimulator(machine).run(qsort_trace).counts == simulate(
-            qsort_trace, machine
-        ).counts
-
-
 class TestEngineNames:
     def test_columnar_and_scalar_only(self, qsort_trace):
         from repro.core.pipeline import GemStoneConfig

@@ -8,6 +8,7 @@ benchmark prints the speedup on capable hosts.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import weakref
 
@@ -31,6 +32,7 @@ from repro.sim.machine import gem5_ex5_big, hardware_a15
 from repro.sim.platform import HardwarePlatform
 from repro.sim.result_cache import SimJob, SimResultCache
 from repro.workloads.suites import workload_by_name
+from repro.workloads.trace import slice_trace
 
 N_INSTRS = 6_000
 
@@ -421,6 +423,39 @@ class TestCompileOnMiss:
         assert [o.power_w for o in cold_power] == [
             o.power_w for o in warm_power
         ]
+
+
+class TestWindowedJobs:
+    WINDOWS = ((0, 30), (30, 70), (70, 120))
+
+    def _jobs(self):
+        job = SimJob(workload_by_name("mi-sha"), N_INSTRS, hardware_a15())
+        return job, [dataclasses.replace(job, window=w) for w in self.WINDOWS]
+
+    def _assert_slices(self, job, results):
+        full = job.compile()
+        for (start, end), result in zip(self.WINDOWS, results):
+            _assert_same(result, simulate(slice_trace(full, start, end), job.machine))
+
+    def test_serial_lane_compiles_the_recipe_once(self, monkeypatch):
+        job, windowed = self._jobs()
+        calls = _count_compiles(monkeypatch)
+        results = SimExecutor(jobs=1).run_many(windowed)
+        assert calls == ["mi-sha"]
+        self._assert_slices(job, results)
+
+    def test_pool_lane_replays_the_same_windows(self):
+        job, windowed = self._jobs()
+        self._assert_slices(job, SimExecutor(jobs=2).run_many(windowed))
+
+    def test_cached_windows_replay_nothing(self, tmp_path):
+        job, windowed = self._jobs()
+        cold = SimExecutor(cache_dir=str(tmp_path)).run_many(windowed)
+        warm_executor = SimExecutor(cache_dir=str(tmp_path))
+        warm = warm_executor.run_many(windowed)
+        assert warm_executor.telemetry.jobs_run == 0
+        for a, b in zip(cold, warm):
+            _assert_same(a, b)
 
 
 @pytest.mark.bench_smoke

@@ -37,13 +37,6 @@ class TestBimodal:
         outcomes = [bool(i % 2) for i in range(200)]
         assert accuracy(predictor, outcomes) < 0.7
 
-    def test_reset_restores_initial_state(self):
-        predictor = BimodalPredictor()
-        for _ in range(10):
-            predictor.update(0x1000, False, False)
-        predictor.reset()
-        assert predictor.predict(0x1000, False)  # weakly taken init
-
     def test_invalid_table_bits(self):
         with pytest.raises(ValueError):
             BimodalPredictor(table_bits=0)

@@ -48,14 +48,6 @@ class TestBasics:
         assert stats.hits == 1
         assert stats.miss_rate == pytest.approx(2 / 3)
 
-    def test_reset(self):
-        cache = make_cache()
-        cache.access(0)
-        cache.reset()
-        assert cache.stats.accesses == 0
-        hit, _, _ = cache.access(0)
-        assert not hit
-
     def test_contains_does_not_mutate(self):
         cache = make_cache()
         cache.access(0)

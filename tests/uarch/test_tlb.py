@@ -37,13 +37,6 @@ class TestTlb:
         assert tlb.stats.lookups == 0
         assert tlb.lookup(5)
 
-    def test_reset(self):
-        tlb = Tlb("t", 8)
-        tlb.lookup(1)
-        tlb.reset()
-        assert tlb.stats.lookups == 0
-        assert not tlb.contains(1)
-
     def test_miss_rate(self):
         tlb = Tlb("t", 8)
         tlb.lookup(1)
@@ -112,15 +105,6 @@ class TestGem5Shape:
         result = hierarchy.translate_inst(7)
         assert not result.l2_hit
         assert result.walked
-
-    def test_reset_clears_both_walkers(self):
-        hierarchy = self.make()
-        hierarchy.translate_inst(1)
-        hierarchy.translate_data(2)
-        hierarchy.reset()
-        assert hierarchy.l2_itlb.stats.lookups == 0
-        assert hierarchy.l2_dtlb.stats.lookups == 0
-        assert hierarchy.walks_inst == 0
 
 
 class TestCapacityContrast:
