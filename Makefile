@@ -1,18 +1,20 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-chaos test-dist test-replay trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint check
+.PHONY: test test-chaos test-dist test-replay trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint lint-style check
 
 # Tier-1: the full unit/integration suite (includes the chaos scenarios).
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Deterministic fault-injection scenarios only: worker crashes, hangs,
-# poisoned jobs, cache corruption, power-sample loss, and the columnar
-# guardrail scenarios (corrupt decoded columns, poisoned memos, NaN
-# passes, worker OOM, poison-job circuit breaking) — each must recover
-# to bit-identical results with the losses enumerated in the telemetry
-# and every guard intervention recorded in the collection health.
+# Deterministic fault-injection scenarios only: crashing and
+# out-of-memory jobs, poisoned jobs, cache corruption, power-sample loss,
+# and the columnar guardrail scenarios (corrupt decoded columns, poisoned
+# memos, NaN passes) — each must recover to bit-identical results with
+# the losses enumerated in the telemetry and every guard intervention
+# recorded in the collection health.  Faults across processes (shard
+# crashes, lease stalls, out-of-memory shards, board poisoning) are the
+# campaign's, run by `make test-dist`.
 # Includes the checkpoint/resume scenarios: the pipeline is killed after
 # every phase (including through a guard-triggered fallback) and the
 # --resume run must produce a byte-identical report.
@@ -42,8 +44,9 @@ trace-smoke:
 trace-campaign-smoke:
 	$(PYTHON) -m pytest -q -m dist tests/sim/test_chaos_campaign.py -k TraceStitching
 
-# One tiny parallel collection end-to-end (pool + disk cache + dataset),
-# so executor regressions surface without the full benchmark suite.
+# One tiny serial collection end-to-end on a disk cache (cold run fills
+# it, warm run replays nothing, datasets agree), so executor regressions
+# surface without the full benchmark suite.
 bench-smoke:
 	$(PYTHON) -m pytest -q -m bench_smoke tests/sim/test_executor.py
 
@@ -95,23 +98,29 @@ bench-prof:
 bench-startup:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_startup.py
 
-# Full paper-figure benchmark suite, including the throughput benchmark.
+# Full paper-figure benchmark suite, including the campaign scaling curve.
 bench:
 	$(PYTHON) -m pytest -q -s benchmarks
 
-# Static analysis gate: ruff (style/imports) and mypy (types) when they are
-# installed, then the project's own determinism & worker-purity linter
-# (always; `repro-lint --format json` emits machine-readable findings for
-# CI annotation).  Known-bad rule fixtures are excluded by construction.
-lint:
+# Style and type checks: ruff (style/imports) and mypy (types) when they
+# are installed.
+lint-style:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \
 	else echo "ruff not installed; skipping style/import checks"; fi
 	@if command -v mypy >/dev/null 2>&1; then \
 		MYPYPATH=src mypy -p repro.analysis; \
 	else echo "mypy not installed; skipping type checks"; fi
+
+# Static analysis gate: the style and type checks, then the project's own
+# determinism & worker-purity linter (always; `repro-lint --format json`
+# emits machine-readable findings for CI annotation).  Known-bad rule
+# fixtures are excluded by construction.
+lint: lint-style
 	$(PYTHON) -m repro.analysis src tests benchmarks examples \
 		--exclude tests/analysis/fixtures
 
-# Full local PR gate: static analysis plus the tier-1 suite.
-check: lint test
+# Full local PR gate: the style and type checks plus the tier-1 suite.
+# Tier-1's tests/analysis/test_self_clean.py runs the repro-lint command
+# of `lint` above, so the tree is linted once.
+check: lint-style test

@@ -49,7 +49,7 @@ RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_guard.json")
 
 def _time_executor(job, guard=None) -> float:
     """Wall seconds for CALLS_PER_REP uncached single-job replays."""
-    executor = SimExecutor(jobs=1, guard=guard)
+    executor = SimExecutor(guard=guard)
     started = time.perf_counter()
     for _ in range(CALLS_PER_REP):
         executor.run(job)

@@ -40,9 +40,9 @@ RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_obs.json")
 def _time_executor(job, tracer=None) -> float:
     """Wall seconds for CALLS_PER_REP uncached single-job replays."""
     executor = (
-        SimExecutor(jobs=1)
+        SimExecutor()
         if tracer is None
-        else SimExecutor(jobs=1, tracer=tracer, metrics=tracer.metrics)
+        else SimExecutor(tracer=tracer, metrics=tracer.metrics)
     )
     started = time.perf_counter()
     for _ in range(CALLS_PER_REP):

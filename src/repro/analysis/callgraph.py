@@ -1,7 +1,7 @@
 """Deterministic call graph over project-wide function summaries.
 
 Nodes are fully qualified function names (``repro.sim.guard.guarded_simulate``,
-``repro.sim.executor.SimExecutor.circuit_break``); edges are the statically
+``repro.sim.executor.SimExecutor.run_many``); edges are the statically
 resolved call sites collected by :mod:`repro.analysis.project`.  Every
 traversal is deterministic: adjacency lists are sorted at build time and
 breadth-first search visits neighbours in sorted order, so findings derived

@@ -8,7 +8,7 @@ Mirrors the workflow of the paper's released software::
     gemstone lmbench --machine gem5-ex5-little           # Fig. 4 sweep
     gemstone power-model --core A15                      # Section V model
     gemstone bp-fix                                      # Section VII swing
-    gemstone campaign run --board shared/ --shards 4     # sharded campaign
+    gemstone campaign run --board shared/ --shards 4     # multi-process run
     gemstone campaign worker --board shared/             # join from anywhere
     gemstone lint src tests                              # determinism linter
     gemstone report --trace-out trace/                   # + Perfetto trace
@@ -51,7 +51,14 @@ from repro.sim.machine import machine_by_name
 from repro.workloads.microbench import memory_latency_sweep
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(
+    parser: argparse.ArgumentParser, cache_dir: bool = True
+) -> None:
+    """Options every pipeline subcommand shares.
+
+    ``cache_dir=False`` leaves out ``--cache-dir`` for subcommands whose
+    results live elsewhere (a campaign stores them on its board).
+    """
     parser.add_argument("--core", choices=("A7", "A15"), default="A15")
     parser.add_argument(
         "--instructions",
@@ -61,32 +68,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--model", default=None, help="gem5 machine name")
     parser.add_argument("--out", default=None, help="write output to a file")
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="directory for on-disk simulation-result caching",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="simulation worker processes (0 = one per CPU core); "
-        "results are bit-identical at any setting",
-    )
+    if cache_dir:
+        parser.add_argument(
+            "--cache-dir",
+            default=None,
+            help="directory for on-disk simulation-result caching",
+        )
     parser.add_argument(
         "--retries",
         type=int,
         default=3,
         help="attempts per simulation job before it counts as failed "
         "(deterministic exponential backoff between attempts)",
-    )
-    parser.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-job timeout for pooled simulations; a job exceeding it "
-        "is rerun serially in the parent",
     )
     parser.add_argument(
         "--engine",
@@ -120,7 +113,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _gemstone(args: argparse.Namespace) -> GemStone:
     from repro.sim.executor import RetryPolicy
 
-    jobs = getattr(args, "jobs", 1)
     retries = getattr(args, "retries", 3)
     return GemStone(
         GemStoneConfig(
@@ -128,9 +120,7 @@ def _gemstone(args: argparse.Namespace) -> GemStone:
             gem5_machine=args.model,
             trace_instructions=args.instructions,
             cache_dir=getattr(args, "cache_dir", None),
-            jobs=None if jobs == 0 else jobs,
             retry=RetryPolicy(max_attempts=max(1, retries)),
-            sim_timeout_seconds=getattr(args, "job_timeout", None),
             engine=getattr(args, "engine", "columnar"),
             guard_level=getattr(args, "guard_level", "sentinel"),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
@@ -773,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop this worker after N completed jobs")
     p.add_argument("--tail", type=int, default=10,
                    help="journal records to show for 'status'")
-    _add_common(p)
+    _add_common(p, cache_dir=False)
     p.set_defaults(func=cmd_campaign)
 
     p = sub.add_parser(

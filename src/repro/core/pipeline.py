@@ -99,28 +99,22 @@ class GemStoneConfig:
         power_model_terms: Maximum events in the power model.
         gem5_restrained_power_model: Restrict power-model event selection to
             events with reliable gem5 equivalents (Section V's final model).
-        jobs: Simulation worker processes.  ``1`` (the default) simulates
-            serially in-process; ``None`` uses every core; >1 fans the
-            (workload x machine) jobs across a process pool.  Results are
-            bit-identical regardless of the setting.
         retry: Per-job :class:`~repro.sim.executor.RetryPolicy` (bounded,
             deterministic exponential backoff); ``None`` uses the default.
-        sim_timeout_seconds: Per-job timeout for pooled simulations; a job
-            exceeding it is rerun serially in the parent.
         faults: Optional :class:`~repro.sim.faults.FaultPlan` injected into
             the executor, cache and platform (chaos testing only).
         engine: Replay engine for every simulation in the run
             (``"columnar"``, the default, or ``"scalar"``, see
             :func:`repro.sim.simulate`).
-            Both engines are bit-identical, so like ``jobs`` this is an
-            execution knob excluded from the run fingerprint.
+            Both engines are bit-identical, so like ``cache_dir`` this is
+            an execution knob excluded from the run fingerprint.
         guard_level: Runtime guardrails over the replay engine
             (:mod:`repro.sim.guard`): ``"off"``, ``"sentinel"`` (the
             default — decode validation, NaN rejection, sampled
-            dual-engine divergence sentinels with scalar fallback, poison
-            -job circuit breaker) or ``"paranoid"`` (every job
-            dual-replayed).  Guards never change a correct result, so this
-            too is an execution knob excluded from the run fingerprint.
+            dual-engine divergence sentinels with scalar fallback) or
+            ``"paranoid"`` (every job dual-replayed).  Guards never change
+            a correct result, so this too is an execution knob excluded
+            from the run fingerprint.
         checkpoint_dir: Directory for the crash-safe run state (journal +
             per-phase checkpoints, see :mod:`repro.core.runstate`); ``None``
             disables checkpointing.
@@ -156,9 +150,7 @@ class GemStoneConfig:
     power_model_terms: int = 7
     gem5_restrained_power_model: bool = True
     cache_dir: str | None = None
-    jobs: int | None = 1
     retry: RetryPolicy | None = None
-    sim_timeout_seconds: float | None = None
     faults: FaultPlan | None = None
     engine: str = "columnar"
     guard_level: str = "sentinel"
@@ -243,10 +235,8 @@ class GemStone:
         if self.config.board_dir is not None:
             cache_dir = os.path.join(self.config.board_dir, "results")
         self.executor = SimExecutor(
-            jobs=self.config.jobs,
             cache_dir=cache_dir,
             retry=self.config.retry,
-            timeout_seconds=self.config.sim_timeout_seconds,
             faults=self.config.faults,
             tracer=self.tracer,
             metrics=self.metrics,

@@ -392,7 +392,6 @@ def render_full_report(gemstone, include_telemetry: bool = True) -> str:
         sections.append(
             render_sim_telemetry(
                 executor.telemetry,
-                executor.jobs,
                 cache_metrics=cache.metrics if cache is not None else None,
             )
         )
@@ -404,23 +403,17 @@ def render_full_report(gemstone, include_telemetry: bool = True) -> str:
     return "\n\n".join(sections)
 
 
-def render_sim_telemetry(telemetry, jobs: int, cache_metrics=None) -> str:
+def render_sim_telemetry(telemetry, cache_metrics=None) -> str:
     """Simulation-executor telemetry: job accounting and stage wall-clock.
 
     The cache rows render from ``cache_metrics``, the disk cache's registry.
     """
     rows = [
-        ["worker processes", jobs],
         ["jobs submitted", telemetry.jobs_submitted],
         ["deduplicated in-flight", telemetry.jobs_deduplicated],
         ["disk cache hits", telemetry.cache_hits],
         ["simulated", telemetry.jobs_run],
-        ["  on worker processes", telemetry.parallel_jobs_run],
-        ["serial fallbacks", telemetry.serial_fallbacks],
-        ["jobs isolated after pool failure", telemetry.jobs_isolated],
         ["job retries", telemetry.job_retries],
-        ["job timeouts", telemetry.job_timeouts],
-        ["worker crashes", telemetry.worker_crashes],
         ["jobs failed permanently", telemetry.jobs_failed],
         ["batches", telemetry.batches],
         ["probe wall-clock (s)", telemetry.probe_seconds],
@@ -443,9 +436,8 @@ def render_guardrails(guard, max_events: int = 12) -> str:
     """Runtime guardrail accounting for one run.
 
     Summarises what the divergence sentinels and decode validation
-    (:mod:`repro.sim.guard`) and the executor's poison-job breaker and
-    OOM isolation observed and did: how many jobs were dual-replayed and
-    every fallback/quarantine/circuit-break/isolation.  A clean run
+    (:mod:`repro.sim.guard`) observed and did: how many jobs were
+    dual-replayed and every fallback and quarantine.  A clean run
     renders all zeros — the section states that the guarantees were
     *checked*, not just assumed.
     """
@@ -459,8 +451,6 @@ def render_guardrails(guard, max_events: int = 12) -> str:
         ["corrupt decodes re-decoded", count("sim.guard.decode_quarantines").value],
         ["engine errors recovered", count("sim.guard.engine_errors").value],
         ["scalar fallbacks (total)", count("sim.guard.fallbacks").value],
-        ["poison jobs circuit-broken", count("sim.guard.poison_jobs").value],
-        ["worker out-of-memory isolations", count("sim.guard.oom_events").value],
     ]
     lines = [text_table(["guardrails", "value"], rows, title="Guardrails")]
     for event in guard.events[:max_events]:

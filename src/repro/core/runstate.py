@@ -9,7 +9,7 @@ threw away each completed phase.  This module makes a run restartable:
 * A :class:`RunManifest` fingerprints the *resolved* configuration — only
   the fields that affect results (core, machine, workload recipe digests,
   frequencies, trace length, analysis knobs, fault plan), never execution
-  knobs like ``jobs`` or ``cache_dir`` that are bit-identical by
+  knobs like ``engine`` or ``cache_dir`` that are bit-identical by
   construction.  A checkpoint directory written under a different
   fingerprint is detected and quarantined, never reused.
 * A :class:`RunState` owns a **run journal** (a
@@ -139,10 +139,11 @@ class RunManifest:
     def from_config(cls, config: Any) -> "RunManifest":
         """Fingerprint a resolved :class:`~repro.core.pipeline.GemStoneConfig`.
 
-        Only result-affecting fields participate: execution knobs (``jobs``,
-        ``retry``, ``sim_timeout_seconds``, ``cache_dir``, ``checkpoint_dir``,
-        ``resume``) are bit-identical by construction and deliberately
-        excluded, so re-running with more workers resumes the same state.
+        Only result-affecting fields participate: execution knobs
+        (``retry``, ``engine``, ``guard_level``, ``cache_dir``,
+        ``checkpoint_dir``, ``resume``) are bit-identical by construction
+        and deliberately excluded, so re-running with another engine or
+        cache resumes the same state.
         Workloads are recorded by recipe digest, so a profile edited under
         a catalog name invalidates the phases that consumed it.
         """

@@ -77,8 +77,7 @@ class CollectionHealth:
             campaign (the rows survive with a degraded power mean).
         guard_events: Guardrail interventions
             (:class:`~repro.sim.guard.GuardEvent`) absorbed from the
-            executor: engine fallbacks, quarantined decodes, circuit-broken
-            poison jobs, jobs isolated after a worker ``MemoryError``.
+            executor: engine fallbacks and quarantined decodes.
             Every surviving row is still bit-identical — these record
             *how* it survived.
     """
@@ -339,7 +338,7 @@ def collect_validation_dataset(
     ``platform.executor`` up front, in one batch (see
     :func:`~repro.sim.executor.prime_engines`).  Share that executor with
     ``gem5``, so a model job that fails in the batch is retried through
-    the same cache, pool and guards.  Frequencies only rescale a
+    the same cache, retry policy and guards.  Frequencies only rescale a
     simulation's counts, so that one batch covers the whole sweep.
 
     Collection degrades gracefully: a (workload, frequency) point whose

@@ -9,10 +9,9 @@ counters by their dotted names — ``metrics.counter("sim.cache.hits").inc()``
 names back.  The one attribute view left is the executor's
 :class:`~repro.sim.executor.SimTelemetry`.
 
-Metrics are process-local and deliberately unsynchronised: worker processes
-own their own registries, and anything a worker must report travels back
-in-band with its result (the same rule the executor applies to simulation
-results themselves).  Values never feed back into analysis products — the
+Metrics are process-local and deliberately unsynchronised: campaign shard
+processes own their own registries and snapshot them to the board, where
+:mod:`repro.obs.merge` folds them into one campaign-wide view.  Values never feed back into analysis products — the
 registry is observability, not state.
 """
 

@@ -12,12 +12,11 @@ deterministic scopes: durations may be *measured* as long as results never
 depend on them) and kept exclusively in trace records.  Nothing a tracer
 records ever reaches a report.
 
-Worker processes cannot share the parent's tracer.  Instead the executor
-builds a throwaway tracer inside the worker, ships its records back with
-the job result, and the parent *stitches* them into its own tree with
-:meth:`Tracer.adopt` — re-identifying every record under the parent's
-counter and re-basing its timestamps into the parent's clock, so a pooled
-run still yields one coherent trace.
+Campaign shard processes cannot share the coordinator's tracer.  Each
+shard streams its own records to the board, and :mod:`repro.obs.merge`
+*stitches* them into one tree with :meth:`Tracer.adopt` — re-identifying
+every record under one counter and re-basing its timestamps into one
+clock, so a sharded campaign still yields one coherent trace.
 
 With ``stream_path`` set, every record is appended to a JSONL event stream
 as it closes (mode ``"a"``, flushed per line — the append-only journal
@@ -125,8 +124,8 @@ class Tracer:
             (``trace.span.<name>.seconds``) in this registry.
 
     A tracer is single-threaded by design: the pipeline runs phases
-    sequentially in the parent, and worker-process spans arrive through
-    :meth:`adopt` rather than concurrent use.
+    sequentially, and campaign shard spans arrive through :meth:`adopt`
+    rather than concurrent use.
     """
 
     def __init__(
@@ -284,10 +283,10 @@ class Tracer:
         re-based so its timestamps sit at ``rebase_us`` (default: now) in
         this tracer's timeline.
 
-        Campaign stitching generalises the pool case: ``segment`` places
-        the adopted records on their own Chrome process track instead of
-        this tracer's current segment, and ``keep_tid`` preserves the
-        worker's own thread lanes rather than flattening onto ``tid``.
+        For campaign stitching, ``segment`` places the adopted records on
+        their own Chrome process track instead of this tracer's current
+        segment, and ``keep_tid`` preserves the worker's own thread lanes
+        rather than flattening onto ``tid``.
         """
         if not self.enabled or not records:
             return

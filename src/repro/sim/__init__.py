@@ -13,13 +13,17 @@
 * :mod:`repro.sim.gem5` — the gem5-style simulation wrapper emitting stats in
   the gem5 namespace.
 * :mod:`repro.sim.power_ground_truth` — the "silicon" power process.
-* :mod:`repro.sim.executor` — fault-tolerant parallel fan-out of
-  independent simulation jobs across worker processes, with dedup, disk
-  caching, bounded retry/timeout/crash isolation and telemetry.  It is the
-  way into :func:`simulate` for the library; the one exception is the
-  Section VII improvement loop (:mod:`repro.core.improvement`).
-* :mod:`repro.sim.faults` — deterministic fault injection (worker crashes,
-  hangs, cache corruption, power-sample loss) for chaos testing.
+* :mod:`repro.sim.executor` — fault-tolerant in-process execution of
+  independent simulation jobs, with dedup, disk caching, bounded retry,
+  guards and telemetry.  It is the way into :func:`simulate` for the
+  library; the one exception is the Section VII improvement loop
+  (:mod:`repro.core.improvement`).
+* :mod:`repro.sim.campaign` — sharded campaigns over a shared job board,
+  the one way to simulate across processes: each shard runs its claims
+  through its own executor.
+* :mod:`repro.sim.faults` — deterministic fault injection (job crashes,
+  out-of-memory jobs, shard crashes and lease stalls, cache corruption,
+  power-sample loss) for chaos testing.
 """
 
 from repro.sim.cpu import SimResult, simulate

@@ -1,12 +1,12 @@
 """Distributed sharded campaigns: a file-backed job board with leases.
 
 The paper's full validation sweep (65 workloads x two machine configs, every
-DVFS point derived analytically) is embarrassingly parallel, but
-:class:`~repro.sim.executor.SimExecutor` tops out at one process pool on one
-host — and a lost pool used to mean a lost campaign.  This module scales the
-same jobs across any number of *shard* processes (potentially on many hosts
-sharing a filesystem) and survives worker loss without losing or duplicating
-a single result:
+DVFS point derived analytically) is embarrassingly parallel, and
+:class:`~repro.sim.executor.SimExecutor` runs a batch in one process.  This
+module is the repository's one way to simulate across processes: it
+scales the same jobs across any number of *shard* processes (potentially on
+many hosts sharing a filesystem) and survives worker loss without losing or
+duplicating a single result:
 
 * **Job board** — :class:`CampaignBoard` lays a campaign out under one
   shared directory: one immutable job file per
@@ -34,9 +34,8 @@ a single result:
   orphaned-but-intact result that the stealing shard's executor finds on
   its cache probe and adopts instead of recomputing.  A shard that lost
   its lease marks nothing done.  A job whose attempts exhaust the retry
-  budget is poisoned (the cross-shard analogue of the executor's
-  poison-job circuit breaker) and surfaced as a structured failure
-  instead of wedging the campaign.
+  budget is poisoned and surfaced as a structured failure instead of
+  wedging the campaign.
 * **Incremental recompute** — :meth:`CampaignBoard.create_or_sync` diffs a
   new :class:`~repro.core.runstate.RunManifest` against the board: jobs
   whose content-addressed key still has a verified result are marked done
@@ -685,7 +684,7 @@ def run_worker(
 
     Claims jobs until the board settles (every job done or poisoned) or
     ``max_jobs`` completions, heartbeating each lease from a background
-    thread.  Each claim runs through one serial
+    thread.  Each claim runs through one
     :class:`~repro.sim.executor.SimExecutor` over the board's result
     store, making one attempt.  A job that raises is journalled and
     released for the next claimant; the board's attempt budget eventually
@@ -700,7 +699,7 @@ def run_worker(
     # snapshot (and the merged campaign metrics) carry the sim.guard.* and
     # sim.executor.* counters.
     executor = SimExecutor(
-        jobs=1, cache_dir=board.results_dir, retry=RetryPolicy(max_attempts=1),
+        cache_dir=board.results_dir, retry=RetryPolicy(max_attempts=1),
         faults=faults, engine=engine, guard=GuardPlan(level=guard_level),
         metrics=board.metrics, tracer=tracer,
     )
@@ -859,7 +858,7 @@ class CampaignResult:
         shards: Shard processes requested.
         sync: The :meth:`CampaignBoard.create_or_sync` counts.
         status: Final board counts (total/done/poisoned/leased/queued).
-        poisoned: ``(key, workload, reason)`` of circuit-broken jobs.
+        poisoned: ``(key, workload, reason)`` of poisoned jobs.
         lost_shards: Shard processes that exited abnormally.
         health: A :class:`~repro.core.validation.CollectionHealth` holding
             the structured shard-loss / lease-steal / poison records.

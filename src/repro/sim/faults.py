@@ -1,6 +1,6 @@
 """Deterministic fault injection for the simulation and measurement layers.
 
-Real GemStone runs die in real ways: a board locks up mid-workload, a worker
+Real GemStone runs die in real ways: a board locks up mid-workload, a shard
 process is OOM-killed, a power sensor drops samples or returns NaN, a result
 file on disk is half-written when the filesystem fills.  The executor, cache
 and platform all have recovery paths for these failures — this module makes
@@ -9,16 +9,14 @@ those paths *testable* by injecting each failure class deterministically.
 A :class:`FaultPlan` is an immutable, picklable description of which faults
 fire where:
 
-* ``crash`` — a simulation job dies.  In a pool worker process this is a
-  hard ``os._exit`` (the pool observes a genuine ``BrokenProcessPool``); in
-  the executor's serial lane it raises :class:`InjectedFault` (a poisoned
-  job).  Campaign shards run their claims through that serial lane, so
-  there the crash raises and the board requeues the job.
-* ``hang`` — a job sleeps past the executor's per-job timeout.
+* ``crash`` — a simulation job dies: the executor's attempt raises
+  :class:`InjectedFault` and the retry policy takes over.  Campaign shards
+  run their claims through the same executor, so there the crash raises
+  and the board requeues the job.
 * ``corrupt-cache`` — a :class:`~repro.sim.result_cache.SimResultCache`
   write is replaced with truncated garbage, exercising the integrity check
   and quarantine path on the next read.  It hits every executor cache
-  write: the serial lane's, a pool worker's and a campaign shard's.
+  write, a campaign shard's included.
 * ``drop-power`` / ``nan-power`` — the platform's 3.8 Hz power sensor loses
   samples or returns NaN, exercising the robust-mean path and the
   sample-loss accounting in :class:`~repro.core.validation.CollectionHealth`.
@@ -29,9 +27,10 @@ fire where:
   silently wrong replay), or a vectorized pass leaks a NaN into the result
   (the integrity scan must reject it).  All three heal in-call, so the
   returned result stays bit-identical to the scalar reference.
-* ``oom`` — a worker breaches the guard plan's memory budget: the job
-  raises :class:`MemoryError` in a worker (and in the parent's pool-retry
-  path), exercising the executor's isolate-to-serial OOM lane.
+* ``oom`` — a job runs out of memory: its attempt raises
+  :class:`MemoryError`, which the executor retries and, once the budget
+  is spent, reports as an ``"oom"`` failure (in a campaign shard the
+  board requeues the job and poisons a repeat offender).
 * ``shard-crash`` / ``lease-stall`` — campaign-shard faults consumed by
   :mod:`repro.sim.campaign` workers: a shard process dies *after* storing
   its result but *before* marking the job done (the orphaned result must
@@ -47,8 +46,6 @@ same failures, so chaos tests can assert *bit-identical* recovery.
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,7 +55,6 @@ from repro.workloads.trace import workload_seed
 #: Fault kinds a :class:`FaultSpec` may carry.
 FAULT_KINDS = (
     "crash",
-    "hang",
     "corrupt-cache",
     "drop-power",
     "nan-power",
@@ -78,7 +74,7 @@ SHARD_FAULT_KINDS = ("shard-crash", "lease-stall")
 
 
 class InjectedFault(RuntimeError):
-    """Raised in the serial lane by a ``crash`` fault; never in pool workers."""
+    """Raised by a ``crash`` fault in the executor's job attempt."""
 
 
 @dataclass(frozen=True)
@@ -87,14 +83,14 @@ class FaultSpec:
 
     Attributes:
         kind: One of :data:`FAULT_KINDS`.
-        job: Executor job ordinal to hit (``crash``/``hang``); ordinals
+        job: Executor job ordinal to hit (``crash``/``oom``); ordinals
             count unique simulated jobs across the executor's lifetime.
         workload: Workload (trace) name to hit; ``None`` matches any
             workload for the power faults, and is an alternative to ``job``
-            for ``crash``/``hang`` (every attempt for that workload).
+            for ``crash``/``oom`` (every attempt for that workload).
         attempts: Inject on the first N attempts (or first N cache writes)
             of the matched job, so bounded retries eventually succeed.
-        hang_seconds: Sleep duration for ``hang``.
+        hang_seconds: Stall duration for ``lease-stall``.
         fraction: Share of power samples affected by the power faults.
     """
 
@@ -108,7 +104,7 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {self.kind!r}; known: {FAULT_KINDS}")
-        job_scoped = ("crash", "hang", "oom") + COLUMNAR_FAULT_KINDS + SHARD_FAULT_KINDS
+        job_scoped = ("crash", "oom") + COLUMNAR_FAULT_KINDS + SHARD_FAULT_KINDS
         if self.kind in job_scoped and self.job is None and self.workload is None:
             raise ValueError(f"{self.kind} fault needs a job ordinal or a workload name")
 
@@ -136,20 +132,13 @@ class FaultPlan:
     # ------------------------------------------------------------ constructors
     @classmethod
     def crash_job(cls, job: int, attempts: int = 1) -> "FaultPlan":
-        """Kill the worker running job ordinal ``job`` (first N attempts)."""
+        """Crash job ordinal ``job`` on its first N attempts."""
         return cls((FaultSpec("crash", job=job, attempts=attempts),))
 
     @classmethod
     def crash_workload(cls, workload: str, attempts: int = 1) -> "FaultPlan":
         """Crash every attempt (up to N) to simulate one workload."""
         return cls((FaultSpec("crash", workload=workload, attempts=attempts),))
-
-    @classmethod
-    def hang_job(
-        cls, job: int, seconds: float = 0.25, attempts: int = 1
-    ) -> "FaultPlan":
-        """Make job ordinal ``job`` sleep past the executor timeout."""
-        return cls((FaultSpec("hang", job=job, hang_seconds=seconds, attempts=attempts),))
 
     @classmethod
     def corrupt_cache(cls, workload: str | None = None, attempts: int = 1) -> "FaultPlan":
@@ -173,7 +162,7 @@ class FaultPlan:
 
     @classmethod
     def worker_oom(cls, workload: str, attempts: int = 1) -> "FaultPlan":
-        """Raise ``MemoryError`` (an out-of-memory worker) on the first N attempts."""
+        """Raise ``MemoryError`` (an out-of-memory job) on the first N attempts."""
         return cls((FaultSpec("oom", workload=workload, attempts=attempts),))
 
     @classmethod
@@ -215,29 +204,20 @@ class FaultPlan:
         return bool(self.faults)
 
     # -------------------------------------------------------------- job faults
-    def apply_job_fault(
-        self, ordinal: int, trace_name: str, attempt: int, in_worker: bool
-    ) -> None:
-        """Fire any ``crash``/``hang`` fault matching this job attempt.
+    def apply_job_fault(self, ordinal: int, trace_name: str, attempt: int) -> None:
+        """Fire any ``crash``/``oom`` fault matching this job attempt.
 
-        ``crash`` hard-kills a worker process (``os._exit``) so the pool
-        sees a genuine broken-pool condition, but raises
-        :class:`InjectedFault` in the parent so the serial retry path stays
-        testable without killing the test process.
+        ``crash`` raises :class:`InjectedFault` and ``oom`` raises
+        :class:`MemoryError`; the executor's retry policy handles both.
         """
         for spec in self.faults:
-            if spec.kind == "hang" and spec._matches_job(ordinal, trace_name, attempt):
-                time.sleep(spec.hang_seconds)
-            elif spec.kind == "crash" and spec._matches_job(ordinal, trace_name, attempt):
-                if in_worker:
-                    os._exit(1)
+            if not spec._matches_job(ordinal, trace_name, attempt):
+                continue
+            if spec.kind == "crash":
                 raise InjectedFault(
                     f"injected crash: job {ordinal} ({trace_name}) attempt {attempt}"
                 )
-            elif spec.kind == "oom" and spec._matches_job(ordinal, trace_name, attempt):
-                # MemoryError pickles cleanly back through the pool, so the
-                # same raise exercises both the worker OOM lane and the
-                # parent's serial recovery once attempts are exhausted.
+            if spec.kind == "oom":
                 raise MemoryError(
                     f"injected out-of-memory: job {ordinal} "
                     f"({trace_name}) attempt {attempt}"

@@ -20,11 +20,8 @@ flowing unchecked into the power model and validation tables:
   guarded replay in a process; corrupt decodes are quarantined and
   re-decoded in place.
 
-:class:`GuardRail` is the parent-side ledger of these interventions.  The
-executor records its own scheduling decisions on it too — a worker's
-``MemoryError`` (``worker-oom``) and the poison-job circuit breaker
-(``poison-job``, owned by :class:`~repro.sim.executor.SimExecutor`) — and
-the campaign board records lost shards and stolen leases.
+:class:`GuardRail` is the executor's ledger of these interventions; the
+campaign board records lost shards and stolen leases on it too.
 
 Everything surfaces three ways: :class:`GuardEvent` records (absorbed into
 :class:`~repro.core.validation.CollectionHealth` by dataset collection),
@@ -68,15 +65,13 @@ class GuardEvent:
 
     Attributes:
         kind: What was detected: ``divergence``, ``nan-result``,
-            ``decode-corrupt``, ``engine-error``, ``poison-job``,
-            ``worker-oom``, ``shard-lost``, ``lease-steal``.
+            ``decode-corrupt``, ``engine-error``, ``shard-lost``,
+            ``lease-steal``.
         workload: Trace name of the affected job.
         machine: Machine name of the affected job.
         action: What the guard did about it: ``fallback-scalar``,
-            ``requarantine-decode``, ``circuit-break``, ``isolate``,
-            ``observe``.
-        detail: Human-readable specifics (mismatched fields, kill
-            counts, ...).
+            ``requarantine-decode``, ``observe``.
+        detail: Human-readable specifics (mismatched fields, ...).
     """
 
     kind: str
@@ -95,7 +90,7 @@ class GuardEvent:
 
 @dataclass(frozen=True)
 class GuardPlan:
-    """Immutable, picklable guardrail configuration (ships to workers).
+    """Immutable guardrail configuration.
 
     Attributes:
         level: ``"off"`` (no guards), ``"sentinel"`` (sampled dual-engine
@@ -137,9 +132,8 @@ class GuardPlan:
     def samples(self, ordinal: int) -> bool:
         """Whether the job with this executor ordinal is sentinel-sampled.
 
-        Seeded on the ordinal so the choice is deterministic across runs,
-        identical between the pool and serial paths, and independent of
-        scheduling order.
+        Seeded on the ordinal so the choice is deterministic across runs
+        and independent of the order in which jobs run.
         """
         if not self.active:
             return False
@@ -152,8 +146,6 @@ _KIND_COUNTERS = {
     "nan-result": "sim.guard.nan_fallbacks",
     "decode-corrupt": "sim.guard.decode_quarantines",
     "engine-error": "sim.guard.engine_errors",
-    "poison-job": "sim.guard.poison_jobs",
-    "worker-oom": "sim.guard.oom_events",
     "shard-lost": "sim.guard.shard_losses",
     "lease-steal": "sim.guard.lease_steals",
 }
@@ -164,10 +156,10 @@ _FALLBACK_KINDS = frozenset({"divergence", "nan-result", "engine-error"})
 
 
 class GuardRail:
-    """Parent-side guardrail state for one executor's lifetime.
+    """Guardrail state for one executor's lifetime.
 
-    Collects :class:`GuardEvent` records (worker-side events ship back
-    in-band with results and are absorbed here) and mirrors them into
+    Collects :class:`GuardEvent` records (each job's events come back
+    from :func:`guarded_simulate` and are absorbed here) and mirrors them into
     tracer events and ``sim.guard.*`` counters of :attr:`metrics`:
     ``events`` (all records), one counter per event kind
     (:data:`_KIND_COUNTERS`), ``fallbacks`` (results replaced by the
@@ -208,7 +200,7 @@ class GuardRail:
         )
 
     def absorb(self, events, sentinel_replays: int = 0) -> None:
-        """Absorb a worker job's shipped-back guard outcome."""
+        """Absorb one job's guard outcome from :func:`guarded_simulate`."""
         if sentinel_replays:
             self.metrics.counter("sim.guard.sentinel_replays").inc(
                 sentinel_replays
@@ -251,7 +243,7 @@ def compare_results(a, b) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Guarded simulation (runs in the parent's serial lane and inside workers)
+# Guarded simulation (one call per executor job attempt)
 # ---------------------------------------------------------------------------
 
 def guarded_simulate(
@@ -266,9 +258,9 @@ def guarded_simulate(
 ):
     """Simulate one job with the guardrail checks of ``plan`` applied.
 
-    The pure function both the executor's serial lane and its workers call
-    (worker events ship back in-band, so the only state touched here is
-    the trace's own decode memo).
+    The pure function the executor calls per job attempt (events are
+    returned, not recorded, so the only state touched here is the trace's
+    own decode memo).
 
     Returns:
         ``(result, events, sentinel_replays)``: the (possibly

@@ -106,9 +106,9 @@ class HardwarePlatform(SimFrontEnd):
 
     Every simulation goes through ``executor`` (see
     :class:`~repro.sim.executor.SimFrontEnd`).  Without one the platform
-    builds ``SimExecutor(faults=faults)``: serial, uncached, guards off.
-    Pass a shared executor to add a disk cache, a worker pool or guards,
-    and to batch both experiment arms through one pool.  ``faults`` also
+    builds ``SimExecutor(faults=faults)``: uncached, guards off.  Pass a
+    shared executor to add a disk cache or guards, and to batch both
+    experiment arms through one executor.  ``faults`` also
     drives the power-sensor faults of :meth:`characterize`.
     """
 

@@ -14,7 +14,7 @@ entries are quarantined to ``<cache>/quarantine/`` and counted in the
 ``sim.cache.*`` metrics; a full or read-only cache directory degrades the
 cache to uncached operation with a single warning instead of aborting a
 batch.  Mutations run under the directory's advisory lock, so processes
-sharing one directory — executor workers, campaign shards — cannot race a
+sharing one directory — campaign shards, concurrent runs — cannot race a
 quarantine against a replace.
 
 The hardware platform and the gem5 simulation both accept a ``cache_dir``;
@@ -317,17 +317,3 @@ class SimResultCache:
             return 0
         return sum(1 for name in names if name.endswith(".json"))
 
-
-def cache_spec(cache: SimResultCache | None) -> str | None:
-    """Picklable description of a cache, for reconstruction in workers.
-
-    Pool workers cannot receive the cache object itself (it holds the
-    parent's metrics registry); they receive its directory and
-    rebuild an equivalent writer over it.
-    """
-    return None if cache is None else cache.directory
-
-
-def open_cache_spec(spec: str | None, faults=None) -> SimResultCache | None:
-    """Rebuild the cache a :func:`cache_spec` value describes."""
-    return None if spec is None else SimResultCache(spec, faults=faults)

@@ -5,8 +5,10 @@ a one-off audit: any future PR that introduces an unseeded RNG, a wall
 clock in a sim path, a set-order leak, an impure pool worker, a mutable
 default, a swallowed BaseException, or a stale suppression fails tier-1.
 
-Known-bad rule fixtures under ``tests/analysis/fixtures`` are excluded by
-construction (they exist to be dirty).
+It runs ``make lint``'s repro-lint command itself — the same four roots
+linted as one project, the known-bad rule fixtures under
+``tests/analysis/fixtures`` excluded — so ``make check`` (ruff, mypy and
+the tier-1 suite) lints the tree once.
 """
 
 from __future__ import annotations
@@ -15,35 +17,36 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import LintConfig, lint_paths
-from repro.analysis.reporters import render_text
+from repro.analysis.cli import main as lint_main
 
 pytestmark = pytest.mark.lint
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-FIXTURES = REPO_ROOT / "tests" / "analysis" / "fixtures"
+
+#: The arguments ``make lint`` passes to ``python -m repro.analysis``.
+LINT_ARGS = (
+    "src", "tests", "benchmarks", "examples",
+    "--exclude", "tests/analysis/fixtures",
+)
 
 
-def _lint(*relative: str) -> str:
-    config = LintConfig(exclude=(str(FIXTURES),))
-    findings = lint_paths(
-        [str(REPO_ROOT / rel) for rel in relative], config=config
-    )
-    return render_text(findings) if findings else ""
+def test_make_lint_runs_the_same_command():
+    makefile = (REPO_ROOT / "Makefile").read_text().replace("\\\n", " ")
+    commands = [
+        " ".join(line.split())
+        for line in makefile.splitlines()
+        if "-m repro.analysis" in line
+    ]
+    assert commands == [
+        "$(PYTHON) -m repro.analysis " + " ".join(LINT_ARGS)
+    ]
 
 
-def test_src_repro_is_clean():
-    """The package itself upholds every invariant it enforces."""
-    report = _lint("src")
-    assert report == "", f"repro-lint findings in src/:\n{report}"
-
-
-def test_tests_are_clean():
-    """Test code is held to the same unscoped rules (purity, robustness)."""
-    report = _lint("tests")
-    assert report == "", f"repro-lint findings in tests/:\n{report}"
-
-
-def test_benchmarks_and_examples_are_clean():
-    report = _lint("benchmarks", "examples")
-    assert report == "", f"repro-lint findings in benchmarks/examples:\n{report}"
+def test_repository_is_clean(monkeypatch, capsys):
+    """Source, tests, benchmarks and examples uphold every invariant the
+    package enforces, linted as one project."""
+    monkeypatch.chdir(REPO_ROOT)
+    status = lint_main(list(LINT_ARGS))
+    report = capsys.readouterr().out
+    assert status == 0, f"repro-lint findings:\n{report}"
+    assert report.strip() == "no findings"

@@ -66,7 +66,8 @@ class TestRunManifest:
         tweaked = RunManifest.from_config(
             GemStoneConfig(
                 trace_instructions=9000,
-                jobs=4,
+                engine="scalar",
+                guard_level="paranoid",
                 cache_dir="/tmp/some-cache",
                 checkpoint_dir="/tmp/some-ckpt",
                 resume=True,
@@ -237,7 +238,7 @@ class TestPhaseKeys:
     def test_phase_keys_are_stable_and_ignore_execution_knobs(self):
         base = RunManifest.from_config(GemStoneConfig(trace_instructions=9000))
         again = RunManifest.from_config(
-            GemStoneConfig(trace_instructions=9000, jobs=4, resume=True)
+            GemStoneConfig(trace_instructions=9000, engine="scalar", resume=True)
         )
         for phase in PHASES:
             assert base.phase_key(phase) == again.phase_key(phase)

@@ -105,12 +105,12 @@ class TestPrometheus:
     def test_counter_gauge_and_histogram_exposition(self):
         registry = MetricsRegistry()
         registry.counter("sim.executor.jobs_run").inc(3)
-        registry.gauge("sim.executor.workers").set(4)
+        registry.gauge("sim.campaign.shards").set(4)
         registry.histogram("trace.span.job.seconds", buckets=(1.0,)).observe(0.5)
         text = prometheus_snapshot(registry)
         assert "# TYPE repro_sim_executor_jobs_run counter" in text
         assert "repro_sim_executor_jobs_run 3" in text
-        assert "# TYPE repro_sim_executor_workers gauge" in text
+        assert "# TYPE repro_sim_campaign_shards gauge" in text
         assert "# TYPE repro_trace_span_job_seconds histogram" in text
         assert 'repro_trace_span_job_seconds_bucket{le="1.0"} 1' in text
         assert 'repro_trace_span_job_seconds_bucket{le="+Inf"} 1' in text

@@ -2,8 +2,7 @@
 
 Every scenario asserts the guard layer's core promise: whatever columnar
 fault is injected — corrupt decoded columns, poisoned warm-row memos, NaNs
-leaking out of a vectorized pass, workers dying over and over on one job,
-workers running out of memory — the campaign's numbers stay *bit-identical*
+leaking out of a vectorized pass — the campaign's numbers stay *bit-identical*
 to an all-scalar fault-free run, and every intervention is recorded as a
 :class:`~repro.sim.guard.GuardEvent` in :class:`CollectionHealth` and the
 report, never silently absorbed.
@@ -17,12 +16,8 @@ import pytest
 
 from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.core.report import render_collection_health
-from repro.sim.cpu import simulate
-from repro.sim.executor import RetryPolicy, SimExecutor
+from repro.sim.executor import RetryPolicy
 from repro.sim.faults import FaultPlan
-from repro.sim.guard import GuardPlan
-from repro.sim.machine import hardware_a15
-from repro.sim.result_cache import SimJob
 from repro.workloads.suites import workload_by_name
 
 from tests.conftest import SMALL_FREQS, TRACE_INSTRUCTIONS
@@ -172,116 +167,3 @@ class TestKillAndResume:
         # checkpoint), the later phases recomputed their own.
         assert resumed.runstate.metrics.counter("core.runstate.restored").value >= 1
         assert resumed.health.guard_events
-
-
-class TestPoolScenarios:
-    @pytest.fixture(scope="class")
-    def machine(self):
-        return hardware_a15()
-
-    @pytest.fixture(scope="class")
-    def jobs(self, machine):
-        return [
-            SimJob(workload_by_name(name), TRACE_INSTRUCTIONS, machine)
-            for name in WORKLOADS
-        ]
-
-    @pytest.fixture(scope="class")
-    def golden(self, jobs):
-        return [simulate(j.compile(), j.machine, "scalar") for j in jobs]
-
-    def _assert_same(self, results, golden):
-        for result, ref in zip(results, golden):
-            assert result.counts == ref.counts
-            assert result.core_cycles == ref.core_cycles
-            assert result.components == ref.components
-
-    def test_worker_oom_isolated_bit_identical(self, jobs, golden):
-        executor = SimExecutor(
-            jobs=2,
-            retry=NO_BACKOFF,
-            faults=FaultPlan.worker_oom(TARGET),
-            guard=GuardPlan(level="sentinel"),
-        )
-        results = executor.run_many(jobs)
-        self._assert_same(results, golden)
-        assert executor.telemetry.jobs_isolated >= 1
-        assert executor.guard.metrics.counter("sim.guard.oom_events").value == 1
-        kinds = [e.kind for e in executor.guard.events]
-        assert kinds == ["worker-oom"]
-        assert executor.guard.events[0].action == "isolate"
-
-    def test_poison_job_circuit_broken_into_serial_lane(self, jobs, golden):
-        executor = SimExecutor(
-            jobs=2,
-            retry=NO_BACKOFF,
-            faults=FaultPlan.crash_workload(TARGET, attempts=10),
-            guard=GuardPlan(level="sentinel"),
-        )
-        # Two batches each lose a worker to the poison job (the batches
-        # themselves fail: the crash outlives the retry budget).
-        for _ in range(2):
-            results = executor.run_many(jobs, raise_on_error=False)
-            assert any(r is None for r in results)
-        crashes = executor.telemetry.worker_crashes
-        assert executor.is_poisoned(jobs[0].key)
-        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 0
-
-        # The third batch circuit-breaks it: the poison job runs (and
-        # keeps failing) in the parent's serial quarantine lane, no
-        # further workers die, and the healthy jobs are untouched.
-        results = executor.run_many(jobs, raise_on_error=False)
-        assert executor.telemetry.worker_crashes == crashes
-        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 1
-        poison = [e for e in executor.guard.events if e.kind == "poison-job"]
-        assert len(poison) == 1
-        assert poison[0].workload == TARGET
-        assert poison[0].action == "circuit-break"
-        healthy = [
-            (result, ref)
-            for result, ref, job in zip(results, golden, jobs)
-            if job.profile.name != TARGET
-        ]
-        assert healthy
-        self._assert_same(
-            [r for r, _ in healthy], [ref for _, ref in healthy]
-        )
-
-    def test_no_retry_budget_isolates_bystanders_of_a_broken_pool(
-        self, machine
-    ):
-        """At ``max_attempts=1`` a broken pool still reruns its bystanders.
-
-        A job whose pool attempt ended only because another job killed
-        the worker gets its serial isolation rerun whatever the retry
-        budget, so only the job at fault fails and only it is charged
-        the kill that eventually poisons it.
-        """
-        jobs = [
-            SimJob(workload_by_name(name), TRACE_INSTRUCTIONS, machine)
-            for name in (
-                "mi-sha", "mi-qsort", "dhrystone",
-                "mi-crc32", "mi-dijkstra", "mi-fft",
-            )
-        ]
-        golden = {
-            j.profile.name: simulate(j.compile(), machine, "scalar")
-            for j in jobs
-        }
-        executor = SimExecutor(
-            jobs=2,
-            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
-            faults=FaultPlan.crash_workload(TARGET, attempts=10),
-            guard=GuardPlan(level="sentinel"),
-        )
-        for batch in range(1, 4):
-            results = executor.run_many(jobs, raise_on_error=False)
-            assert executor.telemetry.jobs_failed == batch
-            assert [f.trace_name for f in executor.last_failures] == [TARGET]
-            for job, result in zip(jobs, results):
-                if job.profile.name == TARGET:
-                    assert result is None
-                else:
-                    self._assert_same([result], [golden[job.profile.name]])
-        poison = [e for e in executor.guard.events if e.kind == "poison-job"]
-        assert [e.workload for e in poison] == [TARGET]

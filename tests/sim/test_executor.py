@@ -1,15 +1,14 @@
-"""Tests for the parallel simulation executor.
+"""Tests for the simulation executor.
 
-The container running the suite may have a single CPU, so these tests
-assert *correctness* (bit-identical results, dedup accounting, cache
-integration, fallback behaviour) rather than speedup; the throughput
-benchmark prints the speedup on capable hosts.
+They assert *correctness*: bit-identical results, dedup accounting, cache
+integration, recipe-major ordering and ordinal pinning.  Multi-process
+runs are the sharded campaign's and are tested in ``test_campaign.py``
+and ``test_chaos_campaign.py``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import weakref
 
 import pytest
@@ -58,75 +57,61 @@ def _assert_same(a, b):
 
 class TestRunMany:
     def test_serial_matches_direct_simulate(self, jobs):
-        results = SimExecutor(jobs=1).run_many(jobs)
+        results = SimExecutor().run_many(jobs)
         for job, result in zip(jobs, results):
             _assert_same(result, _direct(job))
 
-    def test_parallel_matches_serial(self, jobs):
-        serial = SimExecutor(jobs=1).run_many(jobs)
-        parallel = SimExecutor(jobs=4).run_many(jobs)
-        for s, p in zip(serial, parallel):
-            _assert_same(s, p)
-
     def test_results_align_with_input_order(self, jobs):
-        results = SimExecutor(jobs=2).run_many(jobs)
-        for job, result in zip(jobs, results):
+        results = SimExecutor().run_many(reversed(jobs))
+        for job, result in zip(reversed(jobs), results):
             assert result.trace_name == job.profile.name
 
     def test_duplicate_jobs_simulated_once(self, jobs):
-        ex = SimExecutor(jobs=1)
+        ex = SimExecutor()
         results = ex.run_many([jobs[0]] * 3)
         assert ex.telemetry.jobs_submitted == 3
         assert ex.telemetry.jobs_deduplicated == 2
         assert ex.telemetry.jobs_run == 1
         assert results[0] is results[1] is results[2]
 
-    def test_invalid_jobs_rejected(self):
+    def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
-            SimExecutor(jobs=0)
+            SimExecutor(engine="vector")
 
-    def test_defaults_are_serial_and_columnar(self):
+    @pytest.mark.parametrize("option", ["jobs", "timeout_seconds"])
+    def test_pool_options_rejected(self, option):
+        """Processes are the campaign's: the executor takes no pool size
+        or per-job deadline."""
+        with pytest.raises(TypeError):
+            SimExecutor(**{option: 2})
+
+    def test_defaults_are_uncached_and_columnar(self):
         executor = SimExecutor()
-        assert executor.jobs == 1
+        assert executor.cache is None
         assert executor.engine == "columnar"
-        assert SimExecutor(jobs=None).jobs == (os.cpu_count() or 1)
 
 
 class TestCacheIntegration:
     def test_second_executor_hits_disk_cache(self, jobs, tmp_path):
         cache_dir = str(tmp_path / "simcache")
-        first = SimExecutor(jobs=1, cache_dir=cache_dir)
+        first = SimExecutor(cache_dir=cache_dir)
         cold = first.run_many(jobs)
         assert first.telemetry.cache_hits == 0
-        second = SimExecutor(jobs=1, cache_dir=cache_dir)
+        second = SimExecutor(cache_dir=cache_dir)
         warm = second.run_many(jobs)
         assert second.telemetry.cache_hits == len(jobs)
         assert second.telemetry.jobs_run == 0
         for c, w in zip(cold, warm):
             _assert_same(c, w)
 
-    def test_parallel_workers_populate_cache(self, jobs, tmp_path):
+    def test_simulated_jobs_populate_cache(self, jobs, tmp_path):
         cache_dir = str(tmp_path / "simcache")
-        ex = SimExecutor(jobs=4, cache_dir=cache_dir)
+        ex = SimExecutor(cache_dir=cache_dir)
         results = ex.run_many(jobs)
         assert len(ex.cache) == len(jobs)
         for job, result in zip(jobs, results):
             _assert_same(result, _direct(job))
-
-
-class TestSerialFallback:
-    def test_broken_pool_degrades_to_serial(self, jobs, monkeypatch):
-        class BrokenPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes in this environment")
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", BrokenPool)
-        ex = SimExecutor(jobs=4)
-        results = ex.run_many(jobs)
-        assert ex.telemetry.serial_fallbacks == 1
-        assert ex.telemetry.parallel_jobs_run == 0
-        for job, result in zip(jobs, results):
-            _assert_same(result, _direct(job))
+            _assert_same(ex.cache.get(job), result)
 
 
 class TestTelemetry:
@@ -178,7 +163,7 @@ class TestPrimeEngines:
         profiles = small_profiles[:3]
         platform = HardwarePlatform("A15", trace_instructions=N_INSTRS)
         gem5 = Gem5Simulation(gem5_ex5_big(), trace_instructions=N_INSTRS)
-        ex = SimExecutor(jobs=1)
+        ex = SimExecutor()
         submitted = prime_engines(ex, (platform, gem5), profiles)
         assert submitted == 2 * len(profiles)
         assert ex.telemetry.batches == 1
@@ -196,47 +181,15 @@ def _front_ends(executor):
     )
 
 
-class TestCollectionDeterminism:
-    def test_parallel_dataset_identical_to_serial(self, small_profiles):
-        profiles = small_profiles[:3]
-        frequencies = (600e6, 1000e6)
-
-        def collect(jobs):
-            executor = SimExecutor(jobs=jobs)
-            platform, gem5 = _front_ends(executor)
-            dataset = collect_validation_dataset(
-                platform,
-                gem5,
-                profiles,
-                frequencies,
-                with_power=False,
-            )
-            return dataset, executor
-
-        serial, serial_ex = collect(1)
-        parallel, parallel_ex = collect(4)
-        # Both arms batch through the one shared executor: one batch, and
-        # with jobs > 1 every job of both arms runs in its pool.
-        assert serial_ex.telemetry.batches == parallel_ex.telemetry.batches == 1
-        assert serial_ex.telemetry.parallel_jobs_run == 0
-        assert parallel_ex.telemetry.parallel_jobs_run == 2 * len(profiles)
-        assert len(serial.runs) == len(parallel.runs)
-        for s, p in zip(serial.runs, parallel.runs):
-            assert s.workload == p.workload and s.freq_hz == p.freq_hz
-            assert s.hw.time_seconds == p.hw.time_seconds
-            assert s.hw.pmc == p.hw.pmc
-            assert s.gem5.stats == p.gem5.stats
-
-
 class TestCollectionCache:
-    def test_pooled_collection_fills_and_reuses_the_shared_cache(
+    def test_collection_fills_and_reuses_the_shared_cache(
         self, small_profiles, tmp_path
     ):
         profiles = small_profiles[:2]
         cache_dir = str(tmp_path / "simcache")
 
         def collect():
-            executor = SimExecutor(jobs=2, cache_dir=cache_dir)
+            executor = SimExecutor(cache_dir=cache_dir)
             platform, gem5 = _front_ends(executor)
             dataset = collect_validation_dataset(
                 platform, gem5, profiles, (1000e6,), with_power=False
@@ -249,6 +202,8 @@ class TestCollectionCache:
             return dataset, executor, jobs
 
         cold, cold_ex, keys = collect()
+        # Both arms batch through the one shared executor.
+        assert cold_ex.telemetry.batches == 1
         cache = SimResultCache(cache_dir)
         assert len(keys) == 2 * len(profiles)
         assert len(cache) == len(keys)
@@ -301,18 +256,17 @@ class TestRecipeMajorSerialLane:
             return outcome
 
         monkeypatch.setattr(executor_mod, "guarded_simulate", tracking)
-        SimExecutor(jobs=1).run_many(machine_major)
+        SimExecutor().run_many(machine_major)
         assert len(started) == 3
 
     def test_results_follow_submission_order(self, machine_major):
-        results = SimExecutor(jobs=1).run_many(machine_major)
+        results = SimExecutor().run_many(machine_major)
         for job, result in zip(machine_major, results):
             assert result.trace_name == job.profile.name
             _assert_same(result, _direct(job))
 
     def test_ordinal_pinned_fault_hits_the_submitted_job(self, machine_major):
         ex = SimExecutor(
-            jobs=1,
             retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
             faults=FaultPlan.crash_job(1),
         )
@@ -335,7 +289,7 @@ class TestRecipeMajorSerialLane:
             return original(trace, machine, engine, **kwargs)
 
         monkeypatch.setattr(cpu_mod, "simulate", recording)
-        ex = SimExecutor(jobs=1, guard=plan)
+        ex = SimExecutor(guard=plan)
         ex.run_many(machine_major)
         sampled = [
             _where(job) for i, job in enumerate(machine_major)
@@ -353,14 +307,11 @@ class TestRecipeMajorSerialLane:
             ("nan-result",) + _where(job) for job in machine_major
             if job.profile.name in ("mi-sha", "mi-qsort")
         ]
-        for jobs in (1, 2):
-            ex = SimExecutor(
-                jobs=jobs, faults=faults, guard=GuardPlan(level="sentinel")
-            )
-            ex.run_many(machine_major)
-            assert [
-                (e.kind, e.workload, e.machine) for e in ex.guard.events
-            ] == expected
+        ex = SimExecutor(faults=faults, guard=GuardPlan(level="sentinel"))
+        ex.run_many(machine_major)
+        assert [
+            (e.kind, e.workload, e.machine) for e in ex.guard.events
+        ] == expected
 
 
 def _count_compiles(monkeypatch) -> list[str]:
@@ -440,13 +391,9 @@ class TestWindowedJobs:
     def test_serial_lane_compiles_the_recipe_once(self, monkeypatch):
         job, windowed = self._jobs()
         calls = _count_compiles(monkeypatch)
-        results = SimExecutor(jobs=1).run_many(windowed)
+        results = SimExecutor().run_many(windowed)
         assert calls == ["mi-sha"]
         self._assert_slices(job, results)
-
-    def test_pool_lane_replays_the_same_windows(self):
-        job, windowed = self._jobs()
-        self._assert_slices(job, SimExecutor(jobs=2).run_many(windowed))
 
     def test_cached_windows_replay_nothing(self, tmp_path):
         job, windowed = self._jobs()
@@ -459,22 +406,29 @@ class TestWindowedJobs:
 
 
 @pytest.mark.bench_smoke
-def test_bench_smoke_parallel_collection(small_profiles, tmp_path):
-    """Tiny end-to-end parallel collection: pool + cache + dataset in one go."""
+def test_bench_smoke_serial_collection(small_profiles, tmp_path):
+    """Tiny end-to-end collection on a disk cache: a cold run fills the
+    cache, a warm run answers every job from it, both datasets agree."""
     from repro.core.pipeline import GemStone, GemStoneConfig
 
-    gs = GemStone(
-        GemStoneConfig(
-            core="A15",
-            workloads=small_profiles[:2],
-            frequencies=(1000e6,),
-            trace_instructions=N_INSTRS,
-            cache_dir=str(tmp_path / "simcache"),
-            jobs=2,
+    def collect():
+        gs = GemStone(
+            GemStoneConfig(
+                core="A15",
+                workloads=small_profiles[:2],
+                frequencies=(1000e6,),
+                trace_instructions=N_INSTRS,
+                cache_dir=str(tmp_path / "simcache"),
+            )
         )
-    )
-    dataset = gs.dataset
-    assert len(dataset.runs) == 2
-    telemetry = gs.executor.telemetry
-    assert telemetry.jobs_submitted > 0
-    assert telemetry.jobs_run + telemetry.cache_hits > 0
+        return gs.dataset, gs.executor.telemetry
+
+    cold, cold_telemetry = collect()
+    assert len(cold.runs) == 2
+    assert cold_telemetry.jobs_run == cold_telemetry.jobs_submitted == 4
+    warm, warm_telemetry = collect()
+    assert warm_telemetry.jobs_run == 0
+    assert warm_telemetry.cache_hits == 4
+    for c, w in zip(cold.runs, warm.runs):
+        assert c.hw.pmc == w.hw.pmc
+        assert c.gem5.stats == w.gem5.stats

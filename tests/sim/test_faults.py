@@ -1,10 +1,12 @@
 """Chaos suite: deterministic fault injection against the executor + cache.
 
 Every scenario asserts the same invariant: whatever faults are injected —
-worker crashes (a genuine broken pool), job hangs past the per-job timeout,
-poisoned jobs, corrupt cache entries, unusable cache directories — the
-recovered results are *bit-identical* to a fault-free serial run, and the
-telemetry/quarantine accounting says exactly what happened.
+crashing jobs, out-of-memory jobs, poisoned jobs, corrupt cache entries,
+unusable cache directories — the recovered results are *bit-identical* to
+a fault-free run, and the telemetry/quarantine accounting says exactly
+what happened.  Faults across processes (shard crashes, lease stalls,
+out-of-memory shards, board poisoning) are the campaign's, in
+``test_chaos_campaign.py``.
 
 The suite runs in the default ``make test`` path with a small deterministic
 seed set; ``make test-chaos`` runs just these scenarios.
@@ -78,19 +80,25 @@ class TestFaultPlan:
         assert bool(plan)
         assert not bool(FaultPlan())
 
-    def test_crash_raises_in_parent(self):
+    def test_crash_raises(self):
         plan = FaultPlan.crash_job(3)
         with pytest.raises(InjectedFault):
-            plan.apply_job_fault(3, "mi-sha", attempt=1, in_worker=False)
+            plan.apply_job_fault(3, "mi-sha", attempt=1)
         # Wrong ordinal, exhausted attempts: no fault.
-        plan.apply_job_fault(2, "mi-sha", attempt=1, in_worker=False)
-        plan.apply_job_fault(3, "mi-sha", attempt=2, in_worker=False)
+        plan.apply_job_fault(2, "mi-sha", attempt=1)
+        plan.apply_job_fault(3, "mi-sha", attempt=2)
 
     def test_crash_by_workload_name(self):
         plan = FaultPlan.crash_workload("mi-sha", attempts=2)
         with pytest.raises(InjectedFault):
-            plan.apply_job_fault(7, "mi-sha", attempt=2, in_worker=False)
-        plan.apply_job_fault(7, "mi-qsort", attempt=1, in_worker=False)
+            plan.apply_job_fault(7, "mi-sha", attempt=2)
+        plan.apply_job_fault(7, "mi-qsort", attempt=1)
+
+    def test_oom_raises_memory_error(self):
+        plan = FaultPlan.worker_oom("mi-sha")
+        with pytest.raises(MemoryError):
+            plan.apply_job_fault(0, "mi-sha", attempt=1)
+        plan.apply_job_fault(0, "mi-sha", attempt=2)
 
     def test_shard_faults_match_phase_workload_and_attempt(self):
         plan = (FaultPlan.shard_crash("mi-sha")
@@ -136,7 +144,7 @@ class TestRetryPolicy:
 
     def test_pathological_attempt_counts_saturate_at_cap(self):
         # Campaign lease re-queues can produce attempt numbers far past
-        # anything a pool retry loop sees; the bounded exponent must
+        # anything an executor retry loop sees; the bounded exponent must
         # saturate at the cap instead of raising OverflowError.
         policy = RetryPolicy(max_attempts=3, base_seconds=0.05,
                              backoff=2.0, cap_seconds=1.0)
@@ -150,7 +158,7 @@ class TestRetryPolicy:
 
 class TestSerialRecovery:
     def test_flaky_job_retried_to_identical_result(self, jobs, golden):
-        ex = SimExecutor(jobs=1, retry=FAST_RETRY, faults=FaultPlan.crash_job(0))
+        ex = SimExecutor(retry=FAST_RETRY, faults=FaultPlan.crash_job(0))
         results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
@@ -159,7 +167,7 @@ class TestSerialRecovery:
 
     def test_poisoned_job_fails_permanently(self, jobs):
         plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(jobs=1, retry=FAST_RETRY, faults=plan)
+        ex = SimExecutor(retry=FAST_RETRY, faults=plan)
         with pytest.raises(SimJobError) as err:
             ex.run_many(jobs)
         assert err.value.failure.trace_name == jobs[0].profile.name
@@ -168,7 +176,7 @@ class TestSerialRecovery:
 
     def test_raise_on_error_false_degrades(self, jobs, golden):
         plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(jobs=1, retry=FAST_RETRY, faults=plan)
+        ex = SimExecutor(retry=FAST_RETRY, faults=plan)
         results = ex.run_many(jobs, raise_on_error=False)
         assert results[0] is None
         for result, reference in zip(results[1:], golden[1:]):
@@ -176,87 +184,10 @@ class TestSerialRecovery:
         assert len(ex.last_failures) == 1
         assert isinstance(ex.last_failures[0], SimJobFailure)
 
-
-class TestPoolCrashIsolation:
-    def test_worker_crash_recovers_bit_identical(self, jobs, golden):
-        """A hard worker death (os._exit) breaks the pool; only the affected
-        jobs rerun serially and the batch still matches the golden run."""
-        ex = SimExecutor(jobs=2, retry=FAST_RETRY, faults=FaultPlan.crash_job(0))
-        results = ex.run_many(jobs)
-        for result, reference in zip(results, golden):
-            _assert_same(result, reference)
-        assert ex.telemetry.worker_crashes >= 1
-        assert ex.telemetry.jobs_isolated >= 1
-        assert ex.telemetry.jobs_failed == 0
-
-    def test_hang_times_out_and_recovers(self, jobs, golden):
+    def test_oom_fails_with_its_own_kind(self, jobs, golden):
+        """An out-of-memory job respects the retry budget and fails as
+        ``"oom"``; its siblings keep their results."""
         ex = SimExecutor(
-            jobs=4,
-            retry=FAST_RETRY,
-            timeout_seconds=0.6,
-            faults=FaultPlan.hang_job(1, seconds=3.0),
-        )
-        results = ex.run_many(jobs)
-        for result, reference in zip(results, golden):
-            _assert_same(result, reference)
-        assert ex.telemetry.job_timeouts == 1
-        assert ex.telemetry.jobs_isolated == 1
-
-    def test_no_retry_budget_reports_failure(self, jobs):
-        plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(
-            jobs=2, retry=RetryPolicy(max_attempts=1), faults=plan
-        )
-        results = ex.run_many(jobs, raise_on_error=False)
-        assert results[0] is None
-        assert ex.telemetry.jobs_failed >= 1
-
-    def test_no_retry_budget_still_reruns_a_broken_pool(
-        self, jobs, golden
-    ):
-        """A pool crash is not the job's own attempt: even at
-        ``max_attempts=1`` every job in flight gets its serial isolation
-        rerun, so a one-off worker death loses nothing."""
-        ex = SimExecutor(
-            jobs=2,
-            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
-            faults=FaultPlan.crash_job(0),
-        )
-        results = ex.run_many(jobs)
-        for result, reference in zip(results, golden):
-            _assert_same(result, reference)
-        assert ex.telemetry.worker_crashes == 1
-        assert ex.telemetry.jobs_isolated >= 1
-        assert ex.telemetry.jobs_failed == 0
-
-    def test_no_retry_budget_never_reruns_a_timeout(
-        self, jobs, golden
-    ):
-        """A timed-out job respects the budget: it is not rerun in the
-        parent (where nothing could interrupt it), even though its second
-        attempt would not hang."""
-        ex = SimExecutor(
-            jobs=4,
-            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
-            timeout_seconds=0.6,
-            faults=FaultPlan.hang_job(1, seconds=3.0),
-        )
-        results = ex.run_many(jobs, raise_on_error=False)
-        assert results[1] is None
-        assert [(f.trace_name, f.kind, f.attempts) for f in ex.last_failures] == [
-            (jobs[1].profile.name, "timeout", 1)
-        ]
-        for i in (0, 2):
-            _assert_same(results[i], golden[i])
-        assert ex.telemetry.job_timeouts == 1
-        assert ex.telemetry.jobs_failed == 1
-
-    def test_no_retry_budget_never_reruns_an_oom(
-        self, jobs, golden
-    ):
-        """A worker's own ``MemoryError`` respects the budget too."""
-        ex = SimExecutor(
-            jobs=2,
             retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
             faults=FaultPlan.worker_oom(jobs[0].profile.name),
         )
@@ -266,7 +197,7 @@ class TestPoolCrashIsolation:
         for i in (1, 2):
             _assert_same(results[i], golden[i])
         assert ex.telemetry.jobs_failed == 1
-        assert [e.kind for e in ex.guard.events] == ["worker-oom"]
+        assert ex.guard.events == []
 
 
 class TestCacheCorruption:
@@ -275,13 +206,13 @@ class TestCacheCorruption:
     ):
         cache_dir = str(tmp_path / "simcache")
         plan = FaultPlan.corrupt_cache(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(jobs=1, retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
+        ex = SimExecutor(retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
         first = ex.run_many(jobs)
         for result, reference in zip(first, golden):
             _assert_same(result, reference)
         # A fresh, fault-free executor over the same directory must detect
         # the corruption, quarantine the entry, and recompute identically.
-        clean = SimExecutor(jobs=1, cache_dir=cache_dir)
+        clean = SimExecutor(cache_dir=cache_dir)
         second = clean.run_many(jobs)
         for result, reference in zip(second, golden):
             _assert_same(result, reference)
@@ -290,34 +221,44 @@ class TestCacheCorruption:
         quarantine = os.path.join(cache_dir, "quarantine")
         assert os.path.isdir(quarantine) and len(os.listdir(quarantine)) == 1
 
-    def test_parallel_corrupt_reap_recovers(self, jobs, golden, tmp_path):
-        """Workers write corrupt entries; the parent's reap detects it and
-        recomputes in-process — results still bit-identical."""
+    def test_every_entry_corrupt_recomputes_the_whole_batch(
+        self, jobs, golden, tmp_path
+    ):
         cache_dir = str(tmp_path / "simcache")
         plan = FaultPlan.corrupt_cache(attempts=1)  # every workload's 1st put
-        ex = SimExecutor(jobs=2, retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
-        results = ex.run_many(jobs)
-        for result, reference in zip(results, golden):
+        ex = SimExecutor(retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
+        for result, reference in zip(ex.run_many(jobs), golden):
             _assert_same(result, reference)
-        assert ex.cache.metrics.counter("sim.cache.quarantined").value >= 1
+        clean = SimExecutor(cache_dir=cache_dir)
+        for result, reference in zip(clean.run_many(jobs), golden):
+            _assert_same(result, reference)
+        assert clean.cache.metrics.counter("sim.cache.quarantined").value == len(jobs)
+        assert clean.telemetry.cache_hits == 0
+        assert clean.telemetry.jobs_run == len(jobs)
 
-    def test_unreaped_entry_reruns_as_attempt_two(self, jobs, golden, tmp_path):
-        """A reap failure reruns like every other parent-side rerun of a
-        pool job: in the serial lane as attempt 2, so a fault confined to
-        attempt 1 fires once (in the worker), not again in the parent."""
+    def test_guard_rerun_and_corrupt_write_each_fire_once(
+        self, jobs, golden, tmp_path
+    ):
+        """A NaN pass and a corrupt write on one workload: the guard reruns
+        it as attempt 2, whose write is the corrupt one, and a fresh
+        executor quarantines that entry alone."""
         name = jobs[0].profile.name
+        cache_dir = str(tmp_path / "simcache")
         ex = SimExecutor(
-            jobs=2, retry=FAST_RETRY, cache_dir=str(tmp_path / "simcache"),
+            retry=FAST_RETRY, cache_dir=cache_dir,
             faults=FaultPlan.corrupt_cache(name) | FaultPlan.nan_pass(name),
             guard=GuardPlan(level="sentinel"),
         )
-        results = ex.run_many(jobs)
-        for result, reference in zip(results, golden):
+        for result, reference in zip(ex.run_many(jobs), golden):
             _assert_same(result, reference)
-        assert ex.cache.metrics.counter("sim.cache.quarantined").value == 1
         assert [(e.kind, e.workload) for e in ex.guard.events] == [
             ("nan-result", name)
         ]
+        clean = SimExecutor(cache_dir=cache_dir)
+        for result, reference in zip(clean.run_many(jobs), golden):
+            _assert_same(result, reference)
+        assert clean.cache.metrics.counter("sim.cache.quarantined").value == 1
+        assert clean.telemetry.cache_hits == len(jobs) - 1
 
 
 class TestDegradedCacheDirectory:
@@ -343,32 +284,24 @@ class TestDegradedCacheDirectory:
         blocker = tmp_path / "blocker"
         blocker.write_text("not a directory")
         with pytest.warns(RuntimeWarning):
-            ex = SimExecutor(jobs=1, cache_dir=str(blocker / "simcache"))
+            ex = SimExecutor(cache_dir=str(blocker / "simcache"))
             results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
 
 
 class TestTelemetryAccounting:
-    def test_serial_fallback_counts_simulate_time_once(self, jobs, monkeypatch):
-        """Satellite regression: the broken-pool fallback used to add the
-        failed pool window *and* the serial window to ``simulate_seconds``.
-        With a fake clock advancing 1 s per reading, the serial window is
-        exactly 1 s and nothing else may be added."""
+    def test_simulate_time_counts_the_batch_once(self, jobs, monkeypatch):
+        """With a fake clock advancing 1 s per reading, the simulate window
+        of one batch is exactly 1 s, however many jobs it runs."""
         import itertools
 
         import repro.sim.executor as executor_mod
 
-        class BrokenPool:
-            def __init__(self, *args, **kwargs):
-                raise OSError("no processes in this environment")
-
-        monkeypatch.setattr(executor_mod, "ProcessPoolExecutor", BrokenPool)
         ticker = itertools.count()
         monkeypatch.setattr(
             executor_mod, "perf_counter", lambda: float(next(ticker))
         )
-        ex = SimExecutor(jobs=4)
+        ex = SimExecutor()
         ex.run_many(jobs)
-        assert ex.telemetry.serial_fallbacks == 1
         assert ex.telemetry.simulate_seconds == 1.0

@@ -1,8 +1,7 @@
 """Unit tests for :mod:`repro.sim.guard`.
 
 Plans and sampling, bit-exact result comparison, result/decode integrity
-contracts, the guarded-simulate fallback matrix, guardrail accounting and
-the executor's poison-job breaker that records on the guardrail.
+contracts, the guarded-simulate fallback matrix and guardrail accounting.
 Campaign-level chaos scenarios live in ``test_chaos_columnar.py``.
 """
 
@@ -13,7 +12,6 @@ from dataclasses import replace
 import pytest
 
 from repro.sim.cpu import simulate
-from repro.sim.executor import POISON_THRESHOLD, RetryPolicy, SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import (
     SENTINEL_INTERVAL,
@@ -24,7 +22,6 @@ from repro.sim.guard import (
     guarded_simulate,
 )
 from repro.sim.machine import hardware_a15
-from repro.sim.result_cache import SimJob
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import columnar_checksum, compile_trace, validate_columnar
 
@@ -264,69 +261,3 @@ class TestGuardRail:
         assert rail.metrics.counter("sim.guard.sentinel_replays").value == 2
         assert rail.metrics.counter("sim.guard.nan_fallbacks").value == 1
         assert [e.kind for e in rail.events] == ["nan-result"]
-
-
-class TestPoisonBreaker:
-    """The executor's poison-job circuit breaker, driven through real pools.
-
-    ``mi-sha`` hard-kills its worker on every attempt, so each pooled batch
-    breaks the pool once; its serial isolation rerun fails too, which
-    confirms one kill.  The bystander recovers serially and is never
-    charged.
-    """
-
-    @pytest.fixture(scope="class")
-    def pairs(self, machine):
-        return [
-            SimJob(workload_by_name(name), N_INSTRS, machine)
-            for name in ("mi-sha", "mi-qsort")
-        ]
-
-    @staticmethod
-    def _crashing(guard):
-        return SimExecutor(
-            jobs=2,
-            retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
-            faults=FaultPlan.crash_workload("mi-sha", attempts=99),
-            guard=guard,
-        )
-
-    def test_poison_accounting(self, pairs):
-        executor = self._crashing(PARANOID)
-        key, bystander = (job.key for job in pairs)
-        assert POISON_THRESHOLD == 2
-        assert not executor.is_poisoned(key)
-        executor.run_many(pairs, raise_on_error=False)
-        assert not executor.is_poisoned(key)
-        executor.run_many(pairs, raise_on_error=False)
-        assert executor.is_poisoned(key)
-        assert not executor.is_poisoned(bystander)
-        assert executor.telemetry.worker_crashes == 2
-        # The breaker announces when it routes the job, not when it arms.
-        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 0
-
-    def test_circuit_break_announces_once(self, pairs):
-        executor = self._crashing(PARANOID)
-        for _ in range(POISON_THRESHOLD):
-            executor.run_many(pairs, raise_on_error=False)
-        crashes = executor.telemetry.worker_crashes
-        for _ in range(2):
-            results = executor.run_many(pairs, raise_on_error=False)
-            assert results[0] is None and results[1] is not None
-        # Quarantined batches run in the parent: no further worker dies.
-        assert executor.telemetry.worker_crashes == crashes
-        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 1
-        assert [e.kind for e in executor.guard.events] == ["poison-job"]
-        event = executor.guard.events[0]
-        assert (event.workload, event.action) == ("mi-sha", "circuit-break")
-        assert "killed 2 worker(s)" in event.detail
-
-    def test_breaker_trips_with_guards_off(self, pairs):
-        executor = self._crashing(GuardPlan())
-        assert not executor.guard.plan.active
-        for _ in range(POISON_THRESHOLD + 1):
-            executor.run_many(pairs, raise_on_error=False)
-        assert executor.is_poisoned(pairs[0].key)
-        assert executor.telemetry.worker_crashes == POISON_THRESHOLD
-        assert [e.kind for e in executor.guard.events] == ["poison-job"]
-        assert executor.guard.metrics.counter("sim.guard.poison_jobs").value == 1

@@ -1,4 +1,4 @@
-"""One way into the simulator, pinned on the source tree.
+"""One way into the simulator and one scheduler, pinned on the source tree.
 
 Library code replays a trace through :class:`~repro.sim.executor.SimExecutor`,
 which applies the result cache, the guards, tracing and job keys to every
@@ -7,7 +7,9 @@ replay passes through, and the executor itself.  The Section VII
 improvement loop is the one named exception: it keeps each compiled trace
 across its greedy rounds, which per-round executor batches would drop.
 Every replay builds a fresh micro-architectural state, and only the two
-engines build one.
+engines build one.  Only the sharded campaign (:mod:`repro.sim.campaign`)
+runs simulations across processes: no other module imports
+``concurrent.futures`` or ``multiprocessing`` or builds a process pool.
 
 ``examples/`` and ``benchmarks/`` may call the public ``simulate``.
 """
@@ -33,6 +35,13 @@ SIMULATE_CALLERS = {
 #: Modules allowed to build a replay's state with ``_make_state``.
 STATE_BUILDERS = {"repro.sim.cpu", "repro.sim.columnar"}
 
+#: The one module allowed to start processes.
+PROCESS_STARTERS = {"repro.sim.campaign"}
+
+#: Modules that start processes, and the calls that build a pool or fork.
+PROCESS_MODULES = ("concurrent.futures", "multiprocessing")
+POOL_BUILDERS = {"ProcessPoolExecutor", "Pool", "fork"}
+
 
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
@@ -40,6 +49,11 @@ def _modules():
         if parts[-1] == "__init__":
             parts = parts[:-1]
         yield ".".join(parts), ast.parse(path.read_text(), str(path))
+
+
+def _called(node: ast.Call) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 def _uses(tree: ast.Module, name: str) -> bool:
@@ -52,13 +66,31 @@ def _uses(tree: ast.Module, name: str) -> bool:
         ):
             if any(alias.name == name for alias in node.names):
                 return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            called = func.id if isinstance(func, ast.Name) else getattr(
-                func, "attr", None
-            )
-            if called == name:
-                return True
+        if isinstance(node, ast.Call) and _called(node) == name:
+            return True
+    return False
+
+
+def _starts_processes(tree: ast.Module) -> bool:
+    """Whether ``tree`` imports a process module (any form, any alias) or
+    calls something that builds a process pool or forks."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) in POOL_BUILDERS:
+            return True
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        if any(
+            name == module or name.startswith(module + ".")
+            for name in names
+            for module in PROCESS_MODULES
+        ):
+            return True
     return False
 
 
@@ -88,3 +120,35 @@ def test_only_the_engines_build_replay_state():
         name for name, tree in _modules() if _uses(tree, "_make_state")
     }
     assert builders == STATE_BUILDERS
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import concurrent.futures\n",
+        "from concurrent.futures import ProcessPoolExecutor\n",
+        "from concurrent import futures\n",
+        "import multiprocessing as mp\n",
+        "from multiprocessing.pool import ThreadPool\n",
+        "pool = Pool(2)\n",
+        "with cf.ProcessPoolExecutor() as pool:\n    pass\n",
+        "pid = os.fork()\n",
+    ],
+    ids=[
+        "import", "from-import", "package-import", "aliased", "submodule",
+        "pool", "attribute-pool", "fork",
+    ],
+)
+def test_detects_a_process_start(source):
+    assert _starts_processes(ast.parse(source))
+
+
+def test_ignores_words_that_only_look_alike():
+    assert not _starts_processes(
+        ast.parse("import concurrency\nrestraint_pool(core)\n")
+    )
+
+
+def test_only_the_campaign_starts_processes():
+    starters = {name for name, tree in _modules() if _starts_processes(tree)}
+    assert starters == PROCESS_STARTERS, sorted(starters ^ PROCESS_STARTERS)

@@ -55,7 +55,6 @@ class TestConstruction:
 
     def test_default_executor_is_serial_uncached_and_unguarded(self):
         platform = HardwarePlatform("A15", trace_instructions=2_000)
-        assert platform.executor.jobs == 1
         assert platform.executor.cache is None
         assert not platform.executor.guard.plan.active
 

@@ -19,9 +19,7 @@ from repro.sim.result_cache import (
     CACHE_SCHEMA_VERSION,
     SimJob,
     SimResultCache,
-    cache_spec,
     machine_fingerprint,
-    open_cache_spec,
 )
 from repro.uarch.tlb import TlbHierarchyConfig
 from repro.workloads import trace as trace_mod
@@ -404,11 +402,12 @@ class TestGet:
         assert cache.metrics.counter("sim.cache.quarantined").value == 1
 
 
-class TestCacheSpec:
-    def test_spec_round_trip(self, tmp_path):
-        flat = SimResultCache(str(tmp_path / "flat"))
-        assert cache_spec(None) is None
-        assert open_cache_spec(None) is None
-        rebuilt_flat = open_cache_spec(cache_spec(flat))
-        assert isinstance(rebuilt_flat, SimResultCache)
-        assert rebuilt_flat.directory == flat.directory
+class TestSharedDirectory:
+    def test_caches_over_one_directory_share_entries(self, cache, job, trace):
+        """Processes sharing a directory (campaign shards) each open their
+        own cache over it and read each other's entries."""
+        result = simulate(trace, job.machine, "scalar")
+        cache.put(job, result)
+        other = SimResultCache(cache.directory)
+        assert other.get(job).counts == result.counts
+        assert len(other) == len(cache) == 1

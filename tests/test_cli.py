@@ -53,26 +53,41 @@ class TestExecution:
         assert "ALL" in out
 
 
-class TestJobsFlag:
-    def test_jobs_default_is_serial(self):
-        args = build_parser().parse_args(["headline"])
-        assert args.jobs == 1
+class TestSchedulingOptions:
+    """Simulating across processes is ``campaign run --shards N``; no
+    pipeline subcommand has a pool, and a campaign keeps its results on
+    its board, so it takes no ``--cache-dir``."""
 
-    def test_jobs_parsed(self):
-        args = build_parser().parse_args(["report", "--jobs", "4"])
-        assert args.jobs == 4
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--jobs", "2"],
+            ["headline", "--job-timeout", "5"],
+            ["campaign", "run", "--board", "b", "--jobs", "2"],
+        ],
+        ids=["jobs", "job-timeout", "campaign-jobs"],
+    )
+    def test_pool_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_jobs_zero_means_all_cores(self, capsys):
-        # 0 maps to GemStoneConfig(jobs=None) = one worker per CPU core.
-        assert main(["headline", "--instructions", "4000", "--jobs", "0"]) == 0
-        assert "time MAPE %" in capsys.readouterr().out
+    def test_campaign_run_cache_dir_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", "--board", str(tmp_path / "board"),
+                  "--cache-dir", str(tmp_path / "cache")])
+        assert exit_info.value.code == 2
+        assert "--cache-dir" in capsys.readouterr().err
+        assert not (tmp_path / "board").exists()
 
-    def test_headline_parallel_matches_serial(self, capsys):
-        assert main(["headline", "--instructions", "4000", "--jobs", "1"]) == 0
-        serial = capsys.readouterr().out
-        assert main(["headline", "--instructions", "4000", "--jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == serial
+    @pytest.mark.parametrize(
+        "command",
+        ["report", "headline", "power-model", "bp-fix", "runtime-power"],
+    )
+    def test_pipeline_subcommands_take_cache_dir(self, command):
+        args = build_parser().parse_args([command, "--cache-dir", "c"])
+        assert args.cache_dir == "c"
 
 
 class TestStartup:
