@@ -16,8 +16,12 @@ Asserted floors:
 
 * steady-state columnar replay is >=4x faster than scalar on every pair
   (the target, usually met, is >=10x);
-* the first-ever (cold) columnar replay, decode included, is no slower
-  than a steady-state scalar replay on every pair.
+* the first-ever (cold) columnar replay, decode included, is >=1.5x
+  faster than a steady-state scalar replay on every pair.
+
+The compiled L2 walk is built (once per host) and loaded (once per
+process) by an untimed warm-up replay of another trace, so no pair's
+cold time includes it.
 
 A DVFS operating point needs no replay of its own: it is a projection
 of one :class:`~repro.sim.cpu.SimResult` (``time_seconds(f)``).
@@ -51,7 +55,7 @@ SCALAR_REPS = 2
 COLUMNAR_REPS = 8
 SPEEDUP_FLOOR = 4.0
 SPEEDUP_TARGET = 10.0
-COLD_FLOOR = 1.0
+COLD_FLOOR = 1.5
 
 RESULTS_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_replay.json"
@@ -91,6 +95,8 @@ def _bench_pair(workload: str, machine_name: str) -> dict:
 
 @pytest.mark.bench_replay
 def test_bench_replay_speedup():
+    warm_up = compile_trace(workload_by_name("mi-sha"), 1_000, seed=101)
+    simulate(warm_up, machine_by_name("hw-a15"), engine="columnar")
     rows = [_bench_pair(workload, machine) for workload, machine in PAIRS]
 
     print_header("Columnar replay: scalar vs columnar, 60k-instr traces")

@@ -81,6 +81,12 @@ def _add_common(
         help="attempts per simulation job before it counts as failed "
         "(deterministic exponential backoff between attempts)",
     )
+    _add_engine(parser)
+    _add_logging(parser)
+
+
+def _add_engine(parser: argparse.ArgumentParser) -> None:
+    """The replay engine and its guardrails."""
     parser.add_argument(
         "--engine",
         choices=("columnar", "scalar"),
@@ -96,6 +102,10 @@ def _add_common(
         "jobs through both engines and falls back to scalar on any "
         "divergence/NaN/corrupt decode; paranoid dual-replays every job",
     )
+
+
+def _add_logging(parser: argparse.ArgumentParser) -> None:
+    """Structured diagnostics on stderr (configured by :func:`main`)."""
     parser.add_argument(
         "--log-level",
         choices=LEVELS,
@@ -427,7 +437,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             )
         ]
         journal = board.read_journal()
-        if getattr(args, "detail", False):
+        if args.detail:
             lines.append("")
             lines.extend(_campaign_detail(args.board, status, journal))
         tail = journal[-args.tail :]
@@ -730,41 +740,50 @@ def build_parser() -> argparse.ArgumentParser:
         "(lease-based work stealing, worker-loss recovery, incremental "
         "recompute)",
     )
-    p.add_argument(
-        "action",
-        choices=("run", "worker", "status"),
-        help="run = coordinate shards and report; worker = join an "
-        "existing board; status = board counts and journal tail",
-    )
-    p.add_argument(
-        "--trace-out", default=None, metavar="DIR",
-        help="for 'run': trace the campaign and write the merged "
-        "campaign-wide Chrome trace + Prometheus snapshot there",
-    )
-    p.add_argument(
-        "--detail", action="store_true",
-        help="for 'status': per-shard progress, derived health, ETA and "
-        "the shard-count auto-tune hint",
-    )
-    p.add_argument(
-        "--board", required=True, metavar="DIR",
-        help="shared board directory (jobs, leases, journal, results)",
-    )
-    p.add_argument("--shards", type=int, default=2,
-                   help="worker processes to spawn for 'run'")
-    p.add_argument("--ttl", type=float, default=5.0, metavar="SECONDS",
+    p.set_defaults(func=cmd_campaign)
+    actions = p.add_subparsers(dest="action", required=True)
+
+    def board_action(name: str, summary: str) -> argparse.ArgumentParser:
+        action = actions.add_parser(name, help=summary)
+        action.add_argument(
+            "--board", required=True, metavar="DIR",
+            help="shared board directory (jobs, leases, journal, results)",
+        )
+        return action
+
+    a = board_action("run", "coordinate shards and report")
+    a.add_argument("--shards", type=int, default=2,
+                   help="worker processes to spawn")
+    a.add_argument("--ttl", type=float, default=5.0, metavar="SECONDS",
                    help="lease heartbeat TTL; an older lease is stolen")
-    p.add_argument("--no-collate", action="store_true",
+    a.add_argument("--no-collate", action="store_true",
                    help="leave results on the board without building the "
                    "report")
-    p.add_argument("--owner", default=None,
+    a.add_argument(
+        "--trace-out", default=None, metavar="DIR",
+        help="trace the campaign and write the merged campaign-wide "
+        "Chrome trace + Prometheus snapshot there",
+    )
+    _add_common(a, cache_dir=False)
+
+    a = board_action("worker", "join an existing board")
+    a.add_argument("--owner", default=None,
                    help="worker identity on the board (default: PID-based)")
-    p.add_argument("--max-jobs", type=int, default=None,
+    a.add_argument("--max-jobs", type=int, default=None,
                    help="stop this worker after N completed jobs")
-    p.add_argument("--tail", type=int, default=10,
-                   help="journal records to show for 'status'")
-    _add_common(p, cache_dir=False)
-    p.set_defaults(func=cmd_campaign)
+    _add_engine(a)
+    _add_logging(a)
+
+    a = board_action("status", "board counts and journal tail")
+    a.add_argument(
+        "--detail", action="store_true",
+        help="per-shard progress, derived health, ETA and the shard-count "
+        "auto-tune hint",
+    )
+    a.add_argument("--tail", type=int, default=10,
+                   help="journal records to show")
+    a.add_argument("--out", default=None, help="write output to a file")
+    _add_logging(a)
 
     p = sub.add_parser(
         "lint",

@@ -418,7 +418,6 @@ def render_sim_telemetry(telemetry, cache_metrics=None) -> str:
         ["batches", telemetry.batches],
         ["probe wall-clock (s)", telemetry.probe_seconds],
         ["simulate wall-clock (s)", telemetry.simulate_seconds],
-        ["reap wall-clock (s)", telemetry.reap_seconds],
         ["throughput (sims/s)", telemetry.throughput()],
     ]
     if cache_metrics is not None:

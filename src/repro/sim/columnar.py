@@ -22,11 +22,12 @@ whole-trace passes instead:
    program-order walk (:func:`repro.uarch.cache.batch_l1d_replay`).
 4. **Merged L2 walk** — only the events that reach the shared L2 /
    L2 TLB / prefetcher (a few percent of all accesses) are replayed in
-   exact program order against the real scalar models.  All
-   order-sensitive float accumulation (stall terms with inexact weights,
-   DRAM exposure weights) happens here, in the same order as the scalar
-   engine, which is what keeps `SimResult` *bit-identical* rather than
-   merely close.
+   exact program order, after the silent warm fills, by the C kernel of
+   :mod:`repro.sim.l2kernel` (if it cannot be built, the replay raises
+   and the guard replays on the scalar engine).  All order-sensitive
+   float accumulation (stall terms with inexact weights, DRAM exposure
+   weights) happens there, in the scalar engine's order, which is what
+   keeps `SimResult` *bit-identical* rather than merely close.
 
 The golden suite and the randomized equivalence suite assert
 bit-identity against the scalar engine, which remains the reference.
@@ -52,6 +53,8 @@ from repro.sim.cpu import (
     _finalise,
     _make_state,
 )
+# The merged L2 walk: its C kernel is built and loaded on the first call.
+from repro.sim.l2kernel import l2_walk as _l2_walk
 from repro.sim.machine import MachineConfig
 from repro.uarch.branch import predict_conditional_batch
 from repro.uarch.cache import (
@@ -112,13 +115,11 @@ def simulate_columnar(
     """Replay ``trace`` on ``machine`` with the columnar engine.
 
     Returns a `SimResult` bit-identical to ``repro.sim.cpu._simulate``.
-    Only the fresh state's L2-side objects and geometry carriers are used
-    here.
+    Of the fresh state, only the RAS and the indirect predictor are
+    driven here; the caches and TLBs carry geometry.
     """
     state = _make_state(machine)
     l2 = state.l2
-    l2_prefetcher = state.l2_prefetcher
-    tlb = state.tlb
     ras = state.ras
     shadow_stack: deque[int] = deque(maxlen=_SHADOW_STACK_DEPTH)
     indirect = state.indirect
@@ -140,9 +141,6 @@ def simulate_columnar(
         l2_warm, l1d_warm, data_pages = memo[dw_key]
     else:
         l2_warm, l1d_warm, data_pages = _data_warm_arrays(trace, l2.size_bytes)
-        if l2_warm is None:
-            l1d_warm = np.empty(0, dtype=np.int64)
-            data_pages = np.empty(0, dtype=np.int64)
         memo[dw_key] = (l2_warm, l1d_warm, data_pages)
 
     # ---------------------------------------------------------- branch pass
@@ -292,22 +290,11 @@ def simulate_columnar(
         )
 
     # ------------------------------------------------------------ merged walk
-    def _walk():
-        l2.warm_fill_many(code_lines)
-        tlb.l2_itlb.fill_many(code_pages)
-        if l2_warm is not None:
-            l2.warm_fill_many(l2_warm)
-            tlb.l2_dtlb.fill_many(data_pages)
-        return (
-            _l2_walk(merged, machine, l2, l2_prefetcher, tlb),
-            l2.stats,
-            tlb.l2_itlb.stats,
-            tlb.l2_dtlb.stats,
-        )
-
+    warm = (code_lines, code_pages, l2_warm, data_pages)
     with tracer.span("replay/l2_walk", kind="replay", events=len(merged[0])):
         walk, l2_stats, l2_itlb_stats, l2_dtlb_stats = _replay_memo(
-            memo, ("l2walk",), (merged[0], merged[1], merged[2], machine), _walk
+            memo, ("l2walk",), (merged[0], merged[1], merged[2], machine),
+            lambda: _l2_walk(merged, machine, state, warm),
         )
     (
         stall_icache,
@@ -608,121 +595,3 @@ def _warm_memo(memo, tag, seq, n_sets, assoc):
         rows = warm_content_rows(seq, n_sets, assoc)
         memo[key] = rows
     return rows
-
-
-def _l2_walk(merged, machine: MachineConfig, l2, l2_prefetcher, tlb):
-    """Replay the L2-facing event stream in program order.
-
-    The shared L2, the L2 TLBs and the stride prefetcher are genuinely
-    order-sensitive (and the walk accumulates every inexact float term in
-    scalar order), so this stays a Python loop — but over ~3% of the
-    accesses the scalar engine touches.
-    """
-    kind_arr, arg0_arr, arg1_arr = merged
-
-    l2_access = l2.access
-    l2_itlb_lookup = tlb.l2_itlb.lookup
-    l2_dtlb_lookup = tlb.l2_dtlb.lookup
-    prefetch_train = l2_prefetcher.train
-
-    l2_lat = machine.l2.latency
-    l2tlb_lat = machine.tlb.l2_latency
-    walk_cycles = machine.tlb.walk_cycles
-    mem_overlap = machine.mem_overlap
-    store_exposure = machine.store_miss_exposure
-    dram_exposure = 1.0 - machine.dram_overlap
-    lines_per_page = PAGE_BYTES // CACHE_LINE_BYTES
-
-    icache_cost = l2_lat * 0.8
-    dtlb_l2_cost = l2tlb_lat * (1.0 - mem_overlap)
-    dtlb_walk_cost = walk_cycles * (1.0 - 0.5 * mem_overlap)
-    stream_cost = l2_lat * 0.05
-    write_cost = l2_lat * store_exposure
-    read_cost = l2_lat * (1.0 - mem_overlap)
-    write_weight = store_exposure * 0.5
-    wp_walk_cost = walk_cycles * 0.5
-
-    stall_icache = 0.0
-    stall_itlb = 0.0
-    stall_dcache = 0.0
-    stall_dtlb = 0.0
-    dram_reads = 0.0
-    dram_writes = 0.0
-    dram_weight = 0.0
-    walks_inst = 0
-    walks_data = 0
-
-    for kind, arg0, arg1 in zip(
-        kind_arr.tolist(), arg0_arr.tolist(), arg1_arr.tolist()
-    ):
-        if kind == _EV_L1D_MISS:
-            if arg1:
-                stall_dcache += write_cost
-            else:
-                stall_dcache += read_cost
-            l2_hit, l2_wb, _ = l2_access(arg0, bool(arg1))
-            if l2_wb:
-                dram_writes += 1
-            if not l2_hit:
-                dram_reads += 1
-                dram_weight += write_weight if arg1 else dram_exposure
-                prefetch_train(arg0)
-        elif kind == _EV_DTLB_MISS:
-            stall_dtlb += dtlb_l2_cost
-            if not l2_dtlb_lookup(arg0):
-                walks_data += 1
-                stall_dtlb += dtlb_walk_cost
-                hit, _, _ = l2_access(arg0 * lines_per_page)
-                if not hit:
-                    dram_reads += 1
-                    dram_weight += 0.4
-        elif kind == _EV_L1D_WB:
-            _, l2_wb, _ = l2_access(arg0 ^ 0x1, True)
-            if l2_wb:
-                dram_writes += 1
-        elif kind == _EV_L1I_MISS:
-            stall_icache += icache_cost
-            l2_hit, wrote_back, _ = l2_access(arg0)
-            if wrote_back:
-                dram_writes += 1
-            if not l2_hit:
-                dram_reads += 1
-                dram_weight += 0.9
-                prefetch_train(arg0)
-        elif kind == _EV_L1D_STREAM:
-            stall_dcache += stream_cost
-            l2_hit, l2_wb, _ = l2_access(arg0, True)
-            if l2_wb:
-                dram_writes += 1
-            if not l2_hit:
-                dram_writes += 1
-                dram_weight += 0.12
-        elif kind == _EV_WP_TLB:
-            stall_itlb += l2tlb_lat
-            if not l2_itlb_lookup(arg0):
-                stall_itlb += wp_walk_cost
-        elif kind == _EV_WP_L1I:
-            l2_hit, _, _ = l2_access(arg0)
-            if not l2_hit:
-                dram_reads += 1
-        else:  # _EV_ITLB_MISS
-            stall_itlb += l2tlb_lat
-            if not l2_itlb_lookup(arg0):
-                walks_inst += 1
-                stall_itlb += walk_cycles
-                hit, _, _ = l2_access(arg0 * lines_per_page)
-                if not hit:
-                    dram_reads += 1
-                    dram_weight += 0.5
-
-    return (
-        stall_icache,
-        stall_itlb,
-        stall_dcache,
-        stall_dtlb,
-        dram_reads,
-        dram_writes,
-        dram_weight,
-        walks_inst,
-        walks_data,
-    )

@@ -556,11 +556,10 @@ def _prewarm(
     # ramps and concatenated so each cache/TLB again sees a single bulk
     # fill in the original stream order.
     l2_warm, l1d_warm, data_pages = _data_warm_arrays(trace, l2.size_bytes)
-    if l2_warm is not None:
-        l2.warm_fill_many(l2_warm)
-        l1d.warm_fill_many(l1d_warm)
-        tlb.l2_dtlb.fill_many(data_pages)
-        tlb.dtlb.fill_many(data_pages)
+    l2.warm_fill_many(l2_warm)
+    l1d.warm_fill_many(l1d_warm)
+    tlb.l2_dtlb.fill_many(data_pages)
+    tlb.dtlb.fill_many(data_pages)
 
 
 def _data_warm_arrays(trace: SyntheticTrace, l2_size_bytes: int):
@@ -568,15 +567,16 @@ def _data_warm_arrays(trace: SyntheticTrace, l2_size_bytes: int):
 
     Returns ``(l2_warm, l1d_warm, data_pages)`` line/page arrays in the
     original stream order (every fourth warmed line — offset
-    ``% (step * 4) == 0`` — also lands in the L1D), or ``(None, None,
-    None)`` for a trace without data streams.
+    ``% (step * 4) == 0`` — also lands in the L1D); a trace without data
+    streams warms nothing.
     """
     line_bytes = CACHE_LINE_BYTES
     l2_capacity_lines = l2_size_bytes // line_bytes
     warm_budget = 2 * l2_capacity_lines
-    l2_warm: list[np.ndarray] = []
-    l1d_warm: list[np.ndarray] = []
-    page_warm: list[np.ndarray] = []
+    empty = np.empty(0, dtype=np.int64)
+    l2_warm: list[np.ndarray] = [empty]
+    l1d_warm: list[np.ndarray] = [empty]
+    page_warm: list[np.ndarray] = [empty]
     for stream in trace.streams:
         span_lines = max(1, stream.span // line_bytes)
         if span_lines <= l2_capacity_lines and span_lines <= warm_budget:
@@ -591,8 +591,6 @@ def _data_warm_arrays(trace: SyntheticTrace, l2_size_bytes: int):
         page_step = max(1, span_pages // 1024)
         base_page = stream.base // PAGE_BYTES
         page_warm.append(base_page + np.arange(0, span_pages, page_step, dtype=np.int64))
-    if not l2_warm:
-        return None, None, None
     return (
         np.concatenate(l2_warm),
         np.concatenate(l1d_warm),

@@ -151,8 +151,6 @@ class SimTelemetry:
         batches: ``run_many`` invocations.
         probe_seconds: Wall-clock spent deduplicating and probing the cache.
         simulate_seconds: Wall-clock spent compiling and simulating.
-        reap_seconds: Wall-clock spent fanning results back to the
-            submitted slots.
     """
 
     _fields = {
@@ -167,7 +165,6 @@ class SimTelemetry:
             "batches",
             "probe_seconds",
             "simulate_seconds",
-            "reap_seconds",
         )
     }
 
@@ -206,7 +203,7 @@ class SimTelemetry:
     @property
     def wall_seconds(self) -> float:
         """Total wall-clock across all executor stages."""
-        return self.probe_seconds + self.simulate_seconds + self.reap_seconds
+        return self.probe_seconds + self.simulate_seconds
 
     def throughput(self) -> float:
         """Simulations per second of simulate-stage wall-clock."""
@@ -357,15 +354,12 @@ class SimExecutor:
 
             if pending:
                 computed = self._execute(pending, ordinal, first_attempt)
-                started = perf_counter()
-                with self.tracer.span("reap", kind="executor"):
-                    for job, outcome in zip(pending, computed):
-                        if isinstance(outcome, SimJobFailure):
-                            self.last_failures.append(outcome)
-                            continue
-                        for index in slots[job.key]:
-                            results[index] = outcome
-                telemetry.reap_seconds += perf_counter() - started
+                for job, outcome in zip(pending, computed):
+                    if isinstance(outcome, SimJobFailure):
+                        self.last_failures.append(outcome)
+                        continue
+                    for index in slots[job.key]:
+                        results[index] = outcome
                 if self.last_failures:
                     batch_span.set(failed=len(self.last_failures))
                     logger.warning(

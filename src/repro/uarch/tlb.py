@@ -77,39 +77,10 @@ class Tlb:
             ways.pop()
 
     def fill_many(self, pages) -> None:
-        """Bulk :meth:`fill`: bit-identical final state to filling in a loop.
-
-        Counter-silent fills only affect the final LRU state, which has a
-        closed form: each set holds the most recently filled distinct tags,
-        MRU-first, with pre-existing residents ranked older than every new
-        fill, truncated to the associativity.  One vectorised pass replaces
-        one Python call per page during pre-warming.
-        """
-        arr = np.asarray(pages, dtype=np.int64)
-        if arr.size == 0:
-            return
-        rev = arr[::-1]
-        _, keep = np.unique(rev, return_index=True)
-        keep.sort()
-        mru_pages = rev[keep]
-        n_sets = self.n_sets
-        set_idx = mru_pages % n_sets
-        order = np.argsort(set_idx, kind="stable")
-        sorted_sets = set_idx[order]
-        bounds = np.flatnonzero(sorted_sets[1:] != sorted_sets[:-1]) + 1
-        starts = [0, *bounds.tolist(), order.size]
-        assoc = self.assoc
-        sets = self._sets
-        for i in range(len(starts) - 1):
-            seg = order[starts[i] : starts[i + 1]]
-            s = int(set_idx[seg[0]])
-            fresh = (mru_pages[seg] // n_sets).tolist()
-            ways = sets[s]
-            if ways:
-                fresh_tags = set(fresh)
-                fresh += [tag for tag in ways if tag not in fresh_tags]
-            del fresh[assoc:]
-            sets[s] = fresh
+        """:meth:`fill` each page in turn (TLB pre-warming)."""
+        fill = self.fill
+        for page in np.asarray(pages, dtype=np.int64).tolist():
+            fill(page)
 
 
 def batch_tlb_replay(

@@ -116,8 +116,8 @@ class TestCacheIntegration:
 
 class TestTelemetry:
     def test_wall_seconds_sums_stages(self):
-        t = SimTelemetry(probe_seconds=1.0, simulate_seconds=2.0, reap_seconds=0.5)
-        assert t.wall_seconds == 3.5
+        t = SimTelemetry(probe_seconds=1.0, simulate_seconds=2.0)
+        assert t.wall_seconds == 3.0
 
     def test_throughput(self):
         t = SimTelemetry(jobs_run=4, simulate_seconds=2.0)

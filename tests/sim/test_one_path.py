@@ -10,6 +10,9 @@ Every replay builds a fresh micro-architectural state, and only the two
 engines build one.  Only the sharded campaign (:mod:`repro.sim.campaign`)
 runs simulations across processes: no other module imports
 ``concurrent.futures`` or ``multiprocessing`` or builds a process pool.
+Only the compiled L2 walk (:mod:`repro.sim.l2kernel`) loads native code
+or runs the C compiler: no other module imports ``ctypes`` or
+``subprocess`` or names a compiler.
 
 ``examples/`` and ``benchmarks/`` may call the public ``simulate``.
 """
@@ -42,6 +45,13 @@ PROCESS_STARTERS = {"repro.sim.campaign"}
 PROCESS_MODULES = ("concurrent.futures", "multiprocessing")
 POOL_BUILDERS = {"ProcessPoolExecutor", "Pool", "fork"}
 
+#: The one module allowed to load native code or run the C compiler.
+NATIVE_MODULES = {"repro.sim.l2kernel"}
+
+#: Modules that load native code or run programs, and compiler names.
+NATIVE_IMPORTS = ("ctypes", "subprocess")
+COMPILERS = {"cc", "gcc", "clang"}
+
 
 def _modules():
     for path in sorted(SRC.rglob("*.py")):
@@ -71,12 +81,9 @@ def _uses(tree: ast.Module, name: str) -> bool:
     return False
 
 
-def _starts_processes(tree: ast.Module) -> bool:
-    """Whether ``tree`` imports a process module (any form, any alias) or
-    calls something that builds a process pool or forks."""
+def _imports(tree: ast.Module, modules) -> bool:
+    """Whether ``tree`` imports one of ``modules`` (any form, any alias)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and _called(node) in POOL_BUILDERS:
-            return True
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.module:
@@ -88,10 +95,30 @@ def _starts_processes(tree: ast.Module) -> bool:
         if any(
             name == module or name.startswith(module + ".")
             for name in names
-            for module in PROCESS_MODULES
+            for module in modules
         ):
             return True
     return False
+
+
+def _starts_processes(tree: ast.Module) -> bool:
+    """Whether ``tree`` imports a process module (any form, any alias) or
+    calls something that builds a process pool or forks."""
+    return _imports(tree, PROCESS_MODULES) or any(
+        isinstance(node, ast.Call) and _called(node) in POOL_BUILDERS
+        for node in ast.walk(tree)
+    )
+
+
+def _goes_native(tree: ast.Module) -> bool:
+    """Whether ``tree`` imports ``ctypes`` or ``subprocess``, or has a
+    string that starts with a compiler's name."""
+    return _imports(tree, NATIVE_IMPORTS) or any(
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.partition(" ")[0] in COMPILERS
+        for node in ast.walk(tree)
+    )
 
 
 @pytest.mark.parametrize(
@@ -152,3 +179,30 @@ def test_ignores_words_that_only_look_alike():
 def test_only_the_campaign_starts_processes():
     starters = {name for name, tree in _modules() if _starts_processes(tree)}
     assert starters == PROCESS_STARTERS, sorted(starters ^ PROCESS_STARTERS)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "import ctypes\n",
+        "from ctypes import CDLL\n",
+        "import ctypes.util as cu\n",
+        "import subprocess\n",
+        "from subprocess import run\n",
+        "os.system('gcc -O2 k.c')\n",
+        "shutil.which('cc')\n",
+    ],
+    ids=["ctypes", "from-ctypes", "ctypes-util", "subprocess",
+         "from-subprocess", "compiler-command", "compiler-name"],
+)
+def test_detects_native_code(source):
+    assert _goes_native(ast.parse(source))
+
+
+def test_ignores_strings_that_only_look_alike():
+    assert not _goes_native(ast.parse("x = 'ccache'\ny = 'access'\n"))
+
+
+def test_only_the_l2_kernel_goes_native():
+    native = {name for name, tree in _modules() if _goes_native(tree)}
+    assert native == NATIVE_MODULES, sorted(native ^ NATIVE_MODULES)

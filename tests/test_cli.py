@@ -90,24 +90,103 @@ class TestSchedulingOptions:
         assert args.cache_dir == "c"
 
 
+class TestCampaignOptions:
+    """Each ``campaign`` action accepts only the options it reads."""
+
+    def test_status_rejects_run_options(self, tmp_path, capsys):
+        board = str(tmp_path / "board")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "status", "--board", board, "--instructions",
+                  "5", "--core", "A7", "--retries", "9", "--model",
+                  "nonsense"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        for option in ("--instructions", "--core", "--retries", "--model"):
+            assert option in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker", "--shards", "2"],
+            ["worker", "--instructions", "5"],
+            ["worker", "--out", "f"],
+            ["status", "--engine", "scalar"],
+            ["status", "--owner", "w"],
+            ["run", "--detail"],
+            ["run", "--max-jobs", "3"],
+        ],
+    )
+    def test_options_of_other_actions_are_usage_errors(self, argv, capsys):
+        action, *rest = argv
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["campaign", action, "--board", "b", *rest])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_valid_forms_parse(self):
+        parse = build_parser().parse_args
+        run = parse(["campaign", "run", "--board", "b", "--shards", "4",
+                     "--ttl", "2", "--no-collate", "--trace-out", "t",
+                     "--instructions", "3000", "--core", "A7", "--model",
+                     "gem5-ex5-little", "--retries", "2", "--engine",
+                     "scalar", "--guard-level", "off", "--out", "r.txt",
+                     "--log-level", "info"])
+        assert (run.action, run.board, run.shards, run.ttl, run.no_collate,
+                run.trace_out, run.instructions, run.retries) == (
+            "run", "b", 4, 2.0, True, "t", 3000, 2)
+        worker = parse(["campaign", "worker", "--board", "b", "--owner", "w",
+                        "--max-jobs", "3", "--engine", "scalar",
+                        "--guard-level", "paranoid", "--log-json"])
+        assert (worker.action, worker.owner, worker.max_jobs, worker.engine,
+                worker.guard_level, worker.log_json) == (
+            "worker", "w", 3, "scalar", "paranoid", True)
+        status = parse(["campaign", "status", "--board", "b", "--detail",
+                        "--tail", "5", "--out", "s.txt"])
+        assert (status.action, status.detail, status.tail, status.out) == (
+            "status", True, 5, "s.txt")
+        assert run.func is worker.func is status.func
+
+    def test_an_action_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["campaign", "--board", "b"])
+        assert exit_info.value.code == 2
+
+
+def _fresh_interpreter(code: str) -> list[str]:
+    """The words ``code`` prints in a new interpreter importing ``src``."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src, env.get("PYTHONPATH")))
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True,
+        capture_output=True, text=True,
+    ).stdout.split()
+
+
 class TestStartup:
     def test_import_does_not_load_scipy_stats(self):
         """Every ``gemstone`` run pays its imports; ``scipy.stats`` alone
         (with the spatial, sparse, optimize and linalg packages it pulls in)
         once cost about a second of a warm rerun's start-up."""
-        src = os.path.dirname(os.path.dirname(repro.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, (src, env.get("PYTHONPATH")))
-        )
-        probe = (
+        out = _fresh_interpreter(
             "import sys, repro.cli; "
             "print('repro.core.stats.stepwise' in sys.modules, "
             "'scipy.stats' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], env=env, check=True,
-            capture_output=True, text=True,
-        ).stdout.split()
         # The fits are imported, and still without scipy.stats.
         assert out == ["True", "False"]
+
+    def test_import_does_not_load_the_l2_kernel(self):
+        """The compiled L2 walk is loaded by the first columnar replay,
+        not at start-up; ``ctypes`` is only there if numpy brings it."""
+        out = _fresh_interpreter(
+            "import sys, repro.cli; "
+            "print('repro.sim.l2kernel' in sys.modules, "
+            "'repro.sim.columnar' in sys.modules, 'ctypes' in sys.modules)"
+        )
+        numpy_alone = _fresh_interpreter(
+            "import sys, numpy; print('ctypes' in sys.modules)"
+        )
+        assert out == ["False", "False", *numpy_alone]
