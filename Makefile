@@ -51,18 +51,19 @@ bench-smoke:
 	$(PYTHON) -m pytest -q -m bench_smoke tests/sim/test_executor.py
 
 # Replay-engine equivalence gates in one fast command: the scalar
-# goldens, the randomized columnar-vs-scalar suite, the L2 walk and its C
-# kernel against the Python oracle, and the columnar chaos scenarios, plus
-# the cache/TLB/branch model tests that pin the batched LRU replay and the
-# streaming L1D walk to the scalar models.
+# goldens, the randomized columnar-vs-scalar suite, the L2 walk memo, the
+# C kernel's L1 replays against the scalar cache and TLB models and its L2
+# walk against the Python oracle, and the columnar chaos scenarios, plus
+# the cache/TLB/branch model tests, whose L1D property test drives the
+# kernel.
 test-replay:
 	$(PYTHON) -m pytest -q tests/sim/test_cpu_golden.py \
 		tests/sim/test_columnar_equivalence.py \
-		tests/sim/test_columnar_l2_walk.py tests/sim/test_l2kernel.py \
+		tests/sim/test_columnar_l2_walk.py tests/sim/test_kernel.py \
 		tests/sim/test_chaos_columnar.py tests/uarch
 
 # Columnar replay speedup floor: scalar vs columnar, asserting the >=4x
-# steady-state and >=1.5x cold floors and refreshing BENCH_replay.json at
+# steady-state and >=2.5x cold floors and refreshing BENCH_replay.json at
 # the repo root.
 bench-replay:
 	$(PYTHON) -m pytest -q -s -m bench_replay benchmarks/test_bench_replay_speedup.py

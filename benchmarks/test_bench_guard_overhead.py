@@ -14,8 +14,12 @@ under 5%.  That cost has two parts:
   by the interval (benchmarking 512+ jobs per repetition just to watch one
   fire would measure the same number, slowly).
 
-Repetitions are interleaved and the minimum of each is taken to shed
-scheduler noise.  Results are also emitted machine-readably to
+Both parts are ratios against the unguarded replay measured in the same
+round, and ``ROUNDS`` rounds alternate which side runs first.  The gate
+is the median of the per-round ratios: a minimum over a few repetitions
+of a 20 ms loop swung by tens of percent between consecutive runs, so it
+measured host noise rather than the guard.  The median's quartiles are
+recorded with it.  Results are also emitted machine-readably to
 ``BENCH_guard.json`` at the repo root so the trajectory of the overhead
 can be tracked across PRs.
 """
@@ -26,6 +30,8 @@ import json
 import os
 import time
 
+import numpy as np
+
 from benchmarks.conftest import CompiledJob, paper_row, print_header
 from repro.sim.cpu import simulate
 from repro.sim.executor import SimExecutor
@@ -35,11 +41,11 @@ from repro.workloads.suites import workload_by_name
 
 TRACE_INSTRUCTIONS = 20_000
 WORKLOAD = "mi-sha"
-CALLS_PER_REP = 6
-REPS = 5
+CALLS_PER_ROUND = 6
+ROUNDS = 31
 OVERHEAD_BUDGET = 0.05
 
-#: Sampling phase shifted so ordinals 0..CALLS_PER_REP-1 are never
+#: Sampling phase shifted so ordinals 0..CALLS_PER_ROUND-1 are never
 #: sentinel-sampled: the timed loop measures pure bookkeeping, and the
 #: dual-replay cost is amortised analytically below.
 UNSAMPLED = GuardPlan(level="sentinel", seed=1)
@@ -48,19 +54,24 @@ RESULTS_PATH = os.path.join(os.path.dirname(__file__), "..", "BENCH_guard.json")
 
 
 def _time_executor(job, guard=None) -> float:
-    """Wall seconds for CALLS_PER_REP uncached single-job replays."""
+    """Wall seconds for CALLS_PER_ROUND uncached single-job replays."""
     executor = SimExecutor(guard=guard)
     started = time.perf_counter()
-    for _ in range(CALLS_PER_REP):
+    for _ in range(CALLS_PER_ROUND):
         executor.run(job)
     return time.perf_counter() - started
 
 
 def _time_scalar(trace, machine) -> float:
     started = time.perf_counter()
-    for _ in range(CALLS_PER_REP):
+    for _ in range(CALLS_PER_ROUND):
         simulate(trace, machine, "scalar")
     return time.perf_counter() - started
+
+
+def _median_and_quartiles(values) -> tuple[float, float, float]:
+    q1, median, q3 = np.percentile(values, [25, 50, 75])
+    return float(median), float(q1), float(q3)
 
 
 def test_bench_guard_overhead():
@@ -75,41 +86,48 @@ def test_bench_guard_overhead():
     _time_executor(job, UNSAMPLED)
 
     off, guarded, scalar = [], [], []
-    for _ in range(REPS):
-        off.append(_time_executor(job))
-        guarded.append(_time_executor(job, UNSAMPLED))
+    for round_ in range(ROUNDS):
+        if round_ % 2:
+            guarded.append(_time_executor(job, UNSAMPLED))
+            off.append(_time_executor(job))
+        else:
+            off.append(_time_executor(job))
+            guarded.append(_time_executor(job, UNSAMPLED))
         scalar.append(_time_scalar(trace, machine))
+    off, guarded, scalar = map(np.array, (off, guarded, scalar))
 
-    off_s, guarded_s, scalar_s = min(off), min(guarded), min(scalar)
-    per_call_us = lambda s: s / CALLS_PER_REP * 1e6  # noqa: E731
-    bookkeeping = guarded_s / off_s - 1.0
+    bookkeeping, bookkeeping_q1, bookkeeping_q3 = _median_and_quartiles(
+        guarded / off - 1.0
+    )
+    scalar_ratio = float(np.median(scalar / off))
     # One scalar reference replay per SENTINEL_INTERVAL jobs, spread over
     # every job in the steady-state stream.
-    amortised = (scalar_s / SENTINEL_INTERVAL) / off_s
+    amortised = scalar_ratio / SENTINEL_INTERVAL
     total = bookkeeping + amortised
-    scalar_ratio = scalar_s / off_s
+    per_call = lambda seconds: float(np.median(seconds)) / CALLS_PER_ROUND  # noqa: E731
 
     print_header("Guardrail overhead: sentinel mode on the replay hot path")
     print(
         paper_row(
             f"guard off, {TRACE_INSTRUCTIONS} instrs",
             "n/a",
-            f"{per_call_us(off_s):,.0f} us/call",
+            f"{per_call(off) * 1e6:,.0f} us/call",
         )
     )
     print(
         paper_row(
             "guard sentinel (unsampled ordinals)",
             "n/a",
-            f"{per_call_us(guarded_s):,.0f} us/call "
-            f"(+{bookkeeping * 100:.2f}% bookkeeping)",
+            f"{per_call(guarded) * 1e6:,.0f} us/call "
+            f"({bookkeeping * 100:+.2f}% bookkeeping, quartiles "
+            f"{bookkeeping_q1 * 100:+.2f}%/{bookkeeping_q3 * 100:+.2f}%)",
         )
     )
     print(
         paper_row(
             "scalar reference replay",
             "n/a",
-            f"{per_call_us(scalar_s):,.0f} us/call "
+            f"{per_call(scalar) * 1e6:,.0f} us/call "
             f"({scalar_ratio:.1f}x columnar)",
         )
     )
@@ -124,7 +142,7 @@ def test_bench_guard_overhead():
         paper_row(
             "total steady-state overhead",
             f"<{OVERHEAD_BUDGET * 100:.0f}%",
-            f"{total * 100:.2f}%",
+            f"{total * 100:+.2f}%",
         )
     )
 
@@ -132,13 +150,15 @@ def test_bench_guard_overhead():
         "bench": "guard_overhead",
         "workload": WORKLOAD,
         "trace_instructions": TRACE_INSTRUCTIONS,
-        "calls_per_rep": CALLS_PER_REP,
-        "reps": REPS,
+        "calls_per_round": CALLS_PER_ROUND,
+        "rounds": ROUNDS,
         "sentinel_interval": SENTINEL_INTERVAL,
-        "off_seconds_per_call": off_s / CALLS_PER_REP,
-        "guarded_seconds_per_call": guarded_s / CALLS_PER_REP,
-        "scalar_seconds_per_call": scalar_s / CALLS_PER_REP,
+        "off_seconds_per_call": per_call(off),
+        "guarded_seconds_per_call": per_call(guarded),
+        "scalar_seconds_per_call": per_call(scalar),
         "bookkeeping_overhead_fraction": bookkeeping,
+        "bookkeeping_overhead_q1": bookkeeping_q1,
+        "bookkeeping_overhead_q3": bookkeeping_q3,
         "amortised_sentinel_fraction": amortised,
         "total_overhead_fraction": total,
         "scalar_vs_columnar_ratio": scalar_ratio,

@@ -14,23 +14,24 @@ whole-trace passes instead:
    indirect branches, plus the mispredicted conditionals): RAS, shadow
    stack, indirect predictor, and the LCG that picks wrong-path targets.
 3. **L1 passes** — the L1I, L1D, ITLB and DTLB access streams are fully
-   known once the control pass has fixed the wrong-path fetches, and each
-   structure except the A15's write-streaming L1D is pure LRU, so per-op
-   hits and writebacks come from the batched stack-distance machinery in
-   :mod:`repro.uarch.cache`.  The streaming L1D, whose store misses
-   allocate or not depending on detector state, is resolved by one exact
-   program-order walk (:func:`repro.uarch.cache.batch_l1d_replay`).
+   known once the control pass has fixed the wrong-path fetches, so each
+   structure is replayed on its own, op by op from empty after its
+   compressed warm rows, by the ``lru_replay`` entry of the C kernel in
+   :mod:`repro.sim.kernel`: exact LRU with the ITLB's non-mutating
+   wrong-path probes, the L1D's dirty write-backs and the A15's
+   streaming-store detector, one outcome byte per op.
 4. **Merged L2 walk** — only the events that reach the shared L2 /
    L2 TLB / prefetcher (a few percent of all accesses) are replayed in
-   exact program order, after the silent warm fills, by the C kernel of
-   :mod:`repro.sim.l2kernel` (if it cannot be built, the replay raises
-   and the guard replays on the scalar engine).  All order-sensitive
-   float accumulation (stall terms with inexact weights, DRAM exposure
-   weights) happens there, in the scalar engine's order, which is what
-   keeps `SimResult` *bit-identical* rather than merely close.
+   exact program order, after the silent warm fills, by the kernel's
+   ``l2_walk``.  All order-sensitive float accumulation (stall terms with
+   inexact weights, DRAM exposure weights) happens there, in the scalar
+   engine's order, which is what keeps `SimResult` *bit-identical* rather
+   than merely close.
 
-The golden suite and the randomized equivalence suite assert
-bit-identity against the scalar engine, which remains the reference.
+If the kernel cannot be built, the replay raises and the guard replays
+on the scalar engine.  The golden suite and the randomized equivalence
+suite assert bit-identity against the scalar engine, which remains the
+reference.
 """
 
 from __future__ import annotations
@@ -51,19 +52,20 @@ from repro.sim.cpu import (
     _SHADOW_STACK_DEPTH,
     _data_warm_arrays,
     _finalise,
-    _make_state,
 )
-# The merged L2 walk: its C kernel is built and loaded on the first call.
-from repro.sim.l2kernel import l2_walk as _l2_walk
+# The L1 passes and the merged L2 walk: their C kernel is built and loaded
+# on the first call.
+from repro.sim.kernel import OP_MUTATE, OP_WRITE, OUT_HIT, OUT_STREAMED, OUT_WROTE_BACK
+from repro.sim.kernel import l2_walk as _l2_walk
+from repro.sim.kernel import lru_replay as _lru_replay
 from repro.sim.machine import MachineConfig
-from repro.uarch.branch import predict_conditional_batch
-from repro.uarch.cache import (
-    CacheStats,
-    batch_l1d_replay,
-    batch_lru_replay,
-    warm_content_rows,
+from repro.uarch.branch import (
+    IndirectPredictor,
+    ReturnAddressStack,
+    predict_conditional_batch,
 )
-from repro.uarch.tlb import TlbStats, batch_tlb_replay
+from repro.uarch.cache import CacheStats, lru_geometry, warm_content_rows
+from repro.uarch.tlb import TlbStats
 from repro.workloads.trace import (
     CACHE_LINE_BYTES,
     PAGE_BYTES,
@@ -115,32 +117,35 @@ def simulate_columnar(
     """Replay ``trace`` on ``machine`` with the columnar engine.
 
     Returns a `SimResult` bit-identical to ``repro.sim.cpu._simulate``.
-    Of the fresh state, only the RAS and the indirect predictor are
-    driven here; the caches and TLBs carry geometry.
+    The RAS and the indirect predictor are the only scalar state driven
+    here; every cache and TLB is replayed by the kernel.
     """
-    state = _make_state(machine)
-    l2 = state.l2
-    ras = state.ras
+    ras = ReturnAddressStack()
     shadow_stack: deque[int] = deque(maxlen=_SHADOW_STACK_DEPTH)
-    indirect = state.indirect
+    indirect = IndirectPredictor()
+    l2_bytes = machine.l2.size_bytes
+    itlb_geo = lru_geometry(machine.tlb.itlb_entries, machine.tlb.itlb_assoc)
+    dtlb_geo = lru_geometry(machine.tlb.dtlb_entries, machine.tlb.dtlb_assoc)
+    l1i_geo = lru_geometry(machine.l1i.lines, machine.l1i.assoc)
+    l1d_geo = lru_geometry(machine.l1d.lines, machine.l1d.assoc)
+    l1d_streaming = machine.l1d.write_streaming
 
-    tables = trace.replay_tables()
     with tracer.span("replay/decode", kind="replay"):
+        tables = trace.replay_tables()
         cols = tables.columnar(trace)
 
     # ---------------------------------------------------------------- warm
-    # The L1 structures are replayed in batch form: their warm sequences
-    # become (compressed) mutating rows at the head of each stream.  Only
-    # the L2-side objects are real state, warmed and walked in program
-    # order by the merged walk below.
+    # Each L1 pass replays its structure from empty, so its warm sequence
+    # becomes (compressed) mutating rows at the head of its stream.  The
+    # L2-side structures are warmed by the merged walk below.
     code_lines = np.asarray(tables.code_lines, dtype=np.int64)
     code_pages = np.asarray(tables.code_pages, dtype=np.int64)
     memo = cols.memo
-    dw_key = ("data_warm", l2.size_bytes)
+    dw_key = ("data_warm", l2_bytes)
     if dw_key in memo:
         l2_warm, l1d_warm, data_pages = memo[dw_key]
     else:
-        l2_warm, l1d_warm, data_pages = _data_warm_arrays(trace, l2.size_bytes)
+        l2_warm, l1d_warm, data_pages = _data_warm_arrays(trace, l2_bytes)
         memo[dw_key] = (l2_warm, l1d_warm, data_pages)
 
     # ---------------------------------------------------------- branch pass
@@ -193,20 +198,17 @@ def simulate_columnar(
         itlb_mut = np.concatenate(
             [np.ones(n_ipage, bool), np.zeros(n_mispredicts, bool)]
         )[order]
-        itlb_warm = _warm_memo(
-            memo, "itlb", code_pages, state.tlb.itlb.n_sets, state.tlb.itlb.assoc
-        )
+        itlb_warm = _warm_memo(memo, "itlb", code_pages, *itlb_geo)
         n_warm = len(itlb_warm)
         itlb_keys = np.concatenate([itlb_warm, itlb_pages])
         itlb_mut_full = np.concatenate([np.ones(n_warm, bool), itlb_mut])
-        hits = _replay_memo(
+        out = _replay_memo(
             memo,
-            ("itlb_replay", state.tlb.itlb.n_sets, state.tlb.itlb.assoc),
+            ("itlb_replay", *itlb_geo),
             (itlb_keys, itlb_mut_full),
-            lambda: batch_tlb_replay(
-                itlb_keys, state.tlb.itlb, mutating=itlb_mut_full
-            ),
-        )[n_warm:]
+            lambda: _lru_replay(itlb_keys, *itlb_geo, itlb_mut_full),
+        )
+        hits = (out[n_warm:] & OUT_HIT) != 0
         unsorted_hits = np.empty(len(hits), dtype=bool)
         unsorted_hits[order] = hits
         ipage_hit = unsorted_hits[:n_ipage]
@@ -226,18 +228,16 @@ def simulate_columnar(
         )
         order = _merge_order(ev_pos, ev_phase, ev_intra, np.zeros(len(ev_pos), np.int8))
         l1i_lines = np.concatenate([cols.iline_line, wp_line])[order]
-        l1i_warm = _warm_memo(
-            memo, "l1i", code_lines, state.l1i.n_sets, state.l1i.assoc
-        )
+        l1i_warm = _warm_memo(memo, "l1i", code_lines, *l1i_geo)
         n_warm = len(l1i_warm)
         l1i_keys = np.concatenate([l1i_warm, l1i_lines])
-        res = _replay_memo(
+        out = _replay_memo(
             memo,
-            ("l1i_replay", state.l1i.n_sets, state.l1i.assoc),
+            ("l1i_replay", *l1i_geo),
             (l1i_keys,),
-            lambda: batch_lru_replay(l1i_keys, state.l1i.n_sets, state.l1i.assoc),
+            lambda: _lru_replay(l1i_keys, *l1i_geo),
         )
-        hits = res.hit[n_warm:]
+        hits = (out[n_warm:] & OUT_HIT) != 0
         unsorted_hits = np.empty(len(hits), dtype=bool)
         unsorted_hits[order] = hits
         iline_hit = unsorted_hits[:n_iline]
@@ -245,41 +245,38 @@ def simulate_columnar(
         l1i_read_misses = int(np.count_nonzero(~hits))
 
     with tracer.span("replay/dtlb_pass", kind="replay"):
-        dtlb_warm = _warm_memo(
-            memo, ("dtlb", l2.size_bytes), data_pages,
-            state.tlb.dtlb.n_sets, state.tlb.dtlb.assoc,
-        )
+        dtlb_warm = _warm_memo(memo, ("dtlb", l2_bytes), data_pages, *dtlb_geo)
         n_warm = len(dtlb_warm)
         dtlb_keys = np.concatenate([dtlb_warm, cols.mem_page])
-        dtlb_hit = _replay_memo(
+        out = _replay_memo(
             memo,
-            ("dtlb_replay", state.tlb.dtlb.n_sets, state.tlb.dtlb.assoc,
-             l2.size_bytes),
+            ("dtlb_replay", *dtlb_geo, l2_bytes),
             (dtlb_keys,),
-            lambda: batch_tlb_replay(dtlb_keys, state.tlb.dtlb),
-        )[n_warm:]
+            lambda: _lru_replay(dtlb_keys, *dtlb_geo),
+        )
+        dtlb_hit = (out[n_warm:] & OUT_HIT) != 0
         dtlb_misses = int(np.count_nonzero(~dtlb_hit))
 
     with tracer.span("replay/l1d_pass", kind="replay"):
-        l1d = state.l1d
-        l1d_warm_c = _warm_memo(
-            memo, ("l1d", l2.size_bytes), l1d_warm, l1d.n_sets, l1d.assoc
-        )
+        l1d_warm_c = _warm_memo(memo, ("l1d", l2_bytes), l1d_warm, *l1d_geo)
         n_warm = len(l1d_warm_c)
         l1d_keys = np.concatenate([l1d_warm_c, cols.mem_line])
         l1d_writes = np.concatenate([np.zeros(n_warm, bool), cols.mem_write])
         # The stream depends on the trace and on the L2 capacity that sized
         # the warm prefix.
-        l1d_res = _replay_memo(
+        out = _replay_memo(
             memo,
-            ("l1d_replay", l1d.n_sets, l1d.assoc, l1d.write_streaming,
-             l2.size_bytes),
+            ("l1d_replay", *l1d_geo, l1d_streaming, l2_bytes),
             (l1d_keys, l1d_writes, n_warm),
-            lambda: batch_l1d_replay(l1d_keys, l1d_writes, n_warm, l1d),
-        )
-        mem_hit, mem_streamed, mem_wb = (
-            l1d_res.hit, l1d_res.streamed, l1d_res.wrote_back
-        )
+            lambda: _lru_replay(
+                l1d_keys, *l1d_geo,
+                np.where(l1d_writes, OP_MUTATE | OP_WRITE, OP_MUTATE),
+                l1d_streaming,
+            ),
+        )[n_warm:]
+        mem_hit = (out & OUT_HIT) != 0
+        mem_streamed = (out & OUT_STREAMED) != 0
+        mem_wb = (out & OUT_WROTE_BACK) != 0
 
     # --------------------------------------------------------- merged events
     with tracer.span("replay/merge_events", kind="replay"):
@@ -294,7 +291,7 @@ def simulate_columnar(
     with tracer.span("replay/l2_walk", kind="replay", events=len(merged[0])):
         walk, l2_stats, l2_itlb_stats, l2_dtlb_stats = _replay_memo(
             memo, ("l2walk",), (merged[0], merged[1], merged[2], machine),
-            lambda: _l2_walk(merged, machine, state, warm),
+            lambda: _l2_walk(merged, machine, warm),
         )
     (
         stall_icache,

@@ -285,8 +285,10 @@ def guarded_simulate(
     if plan is None or not plan.active or engine == "scalar":
         return simulate(trace, machine, engine, tracer=tracer), events, 0
 
-    tables = trace.replay_tables()
-    cols = tables.columnar(trace)
+    # The decode the replay below reuses, timed as the replay's own.
+    with tracer.span("replay/decode", kind="replay"):
+        tables = trace.replay_tables()
+        cols = tables.columnar(trace)
     fired = (
         faults.columnar_faults(trace.name, attempt, ordinal)
         if faults is not None and hasattr(faults, "columnar_faults")

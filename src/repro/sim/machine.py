@@ -58,6 +58,11 @@ class CacheGeometry:
     def size_bytes(self) -> int:
         return self.size_kb * 1024
 
+    @property
+    def lines(self) -> int:
+        """Capacity in lines (the ways of :func:`repro.uarch.cache.lru_geometry`)."""
+        return self.size_bytes // self.line_bytes
+
 
 @dataclass(frozen=True)
 class MachineConfig:

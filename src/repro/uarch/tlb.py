@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.uarch.cache import batch_lru_replay
+from repro.uarch.cache import lru_geometry
 
 
 @dataclass
@@ -37,8 +37,7 @@ class Tlb:
             raise ValueError("TLB must have at least one entry")
         self.name = name
         self.entries = entries
-        self.assoc = entries if assoc is None else max(1, min(assoc, entries))
-        self.n_sets = max(1, entries // self.assoc)
+        self.n_sets, self.assoc = lru_geometry(entries, assoc)
         self.stats = TlbStats()
         self._sets: list[list[int]] = [[] for _ in range(self.n_sets)]
 
@@ -81,23 +80,6 @@ class Tlb:
         fill = self.fill
         for page in np.asarray(pages, dtype=np.int64).tolist():
             fill(page)
-
-
-def batch_tlb_replay(
-    pages: np.ndarray,
-    tlb: Tlb,
-    mutating: np.ndarray | None = None,
-) -> np.ndarray:
-    """Batched L1-TLB replay over a whole page stream.
-
-    Returns per-op hit flags bit-identical to calling ``lookup`` (mutating
-    rows) / ``contains`` (non-mutating probe rows) in a loop, for the
-    stream in time order.  Warm ``fill``/``fill_many`` pages are modelled
-    as mutating rows at the head of the stream, since a counter-silent
-    fill has exactly a lookup's effect on LRU state.  ``tlb`` only
-    supplies geometry and is not touched.
-    """
-    return batch_lru_replay(pages, tlb.n_sets, tlb.assoc, mutating=mutating).hit
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ config whose validation workloads are a subset of its power workloads:
 * one trace compile per recipe;
 * one columnar replay, and one result-cache ``put``, per (recipe,
   machine) job;
-* one L2 walk per replay;
+* per replay, one kernel call for each of the four L1 passes (ITLB,
+  L1I, DTLB, L1D: a cold run has no memo hit) and one L2 walk;
+* one kernel load in the process, and no scalar state (``_make_state``)
+  built inside a columnar replay;
 * per phase checkpoint, one atomic write and one journal append, and no
   other durable write beyond the manifest, the run journal's start and
   end records and the cache entries.
@@ -28,9 +31,13 @@ import pytest
 
 import repro.atomicio as atomicio
 import repro.sim.columnar as columnar_mod
+import repro.sim.cpu as cpu_mod
+import repro.sim.kernel as kernel_mod
 from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.core.runstate import PHASES
+from repro.sim.machine import machine_by_name
 from repro.sim.result_cache import SimResultCache
+from repro.uarch.cache import lru_geometry
 from repro.workloads.suites import workload_by_name
 from repro.workloads.trace import _TraceBuilder
 
@@ -58,20 +65,54 @@ def _spy(patch, owner, name, calls: list, record):
     patch.setattr(owner, name, spy)
 
 
+def _l1_passes(machine) -> list[tuple]:
+    """The ``(n_sets, assoc, streaming)`` of the ITLB, L1I, DTLB and L1D
+    passes of one replay on ``machine``."""
+    tlb = machine.tlb
+    return [
+        (*lru_geometry(tlb.itlb_entries, tlb.itlb_assoc), False),
+        (*lru_geometry(machine.l1i.lines, machine.l1i.assoc), False),
+        (*lru_geometry(tlb.dtlb_entries, tlb.dtlb_assoc), False),
+        (*lru_geometry(machine.l1d.lines, machine.l1d.assoc),
+         machine.l1d.write_streaming),
+    ]
+
+
 @pytest.fixture(scope="module")
 def cold(tmp_path_factory):
     """One cold checkpointed report, with every spied call recorded."""
     directory = tmp_path_factory.mktemp("cold")
     calls: dict[str, list] = collections.defaultdict(list)
+    in_columnar: list[bool] = []
     with pytest.MonkeyPatch.context() as patch:
+        # As if no replay had run in this process yet.
+        patch.setattr(kernel_mod, "_KERNEL", None)
+        _spy(patch, kernel_mod, "_load", calls["load"], lambda: None)
+        _spy(
+            patch, columnar_mod, "_lru_replay", calls["lru_replay"],
+            lambda keys, n_sets, assoc, flags=None, streaming=False: (
+                n_sets, assoc, bool(streaming)
+            ),
+        )
+        _spy(
+            patch, cpu_mod, "_make_state", calls["make_state"],
+            lambda machine: bool(in_columnar),
+        )
         _spy(
             patch, _TraceBuilder, "build", calls["compile"],
             lambda self: (self.profile.name, self.target_instrs, self.seed),
         )
-        _spy(
-            patch, columnar_mod, "simulate_columnar", calls["replay"],
-            lambda trace, machine, *rest, **kw: (trace.name, machine.name),
-        )
+        replay = columnar_mod.simulate_columnar
+
+        def marked_replay(trace, machine, *rest, **kwargs):
+            calls["replay"].append((trace.name, machine.name))
+            in_columnar.append(True)
+            try:
+                return replay(trace, machine, *rest, **kwargs)
+            finally:
+                in_columnar.pop()
+
+        patch.setattr(columnar_mod, "simulate_columnar", marked_replay)
         _spy(
             patch, columnar_mod, "_l2_walk", calls["l2_walk"],
             lambda merged, machine, *rest, **kw: machine.name,
@@ -125,6 +166,26 @@ def test_each_replay_walks_the_l2_once(cold):
     assert collections.Counter(calls["l2_walk"]) == collections.Counter(
         machine for _, machine in calls["replay"]
     )
+
+
+def test_each_replay_makes_one_kernel_call_per_l1_pass(cold):
+    _, calls = cold
+    expected = collections.Counter()
+    for _, machine in calls["replay"]:
+        expected.update(_l1_passes(machine_by_name(machine)))
+    assert collections.Counter(calls["lru_replay"]) == expected
+    assert len(calls["lru_replay"]) == 4 * len(calls["replay"])
+
+
+def test_the_kernel_is_loaded_once(cold):
+    _, calls = cold
+    assert len(calls["load"]) == 1
+
+
+def test_the_columnar_engine_builds_no_scalar_state(cold):
+    _, calls = cold
+    # Scalar replays (the guard's sentinel samples) may build one.
+    assert True not in calls["make_state"]
 
 
 def test_durable_writes_per_phase_checkpoint(cold):

@@ -7,7 +7,7 @@ workloads, as the paper's 45 are of its 65: each (workload, OPP) point
 is characterised once, each machine fingerprint and recipe digest is
 hashed once, the gem5 rate matrix makes no per-element ``rate()`` call,
 the DVFS analysis evaluates the power model twice per run, and the
-compiled L2 walk is neither built nor loaded.
+compiled replay kernel is neither built nor loaded.
 
 The counts come from spies installed by the tests, not from registry
 counters, so the pinned counter sets of ``tests/obs`` stay as they are.
@@ -20,7 +20,7 @@ import dataclasses
 import pytest
 
 import repro.core.pipeline as pipeline_mod
-import repro.sim.l2kernel as l2kernel_mod
+import repro.sim.kernel as kernel_mod
 import repro.sim.result_cache as result_cache_mod
 import repro.workloads.trace as trace_mod
 from repro.core.pipeline import GemStone, GemStoneConfig
@@ -89,13 +89,13 @@ def test_each_point_is_characterised_once(filled, monkeypatch):
     assert len(calls) == len(set(calls)) == len(POWER) * len(SMALL_FREQS)
 
 
-def test_warm_report_never_touches_the_l2_kernel(filled, monkeypatch):
+def test_warm_report_never_touches_the_kernel(filled, monkeypatch):
     # As if no replay had run in this process: a replay would load it.
-    monkeypatch.setattr(l2kernel_mod, "_KERNEL", None)
+    monkeypatch.setattr(kernel_mod, "_KERNEL", None)
     loads: list = []
     builds: list = []
-    _spy(monkeypatch, l2kernel_mod, "_load", loads)
-    _spy(monkeypatch, l2kernel_mod, "_build", builds)
+    _spy(monkeypatch, kernel_mod, "_load", loads)
+    _spy(monkeypatch, kernel_mod, "_build", builds)
     gemstone = GemStone(_config(filled))
     gemstone.report()
 

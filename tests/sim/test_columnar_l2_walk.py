@@ -1,8 +1,8 @@
 """The columnar engine's L2 stage: one exact program-order walk, memoised.
 
 Every columnar replay resolves the L2-facing event stream (L2, L2 TLBs,
-stride prefetcher) with the scalar-model walk over the real state
-objects, and memoises the outcome on the decoded trace.  These tests pin
+stride prefetcher) with the compiled program-order walk of
+:mod:`repro.sim.kernel`, and memoises the outcome on the decoded trace.  These tests pin
 what that design promises:
 
 * the trace that used to exhaust a batched prefetch fixpoint replays

@@ -6,11 +6,13 @@ replay.  Two modules sit under it: the guard layer, which every executor
 replay passes through, and the executor itself.  The Section VII
 improvement loop is the one named exception: it keeps each compiled trace
 across its greedy rounds, which per-round executor batches would drop.
-Every replay builds a fresh micro-architectural state, and only the two
-engines build one.  Only the sharded campaign (:mod:`repro.sim.campaign`)
+Every scalar replay builds a fresh micro-architectural state, and only
+the scalar engine builds one: the columnar engine replays its caches and
+TLBs in the compiled kernel and keeps only a fresh RAS and indirect
+predictor.  Only the sharded campaign (:mod:`repro.sim.campaign`)
 runs simulations across processes: no other module imports
 ``concurrent.futures`` or ``multiprocessing`` or builds a process pool.
-Only the compiled L2 walk (:mod:`repro.sim.l2kernel`) loads native code
+Only the compiled replay kernel (:mod:`repro.sim.kernel`) loads native code
 or runs the C compiler: no other module imports ``ctypes`` or
 ``subprocess`` or names a compiler.
 
@@ -36,7 +38,7 @@ SIMULATE_CALLERS = {
 }
 
 #: Modules allowed to build a replay's state with ``_make_state``.
-STATE_BUILDERS = {"repro.sim.cpu", "repro.sim.columnar"}
+STATE_BUILDERS = {"repro.sim.cpu"}
 
 #: The one module allowed to start processes.
 PROCESS_STARTERS = {"repro.sim.campaign"}
@@ -46,7 +48,7 @@ PROCESS_MODULES = ("concurrent.futures", "multiprocessing")
 POOL_BUILDERS = {"ProcessPoolExecutor", "Pool", "fork"}
 
 #: The one module allowed to load native code or run the C compiler.
-NATIVE_MODULES = {"repro.sim.l2kernel"}
+NATIVE_MODULES = {"repro.sim.kernel"}
 
 #: Modules that load native code or run programs, and compiler names.
 NATIVE_IMPORTS = ("ctypes", "subprocess")
@@ -142,7 +144,7 @@ def test_only_the_executor_guard_and_improvement_call_simulate():
     assert {"repro.sim.guard", "repro.core.improvement"} <= callers
 
 
-def test_only_the_engines_build_replay_state():
+def test_only_the_scalar_engine_builds_replay_state():
     builders = {
         name for name, tree in _modules() if _uses(tree, "_make_state")
     }
@@ -203,6 +205,6 @@ def test_ignores_strings_that_only_look_alike():
     assert not _goes_native(ast.parse("x = 'ccache'\ny = 'access'\n"))
 
 
-def test_only_the_l2_kernel_goes_native():
+def test_only_the_kernel_goes_native():
     native = {name for name, tree in _modules() if _goes_native(tree)}
     assert native == NATIVE_MODULES, sorted(native ^ NATIVE_MODULES)

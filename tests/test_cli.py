@@ -178,12 +178,12 @@ class TestStartup:
         # The fits are imported, and still without scipy.stats.
         assert out == ["True", "False"]
 
-    def test_import_does_not_load_the_l2_kernel(self):
-        """The compiled L2 walk is loaded by the first columnar replay,
+    def test_import_does_not_load_the_kernel(self):
+        """The compiled replay kernel is loaded by the first columnar replay,
         not at start-up; ``ctypes`` is only there if numpy brings it."""
         out = _fresh_interpreter(
             "import sys, repro.cli; "
-            "print('repro.sim.l2kernel' in sys.modules, "
+            "print('repro.sim.kernel' in sys.modules, "
             "'repro.sim.columnar' in sys.modules, 'ctypes' in sys.modules)"
         )
         numpy_alone = _fresh_interpreter(

@@ -3,7 +3,8 @@
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from repro.uarch.cache import SetAssociativeCache, batch_l1d_replay
+from repro.sim import kernel
+from repro.uarch.cache import SetAssociativeCache, warm_content_rows
 from repro.uarch.tlb import Tlb
 
 
@@ -129,12 +130,22 @@ def _reference_l1d(warm, ops, cache):
 
 
 def _walk_l1d(warm, ops, cache):
-    """Per-op (hit, streamed, wrote_back) from :func:`batch_l1d_replay`."""
-    lines = np.array(list(warm) + [line for line, _ in ops], dtype=np.int64)
-    writes = np.array([False] * len(warm) + [w for _, w in ops], dtype=bool)
-    res = batch_l1d_replay(lines, writes, len(warm), cache)
-    return list(zip(res.hit.tolist(), res.streamed.tolist(),
-                    res.wrote_back.tolist()))
+    """Per-op (hit, streamed, wrote_back) from the kernel's ``lru_replay``,
+    fed as the columnar L1D pass feeds it: the warm fills compressed to
+    mutating read rows, then the ops.  ``cache`` gives the geometry."""
+    rows = warm_content_rows(warm, cache.n_sets, cache.assoc)
+    lines = np.concatenate([rows, np.array([line for line, _ in ops], np.int64)])
+    flags = [kernel.OP_MUTATE] * len(rows) + [
+        kernel.OP_MUTATE | (kernel.OP_WRITE if write else 0) for _, write in ops
+    ]
+    out = kernel.lru_replay(
+        lines, cache.n_sets, cache.assoc, flags, cache.write_streaming
+    )[len(rows):]
+    return [
+        (bool(o & kernel.OUT_HIT), bool(o & kernel.OUT_STREAMED),
+         bool(o & kernel.OUT_WROTE_BACK))
+        for o in out.tolist()
+    ]
 
 
 def _interleaved_runs():
@@ -189,9 +200,8 @@ def _l1d_streams(draw):
 @example(assoc=2, n_sets=4, write_streaming=True, stream=([], _interleaved_runs()))
 @example(assoc=4, n_sets=4, write_streaming=True, stream=([], _interleaved_runs()))
 def test_l1d_resolver_matches_per_op_access(assoc, n_sets, write_streaming, stream):
-    """The L1D resolver (the exact walk for a write-streaming cache, the
-    batched LRU replay otherwise) reproduces ``access`` op by op after the
-    same warm ``fill`` prefix."""
+    """The kernel's L1D replay reproduces ``access`` op by op after the
+    same warm ``fill`` prefix, with and without write streaming."""
     warm, ops = stream
 
     def make():
