@@ -15,9 +15,9 @@ test:
 # recorded in the collection health.  Faults across processes (shard
 # crashes, lease stalls, out-of-memory shards, board poisoning) are the
 # campaign's, run by `make test-dist`.
-# Includes the checkpoint/resume scenarios: the pipeline is killed after
-# every phase (including through a guard-triggered fallback) and the
-# --resume run must produce a byte-identical report.
+# Includes the checkpoint scenarios: the pipeline is killed after every
+# phase (including through a guard-triggered fallback) and a rerun on the
+# same checkpoint directory must produce a byte-identical report.
 test-chaos:
 	$(PYTHON) -m pytest -q -m chaos
 

@@ -73,7 +73,7 @@ def median_and_iqr(values: list[float]) -> tuple[float, float]:
 
 
 class CompiledJob(SimJob):
-    """A :class:`SimJob` that compiles its trace once and then reuses it.
+    """A :class:`SimJob` that compiles its recipe's trace once and reuses it.
 
     The overhead benchmarks time uncached ``SimExecutor.run`` calls on the
     replay hot path; a plain job would compile its trace inside every
@@ -81,8 +81,8 @@ class CompiledJob(SimJob):
     """
 
     @cached_property
-    def trace(self):
-        return super().compile()
+    def recipe_trace(self):
+        return super().compile_recipe()
 
-    def compile(self):
-        return self.trace
+    def compile_recipe(self):
+        return self.recipe_trace

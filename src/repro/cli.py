@@ -3,7 +3,7 @@
 Mirrors the workflow of the paper's released software::
 
     gemstone report --core A15 --model gem5-ex5-big      # full evaluation
-    gemstone report --checkpoint-dir run/ --resume       # crash-safe resume
+    gemstone report --checkpoint-dir run/                # crash-safe rerun
     gemstone headline --core A15                         # exec-time errors
     gemstone lmbench --machine gem5-ex5-little           # Fig. 4 sweep
     gemstone power-model --core A15                      # Section V model
@@ -134,7 +134,6 @@ def _gemstone(args: argparse.Namespace) -> GemStone:
             engine=getattr(args, "engine", "columnar"),
             guard_level=getattr(args, "guard_level", "sentinel"),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
-            resume=getattr(args, "resume", False),
             trace_dir=getattr(args, "trace_out", None),
         )
     )
@@ -152,10 +151,10 @@ def _emit(text: str, out: str | None) -> None:
 def cmd_report(args: argparse.Namespace) -> int:
     """Print or write the full GemStone evaluation report.
 
-    With ``--checkpoint-dir`` every completed phase is journalled and
-    checkpointed; a run killed by SIGINT/SIGTERM (or a crash) can be
-    re-run with ``--resume`` and completes from the last finished phase,
-    producing a byte-identical report.
+    With ``--checkpoint-dir`` every completed phase is checkpointed; a run
+    killed by SIGINT/SIGTERM (or a crash) re-run on the same directory
+    restores the finished phases and computes the rest, producing a
+    byte-identical report.
     """
     gs = _gemstone(args)
     if gs.runstate is not None:
@@ -653,15 +652,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--checkpoint-dir",
         default=None,
         metavar="DIR",
-        help="journal + checkpoint every pipeline phase into DIR "
-        "(crash-safe: atomic writes, checksummed, config-fingerprinted)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore completed phases from --checkpoint-dir instead of "
-        "recomputing them; corrupt or stale checkpoints are quarantined "
-        "and recomputed",
+        help="checkpoint every pipeline phase into DIR and restore the "
+        "phases a previous run finished there (atomic, checksummed, keyed "
+        "by the config fields each phase uses; corrupt or stale "
+        "checkpoints are quarantined and recomputed)",
     )
     p.add_argument(
         "--trace-out",

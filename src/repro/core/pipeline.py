@@ -115,13 +115,11 @@ class GemStoneConfig:
             ``"paranoid"`` (every job dual-replayed).  Guards never change
             a correct result, so this too is an execution knob excluded
             from the run fingerprint.
-        checkpoint_dir: Directory for the crash-safe run state (journal +
-            per-phase checkpoints, see :mod:`repro.core.runstate`); ``None``
-            disables checkpointing.
-        resume: Restore completed phases from ``checkpoint_dir`` instead of
-            recomputing them.  Checkpoints are bound to a fingerprint of
-            the resolved config — a directory written under a different
-            configuration is quarantined and fully recomputed.
+        checkpoint_dir: Directory for the crash-safe run state (one
+            checkpoint per phase, see :mod:`repro.core.runstate`); ``None``
+            disables checkpointing.  A run restores every phase whose
+            checkpoint there matches its phase key — the fingerprint of the
+            config fields that phase consumes — and recomputes the rest.
         trace: Enable in-memory span tracing (see :mod:`repro.obs`).
             Off by default; tracing never affects results, and like the
             execution knobs it is excluded from the run fingerprint.
@@ -155,7 +153,6 @@ class GemStoneConfig:
     engine: str = "columnar"
     guard_level: str = "sentinel"
     checkpoint_dir: str | None = None
-    resume: bool = False
     trace: bool = False
     trace_dir: str | None = None
     board_dir: str | None = None
@@ -261,13 +258,12 @@ class GemStone:
             executor=self.executor,
         )
         # Optional crash-safe run state: every memoised product below is
-        # checkpointed as its phase completes, and restored on --resume.
+        # checkpointed as its phase completes, and restored by a rerun.
         self.runstate: RunState | None = None
         if self.config.checkpoint_dir is not None:
             self.runstate = RunState(
                 self.config.checkpoint_dir,
                 RunManifest.from_config(self.config),
-                resume=self.config.resume,
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
@@ -536,7 +532,6 @@ class GemStone:
         with self.tracer.span("phase:report", kind="phase"):
             text = render_full_report(self, include_telemetry=False)
         self.runstate.checkpoint("report", {"product": text, "health": None})
-        self.runstate.journal("run-complete")
         return text
 
     def export_trace(self, directory: str | None = None) -> dict[str, str]:

@@ -3,7 +3,7 @@
 All finished-file writes go through :mod:`repro.atomicio` so a crash never
 leaves a torn export; the live JSONL event stream is the one append-only
 artifact, and :func:`read_event_stream` drops a torn tail line the same
-way the run journal does.
+way the campaign board's journal does.
 
 The Chrome trace-event document (``{"traceEvents": [...]}`` with ``ph: X``
 complete events) loads directly in Perfetto (https://ui.perfetto.dev) and
@@ -31,7 +31,7 @@ METRICS_FILE = "metrics.prom"
 def read_event_stream(path: str, missing_ok: bool = False) -> list[dict]:
     """Parse a JSONL trace stream, dropping a torn or corrupt tail.
 
-    Unlike the checksummed run journal, a trace stream is best-effort
+    Unlike the checksummed board journal, a trace stream is best-effort
     observability: a bad line ends the trusted prefix (everything before
     it is returned) rather than raising.
 

@@ -58,7 +58,7 @@ from repro.sim.guard import GuardPlan, GuardRail, guarded_simulate
 from repro.sim.machine import MachineConfig
 from repro.sim.result_cache import SimJob, SimResultCache
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace
+from repro.workloads.trace import SyntheticTrace
 
 logger = get_logger(__name__)
 
@@ -391,7 +391,7 @@ class SimExecutor:
         outcomes: list = [None] * len(pending)
         for indices in by_recipe.values():
             first = pending[indices[0]]
-            trace = compile_trace(first.profile, first.n_instrs)
+            trace = first.compile_recipe()
             for i in indices:
                 outcomes[i] = self._run_with_retry(
                     pending[i], pending[i].window_of(trace), ordinal + i,

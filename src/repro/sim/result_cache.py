@@ -135,9 +135,13 @@ class SimJob:
         raw = f"{digest}|{machine_fingerprint(self.machine)}"
         return hashlib.sha1(raw.encode()).hexdigest()
 
+    def compile_recipe(self) -> SyntheticTrace:
+        """Compile the recipe's whole trace (the job's window ignored)."""
+        return compile_trace(self.profile, self.n_instrs)
+
     def compile(self) -> SyntheticTrace:
         """Compile the trace the job replays (its window, if it has one)."""
-        return self.window_of(compile_trace(self.profile, self.n_instrs))
+        return self.window_of(self.compile_recipe())
 
     def window_of(self, trace: SyntheticTrace) -> SyntheticTrace:
         """The job's window of ``trace``, the trace compiled from its recipe."""

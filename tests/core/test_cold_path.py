@@ -13,9 +13,8 @@ config whose validation workloads are a subset of its power workloads:
   L1I, DTLB, L1D: a cold run has no memo hit) and one L2 walk;
 * one kernel load in the process, and no scalar state (``_make_state``)
   built inside a columnar replay;
-* per phase checkpoint, one atomic write and one journal append, and no
-  other durable write beyond the manifest, the run journal's start and
-  end records and the cache entries.
+* one atomic write per phase checkpoint and one per cache entry, and no
+  other durable write: no run manifest and no journal append.
 
 The counts come from spies installed by the tests, not from registry
 counters, so the pinned counter sets of ``tests/obs`` stay as they are.
@@ -26,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import os
+import re
 
 import pytest
 
@@ -194,15 +194,8 @@ def test_durable_writes_per_phase_checkpoint(cold):
     assert all(fsync for _, fsync in calls["write"])
     checkpoints = {n: c for n, c in writes.items() if n.endswith(".ckpt")}
     assert checkpoints == {f"{phase}.ckpt": 1 for phase in PHASES}
-    # Besides the checkpoints: the manifest and one entry per job.
+    # Besides the checkpoints: one cache entry per job, and nothing else.
     others = {n: c for n, c in writes.items() if not n.endswith(".ckpt")}
-    assert others.pop("manifest.json") == 1
     assert sorted(others.values()) == [1] * len(JOBS)
-
-    assert {name for name, _, _ in calls["append"]} == {"journal.jsonl"}
-    events = [(event, phase) for _, event, phase in calls["append"]]
-    assert events == [
-        ("run-start", None),
-        *(("checkpointed", phase) for phase in PHASES),
-        ("run-complete", None),
-    ]
+    assert all(re.fullmatch(r"[0-9a-f]{40}\.json", n) for n in others)
+    assert calls["append"] == []

@@ -66,6 +66,12 @@ def filled(tmp_path_factory):
     return directory
 
 
+def _warm(filled, tmp_path) -> GemStone:
+    """A run on the filled cache, checkpointed into its own directory so
+    that it restores no phase another test computed."""
+    return GemStone(_config(filled, checkpoint_dir=str(tmp_path / "ckpt")))
+
+
 def _spy(monkeypatch, owner, name, calls: list, record=lambda *a: a):
     real = getattr(owner, name)
 
@@ -76,34 +82,34 @@ def _spy(monkeypatch, owner, name, calls: list, record=lambda *a: a):
     monkeypatch.setattr(owner, name, spy)
 
 
-def test_each_point_is_characterised_once(filled, monkeypatch):
+def test_each_point_is_characterised_once(filled, tmp_path, monkeypatch):
     calls: list = []
     _spy(
         monkeypatch, HardwarePlatform, "_characterize", calls,
         record=lambda self, profile, freq, with_power: (profile, freq, with_power),
     )
-    gemstone = GemStone(_config(filled))
+    gemstone = _warm(filled, tmp_path)
     gemstone.report()
 
     assert gemstone.executor.telemetry.jobs_run == 0
     assert len(calls) == len(set(calls)) == len(POWER) * len(SMALL_FREQS)
 
 
-def test_warm_report_never_touches_the_kernel(filled, monkeypatch):
+def test_warm_report_never_touches_the_kernel(filled, tmp_path, monkeypatch):
     # As if no replay had run in this process: a replay would load it.
     monkeypatch.setattr(kernel_mod, "_KERNEL", None)
     loads: list = []
     builds: list = []
     _spy(monkeypatch, kernel_mod, "_load", loads)
     _spy(monkeypatch, kernel_mod, "_build", builds)
-    gemstone = GemStone(_config(filled))
+    gemstone = _warm(filled, tmp_path)
     gemstone.report()
 
     assert gemstone.executor.telemetry.jobs_run == 0
     assert loads == [] and builds == []
 
 
-def test_warm_report_traffic(filled, monkeypatch):
+def test_warm_report_traffic(filled, tmp_path, monkeypatch):
     # Empty the identity memos, so this run hashes every identity itself.
     monkeypatch.setattr(result_cache_mod, "_FINGERPRINTS", {})
     monkeypatch.setattr(trace_mod, "_RECIPE_DIGESTS", {})
@@ -135,7 +141,7 @@ def test_warm_report_traffic(filled, monkeypatch):
     monkeypatch.setattr(PowerModel, "predict_components", predict_components)
     monkeypatch.setattr(pipeline_mod, "dvfs_scaling", dvfs_scaling)
 
-    gemstone = GemStone(_config(filled))
+    gemstone = _warm(filled, tmp_path)
     gemstone.report()
 
     assert gemstone.executor.telemetry.jobs_run == 0

@@ -3,9 +3,9 @@
 Every counter a run leaves in its metrics registry, by dotted name, for
 four small deterministic scenarios: a checkpointed, cached pipeline run
 under injected cache corruption, NaN passes and poisoned memos at the
-sentinel guard level; its ``resume=True`` rerun; the resume of a run
-killed after its dataset phase; and the merged snapshot of a 2-shard
-campaign.  A counter listed here must keep its exact value; a counter
+sentinel guard level; its rerun on the same checkpoint directory; the
+rerun of a run killed after its dataset phase; and the merged snapshot
+of a 2-shard campaign.  A counter listed here must keep its exact value; a counter
 not listed may appear only with value 0.  Wall-clock counters (names
 ending in ``seconds``) are excluded: their values are timings.
 """
@@ -36,7 +36,6 @@ FAULTS = (
 #: Counters of a full checkpointed run.
 RUN = {
     "core.runstate.checkpointed": 12,
-    "core.runstate.journal_records_dropped": 0,
     "pipeline.phases_computed": 11,
     "sim.cache.misses": 6,
     "sim.executor.batches": 1,
@@ -59,7 +58,6 @@ DATASET_PHASE = {
 
 #: A resumed complete run restores the report and computes nothing.
 RESUME = {
-    "core.runstate.journal_records_dropped": 0,
     "core.runstate.restored": 1,
 }
 
@@ -68,7 +66,6 @@ RESUME = {
 #: recomputed) and every later phase is computed and checkpointed.
 RESUME_AFTER_KILL = {
     "core.runstate.checkpointed": 11,
-    "core.runstate.journal_records_dropped": 0,
     "core.runstate.restored": 1,
     "pipeline.phases_computed": 10,
     "pipeline.phases_restored": 1,
@@ -143,7 +140,7 @@ def test_checkpointed_run_and_its_resume(tmp_path):
     report = first.report()
     _assert_pinned(_counters(first.metrics), RUN)
 
-    resumed = GemStone(_config(tmp_path, resume=True))
+    resumed = GemStone(_config(tmp_path))
     assert resumed.report() == report
     _assert_pinned(_counters(resumed.metrics), RESUME)
 
@@ -154,7 +151,7 @@ def test_resume_after_a_kill(tmp_path):
     _assert_pinned(_counters(victim.metrics), DATASET_PHASE)
     del victim  # only the checkpoints and the cache survive
 
-    resumed = GemStone(_config(tmp_path, resume=True))
+    resumed = GemStone(_config(tmp_path))
     resumed.report()
     _assert_pinned(_counters(resumed.metrics), RESUME_AFTER_KILL)
 

@@ -95,7 +95,6 @@ def test_killed_traced_run_resumes_with_a_two_segment_trace(
     resumed = GemStone(
         _config(
             sim_cache_dir, checkpoint_dir=ckpt, trace_dir=trace_dir,
-            resume=True,
         )
     )
     assert resumed.report() == reference_report

@@ -160,7 +160,6 @@ class TestKillAndResume:
             faults=faults,
             checkpoint_dir=directory,
             cache_dir=cache_dir,
-            resume=True,
         )
         assert resumed.report() == reference
         # The dataset phase restored (events came back from the

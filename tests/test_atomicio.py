@@ -1,7 +1,8 @@
 """Unit tests for the durability layer (repro.atomicio).
 
-Covers the journal (round trip, torn-tail truncation on append, tampered
-records, two processes sharing one journal under ``file_lock``), the
+Covers the journal (round trip, torn-tail truncation on append but never
+on read, sequence numbers continuing across instances, tampered records,
+two processes sharing one journal under ``file_lock``), the
 envelope's rejection paths, quarantine naming, and the lock itself.
 """
 
@@ -128,6 +129,45 @@ class TestJournal:
             handle.write(data.replace(b'"a"', b'"x"', 1))
         assert journal.read() == []
         assert journal.dropped == 2
+
+    def test_reading_truncates_nothing(self, tmp_path):
+        journal = Journal(str(tmp_path / "journal.jsonl"))
+        journal.append("first")
+        with open(journal.path, "a") as handle:
+            handle.write('{"seq": 1, "event": "torn"')
+        torn = open(journal.path, "rb").read()
+        for _ in range(2):
+            assert [r["event"] for r in journal.read()] == ["first"]
+            assert journal.dropped == 1
+        assert open(journal.path, "rb").read() == torn
+        journal.append("second")
+        assert journal.dropped == 1
+        journal.append("third")
+        assert journal.dropped == 0
+
+    def test_sequence_continues_across_instances(self, tmp_path):
+        path = str(tmp_path / "journal.jsonl")
+        Journal(path).append("first")
+        second = Journal(path)
+        second.append("second")
+        records = Journal(path).read()
+        assert [r["seq"] for r in records] == [0, 1]
+        assert [r["event"] for r in records] == ["first", "second"]
+
+    def test_a_new_instance_truncates_a_torn_tail_before_appending(
+        self, tmp_path
+    ):
+        path = str(tmp_path / "journal.jsonl")
+        Journal(path).append("first")
+        torn = '{"seq": 1, "event": "torn"'
+        with open(path, "a") as handle:
+            handle.write(torn)
+        reopened = Journal(path)
+        record = reopened.append("second")
+        assert record["seq"] == 1
+        assert reopened.dropped == 1
+        assert torn not in open(path).read()
+        assert [r["event"] for r in Journal(path).read()] == ["first", "second"]
 
     @pytest.mark.dist
     def test_two_processes_share_one_journal_under_the_lock(self, tmp_path):
