@@ -522,6 +522,8 @@ class GemStone:
         restored = self.runstate.restore("report")
         if restored is not None:
             self.tracer.event("report-restored")
+            self.metrics.counter("pipeline.phases_restored").inc()
+            logger.info("phase %s: restored from checkpoint", "report")
             return restored["product"]
         # Materialise the health-bearing phases first: a restored power
         # model never pulls the power-dataset checkpoint on its own, and

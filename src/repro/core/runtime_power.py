@@ -152,12 +152,12 @@ def runtime_power_trace(
     """Per-window power of one workload, evaluated inside the simulation.
 
     The trace is split into ``n_windows`` contiguous windows; each window is
-    simulated through ``gem5.executor`` (one batch, so a cache miss
-    compiles the trace once for every window) and the compiled equations
-    are evaluated on its statistics — the behaviour of a gem5
+    simulated through ``gem5.executor`` (one batch) and the compiled
+    equations are evaluated on its statistics — the behaviour of a gem5
     ``MathExprPowerModel`` sampled periodically.  The window bounds need
-    the trace's dynamic block count, so the trace is compiled here once
-    even when the cache answers every window.
+    the trace's dynamic block count, so the trace is compiled here once,
+    and the executor replays that compile for every window the cache
+    misses.
 
     Raises:
         ValueError: For fewer than one window.
@@ -165,10 +165,13 @@ def runtime_power_trace(
     if n_windows < 1:
         raise ValueError("need at least one window")
     job = gem5.job_for(profile)
-    n_blocks = len(job.compile().block_seq)
+    trace = job.compile_recipe()
+    n_blocks = len(trace.block_seq)
     bounds = [round(i * n_blocks / n_windows) for i in range(n_windows + 1)]
     windows = [(start, end) for start, end in zip(bounds, bounds[1:]) if end > start]
-    results = gem5.executor.run_many([replace(job, window=w) for w in windows])
+    results = gem5.executor.run_many(
+        [replace(job, window=w) for w in windows], traces=[trace]
+    )
     repeat = HardwarePlatform.repeat_count(profile, gem5.trace_instructions)
 
     samples: list[PowerSample] = []

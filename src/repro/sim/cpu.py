@@ -238,16 +238,15 @@ def _simulate(trace: SyntheticTrace, machine: MachineConfig) -> SimResult:
 
     # --- local bindings for the hot loop -------------------------------------
     # The per-block replay tables (flat parallel lists, no dataclass
-    # attribute access per dynamic block) are machine-independent and
-    # memoised on the trace: every trace is simulated on at least two
-    # machines, so the flattening cost is paid once.
+    # attribute access per dynamic block) and the dynamic sequences as
+    # lists are machine-independent and memoised on the trace: every trace
+    # is simulated on at least two machines, so the flattening cost is
+    # paid once.
     blocks = trace.blocks
     tables = trace.replay_tables()
-    block_seq = tables.block_seq
-    taken_seq = tables.taken_seq
-    target_seq = tables.target_seq
-    mem_lines = tables.mem_lines
-    mem_pages = tables.mem_pages
+    block_seq, taken_seq, target_seq, mem_lines, mem_pages = (
+        tables.dynamic_lists(trace)
+    )
     block_pages = tables.block_pages
     block_lines = tables.block_lines
     page_tails = tables.page_tails

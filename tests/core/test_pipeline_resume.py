@@ -120,6 +120,24 @@ def test_fully_completed_run_resumes_from_the_report_checkpoint(
     assert resumed.runstate.metrics.counter("core.runstate.checkpointed").value == 0
 
 
+def test_rerun_on_a_finished_directory_logs_the_report_restore(
+    sim_cache_dir, tmp_path, reference_report, caplog
+):
+    """A whole-report restore is counted and logged like any phase's."""
+    directory = str(tmp_path / "ckpt")
+    GemStone(_config(sim_cache_dir, directory)).report()
+
+    resumed = GemStone(_config(sim_cache_dir, directory))
+    with caplog.at_level("INFO", logger="repro.core.pipeline"):
+        assert resumed.report() == reference_report
+    assert [
+        (record.levelname, record.getMessage())
+        for record in caplog.records
+        if record.name == "repro.core.pipeline"
+    ] == [("INFO", "phase report: restored from checkpoint")]
+    assert resumed.metrics.counter("pipeline.phases_restored").value == 1
+
+
 def test_mismatched_config_splices_the_shared_subgraph(
     sim_cache_dir, tmp_path, reference_report
 ):

@@ -59,6 +59,7 @@ DATASET_PHASE = {
 #: A resumed complete run restores the report and computes nothing.
 RESUME = {
     "core.runstate.restored": 1,
+    "pipeline.phases_restored": 1,
 }
 
 #: Resuming a run killed after its dataset phase: the dataset restores,
