@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-chaos test-dist test-replay trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint lint-style check
+.PHONY: test test-chaos test-dist test-replay test-sanitize trace-smoke trace-campaign-smoke bench bench-smoke bench-replay bench-guard bench-campaign bench-lint bench-prof bench-startup lint lint-style check
 
 # Tier-1: the full unit/integration suite (includes the chaos scenarios).
 test:
@@ -61,6 +61,17 @@ test-replay:
 		tests/sim/test_columnar_equivalence.py \
 		tests/sim/test_columnar_l2_walk.py tests/sim/test_kernel.py \
 		tests/sim/test_chaos_columnar.py tests/uarch
+
+# The C kernel under AddressSanitizer and UndefinedBehaviorSanitizer: its
+# own tests, the oracle tests of its branch pass, control pass and event
+# merge, and the columnar equivalence suite, on a library that
+# tests/sim/kernel_sanitizers.py builds with -O1 -g and the sanitizers
+# into a temporary cache; the first report aborts the run.  Output is
+# captured at the sys level only, so a report reaches the terminal.
+test-sanitize:
+	LD_PRELOAD=libasan.so.8 ASAN_OPTIONS=detect_leaks=0 $(PYTHON) -m pytest -q --capture=sys \
+		-p tests.sim.kernel_sanitizers tests/sim/test_kernel.py \
+		tests/sim/test_kernel_passes.py tests/sim/test_columnar_equivalence.py
 
 # Columnar replay speedup floor: scalar vs columnar, asserting the >=4x
 # steady-state and >=2.5x cold floors and refreshing BENCH_replay.json at
@@ -122,7 +133,7 @@ lint: lint-style
 	$(PYTHON) -m repro.analysis src tests benchmarks examples \
 		--exclude tests/analysis/fixtures
 
-# Full local PR gate: the style and type checks plus the tier-1 suite.
-# Tier-1's tests/analysis/test_self_clean.py runs the repro-lint command
-# of `lint` above, so the tree is linted once.
-check: lint-style test
+# Full local PR gate: the style and type checks, the tier-1 suite and the
+# sanitized kernel.  Tier-1's tests/analysis/test_self_clean.py runs the
+# repro-lint command of `lint` above, so the tree is linted once.
+check: lint-style test test-sanitize

@@ -120,6 +120,17 @@ class SimResult:
         results and falls back to the scalar engine.  Returns
         human-readable violations; an empty list means the result is sound.
         """
+        fields = (
+            self.core_cycles, self.dram_stall_weight,
+            *self.counts.values(), *self.components.values(),
+        )
+        # NaN fails both comparisons.
+        if all(
+            0.0 <= value < math.inf
+            for value in fields
+            if isinstance(value, (int, float))
+        ):
+            return []
         problems: list[str] = []
 
         def check(label: str, value) -> None:

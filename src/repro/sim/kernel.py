@@ -1,12 +1,25 @@
-"""The columnar engine's replay kernels, compiled from C.
+"""The columnar engine's replay passes, compiled from C.
 
-Two entry points share one source, one library and one load:
+Five entry points share one source, one library and one load:
 
+* ``branch_pass`` runs the conditional branches through one predictor of
+  :func:`repro.uarch.branch.make_predictor` in one loop: the bimodal,
+  gshare and chooser 2-bit tables and the global history.  It reproduces
+  the scalar predictors' ``predict``/``update`` branch for branch.
+* ``control_pass`` walks the blocks that share speculative state: the
+  RAS (:class:`~repro.uarch.branch.ReturnAddressStack`), the shadow call
+  stack, the last-target indirect predictor
+  (:class:`~repro.uarch.branch.IndirectPredictor`) and the LCG that draws
+  each misprediction's wrong-path page and line.
 * ``lru_replay`` replays one L1 structure (the L1I, the L1D, the ITLB or
   the DTLB) op by op: an exact LRU with optional dirty write-backs,
   non-mutating probes, and the Cortex-A15's streaming-store detector.  It
   reproduces ``SetAssociativeCache.access``/``contains`` and
   ``Tlb.lookup``/``contains`` hit for hit.
+* ``merge_events`` walks the instruction-page, instruction-line,
+  memory-op and wrong-path streams with one cursor each and emits the
+  events that reach the L2 side, in the scalar engine's order, from the
+  L1 outcome bytes.
 * ``l2_walk`` replays, in exact program order, the events that reach the
   shared L2, the L2 TLBs or the stride prefetcher, after the silent warm
   fills: a 16-way LRU with dirty write-backs, and a prefetcher trained on
@@ -17,7 +30,8 @@ Two entry points share one source, one library and one load:
   they bump; a unified L2 TLB is one structure with one ``TlbStats``.
 
 Set and tag use Python's floor semantics (a prefetch target can be
-negative), doubles accumulate in the scalar order, and the build has
+negative), the LCG's draws are exact int-to-double conversions divided
+once, doubles accumulate in the scalar order, and the build has
 ``-ffp-contract=off`` and no ``-ffast-math``, so the results are
 bit-identical.
 
@@ -43,7 +57,7 @@ import numpy as np
 from repro.obs.log import get_logger
 from repro.uarch.cache import CacheStats, lru_geometry
 from repro.uarch.tlb import TlbStats
-from repro.workloads.trace import CACHE_LINE_BYTES, PAGE_BYTES
+from repro.workloads.trace import CACHE_LINE_BYTES, PAGE_BYTES, BranchClass
 
 logger = get_logger(__name__)
 
@@ -55,7 +69,7 @@ SOURCE = r"""
 /* Event kinds, numbered as in repro.sim.columnar. */
 enum {
     EV_L1D_MISS, EV_DTLB_MISS, EV_L1D_WB, EV_L1I_MISS,
-    EV_L1D_STREAM, EV_WP_TLB, EV_WP_L1I, EV_ITLB_MISS
+    EV_L1D_STREAM, EV_WP_TLB, EV_WP_L1I, EV_ITLB_MISS, N_EV_KINDS
 };
 
 /* An LRU set-associative array: each set's tags MRU-first, with a dirty
@@ -238,6 +252,344 @@ int lru_replay(int64_t n, const int64_t *keys, const uint8_t *flags,
     }
     lru_free(&c);
     return 0;
+}
+
+/* Predictor kinds of branch_pass, as make_predictor names them. */
+enum { BP_BIMODAL, BP_GSHARE, BP_TOURNAMENT, BP_BUGGY_TOURNAMENT };
+
+/* A 2-bit saturating counter trained up (taken) or down, in arithmetic
+   rather than branches: the outcomes are what a predictor cannot
+   predict. */
+static uint8_t counter_step(uint8_t counter, int up)
+{
+    return (uint8_t)(counter + (up & (counter < 3)) - (!up & (counter > 0)));
+}
+
+/* The conditional branches, in program order, against one predictor of
+   make_predictor: a bimodal table, a gshare table indexed by the PC
+   xor the global history, and a per-PC chooser, every counter weakly
+   taken (2) and the history 0 at the start.  Each branch predicts, then
+   trains every structure on its outcome (a kind ignores the structures it
+   does not read); the chooser moves toward gshare's component only when
+   the two disagree, and the buggy tournament inverts the prediction of a
+   backward branch.  Writes 1 into miss[i] when branch i was
+   mispredicted.  Returns 0, or -1 when the tables cannot be allocated. */
+int branch_pass(int64_t n, const int64_t *pc, const int8_t *taken,
+                const uint8_t *backward, int64_t kind, int64_t table_bits,
+                int64_t history_bits, uint8_t *miss)
+{
+    const size_t size = (size_t)1 << table_bits;
+    const uint64_t mask = (uint64_t)size - 1;
+    const uint64_t history_mask = history_bits >= 64
+        ? UINT64_MAX : ((uint64_t)1 << history_bits) - 1;
+    uint8_t *local = malloc(3 * size), *global, *choice;
+    uint64_t history = 0;
+
+    if (local == NULL)
+        return -1;
+    global = local + size;
+    choice = global + size;
+    memset(local, 2, 3 * size);
+    for (int64_t i = 0; i < n; i++) {
+        const uint64_t index = (uint64_t)(pc[i] >> 2) & mask,
+                       g_index = (index ^ history) & mask;
+        const int outcome = taken[i] != 0, l = local[index] >= 2,
+                  g = global[g_index] >= 2;
+        int prediction;
+        if (kind == BP_BIMODAL) {
+            prediction = l;
+        } else if (kind == BP_GSHARE) {
+            prediction = g;
+        } else {
+            prediction = choice[index] >= 2 ? g : l;
+            if (l != g)
+                choice[index] = counter_step(choice[index], g == outcome);
+            if (kind == BP_BUGGY_TOURNAMENT && backward[i])
+                prediction = !prediction;
+        }
+        local[index] = counter_step(local[index], outcome);
+        global[g_index] = counter_step(global[g_index], outcome);
+        history = ((history << 1) | (uint64_t)outcome) & history_mask;
+        miss[i] = (uint8_t)(prediction != outcome);
+    }
+    free(local);
+    return 0;
+}
+
+/* Branch classes, numbered as repro.workloads.trace.BranchClass: the
+   conditional classes are the ones up to CLS_RANDOM. */
+enum { CLS_RANDOM = 3, CLS_CALL, CLS_RETURN };
+
+/* The RAS (ReturnAddressStack, depth 8), the shadow call stack (a deque
+   of maxlen 64) and the last-target indirect predictor (IndirectPredictor,
+   2^8 entries). */
+enum { RAS_DEPTH = 8, SHADOW_DEPTH = 64, INDIRECT_ENTRIES = 256 };
+
+/* A stack that drops its oldest entry on overflow; popping it empty
+   gives -1, as both Python stacks do. */
+typedef struct {
+    int64_t slot[SHADOW_DEPTH];
+    int64_t depth, top, size;
+} ring_t;
+
+static void ring_push(ring_t *r, int64_t value)
+{
+    r->top = (r->top + 1) % r->depth;
+    r->slot[r->top] = value;
+    if (r->size < r->depth)
+        r->size += 1;
+}
+
+static int64_t ring_pop(ring_t *r)
+{
+    int64_t value;
+    if (r->size == 0)
+        return -1;
+    value = r->slot[r->top];
+    r->top = (r->top + r->depth - 1) % r->depth;
+    r->size -= 1;
+    return value;
+}
+
+/* The model's LCG, as repro.sim.cpu steps it.  A draw divided by the
+   mask is an exact conversion and one IEEE division, as in Python. */
+#define LCG_MASK 0x7FFFFFFF
+
+static uint64_t lcg_next(uint64_t lcg)
+{
+    return (lcg * 1103515245u + 12345u) & LCG_MASK;
+}
+
+/* The walk over the blocks that share speculative state: calls and
+   returns (the RAS and the shadow stack), indirect branches (the
+   indirect predictor) and the mispredicted conditionals; each
+   misprediction draws its wrong-path page and line from the LCG, then
+   may corrupt the RAS top and the next indirect prediction.
+
+   sizes:     n_dyn, n_cond, n_code_pages, lines per page, capacity
+   lcg:       the LCG seed modulo 2^64 (each step keeps 31 bits)
+   fractions: wrong-path far fraction, RAS corruption, indirect
+              corruption
+   counters:  calls, returns, indirect branches, indirect mispredicts,
+              RAS incorrect
+
+   cond_miss holds one byte per conditional block in program order.
+   Writes each misprediction's block, page and line into wp_pos, wp_page
+   and wp_line.  Returns their number, or -1 when there are more than
+   capacity or the conditional blocks are not n_cond. */
+int64_t control_pass(const int64_t *sizes, const int8_t *cls,
+                     const int64_t *addr, const int16_t *target,
+                     const int64_t *wp_near, const uint8_t *cond_miss,
+                     const int64_t *code_pages, uint64_t lcg,
+                     const double *fractions, int64_t *wp_pos,
+                     int64_t *wp_page, int64_t *wp_line, int64_t *counters)
+{
+    const int64_t n_dyn = sizes[0], n_cond = sizes[1],
+                  n_code_pages = sizes[2], lines_per_page = sizes[3],
+                  capacity = sizes[4];
+    const double far_fraction = fractions[0], ras_corruption = fractions[1],
+                 indirect_corruption = fractions[2];
+    ring_t ras = {{0}, RAS_DEPTH, 0, 0}, shadow = {{0}, SHADOW_DEPTH, 0, 0};
+    int64_t targets[INDIRECT_ENTRIES] = {0};
+    uint8_t valid[INDIRECT_ENTRIES] = {0};
+    int64_t calls = 0, returns = 0, indirect_branches = 0,
+            indirect_mispredicts = 0, ras_incorrect = 0, n_wp = 0, c = 0,
+            page;
+    int pending_corrupt = 0;
+
+    for (int64_t i = 0; i < n_dyn; i++) {
+        if (cls[i] <= CLS_RANDOM) {
+            if (c == n_cond)
+                return -1;
+            if (!cond_miss[c++])
+                continue;
+        } else if (cls[i] == CLS_CALL) {
+            calls += 1;
+            ring_push(&ras, addr[i]);
+            ring_push(&shadow, addr[i]);
+            continue;
+        } else if (cls[i] == CLS_RETURN) {
+            const int64_t expected = ring_pop(&shadow);
+            returns += 1;
+            if (ring_pop(&ras) == expected)
+                continue;
+            ras_incorrect += 1;
+        } else { /* CLS_INDIRECT */
+            const uint64_t index =
+                (uint64_t)(addr[i] >> 2) & (INDIRECT_ENTRIES - 1);
+            int correct = valid[index] && targets[index] == target[i];
+            valid[index] = 1;
+            targets[index] = target[i];
+            indirect_branches += 1;
+            if (pending_corrupt) {
+                correct = 0;
+                pending_corrupt = 0;
+            }
+            if (correct)
+                continue;
+            indirect_mispredicts += 1;
+        }
+
+        if (n_wp == capacity)
+            return -1;
+        lcg = lcg_next(lcg);
+        if ((double)lcg / LCG_MASK < far_fraction && n_code_pages > 1) {
+            lcg = lcg_next(lcg);
+            page = code_pages[lcg % (uint64_t)n_code_pages] + 1
+                   + (int64_t)(lcg % 7);
+        } else {
+            page = wp_near[i];
+        }
+        wp_pos[n_wp] = i;
+        wp_page[n_wp] = page;
+        wp_line[n_wp] = page * lines_per_page + (int64_t)(lcg % 8);
+        n_wp += 1;
+
+        lcg = lcg_next(lcg);
+        if ((double)lcg / LCG_MASK < ras_corruption && ras.size > 0)
+            ras.slot[ras.top] ^= 0x4;
+        lcg = lcg_next(lcg);
+        if ((double)lcg / LCG_MASK < indirect_corruption)
+            pending_corrupt = 1;
+    }
+    if (c != n_cond)
+        return -1;
+    counters[0] = calls;
+    counters[1] = returns;
+    counters[2] = indirect_branches;
+    counters[3] = indirect_mispredicts;
+    counters[4] = ras_incorrect;
+    return n_wp;
+}
+
+/* merge_events orders events by block * 8 + slot, the slot giving the
+   scalar engine's order inside a block: its instruction pages, its
+   instruction lines, its memory operations (for each: the DTLB miss, the
+   L1D write-back, then the L1D miss or streamed store), then its wrong
+   path (the ITLB probe miss, then the L1I miss). */
+enum { SLOT_IPAGE, SLOT_ILINE, SLOT_MEM, SLOT_WP_TLB, SLOT_WP_L1I,
+       N_SLOTS = 8 };
+
+/* An instruction-side stream: the fetches of the ITLB (pages) or of the
+   L1I (lines), each wrong-path access inserted after the last fetch of
+   its block, and one outcome byte per access in that order. */
+typedef struct {
+    const int32_t *pos;
+    const int64_t *key, *wp_key;
+    const uint8_t *out;
+    int64_t n, i, w;
+    int slot, wp_slot, kind, wp_kind, at_wp;
+} fetches_t;
+
+/* Step past the stream's current access. */
+static void fetches_skip(fetches_t *s)
+{
+    if (s->at_wp)
+        s->w += 1;
+    else
+        s->i += 1;
+}
+
+/* Skip the stream's hits: the order key of its next miss, or INT64_MAX
+   at its end. */
+static int64_t fetches_next(fetches_t *s, const int64_t *wp_pos, int64_t n_wp)
+{
+    while (s->i < s->n || s->w < n_wp) {
+        s->at_wp = s->w < n_wp && (s->i == s->n || s->pos[s->i] > wp_pos[s->w]);
+        if (!(s->out[s->i + s->w] & OUT_HIT))
+            return s->at_wp ? wp_pos[s->w] * N_SLOTS + s->wp_slot
+                            : (int64_t)s->pos[s->i] * N_SLOTS + s->slot;
+        fetches_skip(s);
+    }
+    return INT64_MAX;
+}
+
+/* The events that reach the L2 side, in the scalar engine's order: the
+   ITLB and L1I misses, fetches and wrong paths alike, the DTLB misses,
+   the L1D write-backs, misses and streamed stores.  Each stream is in
+   program order, and at most one wrong path comes from a block.
+
+   sizes:  n_ipage, n_iline, n_mem, n_wp
+   counts: events per kind, then the L1D misses that are writes
+
+   kind, arg0 and arg1 hold room for n_ipage + n_iline + 3 n_mem + 2 n_wp
+   events, each access's most: a memory operation's events are written
+   whether or not they happen, then kept or overwritten, so that the
+   walk does not branch on its L1D and DTLB outcomes.  Returns the
+   number of events. */
+int64_t merge_events(const int64_t *sizes, const int32_t *ipage_pos,
+                     const int64_t *ipage_page, const int32_t *iline_pos,
+                     const int64_t *iline_line, const int32_t *mem_pos,
+                     const int64_t *mem_page, const int64_t *mem_line,
+                     const uint8_t *mem_write, const int64_t *wp_pos,
+                     const int64_t *wp_page, const int64_t *wp_line,
+                     const uint8_t *itlb_out, const uint8_t *l1i_out,
+                     const uint8_t *dtlb_out, const uint8_t *l1d_out,
+                     int64_t *counts, int8_t *kind, int64_t *arg0,
+                     int64_t *arg1)
+{
+    const int64_t n_mem = sizes[2], n_wp = sizes[3];
+    fetches_t itlb = {ipage_pos, ipage_page, wp_page, itlb_out, sizes[0], 0, 0,
+                      SLOT_IPAGE, SLOT_WP_TLB, EV_ITLB_MISS, EV_WP_TLB, 0},
+              l1i = {iline_pos, iline_line, wp_line, l1i_out, sizes[1], 0, 0,
+                     SLOT_ILINE, SLOT_WP_L1I, EV_L1I_MISS, EV_WP_L1I, 0};
+    fetches_t *fetches;
+    int64_t m = 0, e = 0, itlb_key, l1i_key, mem_key, bound;
+
+/* Write an event at e and keep it when it happens. */
+#define PUT(k, a0, a1, happens)                                             \
+    do {                                                                    \
+        const int kept = (happens);                                         \
+        kind[e] = (int8_t)(k);                                              \
+        arg0[e] = (a0);                                                     \
+        arg1[e] = (a1);                                                     \
+        counts[k] += kept;                                                  \
+        e += kept;                                                          \
+    } while (0)
+#define MEM_KEY(m)                                                          \
+    ((m) < n_mem ? (int64_t)mem_pos[m] * N_SLOTS + SLOT_MEM : INT64_MAX)
+
+    itlb_key = fetches_next(&itlb, wp_pos, n_wp);
+    l1i_key = fetches_next(&l1i, wp_pos, n_wp);
+    mem_key = MEM_KEY(0);
+    for (;;) {
+        if (mem_key < itlb_key && mem_key < l1i_key) {
+            /* The memory operations up to the next instruction-side
+               miss. */
+            bound = itlb_key < l1i_key ? itlb_key : l1i_key;
+            do {
+                const uint8_t tlb = dtlb_out[m], l1 = l1d_out[m];
+                const int streamed = (l1 & OUT_STREAMED) != 0,
+                          missed = !(l1 & (OUT_HIT | OUT_STREAMED)),
+                          write = mem_write[m] != 0;
+                PUT(EV_DTLB_MISS, mem_page[m], 0, !(tlb & OUT_HIT));
+                PUT(EV_L1D_WB, mem_line[m], 0, (l1 & OUT_WROTE_BACK) != 0);
+                PUT(streamed ? EV_L1D_STREAM : EV_L1D_MISS, mem_line[m],
+                    missed & write, streamed | missed);
+                counts[N_EV_KINDS] += missed & write;
+                m += 1;
+                mem_key = MEM_KEY(m);
+            } while (mem_key < bound);
+        } else if (itlb_key != l1i_key) {
+            /* One instruction-side miss: the keys of two streams never
+               tie, and only the ends are equal. */
+            fetches = itlb_key < l1i_key ? &itlb : &l1i;
+            if (fetches->at_wp)
+                PUT(fetches->wp_kind, fetches->wp_key[fetches->w], 0, 1);
+            else
+                PUT(fetches->kind, fetches->key[fetches->i], 0, 1);
+            fetches_skip(fetches);
+            if (fetches == &itlb)
+                itlb_key = fetches_next(&itlb, wp_pos, n_wp);
+            else
+                l1i_key = fetches_next(&l1i, wp_pos, n_wp);
+        } else {
+            break;
+        }
+    }
+#undef MEM_KEY
+#undef PUT
+    return e;
 }
 
 /* CacheStats, in the order of the counters output. */
@@ -561,6 +913,18 @@ def _forget_stale(directory: str, keep: str) -> None:
                 logger.info("stale kernel %s not removed: %s", name, exc)
 
 
+def _signatures(ctypes) -> dict:
+    """Each entry point's return type and argument types."""
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    return {
+        "lru_replay": (ctypes.c_int, [i64, ptr, ptr, i64, i64, i64, ptr]),
+        "branch_pass": (ctypes.c_int, [i64, ptr, ptr, ptr, i64, i64, i64, ptr]),
+        "control_pass": (i64, [ptr] * 7 + [ctypes.c_uint64] + [ptr] * 5),
+        "merge_events": (i64, [ptr] * 20),
+        "l2_walk": (ctypes.c_int, [ptr] * 12),
+    }
+
+
 def _load():
     """Build the library unless cached, load it and declare its entry points."""
     import ctypes
@@ -593,12 +957,10 @@ def _load():
             path = os.path.join(tmp, library_name())
             _build(path)
             lib = ctypes.CDLL(path)
-    lib.l2_walk.restype = lib.lru_replay.restype = ctypes.c_int
-    lib.l2_walk.argtypes = [ctypes.c_void_p] * 12
-    lib.lru_replay.argtypes = [
-        ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
-    ]
+    for name, (restype, argtypes) in _signatures(ctypes).items():
+        entry = getattr(lib, name)
+        entry.restype = restype
+        entry.argtypes = argtypes
     return lib
 
 
@@ -639,6 +1001,138 @@ def lru_replay(keys, n_sets, assoc, flags=None, streaming=False) -> np.ndarray:
     ):
         raise MemoryError("the LRU replay could not allocate its state")
     return out
+
+
+#: ``branch_pass`` predictor kinds, numbered as the C numbers them.
+PREDICTOR_KINDS = ("bimodal", "gshare", "tournament", "buggy_tournament")
+
+
+def branch_pass(pc, taken, backward, kind, table_bits, history_bits) -> np.ndarray:
+    """The conditional branches against one predictor (the branch pass).
+
+    ``pc``, ``taken`` and ``backward`` give each conditional branch's PC,
+    outcome and direction in program order; ``kind``, ``table_bits`` and
+    ``history_bits`` name the predictor as
+    :func:`repro.uarch.branch.make_predictor` does, fresh at the first
+    branch.  Returns one bool per branch: True when it was mispredicted.
+    """
+    if kind not in PREDICTOR_KINDS:
+        raise ValueError(f"unknown predictor kind {kind!r}")
+    if not 1 <= table_bits <= 30 or (kind != "bimodal" and history_bits < 1):
+        raise ValueError("table_bits must be in [1, 30] and history_bits >= 1")
+    pc = np.ascontiguousarray(pc, dtype=np.int64)
+    taken = np.ascontiguousarray(taken, dtype=np.int8)
+    backward = np.ascontiguousarray(backward, dtype=np.bool_)
+    if not len(pc) == len(taken) == len(backward):
+        raise ValueError("one outcome and one direction per branch")
+    miss = np.empty(len(pc), dtype=np.bool_)
+    if _library().branch_pass(
+        len(pc), pc.ctypes.data, taken.ctypes.data, backward.ctypes.data,
+        PREDICTOR_KINDS.index(kind), table_bits, history_bits, miss.ctypes.data,
+    ):
+        raise MemoryError("the branch pass could not allocate its tables")
+    return miss
+
+
+def control_pass(cols, cond_miss, code_pages, lcg, machine):
+    """The walk over the blocks that share speculative state (the control
+    pass).
+
+    ``cols`` gives each dynamic block's class, branch address, indirect
+    target and near wrong-path page, ``cond_miss`` one bool per
+    conditional block from :func:`branch_pass`, ``code_pages`` the pages a
+    far wrong path draws from and ``lcg`` the LCG seeded for the replay
+    (each step keeps the low 31 bits, so the C's 64-bit arithmetic is
+    exact).  ``machine`` gives the far fraction and
+    the corruption rates.  Returns ``(wp_pos, wp_page, wp_line)``, the
+    block, page and line of each misprediction's wrong-path fetch in
+    program order, and ``(calls, returns, indirect_branches,
+    indirect_mispredicts, ras_incorrect)``.
+    """
+    arrays = [
+        np.ascontiguousarray(cols.class_seq, dtype=np.int8),
+        np.ascontiguousarray(cols.addr_seq, dtype=np.int64),
+        np.ascontiguousarray(cols.target_seq, dtype=np.int16),
+        np.ascontiguousarray(cols.wp_near_seq, dtype=np.int64),
+        np.ascontiguousarray(cond_miss, dtype=np.bool_),
+        np.ascontiguousarray(code_pages, dtype=np.int64),
+    ]
+    n_dyn = len(arrays[0])
+    if any(len(a) != n_dyn for a in arrays[1:4]):
+        raise ValueError("one class, address, target and near page per block")
+    # Every misprediction is a mispredicted conditional, a return or an
+    # indirect branch.
+    capacity = int(np.count_nonzero(arrays[4])) + int(
+        np.count_nonzero(arrays[0] > int(BranchClass.CALL))
+    )
+    sizes = np.array([
+        n_dyn, len(arrays[4]), len(arrays[5]), PAGE_BYTES // CACHE_LINE_BYTES,
+        capacity,
+    ], dtype=np.int64)
+    fractions = np.array([
+        machine.wrongpath_far_fraction, machine.ras_corruption,
+        machine.indirect_corruption,
+    ], dtype=np.float64)
+    wp_pos, wp_page, wp_line = (np.empty(capacity, np.int64) for _ in range(3))
+    counters = np.zeros(5, dtype=np.int64)
+    n_wp = _library().control_pass(
+        sizes.ctypes.data, *(a.ctypes.data for a in arrays), lcg % 2**64,
+        fractions.ctypes.data, wp_pos.ctypes.data, wp_page.ctypes.data,
+        wp_line.ctypes.data, counters.ctypes.data,
+    )
+    if n_wp < 0:
+        raise ValueError("one branch outcome per conditional block")
+    return (
+        (wp_pos[:n_wp], wp_page[:n_wp], wp_line[:n_wp]), tuple(counters.tolist())
+    )
+
+
+#: ``merge_events`` counts: one per event kind, then the L1D misses that
+#: are writes.
+N_EVENT_COUNTS = 9
+
+
+def merge_events(cols, wrong_path, outcomes):
+    """The events that reach the L2 side, in program order (the event
+    merge).
+
+    ``cols`` gives the instruction-page, instruction-line and memory-op
+    streams, ``wrong_path`` the control pass's ``(wp_pos, wp_page,
+    wp_line)``, and ``outcomes`` the ITLB, L1I, DTLB and L1D outcome bytes
+    without their warm rows; the ITLB's and the L1I's hold the wrong-path
+    probes too, each after its block's own pages or lines.  Returns the
+    ``(kind, arg0, arg1)`` stream of :func:`l2_walk` and the
+    :data:`N_EVENT_COUNTS` counts.
+    """
+    wp_pos, wp_page, wp_line = wrong_path
+    itlb, l1i, dtlb, l1d = outcomes
+    streams = [
+        (np.int32, cols.ipage_pos), (np.int64, cols.ipage_page),
+        (np.int32, cols.iline_pos), (np.int64, cols.iline_line),
+        (np.int32, cols.mem_pos), (np.int64, cols.mem_page),
+        (np.int64, cols.mem_line), (np.bool_, cols.mem_write),
+        (np.int64, wp_pos), (np.int64, wp_page), (np.int64, wp_line),
+        (np.uint8, itlb), (np.uint8, l1i), (np.uint8, dtlb), (np.uint8, l1d),
+    ]
+    arrays = [np.ascontiguousarray(a, dtype=dtype) for dtype, a in streams]
+    n_ipage, n_iline, n_mem, n_wp = (len(arrays[i]) for i in (0, 2, 4, 8))
+    expected = [n_ipage] * 2 + [n_iline] * 2 + [n_mem] * 4 + [n_wp] * 3 + [
+        n_ipage + n_wp, n_iline + n_wp, n_mem, n_mem,
+    ]
+    if [len(a) for a in arrays] != expected:
+        raise ValueError("the event streams and outcomes disagree in length")
+    # Room for each access's most events.
+    capacity = n_ipage + n_iline + 3 * n_mem + 2 * n_wp
+    room = (np.empty(capacity, np.int8), np.empty(capacity, np.int64),
+            np.empty(capacity, np.int64))
+    sizes = np.array([n_ipage, n_iline, n_mem, n_wp], dtype=np.int64)
+    counts = np.zeros(N_EVENT_COUNTS, dtype=np.int64)
+    n = _library().merge_events(
+        sizes.ctypes.data, *(a.ctypes.data for a in arrays), counts.ctypes.data,
+        *(a.ctypes.data for a in room),
+    )
+    merged = tuple(a[:n].copy() for a in room)
+    return merged, counts.tolist()
 
 
 def l2_walk(merged, machine, warm):

@@ -18,8 +18,6 @@ pathological cluster (Fig. 6 and Section IV-E).
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def _saturate_up(counter: int) -> int:
     return counter + 1 if counter < 3 else 3
@@ -192,166 +190,6 @@ class IndirectPredictor:
     @property
     def misses(self) -> int:
         return self.lookups - self.hits
-
-
-# --------------------------------------------------------------------------
-# Vectorized batch prediction (columnar replay engine)
-# --------------------------------------------------------------------------
-#
-# A 2-bit saturating counter updates as x -> min(3, max(0, x +- 1)): a
-# *clamp-affine* map min(hi, max(lo, x + a)).  Such maps are closed under
-# composition —
-#
-#     g(f(x)) = min(hi_g, max(lo_g, min(hi_f, max(lo_f, x + a_f)) + a_g))
-#             = min(min(hi_g, max(lo_g, hi_f + a_g)),
-#                   max(max(lo_g, lo_f + a_g), x + a_f + a_g))
-#
-# — and composition is associative, so the per-table-entry sequential
-# counter evolution collapses to a segmented prefix scan: sort the update
-# events by (table index, time), and Hillis-Steele-scan the maps within
-# each segment.  The counter state *before* event i is the exclusive
-# prefix composition applied to the initial value 2.  log2(n) vector
-# passes replace n Python-level bytearray updates.
-
-_CLAMP_BIG = 1 << 20
-
-
-def _segmented_clamp_scan(
-    seg_id: np.ndarray,
-    add: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    init: int,
-) -> np.ndarray:
-    """State before each event of a segmented clamped-counter evolution.
-
-    Events must be grouped by segment (sorted so equal ``seg_id`` values
-    are contiguous and in time order).  Each event applies
-    ``x -> min(hi, max(lo, x + add))``; returns the pre-update state per
-    event starting from ``init`` at each segment head.
-    """
-    n = len(seg_id)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    a = add.astype(np.int32).copy()
-    l = lo.astype(np.int32).copy()
-    h = hi.astype(np.int32).copy()
-    d = 1
-    while d < n:
-        prev_a = a[:-d]
-        prev_l = l[:-d]
-        prev_h = h[:-d]
-        ok = seg_id[d:] == seg_id[:-d]
-        new_a = np.where(ok, prev_a + a[d:], a[d:])
-        new_l = np.where(ok, np.minimum(h[d:], np.maximum(l[d:], prev_l + a[d:])), l[d:])
-        new_h = np.where(ok, np.minimum(h[d:], np.maximum(l[d:], prev_h + a[d:])), h[d:])
-        a[d:] = new_a
-        l[d:] = new_l
-        h[d:] = new_h
-        d *= 2
-    state = np.full(n, init, dtype=np.int32)
-    same_seg = seg_id[1:] == seg_id[:-1]
-    inner = np.minimum(h[:-1], np.maximum(l[:-1], init + a[:-1]))
-    state[1:] = np.where(same_seg, inner, init)
-    return state
-
-
-def _counter_states_before(
-    index: np.ndarray, step: np.ndarray, update: np.ndarray | None = None
-) -> np.ndarray:
-    """Pre-update 2-bit counter states for a stream of table events.
-
-    Args:
-        index: Table entry touched by each event, in time order.
-        step: +1 (increment) or -1 (decrement) per event.
-        update: Optional mask; False rows read the entry without updating
-            (identity map), as tournament chooser reads do when local and
-            global agree.
-
-    Returns:
-        The counter value seen by each event before its own update,
-        with every entry initialised to 2 (weakly taken).
-    """
-    n = len(index)
-    if n == 0:
-        return np.empty(0, dtype=np.int32)
-    order = np.argsort(index, kind="stable")
-    seg = index[order]
-    add = step[order].astype(np.int32)
-    lo = np.where(add > 0, -_CLAMP_BIG, 0).astype(np.int32)
-    hi = np.where(add > 0, 3, _CLAMP_BIG).astype(np.int32)
-    if update is not None:
-        upd = update[order]
-        add = np.where(upd, add, 0)
-        lo = np.where(upd, lo, -_CLAMP_BIG)
-        hi = np.where(upd, hi, _CLAMP_BIG)
-    states_sorted = _segmented_clamp_scan(seg, add, lo, hi, init=2)
-    states = np.empty(n, dtype=np.int32)
-    states[order] = states_sorted
-    return states
-
-
-def _gshare_history(taken: np.ndarray, history_bits: int) -> np.ndarray:
-    """Global history register value before each conditional branch.
-
-    ``history`` shifts in one taken bit per conditional update, so the
-    register before branch j packs the previous ``history_bits`` outcomes
-    with the most recent in bit 0.
-    """
-    n = len(taken)
-    hist = np.zeros(n, dtype=np.int64)
-    bits = taken.astype(np.int64)
-    for k in range(1, history_bits + 1):
-        if k > n:
-            break
-        hist[k:] += bits[:-k] << (k - 1)
-    return hist
-
-
-def predict_conditional_batch(
-    kind: str,
-    table_bits: int,
-    history_bits: int,
-    pcs: np.ndarray,
-    taken: np.ndarray,
-    backward: np.ndarray,
-) -> np.ndarray:
-    """Vectorized predictions for a conditional-branch stream.
-
-    Produces, for each branch in time order, exactly the prediction the
-    corresponding scalar predictor from :func:`make_predictor` would make
-    (each branch predicts, then trains on its outcome).  Used by the
-    columnar replay engine; the scalar predictors remain the reference
-    implementation.
-    """
-    n = len(pcs)
-    if n == 0:
-        return np.empty(0, dtype=bool)
-    mask = (1 << table_bits) - 1
-    pc_idx = (pcs >> 2) & mask
-    taken_b = taken.astype(bool)
-    step = np.where(taken_b, 1, -1).astype(np.int32)
-
-    if kind == "bimodal":
-        return _counter_states_before(pc_idx, step) >= 2
-    if kind == "gshare":
-        hist = _gshare_history(taken, history_bits)
-        return _counter_states_before((pc_idx ^ hist) & mask, step) >= 2
-    if kind not in ("tournament", "buggy_tournament"):
-        raise ValueError(f"unknown predictor kind {kind!r}")
-
-    local = _counter_states_before(pc_idx, step) >= 2
-    hist = _gshare_history(taken, history_bits)
-    global_ = _counter_states_before((pc_idx ^ hist) & mask, step) >= 2
-    # Chooser: trained toward whichever component was right, only when they
-    # disagree; read (identity map) by every conditional branch.
-    choice_update = local != global_
-    choice_step = np.where(global_ == taken_b, 1, -1).astype(np.int32)
-    choice = _counter_states_before(pc_idx, choice_step, update=choice_update)
-    prediction = np.where(choice >= 2, global_, local)
-    if kind == "buggy_tournament":
-        prediction = np.where(backward, ~prediction, prediction)
-    return prediction.astype(bool)
 
 
 def make_predictor(kind: str, table_bits: int = 12, history_bits: int = 10) -> BranchPredictor:

@@ -128,6 +128,12 @@ class WorkloadProfile:
             )
         if self.indirect_frac + self.return_frac > 0.8:
             raise ValueError(f"{self.name}: indirect+return branches exceed 0.8")
+        # A call/return pair per return_frac / (1 - 3 return_frac) blocks:
+        # the rate has a pole at a third.
+        if self.return_frac >= 1.0 / 3.0:
+            raise ValueError(
+                f"{self.name}: return_frac={self.return_frac} must be below 1/3"
+            )
         for bounded in ("branch_bias", "frac_unaligned"):
             value = getattr(self, bounded)
             if not 0.0 <= value <= 1.0:

@@ -9,8 +9,9 @@ config whose validation workloads are a subset of its power workloads:
 * one trace compile per recipe;
 * one columnar replay, and one result-cache ``put``, per (recipe,
   machine) job;
-* per replay, one kernel call for each of the four L1 passes (ITLB,
-  L1I, DTLB, L1D: a cold run has no memo hit) and one L2 walk;
+* per replay, one kernel call for the branch pass, one for the control
+  pass, one for each of the four L1 passes (ITLB, L1I, DTLB, L1D: a cold
+  run has no memo hit), one for the event merge and one L2 walk;
 * one kernel load in the process, and no scalar state (``_make_state``)
   built inside a columnar replay;
 * one atomic write per phase checkpoint and one per cache entry, and no
@@ -118,6 +119,18 @@ def cold(tmp_path_factory):
             lambda merged, machine, *rest, **kw: machine.name,
         )
         _spy(
+            patch, columnar_mod, "_branch_pass", calls["branch_pass"],
+            lambda pc, taken, backward, kind, *bits: kind,
+        )
+        _spy(
+            patch, columnar_mod, "_control_pass", calls["control_pass"],
+            lambda cols, cond_miss, code_pages, lcg, machine: machine.name,
+        )
+        _spy(
+            patch, columnar_mod, "_merge_events", calls["merge_events"],
+            lambda cols, wrong_path, outcomes: len(wrong_path[0]),
+        )
+        _spy(
             patch, SimResultCache, "put", calls["put"],
             lambda self, job, result: (job.profile.name, job.machine.name),
         )
@@ -166,6 +179,18 @@ def test_each_replay_walks_the_l2_once(cold):
     assert collections.Counter(calls["l2_walk"]) == collections.Counter(
         machine for _, machine in calls["replay"]
     )
+
+
+def test_each_replay_makes_one_branch_control_and_merge_call(cold):
+    _, calls = cold
+    machines = [machine_by_name(machine) for _, machine in calls["replay"]]
+    assert collections.Counter(calls["branch_pass"]) == collections.Counter(
+        machine.predictor for machine in machines
+    )
+    assert collections.Counter(calls["control_pass"]) == collections.Counter(
+        machine.name for machine in machines
+    )
+    assert len(calls["merge_events"]) == len(calls["replay"])
 
 
 def test_each_replay_makes_one_kernel_call_per_l1_pass(cold):

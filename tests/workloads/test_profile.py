@@ -57,6 +57,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="indirect"):
             make(indirect_frac=0.5, return_frac=0.4)
 
+    def test_return_frac_below_a_third(self):
+        with pytest.raises(ValueError, match="return_frac=0.34 must be below 1/3"):
+            make(indirect_frac=0.0, return_frac=0.34)
+        with pytest.raises(ValueError, match="below 1/3"):
+            make(indirect_frac=0.0, return_frac=1.0 / 3.0)
+        assert make(indirect_frac=0.0, return_frac=0.33).return_frac == 0.33
+
 
 class TestDerived:
     def test_int_alu_is_remainder(self):
