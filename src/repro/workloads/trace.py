@@ -133,9 +133,10 @@ class ColumnarTrace:
     sees.  Everything here is machine-independent, so one decode serves
     every machine configuration the trace is replayed on.
 
-    ``*_pos`` columns give the dynamic block index of each event and
-    ``*_intra`` its ordinal within the block's phase; together with a
-    phase code they reconstruct the scalar engine's exact program order.
+    ``*_pos`` columns give the dynamic block index of each event.  Each
+    stream is in program order, so its position and the phase of its
+    stream within a block (pages, lines, memory operations) place every
+    event in the scalar engine's exact order.
     """
 
     n_dyn: int
@@ -149,16 +150,13 @@ class ColumnarTrace:
     # Instruction-side fetch events (dedup against the previous block applied).
     ipage_page: np.ndarray       # int64
     ipage_pos: np.ndarray        # int32
-    ipage_intra: np.ndarray      # int32
     iline_line: np.ndarray       # int64
     iline_pos: np.ndarray        # int32
-    iline_intra: np.ndarray      # int32
     # Data-side columns, one row per dynamic memory operation.
     mem_line: np.ndarray         # int64
     mem_page: np.ndarray         # int64
     mem_write: np.ndarray        # bool
     mem_pos: np.ndarray          # int32
-    mem_intra: np.ndarray        # int32
     # Conditional-branch subsequence (branch classes LOOP..RANDOM).
     cond_pos: np.ndarray         # int32, dynamic positions
     cond_pc: np.ndarray          # int64
@@ -190,15 +188,12 @@ _COLUMN_SPEC: tuple[tuple[str, str, str], ...] = (
     ("wp_near_seq", "i8", "dyn"),
     ("ipage_page", "i8", "ipage"),
     ("ipage_pos", "i4", "ipage"),
-    ("ipage_intra", "i4", "ipage"),
     ("iline_line", "i8", "iline"),
     ("iline_pos", "i4", "iline"),
-    ("iline_intra", "i4", "iline"),
     ("mem_line", "i8", "mem"),
     ("mem_page", "i8", "mem"),
     ("mem_write", "b1", "mem"),
     ("mem_pos", "i4", "mem"),
-    ("mem_intra", "i4", "mem"),
     ("cond_pos", "i4", "cond"),
     ("cond_pc", "i8", "cond"),
     ("cond_taken", "i1", "cond"),
@@ -258,18 +253,13 @@ def validate_columnar(cols: "ColumnarTrace") -> list[str]:
         else:
             lengths[group] = (name, len(arr))
     if not problems:
-        # Bounds: every event position must name a real dynamic block and
-        # intra-block ordinals must be non-negative.
+        # Bounds: every event position must name a real dynamic block.
         for name in ("ipage_pos", "iline_pos", "mem_pos", "cond_pos"):
             arr = getattr(cols, name)
             if arr.size and (
                 int(arr.min()) < 0 or int(arr.max()) >= max(cols.n_dyn, 1)
             ):
                 problems.append(f"{name}: positions outside [0, n_dyn)")
-        for name in ("ipage_intra", "iline_intra", "mem_intra"):
-            arr = getattr(cols, name)
-            if arr.size and int(arr.min()) < 0:
-                problems.append(f"{name}: negative intra-block ordinal")
     if not problems and cols.checksum:
         actual = columnar_checksum(cols)
         if actual != cols.checksum:
@@ -436,8 +426,8 @@ def build_columnar_trace(
         drop_line[1:] = first_line[bs[1:]] == last_line[bs[:-1]]
     page_counts = pages_len[bs] - drop_page
     line_counts = lines_len[bs] - drop_line
-    page_idx, ipage_intra = _expand_csr(pages_off[:-1][bs] + drop_page, page_counts)
-    line_idx, iline_intra = _expand_csr(lines_off[:-1][bs] + drop_line, line_counts)
+    page_idx, _ = _expand_csr(pages_off[:-1][bs] + drop_page, page_counts)
+    line_idx, _ = _expand_csr(lines_off[:-1][bs] + drop_line, line_counts)
     dyn_ids = np.arange(n_dyn, dtype=np.int32)
     ipage_pos = np.repeat(dyn_ids, page_counts)
     iline_pos = np.repeat(dyn_ids, line_counts)
@@ -452,7 +442,7 @@ def build_columnar_trace(
     n_mem_off = np.zeros(len(n_mem_len) + 1, dtype=np.int64)
     np.cumsum(n_mem_len, out=n_mem_off[1:])
     mem_counts = n_mem_len[bs]
-    mem_idx, mem_intra = _expand_csr(n_mem_off[:-1][bs], mem_counts)
+    mem_idx, _ = _expand_csr(n_mem_off[:-1][bs], mem_counts)
     mem_write = (
         write_flat[mem_idx] if write_flat.size else np.zeros(0, dtype=bool)
     )
@@ -477,15 +467,12 @@ def build_columnar_trace(
         wp_near_seq=wp_near_seq,
         ipage_page=pages_flat[page_idx],
         ipage_pos=ipage_pos,
-        ipage_intra=ipage_intra.astype(np.int32),
         iline_line=lines_flat[line_idx],
         iline_pos=iline_pos,
-        iline_intra=iline_intra.astype(np.int32),
         mem_line=mem_line,
         mem_page=mem_page,
         mem_write=mem_write,
         mem_pos=mem_pos,
-        mem_intra=mem_intra.astype(np.int32),
         cond_pos=cond_pos,
         cond_pc=addr_seq[cond_mask],
         cond_taken=taken[cond_mask],
