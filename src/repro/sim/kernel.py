@@ -1043,11 +1043,11 @@ def control_pass(cols, cond_miss, code_pages, lcg, machine):
     conditional block from :func:`branch_pass`, ``code_pages`` the pages a
     far wrong path draws from and ``lcg`` the LCG seeded for the replay
     (each step keeps the low 31 bits, so the C's 64-bit arithmetic is
-    exact).  ``machine`` gives the far fraction and
-    the corruption rates.  Returns ``(wp_pos, wp_page, wp_line)``, the
-    block, page and line of each misprediction's wrong-path fetch in
-    program order, and ``(calls, returns, indirect_branches,
-    indirect_mispredicts, ras_incorrect)``.
+    exact).  ``machine`` gives the far fraction and the corruption rates.
+    Returns ``(wp_pos, wp_page, wp_line)``, the block, page and line of
+    each misprediction's wrong-path fetch in program order, and
+    ``(calls, returns, indirect_branches, indirect_mispredicts,
+    ras_incorrect)``.
     """
     arrays = [
         np.ascontiguousarray(cols.class_seq, dtype=np.int8),

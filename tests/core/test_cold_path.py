@@ -128,7 +128,7 @@ def cold(tmp_path_factory):
         )
         _spy(
             patch, columnar_mod, "_merge_events", calls["merge_events"],
-            lambda cols, wrong_path, outcomes: len(wrong_path[0]),
+            lambda cols, wrong_path, outcomes: None,
         )
         _spy(
             patch, SimResultCache, "put", calls["put"],
