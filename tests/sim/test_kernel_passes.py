@@ -361,14 +361,12 @@ def _assert_same_merge(kernel, oracle):
 def _random_outcomes(rng, p_hit):
     """Outcome bytes: the ITLB's, L1I's and DTLB's hit with ``p_hit``, the
     L1D's any combination of bits."""
+    def hits(n, misses=0):
+        return np.where(rng.random(n) < p_hit, OUT_HIT, misses).astype(np.uint8)
+
     def outcomes(n_itlb, n_l1i, n_mem):
-        return (
-            (rng.random(n_itlb) < p_hit).astype(np.uint8),
-            (rng.random(n_l1i) < p_hit).astype(np.uint8) * OUT_HIT,
-            np.where(rng.random(n_mem) < p_hit, OUT_HIT, 0).astype(np.uint8),
-            np.where(rng.random(n_mem) < p_hit, OUT_HIT,
-                     rng.integers(0, 8, n_mem)).astype(np.uint8),
-        )
+        return (hits(n_itlb), hits(n_l1i), hits(n_mem),
+                hits(n_mem, rng.integers(0, 8, n_mem)))
     return outcomes
 
 
