@@ -106,8 +106,8 @@ bench-prof:
 # Process start-up: `import repro.cli`, import plus GemStone(paper
 # config), and that plus a warm report() on a result cache filled once, in
 # fresh interpreters, median and IQR of 9 each; asserts only that no
-# process imports scipy.stats and that the warm reports replay nothing,
-# and refreshes BENCH_startup.json at the repo root.
+# process imports any scipy module and that the warm reports replay
+# nothing, and refreshes BENCH_startup.json at the repo root.
 bench-startup:
 	$(PYTHON) -m pytest -q -s benchmarks/test_bench_startup.py
 

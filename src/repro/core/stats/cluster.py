@@ -35,7 +35,7 @@ class Dendrogram:
     """The full merge tree.
 
     Leaf ids are ``0..n-1``; internal nodes are ``n, n+1, ...`` in merge
-    order, scipy-linkage style.
+    order, as in the usual linkage-matrix convention.
     """
 
     n_leaves: int

@@ -6,10 +6,11 @@ selection's 0.05 stopping rule, Section IV-D), plus the Variance Inflation
 Factor diagnostics the power models are validated with (Section V quotes a
 mean VIF of 6 as "a low level of inter-correlation, as required").
 
-Only the Student-t tail is delegated to scipy, as ``scipy.special.stdtr``
-(``stdtr(dof, -|t|)`` is the value ``scipy.stats.t.sf(|t|, dof)`` computes,
-bit for bit); importing ``scipy.stats`` instead would add about a second to
-every process start.  All linear algebra is plain numpy.
+The two-sided p-value ``2·P(T_dof > |t|)`` comes from
+:func:`repro.core.stats.student_t.two_sided_t_tail`, a numpy continued
+fraction, so fitting imports nothing beyond numpy (EXPERIMENTS.md P10: a
+special-function library cost every process about 0.3 s and 26 MB at
+start-up).  All linear algebra is plain numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr
+
+from repro.core.stats.student_t import two_sided_t_tail
 
 
 @dataclass(frozen=True)
@@ -199,7 +201,7 @@ def fit_ols(
     std_errors = np.sqrt(np.clip(np.diag(gram_inv) * sigma2, 0.0, None))
     with np.errstate(divide="ignore", invalid="ignore"):
         t_values = np.where(std_errors > 0, beta / std_errors, np.inf)
-    p_values = 2.0 * stdtr(dof, -np.abs(t_values))
+    p_values = two_sided_t_tail(t_values, dof)
 
     ss_res = float(residuals @ residuals)
     ss_tot = float(((y - y.mean()) ** 2).sum())

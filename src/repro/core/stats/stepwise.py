@@ -13,7 +13,9 @@ Two stopping/selection policies from the paper are supported:
 
 Each step first screens every candidate in one matrix pass: residualising
 ``y`` and the candidates against the QR factor of the current selection
-gives each candidate's score and largest slope p-value in closed form.  The
+gives each candidate's score and slope t-statistics in closed form.  The
+two-sided t tail falls as ``|t|`` grows, so a candidate's largest slope
+p-value is one tail evaluation at its smallest ``|t|``.  The
 scan then fits with ``fit_ols`` only the candidates the screen cannot rule
 out.  The result is exact: every rejection in the scan is a bare
 ``continue`` that changes no state, and a candidate is skipped only when
@@ -27,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from repro.core.stats.ols import OlsResult, fit_ols, variance_inflation_factors
+from repro.core.stats.student_t import two_sided_t_tail
 
 #: Fixed parts of the margins by which a closed-form score must sit below
 #: the bar, or a closed-form max p-value above the limit, to skip a fit.
@@ -265,8 +267,10 @@ def _screen(
         score = 1.0 - (1.0 - r2) * (n - 1) / dof if use_adjusted_r2 else r2
         beta = np.vstack([(r_inv @ q_y)[:, None] - g * beta_c, beta_c])
         var = np.vstack([(r_inv**2).sum(axis=1)[:, None] + g**2 / rc2, 1.0 / rc2])
-        t_abs = np.abs(beta[1:]) / np.sqrt(var[1:] * (rss / dof))
-        max_p = (2.0 * stdtr(dof, -t_abs)).max(axis=0)
+        # The tail falls as |t| grows, so a candidate's largest slope
+        # p-value is the tail at its smallest |t| (NaN if any |t| is NaN).
+        t_min = (np.abs(beta[1:]) / np.sqrt(var[1:] * (rss / dof))).min(axis=0)
+        max_p = two_sided_t_tail(t_min, dof)
         # kappa^2 <= (columns) * trace of the inverse unit-scaled Gram matrix.
         kappa2 = var.shape[0] * var.sum(axis=0)
         slack = _ROUNDING_SAFETY * np.finfo(float).eps * kappa2 * y2 / rss

@@ -49,6 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# Named here so that numpy 2 loads numpy.random at start-up, not in a report.
+from numpy.random import default_rng
 
 from repro.workloads.trace import workload_seed
 
@@ -289,7 +291,7 @@ class FaultPlan:
         ]
         if not specs or samples.size == 0:
             return samples, 0
-        rng = np.random.default_rng(
+        rng = default_rng(
             workload_seed(workload, f"fault-{self.seed}-{label}")
         )
         lost = 0

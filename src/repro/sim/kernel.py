@@ -866,6 +866,10 @@ FLAGS = ("-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off")
 
 #: File-name prefixes of this module's libraries, past ones included.
 _PREFIXES = ("kernel-", "l2walk-")
+#: Libraries a publish leaves in the cache directory, most recently used
+#: first, so that checkouts of a few versions sharing one cache (a change
+#: and its parent, shards of two campaigns) do not rebuild each other's.
+_KEPT_LIBRARIES = 4
 
 #: The loaded library, once per process.
 _KERNEL = None
@@ -899,18 +903,28 @@ def _build(path: str) -> None:
         os.replace(built, path)
 
 
-def _forget_stale(directory: str, keep: str) -> None:
-    """Remove the libraries of other sources or flags from ``directory``.
+def _forget_least_recent(directory: str) -> None:
+    """Keep the :data:`_KEPT_LIBRARIES` most recently used libraries in
+    ``directory`` and remove the rest.
 
-    A process that has one loaded keeps its mapping; a peer that was about
-    to load one rebuilds it (see :func:`_load`).
+    Use is the modification time, which a build sets and every load
+    refreshes.  A process that has a removed library loaded keeps its
+    mapping; a peer that was about to load one rebuilds it (see
+    :func:`_load`).
     """
+    libraries = []
     for name in os.listdir(directory):
-        if name != keep and name.endswith(".so") and name.startswith(_PREFIXES):
+        if name.endswith(".so") and name.startswith(_PREFIXES):
+            path = os.path.join(directory, name)
             try:
-                os.remove(os.path.join(directory, name))
-            except OSError as exc:
-                logger.info("stale kernel %s not removed: %s", name, exc)
+                libraries.append((os.stat(path).st_mtime_ns, path))
+            except OSError as exc:  # removed by a peer meanwhile
+                logger.info("kernel %s not listed: %s", path, exc)
+    for _, path in sorted(libraries, reverse=True)[_KEPT_LIBRARIES:]:
+        try:
+            os.remove(path)
+        except OSError as exc:
+            logger.info("old kernel %s not removed: %s", path, exc)
 
 
 def _signatures(ctypes) -> dict:
@@ -943,7 +957,7 @@ def _load():
         path = os.path.join(directory, name)
         if not os.path.exists(path):
             _build(path)
-            _forget_stale(directory, name)
+            _forget_least_recent(directory)
         try:
             lib = ctypes.CDLL(path)
         except OSError:
@@ -952,6 +966,10 @@ def _load():
             # A peer publishing another source removed it: rebuild once.
             _build(path)
             lib = ctypes.CDLL(path)
+        try:
+            os.utime(path)  # this load is a use
+        except OSError as exc:
+            logger.info("kernel %s use not recorded: %s", path, exc)
     else:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, library_name())

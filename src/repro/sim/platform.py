@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# Named here so that numpy 2 loads numpy.random at start-up, not in a report.
+from numpy.random import default_rng
 
 from repro.events.armv7_pmu import events_for_core
 from repro.sim.cpu import SimResult
@@ -183,11 +185,13 @@ class HardwarePlatform(SimFrontEnd):
         effective_freq, throttled = self._thermal_frequency(profile, freq_hz, voltage)
         single_time = sim.time_seconds(effective_freq) * repeat
 
-        rng = np.random.default_rng(
+        rng = default_rng(
             workload_seed(profile.name, f"hw-{self.core}-{freq_hz:.0f}")
         )
         run_times = single_time * (1.0 + rng.normal(0.0, 0.004, size=5))
-        time_seconds = float(np.median(run_times))
+        # The middle of the five sorted runs: np.median's value, without its
+        # NaN check, which imports numpy.ma on first use.
+        time_seconds = float(np.sort(run_times)[run_times.size // 2])
 
         # The PMU is read system-wide: counts aggregate over all active
         # cores (threads are homogeneous), like perf's per-cluster counting

@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+# Named here so that numpy 2 loads numpy.random at start-up, not in a report.
+from numpy.random import default_rng
 
 from repro.workloads.profile import WorkloadProfile
 
@@ -685,7 +687,7 @@ class _TraceBuilder:
         self.profile = profile
         self.target_instrs = n_instrs
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
+        self.rng = default_rng(seed)
         self.blocks: list[StaticBlock] = []
         self.streams: list[Stream] = []
         self.functions: list[_Function] = []

@@ -546,21 +546,40 @@ def test_unwritable_cache_builds_in_a_temporary_directory(
     assert not os.path.exists(os.path.dirname(path))
 
 
-def test_publishing_removes_the_libraries_of_other_sources(
-    fresh_kernel, monkeypatch
-):
-    """Two sources leave one library; a library of the former L2-only
-    module goes too, and files that are not kernels stay."""
+def test_alternating_sources_share_one_cache(fresh_kernel, monkeypatch):
+    """Two checkouts sharing one cache directory (a change and its parent)
+    take turns: each one's library is built once and both stay."""
     cache, builds = fresh_kernel
-    cache.mkdir(parents=True)
-    (cache / "l2walk-0123456789abcdef01234567.so").write_text("")
-    (cache / "notes.txt").write_text("")
+    source_a, name_a = kernel_mod.SOURCE, kernel_mod.library_name()
     first = _walk_once()
-    monkeypatch.setattr(kernel_mod, "SOURCE", kernel_mod.SOURCE + "\n")
+    monkeypatch.setattr(kernel_mod, "SOURCE", source_a + "\n")
+    name_b = kernel_mod.library_name()
     monkeypatch.setattr(kernel_mod, "_KERNEL", None)
     assert _walk_once() == first
-    assert len(builds) == 2
-    assert sorted(os.listdir(cache)) == [kernel_mod.library_name(), "notes.txt"]
+    monkeypatch.setattr(kernel_mod, "SOURCE", source_a)
+    monkeypatch.setattr(kernel_mod, "_KERNEL", None)
+    assert _walk_once() == first
+    assert builds == [str(cache / name_a), str(cache / name_b)]
+    assert sorted(os.listdir(cache)) == sorted([name_a, name_b])
+
+
+def test_a_publish_keeps_the_most_recently_used_libraries(tmp_path):
+    """Use is the modification time, which a load refreshes: the newest
+    ``_KEPT_LIBRARIES`` libraries stay, older ones go (the former L2-only
+    module's too), and files that are not kernels stay."""
+    kept = kernel_mod._KEPT_LIBRARIES
+    names = ["l2walk-old.so"] + [f"kernel-{i}.so" for i in range(kept + 1)]
+    for stamp, name in enumerate(names, start=1):
+        (tmp_path / name).write_text("")
+        os.utime(tmp_path / name, (stamp, stamp))
+    (tmp_path / "notes.txt").write_text("")
+    (tmp_path / "kernel-notes.txt").write_text("")
+    os.utime(tmp_path / "kernel-1.so", (100, 100))  # loaded again
+    kernel_mod._forget_least_recent(str(tmp_path))
+    newest = ["kernel-1.so", *names[::-1][: kept - 1]]
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [*newest, "notes.txt", "kernel-notes.txt"]
+    )
 
 
 def test_a_library_removed_before_its_load_is_rebuilt(fresh_kernel, monkeypatch):
