@@ -8,7 +8,9 @@ iteratively making changes and analysing the result with GemStone").
 :func:`iterative_improvement` automates that loop: given a set of candidate
 fixes (each a transformation of the machine configuration), it greedily
 applies the fix that most reduces the execution-time MAPE, re-runs the
-evaluation, and repeats until no candidate helps.  The audit trail doubles
+evaluation, and repeats until no candidate helps.  Each round is one
+executor batch over every pending candidate and workload, replaying the
+traces compiled once up front.  The audit trail doubles
 as evidence for the paper's warning — fixes that look right in isolation
 (e.g. the 32-entry ITLB) are rejected while a bigger error masks them, and
 become acceptable once that error is repaired.
@@ -20,10 +22,10 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 from repro.core.stats.metrics import mape, mpe
-from repro.sim.cpu import simulate
+from repro.sim.executor import SimExecutor
 from repro.sim.machine import MachineConfig
+from repro.sim.result_cache import SimJob
 from repro.workloads.profile import WorkloadProfile
-from repro.workloads.trace import SyntheticTrace, compile_trace
 
 #: A candidate fix: name plus a pure transformation of the machine config.
 Fix = Callable[[MachineConfig], MachineConfig]
@@ -77,18 +79,6 @@ class ImprovementResult:
         return "\n".join(lines)
 
 
-def _evaluate(
-    machine: MachineConfig,
-    traces: Sequence[SyntheticTrace],
-    hw_times: Sequence[float],
-    freq_hz: float,
-) -> tuple[float, float]:
-    model_times = [
-        simulate(trace, machine).time_seconds(freq_hz) for trace in traces
-    ]
-    return mape(hw_times, model_times), mpe(hw_times, model_times)
-
-
 def iterative_improvement(
     hw_machine: MachineConfig,
     model_machine: MachineConfig,
@@ -115,33 +105,51 @@ def iterative_improvement(
 
     Raises:
         ValueError: On empty workloads or fixes.
+        SimJobError: A replay failed after the executor's retries.
     """
     if not workloads:
         raise ValueError("no workloads")
     if not fixes:
         raise ValueError("no candidate fixes")
 
-    traces = [compile_trace(w, trace_instructions) for w in workloads]
-    hw_times = [simulate(t, hw_machine).time_seconds(freq_hz) for t in traces]
+    executor = SimExecutor()
+    traces = [
+        SimJob(w, trace_instructions, hw_machine).compile_recipe()
+        for w in workloads
+    ]
 
+    def times(machines: Sequence[MachineConfig]) -> list[list[float]]:
+        """Each machine's time per workload, from one batch."""
+        results = executor.run_many(
+            [SimJob(w, trace_instructions, m) for m in machines for w in workloads],
+            traces=traces,
+        )
+        n = len(workloads)
+        return [
+            [r.time_seconds(freq_hz) for r in results[i : i + n]]
+            for i in range(0, len(results), n)
+        ]
+
+    hw_times, model_times = times([hw_machine, model_machine])
     current = model_machine
-    current_mape, current_mpe = _evaluate(current, traces, hw_times, freq_hz)
+    current_mape = mape(hw_times, model_times)
+    current_mpe = mpe(hw_times, model_times)
     initial = (current_mape, current_mpe)
 
     pending = dict(fixes)
     steps: list[ImprovementStep] = []
     while pending and (max_rounds is None or len(steps) < max_rounds):
-        scored: list[tuple[float, float, str, MachineConfig]] = []
-        for name, fix in pending.items():
-            candidate = fix(current)
-            mape, mpe = _evaluate(candidate, traces, hw_times, freq_hz)
-            scored.append((mape, mpe, name, candidate))
+        candidates = [fix(current) for fix in pending.values()]
+        scored: list[tuple[float, float, str, MachineConfig]] = [
+            (mape(hw_times, t), mpe(hw_times, t), name, candidate)
+            for name, candidate, t in zip(pending, candidates, times(candidates))
+        ]
         scored.sort(key=lambda row: row[0])
         best_mape, best_mpe, best_name, best_machine = scored[0]
         if best_mape > current_mape - min_improvement:
             break
         rejected = tuple(
-            name for mape, _, name, _ in scored[1:] if mape > current_mape
+            name for error, _, name, _ in scored[1:] if error > current_mape
         )
         steps.append(
             ImprovementStep(

@@ -15,9 +15,8 @@
 * :mod:`repro.sim.power_ground_truth` — the "silicon" power process.
 * :mod:`repro.sim.executor` — fault-tolerant in-process execution of
   independent simulation jobs, with dedup, disk caching, bounded retry,
-  guards and telemetry.  It is the way into :func:`simulate` for the
-  library; the one exception is the Section VII improvement loop
-  (:mod:`repro.core.improvement`).
+  guards and telemetry.  It is the library's one way into
+  :func:`simulate`.
 * :mod:`repro.sim.campaign` — sharded campaigns over a shared job board,
   the one way to simulate across processes: each shard runs its claims
   through its own executor.

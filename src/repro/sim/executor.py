@@ -33,15 +33,10 @@ Simulating across processes is the sharded campaign's job
 runs every claim through its own serial executor, and the board supplies
 crash isolation, poisoning and worker-loss recovery across processes.
 
-The executor is the library's way into the simulator: the simulator
-front-ends, every campaign shard, the Fig. 4 micro-benchmarks and the
-run-time power windows run their jobs through it.
-The one exception is the Section VII improvement loop
-(:mod:`repro.core.improvement`).  It replays each compiled trace against
-many candidate machines across its greedy rounds.  Submitting one batch
-per round would drop every trace at the end of its batch: six times the
-compiles, half the replay-memo hits and, on a 12-workload probe, a
-quarter more wall time.
+The executor is the library's one way into the simulator: the simulator
+front-ends, every campaign shard, the Fig. 4 micro-benchmarks, the
+run-time power windows and the Section VII improvement loop run their
+jobs through it.
 """
 
 from __future__ import annotations
