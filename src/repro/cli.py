@@ -39,7 +39,6 @@ from repro.core.report import (
 from repro.obs.exporters import (
     CHROME_FILE,
     EVENTS_FILE,
-    read_event_stream,
     slowest_spans,
     summarize_spans,
     validate_chrome_trace,
@@ -81,19 +80,12 @@ def _add_common(
         help="attempts per simulation job before it counts as failed "
         "(deterministic exponential backoff between attempts)",
     )
-    _add_engine(parser)
+    _add_guard_level(parser)
     _add_logging(parser)
 
 
-def _add_engine(parser: argparse.ArgumentParser) -> None:
-    """The replay engine and its guardrails."""
-    parser.add_argument(
-        "--engine",
-        choices=("columnar", "scalar"),
-        default="columnar",
-        help="replay engine for every simulation (both engines are "
-        "bit-identical)",
-    )
+def _add_guard_level(parser: argparse.ArgumentParser) -> None:
+    """The guardrails over the replay engine."""
     parser.add_argument(
         "--guard-level",
         choices=("off", "sentinel", "paranoid"),
@@ -131,7 +123,6 @@ def _gemstone(args: argparse.Namespace) -> GemStone:
             trace_instructions=args.instructions,
             cache_dir=getattr(args, "cache_dir", None),
             retry=RetryPolicy(max_attempts=max(1, retries)),
-            engine=getattr(args, "engine", "columnar"),
             guard_level=getattr(args, "guard_level", "sentinel"),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
             trace_dir=getattr(args, "trace_out", None),
@@ -461,7 +452,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             report = run_worker(
                 args.board,
                 owner=args.owner,
-                engine=args.engine,
                 guard_level=args.guard_level,
                 max_jobs=args.max_jobs,
             )
@@ -483,7 +473,6 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         gem5_machine=args.model,
         trace_instructions=args.instructions,
         retry=RetryPolicy(max_attempts=max(1, args.retries)),
-        engine=args.engine,
         guard_level=args.guard_level,
     )
     tracer = NULL_TRACER
@@ -765,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker identity on the board (default: PID-based)")
     a.add_argument("--max-jobs", type=int, default=None,
                    help="stop this worker after N completed jobs")
-    _add_engine(a)
+    _add_guard_level(a)
     _add_logging(a)
 
     a = board_action("status", "board counts and journal tail")

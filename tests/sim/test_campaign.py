@@ -596,7 +596,7 @@ class TestCumulativeSnapshot:
 class TestCampaignCli:
     def test_worker_and_status_round_trip(self, tiny_board, capsys):
         assert main(["campaign", "worker", "--board", tiny_board,
-                     "--owner", "cli-w", "--engine", "scalar"]) == 0
+                     "--owner", "cli-w"]) == 0
         out = capsys.readouterr().out
         assert "cli-w" in out
         assert main(["campaign", "status", "--board", tiny_board]) == 0

@@ -27,11 +27,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["headline", "--core", "M4"])
 
-    def test_engine_defaults_to_columnar_and_has_no_alias(self):
-        parser = build_parser()
-        assert parser.parse_args(["headline"]).engine == "columnar"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["headline", "--engine", "auto"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["headline"],
+            ["campaign", "run", "--board", "b"],
+            ["campaign", "worker", "--board", "b"],
+        ],
+        ids=["headline", "campaign-run", "campaign-worker"],
+    )
+    def test_engine_is_not_a_command_line_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([*argv, "--engine", "scalar"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
 
 class TestExecution:
@@ -128,18 +137,17 @@ class TestCampaignOptions:
         run = parse(["campaign", "run", "--board", "b", "--shards", "4",
                      "--ttl", "2", "--no-collate", "--trace-out", "t",
                      "--instructions", "3000", "--core", "A7", "--model",
-                     "gem5-ex5-little", "--retries", "2", "--engine",
-                     "scalar", "--guard-level", "off", "--out", "r.txt",
-                     "--log-level", "info"])
+                     "gem5-ex5-little", "--retries", "2", "--guard-level",
+                     "off", "--out", "r.txt", "--log-level", "info"])
         assert (run.action, run.board, run.shards, run.ttl, run.no_collate,
                 run.trace_out, run.instructions, run.retries) == (
             "run", "b", 4, 2.0, True, "t", 3000, 2)
         worker = parse(["campaign", "worker", "--board", "b", "--owner", "w",
-                        "--max-jobs", "3", "--engine", "scalar",
-                        "--guard-level", "paranoid", "--log-json"])
-        assert (worker.action, worker.owner, worker.max_jobs, worker.engine,
+                        "--max-jobs", "3", "--guard-level", "paranoid",
+                        "--log-json"])
+        assert (worker.action, worker.owner, worker.max_jobs,
                 worker.guard_level, worker.log_json) == (
-            "worker", "w", 3, "scalar", "paranoid", True)
+            "worker", "w", 3, "paranoid", True)
         status = parse(["campaign", "status", "--board", "b", "--detail",
                         "--tail", "5", "--out", "s.txt"])
         assert (status.action, status.detail, status.tail, status.out) == (
