@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.error_id import WorkloadClusterAnalysis
 from repro.core.validation import ValidationDataset
 from repro.events.armv7_pmu import event_name
-from repro.events.matching import EventMatch, default_event_matches
+from repro.events.matching import default_event_matches
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ class EventComparison:
     freq_hz: float
     ratios: dict[int, EventRatio]
     bp_accuracy: list[BpAccuracyRow]
-    excluded_cluster: int | None
+    excluded_cluster: int
 
     def ratio(self, pmu_event: int) -> float:
         """Mean gem5/HW ratio of one event.
@@ -106,39 +106,31 @@ def compare_events(
     dataset: ValidationDataset,
     freq_hz: float,
     workload_clusters: WorkloadClusterAnalysis,
-    matches: dict[int, EventMatch] | None = None,
-    report_clusters: list[int] | None = None,
-    exclude_extreme_cluster: bool = True,
 ) -> EventComparison:
     """Normalise gem5 totals by their HW PMC equivalents (Fig. 6).
+
+    Uses the paper's gem5<->PMC equations, breaks out every cluster, and
+    excludes the pathological cluster from the mean bars, as Fig. 6 does
+    ("the mean bars exclude Cluster 16").
 
     Args:
         dataset: Paired validation runs.
         freq_hz: Frequency to compare at.
         workload_clusters: Fig. 3 clustering (cluster ids label the bars).
-        matches: gem5<->PMC equations; defaults to the paper's table.
-        report_clusters: Clusters to break out individually; defaults to all.
-        exclude_extreme_cluster: Exclude the pathological cluster from the
-            mean bars, as Fig. 6 does ("the mean bars exclude Cluster 16").
 
     Raises:
         ValueError: If the clustering and dataset workloads disagree.
     """
     if tuple(workload_clusters.clusters.item_names) != tuple(dataset.workloads):
         raise ValueError("workload clustering does not match the dataset")
-    if matches is None:
-        matches = default_event_matches()
 
     runs = dataset.runs_at(freq_hz)
     labels = np.asarray(workload_clusters.clusters.labels)
-    extreme_cluster: int | None = None
-    if exclude_extreme_cluster:
-        _, extreme_cluster, _ = workload_clusters.extreme_workload()
-    if report_clusters is None:
-        report_clusters = sorted(set(labels.tolist()))
+    _, extreme_cluster, _ = workload_clusters.extreme_workload()
+    report_clusters = sorted(set(labels.tolist()))
 
     ratios: dict[int, EventRatio] = {}
-    for event, match in matches.items():
+    for event, match in default_event_matches().items():
         per_workload: dict[str, float] = {}
         for run in runs:
             hw_total = run.hw.pmc.get(event)
@@ -162,11 +154,7 @@ def compare_events(
                 if w in per_workload
             ]
         )
-        mean_mask = (
-            value_labels != extreme_cluster
-            if extreme_cluster is not None
-            else np.ones(len(values), dtype=bool)
-        )
+        mean_mask = value_labels != extreme_cluster
         cluster_ratios = {
             c: float(values[value_labels == c].mean())
             for c in report_clusters

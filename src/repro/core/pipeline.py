@@ -15,7 +15,7 @@ one simulation pass per (workload, machine).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.core.energy import (
     BigLittleComparison,
@@ -431,16 +431,14 @@ class GemStone:
         return self._event_comparison
 
     # ------------------------------------------------------------- power side
-    def build_power_model(
-        self, restrained: bool | None = None, max_terms: int | None = None
-    ) -> PowerModel:
+    def build_power_model(self, restrained: bool | None = None) -> PowerModel:
         """Build a fresh power model (Section V), bypassing the cache."""
         if restrained is None:
             restrained = self.config.gem5_restrained_power_model
         builder = PowerModelBuilder(
             self.config.core,
             excluded_events=restraint_pool_gem5(self.config.core) if restrained else frozenset(),
-            max_terms=max_terms or self.config.power_model_terms,
+            max_terms=self.config.power_model_terms,
         )
         return builder.fit(self.power_dataset)
 

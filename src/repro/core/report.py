@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-import numpy as np
-
 
 def text_table(
     headers: Sequence[str],
@@ -180,13 +178,11 @@ def render_event_ratio_table(comparison) -> str:
             + [ratio.cluster_ratios.get(c, float("nan")) for c in clusters]
             + [ratio.note]
         )
-    note = (
-        f" (mean excludes cluster {comparison.excluded_cluster})"
-        if comparison.excluded_cluster is not None
-        else ""
-    )
     return text_table(
-        headers, rows, title=f"gem5 events / HW PMC equivalents{note}"
+        headers,
+        rows,
+        title="gem5 events / HW PMC equivalents"
+        f" (mean excludes cluster {comparison.excluded_cluster})",
     )
 
 

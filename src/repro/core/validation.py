@@ -14,7 +14,7 @@ statistics that headline Section IV:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -320,16 +320,12 @@ class ValidationDataset:
         return matrix, stats
 
 
-ProgressCallback = Callable[[str, float, int, int], None]
-
-
 def collect_validation_dataset(
     platform: HardwarePlatform,
     gem5: Gem5Simulation,
     workloads: Iterable[WorkloadProfile],
     frequencies: Sequence[float] | None = None,
     with_power: bool = True,
-    progress: ProgressCallback | None = None,
     health: CollectionHealth | None = None,
 ) -> ValidationDataset:
     """Run Experiments 1 and 2 and collate them (Fig. 1 boxes a, b, f).
@@ -355,7 +351,6 @@ def collect_validation_dataset(
         frequencies: DVFS sweep; defaults to the paper's per-cluster sweep.
         with_power: Also capture power on the hardware (needed later by the
             energy analysis; disable to speed up pure timing studies).
-        progress: Optional callback ``(workload, freq, i, total)``.
         health: Optional pre-existing :class:`CollectionHealth` to append
             to (so one record can span validation + power collection).
 
@@ -381,8 +376,6 @@ def collect_validation_dataset(
     if health is None:
         health = CollectionHealth()
     runs: list[WorkloadRun] = []
-    total = len(workload_list) * len(frequencies)
-    done = 0
     for profile in workload_list:
         for freq in frequencies:
             health.attempted += 1
@@ -406,9 +399,6 @@ def collect_validation_dataset(
                         gem5=model,
                     )
                 )
-            done += 1
-            if progress is not None:
-                progress(profile.name, freq, done, total)
 
     health.absorb_guard_events(executor.guard.events[guard_seen:])
     if not runs:

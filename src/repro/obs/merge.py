@@ -406,20 +406,17 @@ def autotune_hint(
 def export_campaign_trace(
     board_dir: str,
     out_dir: str | None = None,
-    coordinator_stream: str | None = None,
 ) -> dict:
     """Write the merged Chrome trace + Prometheus snapshot for a campaign.
 
     ``out_dir`` defaults to the board itself; the coordinator stream is
     read from ``<out_dir>/events.jsonl`` (where ``campaign run
-    --trace-out`` puts it) when not given explicitly.  Pure read-merge-
-    write: safe to re-run, byte-identical for unchanged streams.
+    --trace-out`` puts it).  Pure read-merge-write: safe to re-run,
+    byte-identical for unchanged streams.
     """
     out_dir = board_dir if out_dir is None else out_dir
-    if coordinator_stream is None:
-        coordinator_stream = os.path.join(out_dir, EVENTS_FILE)
     coordinator_records, _ = read_shard_stream(
-        coordinator_stream, missing_ok=True
+        os.path.join(out_dir, EVENTS_FILE), missing_ok=True
     )
     records, names = merge_campaign_records(
         board_dir, coordinator_records=coordinator_records

@@ -42,18 +42,6 @@ class TestDatasetShape:
         with pytest.raises(ValueError, match="no workloads"):
             collect_validation_dataset(platform_a15, gem5_sim_a15, [], SMALL_FREQS)
 
-    def test_progress_callback(self, platform_a15, gem5_sim_a15):
-        calls = []
-        collect_validation_dataset(
-            platform_a15,
-            gem5_sim_a15,
-            [workload_by_name("mi-sha")],
-            SMALL_FREQS,
-            progress=lambda w, f, i, n: calls.append((w, i, n)),
-        )
-        assert len(calls) == 2
-        assert calls[-1][1] == calls[-1][2] == 2
-
 
 class TestErrorStatistics:
     def test_sign_convention(self, small_dataset):
