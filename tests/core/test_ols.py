@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
-from scipy.special import stdtr
 
 from repro.core.stats.ols import fit_ols, variance_inflation_factors
 
@@ -79,39 +77,6 @@ class TestInference:
         x, y = linear_data
         text = fit_ols(x, y, names=("a", "b")).summary()
         assert "R^2" in text and "(intercept)" in text and "a" in text
-
-
-class TestStudentTailOracle:
-    """``stdtr(dof, -|t|)`` is ``scipy.stats.t.sf(|t|, dof)`` bit for bit.
-
-    The fits take their t-tail p-values from ``scipy.special.stdtr`` so that
-    importing them does not import ``scipy.stats``; these tests pin that the
-    substitution changes no p-value byte.
-    """
-
-    @staticmethod
-    def _assert_same_bytes(t_abs, dof):
-        ours = stdtr(dof, -t_abs)
-        oracle = np.asarray(scipy_stats.t.sf(t_abs, dof))
-        assert ours.shape == oracle.shape
-        assert ours.tobytes() == oracle.tobytes()
-
-    def test_sampled_tails(self):
-        rng = np.random.default_rng(11)
-        t_abs = np.concatenate(
-            [np.logspace(-8, 3, 1500), np.abs(rng.standard_cauchy(1500))]
-        )
-        dofs = np.unique(np.round(np.logspace(0, 6, 40)))
-        self._assert_same_bytes(t_abs[None, :], dofs[:, None])
-
-    @pytest.mark.parametrize("dof", [0, -1, np.inf, np.nan, 1, 7])
-    def test_edge_cases(self, dof):
-        self._assert_same_bytes(np.array([0.0, np.inf, np.nan, 2.5]), dof)
-
-    def test_stepwise_screen_shape(self):
-        # The stepwise screen passes a (terms, candidates) block of |t|.
-        t_abs = np.abs(np.random.default_rng(3).normal(0, 3, (4, 25)))
-        self._assert_same_bytes(t_abs, 31)
 
 
 class TestWeighted:
