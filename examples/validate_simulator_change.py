@@ -64,14 +64,12 @@ print()
 
 # Where did the cycles go?  Compare the mean simulated cycle breakdown of
 # one pathological workload on both versions.
-from repro.sim.cpu import simulate
 from repro.workloads.suites import workload_by_name
-from repro.workloads.trace import compile_trace
 
-trace = compile_trace(workload_by_name("par-basicmath-rad2deg"), 20_000)
+profile = workload_by_name("par-basicmath-rad2deg")
 breakdown_rows = []
 for label, gemstone in (("pre-fix", before), ("post-fix", after)):
-    result = simulate(trace, gemstone.gem5.machine)
+    result = gemstone.executor.run(gemstone.gem5.job_for(profile))
     total = sum(result.components.values())
     breakdown_rows.append(
         [label]
