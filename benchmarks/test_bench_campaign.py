@@ -34,7 +34,6 @@ from benchmarks.conftest import median_and_iqr, paper_row, print_header
 from repro.atomicio import Journal
 from repro.core.pipeline import GemStoneConfig
 from repro.sim.campaign import run_campaign
-from repro.sim.executor import RetryPolicy
 from repro.workloads.suites import workload_by_name
 
 TRACE_INSTRUCTIONS = 30_000
@@ -58,7 +57,7 @@ def _config() -> GemStoneConfig:
         workloads=profiles,
         power_workloads=profiles,
         trace_instructions=TRACE_INSTRUCTIONS,
-        retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
+        max_attempts=2,
         engine="scalar",
         guard_level="off",
     )

@@ -78,7 +78,7 @@ def _add_common(
         type=int,
         default=3,
         help="attempts per simulation job before it counts as failed "
-        "(deterministic exponential backoff between attempts)",
+        "(a failed attempt is replayed at once; 0 means 1)",
     )
     _add_guard_level(parser)
     _add_logging(parser)
@@ -113,8 +113,6 @@ def _add_logging(parser: argparse.ArgumentParser) -> None:
 
 
 def _gemstone(args: argparse.Namespace) -> GemStone:
-    from repro.sim.executor import RetryPolicy
-
     retries = getattr(args, "retries", 3)
     return GemStone(
         GemStoneConfig(
@@ -122,7 +120,7 @@ def _gemstone(args: argparse.Namespace) -> GemStone:
             gem5_machine=args.model,
             trace_instructions=args.instructions,
             cache_dir=getattr(args, "cache_dir", None),
-            retry=RetryPolicy(max_attempts=max(1, retries)),
+            max_attempts=max(1, retries),
             guard_level=getattr(args, "guard_level", "sentinel"),
             checkpoint_dir=getattr(args, "checkpoint_dir", None),
             trace_dir=getattr(args, "trace_out", None),
@@ -466,13 +464,11 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         return 0
 
     # run: coordinate shards, then collate and report.
-    from repro.sim.executor import RetryPolicy
-
     config = GemStoneConfig(
         core=args.core,
         gem5_machine=args.model,
         trace_instructions=args.instructions,
-        retry=RetryPolicy(max_attempts=max(1, args.retries)),
+        max_attempts=max(1, args.retries),
         guard_level=args.guard_level,
     )
     tracer = NULL_TRACER

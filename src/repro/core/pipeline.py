@@ -62,7 +62,7 @@ from repro.core.validation import (
 )
 from repro.sim.cpu import ENGINES
 from repro.sim.dvfs import experiment_frequencies
-from repro.sim.executor import RetryPolicy, SimExecutor
+from repro.sim.executor import SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import GUARD_LEVELS, GuardPlan
 from repro.sim.gem5 import Gem5Simulation
@@ -99,8 +99,8 @@ class GemStoneConfig:
         power_model_terms: Maximum events in the power model.
         gem5_restrained_power_model: Restrict power-model event selection to
             events with reliable gem5 equivalents (Section V's final model).
-        retry: Per-job :class:`~repro.sim.executor.RetryPolicy` (bounded,
-            deterministic exponential backoff); ``None`` uses the default.
+        max_attempts: Attempts per simulation job, the first included
+            (>= 1); a campaign also poisons a job after this many claims.
         faults: Optional :class:`~repro.sim.faults.FaultPlan` injected into
             the executor, cache and platform (chaos testing only).
         engine: Replay engine for every simulation in the run
@@ -134,7 +134,8 @@ class GemStoneConfig:
             fingerprint.
 
     Raises:
-        ValueError: Immediately on construction for an unknown ``core``.
+        ValueError: Immediately on construction for an unknown ``core``
+            or ``max_attempts < 1``.
     """
 
     core: str = "A15"
@@ -148,7 +149,7 @@ class GemStoneConfig:
     power_model_terms: int = 7
     gem5_restrained_power_model: bool = True
     cache_dir: str | None = None
-    retry: RetryPolicy | None = None
+    max_attempts: int = 3
     faults: FaultPlan | None = None
     engine: str = "columnar"
     guard_level: str = "sentinel"
@@ -163,6 +164,10 @@ class GemStoneConfig:
         if self.core not in ("A7", "A15"):
             raise ValueError(
                 f"core must be 'A7' or 'A15', got {self.core!r}"
+            )
+        if self.max_attempts < 1:
+            raise ValueError(
+                f"max_attempts must be >= 1, got {self.max_attempts}"
             )
         if self.engine not in ENGINES:
             raise ValueError(
@@ -225,7 +230,7 @@ class GemStone:
         )
         # One executor serves both engines: (workload x machine) jobs from
         # the hardware platform and the gem5 model share its dedup, disk
-        # cache, retry policy and telemetry, and dataset collection batches
+        # cache, retries and telemetry, and dataset collection batches
         # through it.  A campaign collation reads the board's result store
         # (a plain result cache under ``<board>/results``) instead.
         cache_dir = self.config.cache_dir
@@ -233,7 +238,7 @@ class GemStone:
             cache_dir = os.path.join(self.config.board_dir, "results")
         self.executor = SimExecutor(
             cache_dir=cache_dir,
-            retry=self.config.retry,
+            max_attempts=self.config.max_attempts,
             faults=self.config.faults,
             tracer=self.tracer,
             metrics=self.metrics,

@@ -125,7 +125,7 @@ class RunManifest:
         """Fingerprint a resolved :class:`~repro.core.pipeline.GemStoneConfig`.
 
         Only result-affecting fields participate: execution knobs
-        (``retry``, ``engine``, ``guard_level``, ``cache_dir``,
+        (``max_attempts``, ``engine``, ``guard_level``, ``cache_dir``,
         ``checkpoint_dir``) are bit-identical by construction and
         deliberately excluded, so re-running with another engine or cache
         restores the same checkpoints.

@@ -21,7 +21,7 @@ be low-overhead and must never perturb the thing being measured.
   loggers from :func:`get_logger` (rule ``OBS001`` bans ``print`` and the
   root logger in library modules).
 * :mod:`repro.obs.merge` — read-time stitching for distributed campaigns:
-  checksummed shard trace segments adopted into one campaign-wide trace
+  checksummed shard trace segments merged into one campaign-wide trace
   with per-shard tracks, and shard metric snapshots merged into one
   campaign Prometheus snapshot with derived health gauges.
 * :mod:`repro.obs.prof` — the deterministic replay profiler: per-pass

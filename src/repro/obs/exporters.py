@@ -8,9 +8,9 @@ way the campaign board's journal does.
 The Chrome trace-event document (``{"traceEvents": [...]}`` with ``ph: X``
 complete events) loads directly in Perfetto (https://ui.perfetto.dev) and
 ``chrome://tracing``.  Run *segments* (a killed-then-resumed pipeline) map
-to Chrome ``pid`` lanes and worker processes to ``tid`` lanes, so an
-interrupted run renders as two aligned process tracks rather than one
-garbled timeline.
+to Chrome ``pid`` lanes, so an interrupted run renders as two aligned
+process tracks rather than one garbled timeline; a record's ``tid`` is its
+thread lane within the track.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ snapshot beside it.  This module is the coordinator-side read path:
   best-effort with any torn final line already dropped by
   :func:`~repro.obs.exporters.read_event_stream`.
 * :func:`merge_campaign_records` — stitches every shard stream into one
-  campaign-wide record list via a generalised :meth:`Tracer.adopt`,
-  giving each (shard, segment) its own Chrome process track.
+  campaign-wide record list, re-identifying shard records under one
+  counter and giving each (shard, segment) its own Chrome process track.
 * :func:`merge_snapshots` / :func:`registry_from_snapshot` — rebuild and
   combine per-shard :class:`MetricsRegistry` snapshots (counters add,
   gauges last-write in shard order, histograms merge bucket-wise).
@@ -47,7 +47,6 @@ from repro.obs.exporters import (
     write_prometheus_snapshot,
 )
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
 
 #: Per-board observability directory (shard streams + metric snapshots).
 OBS_DIR = "obs"
@@ -154,10 +153,15 @@ def merge_campaign_records(
 
     Coordinator records (read from ``<board_dir>/events.jsonl`` unless
     passed in) keep their own segments as Chrome ``pid`` lanes; each
-    shard (owner, segment) pair is adopted onto the next free ``pid`` so
-    every shard renders as its own process track.  Returns
-    ``(records, process_names)`` where ``process_names`` labels the
-    shard tracks for :func:`~repro.obs.exporters.chrome_trace_document`.
+    shard (owner, segment) pair goes onto the next free ``pid`` so every
+    shard renders as its own process track.  Shard records are
+    re-identified as ``"<path>#<n>"`` under one running counter (shard
+    ids repeat across shards and segments), and their parent and span
+    links follow; a link to a record outside the segment (a span a killed
+    shard never closed) becomes ``None``.  Timestamps and ``tid`` are
+    kept.  Returns ``(records, process_names)`` where ``process_names``
+    labels the shard tracks for
+    :func:`~repro.obs.exporters.chrome_trace_document`.
     """
     if coordinator_records is None:
         coordinator_records, _ = read_shard_stream(
@@ -169,8 +173,9 @@ def merge_campaign_records(
     pid = 1 + max(
         (int(r.get("segment", 0)) for r in coordinator_records), default=-1
     )
-    stitcher = Tracer(enabled=True)
+    merged: list[dict] = []
     names: dict[int, str] = {}
+    seq = 0
     for owner, path in shard_streams(board_dir):
         shard_records, _ = read_shard_stream(path, missing_ok=True)
         shard_records = [
@@ -180,21 +185,32 @@ def merge_campaign_records(
             {int(r.get("segment", 0)) for r in shard_records}
         )
         for segment in segments:
-            stitcher.adopt(
-                [
-                    r
-                    for r in shard_records
-                    if int(r.get("segment", 0)) == segment
-                ],
-                rebase_us=0.0,
-                segment=pid,
-                keep_tid=True,
-            )
+            # Two passes: children close (and record) before their
+            # parents, so every new id must exist before links follow.
+            renamed: list[dict] = []
+            new_ids: dict[str, str] = {}
+            for record in shard_records:
+                if int(record.get("segment", 0)) != segment:
+                    continue
+                new_ids[record["id"]] = f"{record['path']}#{seq}"
+                seq += 1
+                renamed.append(
+                    dict(
+                        record,
+                        id=new_ids[record["id"]],
+                        tid=int(record.get("tid", 0)),
+                        segment=pid,
+                    )
+                )
+            for record in renamed:
+                link = "parent" if record["kind"] == "span" else "span"
+                record[link] = new_ids.get(record.get(link))
+            merged += renamed
             names[pid] = f"campaign {owner}" + (
                 f" segment {segment}" if segment else ""
             )
             pid += 1
-    return coordinator_records + stitcher.records, names
+    return coordinator_records + merged, names
 
 
 def load_trace_records(

@@ -13,10 +13,10 @@ depend on them) and kept exclusively in trace records.  Nothing a tracer
 records ever reaches a report.
 
 Campaign shard processes cannot share the coordinator's tracer.  Each
-shard streams its own records to the board, and :mod:`repro.obs.merge`
-*stitches* them into one tree with :meth:`Tracer.adopt` — re-identifying
-every record under one counter and re-basing its timestamps into one
-clock, so a sharded campaign still yields one coherent trace.
+shard streams its own records to the board, and
+:func:`repro.obs.merge.merge_campaign_records` re-identifies them under
+one counter, with one Chrome process track per shard segment, so a
+sharded campaign still yields one coherent trace.
 
 With ``stream_path`` set, every record is appended to a JSONL event stream
 as it closes (mode ``"a"``, flushed per line — the append-only journal
@@ -76,18 +76,16 @@ class Span:
     """One live span; use as a context manager via :meth:`Tracer.span`."""
 
     __slots__ = ("tracer", "name", "path", "span_id", "parent_id",
-                 "attrs", "tid", "start_us", "status")
+                 "attrs", "start_us", "status")
 
     def __init__(self, tracer: "Tracer", name: str, path: str,
-                 span_id: str, parent_id: str | None, attrs: dict,
-                 tid: int):
+                 span_id: str, parent_id: str | None, attrs: dict):
         self.tracer = tracer
         self.name = name
         self.path = path
         self.span_id = span_id
         self.parent_id = parent_id
         self.attrs = attrs
-        self.tid = tid
         self.start_us: float = 0.0
         self.status = "ok"
 
@@ -124,8 +122,8 @@ class Tracer:
             (``trace.span.<name>.seconds``) in this registry.
 
     A tracer is single-threaded by design: the pipeline runs phases
-    sequentially, and campaign shard spans arrive through :meth:`adopt`
-    rather than concurrent use.
+    sequentially, and each campaign shard records into a tracer of its
+    own.  Every record carries ``"tid": 0``, the one Chrome thread lane.
     """
 
     def __init__(
@@ -194,10 +192,6 @@ class Tracer:
         return (perf_counter() - self._epoch) * 1e6
 
     # -------------------------------------------------------------------- api
-    @property
-    def current_path(self) -> str:
-        return self._stack[-1].path if self._stack else ""
-
     def span(self, name: str, **attrs: Any) -> Span | _NullSpan:
         """A new child span of the innermost open span (or a root span)."""
         if not self.enabled:
@@ -213,7 +207,6 @@ class Tracer:
             span_id,
             parent.span_id if parent is not None else None,
             dict(attrs),
-            parent.tid if parent is not None else 0,
         )
 
     def event(self, name: str, **attrs: Any) -> None:
@@ -230,7 +223,7 @@ class Tracer:
                 "name": name,
                 "path": path,
                 "ts_us": self._now_us(),
-                "tid": parent.tid if parent is not None else 0,
+                "tid": 0,
                 "segment": self.segment,
                 "attrs": dict(attrs),
             }
@@ -254,7 +247,7 @@ class Tracer:
                 "path": span.path,
                 "start_us": span.start_us,
                 "dur_us": duration_us,
-                "tid": span.tid,
+                "tid": 0,
                 "segment": self.segment,
                 "status": span.status,
                 "attrs": span.attrs,
@@ -264,68 +257,6 @@ class Tracer:
             self.metrics.histogram(f"trace.span.{span.name}.seconds").observe(
                 duration_us / 1e6
             )
-
-    # ----------------------------------------------------------------- adopt
-    def adopt(
-        self,
-        records: list[dict],
-        rebase_us: float | None = None,
-        tid: int = 0,
-        segment: int | None = None,
-        keep_tid: bool = False,
-    ) -> None:
-        """Stitch a worker tracer's records into this tree.
-
-        Every record is re-identified under this tracer's counter (old ids
-        are remapped consistently, including parent links), re-rooted under
-        the innermost open span, assigned ``tid`` (its worker lane in the
-        Chrome trace), and — because the worker's clock epoch is its own —
-        re-based so its timestamps sit at ``rebase_us`` (default: now) in
-        this tracer's timeline.
-
-        For campaign stitching, ``segment`` places the adopted records on
-        their own Chrome process track instead of this tracer's current
-        segment, and ``keep_tid`` preserves the worker's own thread lanes
-        rather than flattening onto ``tid``.
-        """
-        if not self.enabled or not records:
-            return
-        parent = self._stack[-1] if self._stack else None
-        base_path = parent.path if parent is not None else ""
-        base_us = self._now_us() if rebase_us is None else rebase_us
-        new_segment = self.segment if segment is None else segment
-        # Two passes: children close (and record) before their parents in
-        # the worker, so every new id must exist before links are rewritten.
-        adopted_records: list[tuple[dict, dict]] = []
-        id_map: dict[str, str] = {}
-        for record in records:
-            if record.get("kind") not in ("span", "event"):
-                continue
-            adopted = dict(record)
-            adopted["path"] = (
-                f"{base_path}/{record['path']}" if base_path else record["path"]
-            )
-            new_id = f"{adopted['path']}#{self._seq}"
-            self._seq += 1
-            id_map[record["id"]] = new_id
-            adopted["id"] = new_id
-            adopted["tid"] = int(record.get("tid", 0)) if keep_tid else tid
-            adopted["segment"] = new_segment
-            adopted_records.append((record, adopted))
-        for record, adopted in adopted_records:
-            if record["kind"] == "span":
-                adopted["parent"] = id_map.get(
-                    record.get("parent"),
-                    parent.span_id if parent is not None else None,
-                )
-                adopted["start_us"] = base_us + record["start_us"]
-            else:
-                adopted["span"] = id_map.get(
-                    record.get("span"),
-                    parent.span_id if parent is not None else None,
-                )
-                adopted["ts_us"] = base_us + record["ts_us"]
-            self._record(adopted)
 
     # ------------------------------------------------------------------ tests
     def shape(self) -> list[tuple]:
@@ -350,7 +281,7 @@ class Tracer:
 
         The seal is a ``segment-end`` record carrying the line count and
         SHA-1 of everything this tracer wrote for its segment.  It goes to
-        the *stream only* (not :attr:`records`), so shapes and adoption are
+        the *stream only* (not :attr:`records`), so shapes are
         unaffected; readers use it to verify a shard's segment arrived
         intact, and its absence marks a segment that died mid-write.
         """

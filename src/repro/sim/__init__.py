@@ -28,7 +28,6 @@
 from repro.sim.cpu import SimResult, simulate
 from repro.sim.dvfs import OperatingPoint, OppTable, opp_table_for
 from repro.sim.executor import (
-    RetryPolicy,
     SimExecutor,
     SimJobError,
     SimJobFailure,
@@ -69,7 +68,6 @@ __all__ = [
     "HardwarePlatform",
     "HwMeasurement",
     "PowerGroundTruth",
-    "RetryPolicy",
     "SimExecutor",
     "SimJobError",
     "SimJobFailure",

@@ -85,7 +85,7 @@ from repro.obs.merge import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.sim.executor import RetryPolicy, SimExecutor, SimJobError
+from repro.sim.executor import SimExecutor, SimJobError
 from repro.sim.faults import InjectedFault
 from repro.sim.guard import GuardEvent, GuardPlan
 from repro.sim.machine import hardware_a15, hardware_a7
@@ -699,7 +699,7 @@ def run_worker(
     # snapshot (and the merged campaign metrics) carry the sim.guard.* and
     # sim.executor.* counters.
     executor = SimExecutor(
-        cache_dir=board.results_dir, retry=RetryPolicy(max_attempts=1),
+        cache_dir=board.results_dir, max_attempts=1,
         faults=faults, engine=engine, guard=GuardPlan(level=guard_level),
         metrics=board.metrics, tracer=tracer,
     )
@@ -916,7 +916,7 @@ def run_campaign(
         shards: Worker processes to spawn (>= 1).
         ttl_seconds: Lease heartbeat TTL.
         max_attempts: Claims per job before poisoning; defaults to the
-            config's retry policy budget.
+            config's ``max_attempts``.
         max_jobs_per_shard: Optional per-shard completion cap (tests use
             it to simulate a coordinator killed mid-campaign).
         poll_seconds: Supervision/idle-claim poll interval.
@@ -934,9 +934,8 @@ def run_campaign(
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     tracer = tracer if tracer is not None else NULL_TRACER
-    retry = config.retry if config.retry is not None else RetryPolicy()
     if max_attempts is None:
-        max_attempts = retry.max_attempts
+        max_attempts = config.max_attempts
     manifest = RunManifest.from_config(config)
     board = CampaignBoard(
         board_dir, ttl_seconds=ttl_seconds, max_attempts=max_attempts

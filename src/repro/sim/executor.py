@@ -17,8 +17,8 @@ owns the whole memoisation *and* recovery story for it:
   The batch runs recipe by recipe: each recipe is compiled once,
   its trace is shared across the batch's machines, sliced once per window
   for windowed jobs, and dropped after the recipe's last job;
-* **fault isolation** — a job that raises is retried under a
-  deterministic :class:`RetryPolicy`; one that exhausts the budget becomes
+* **fault isolation** — a job that raises is replayed at once, up to
+  ``max_attempts`` attempts in all; one that exhausts the budget becomes
   a :class:`SimJobFailure` while its siblings keep their results.  Because
   jobs are pure, recovered results are bit-identical to a fault-free run;
 * **observability** — job accounting lives in a
@@ -41,7 +41,6 @@ jobs through it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Iterable, Sequence
@@ -57,46 +56,6 @@ from repro.workloads.profile import WorkloadProfile
 from repro.workloads.trace import SyntheticTrace
 
 logger = get_logger(__name__)
-
-#: Exponent bound for :meth:`RetryPolicy.delay`.  ``2.0 ** 62`` already
-#: dwarfs any sane cap, while an unbounded ``2.0 ** attempt`` raises
-#: OverflowError once campaign lease re-queues push attempt counts into
-#: the thousands.
-_MAX_BACKOFF_EXPONENT = 62
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Deterministic bounded retry with exponential backoff (no jitter).
-
-    Attributes:
-        max_attempts: Total attempts per job (first try included).
-        base_seconds: Delay before the first retry.
-        backoff: Multiplier applied per further retry.
-        cap_seconds: Upper bound on any single delay.
-    """
-
-    max_attempts: int = 3
-    base_seconds: float = 0.05
-    backoff: float = 2.0
-    cap_seconds: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
-        if self.base_seconds < 0 or self.cap_seconds < 0 or self.backoff < 1.0:
-            raise ValueError("delays must be >= 0 and backoff >= 1")
-
-    def delay(self, attempt: int) -> float:
-        """Backoff before retrying after failed attempt ``attempt`` (1-based).
-
-        The exponent is bounded so pathological attempt counts (campaign
-        lease re-queues) saturate at ``cap_seconds`` instead of raising
-        OverflowError from the float power.
-        """
-        exponent = min(attempt - 1, _MAX_BACKOFF_EXPONENT)
-        return min(self.base_seconds * self.backoff**exponent, self.cap_seconds)
-
 
 @dataclass
 class SimJobFailure:
@@ -214,7 +173,9 @@ class SimExecutor:
     Args:
         cache_dir: Optional on-disk result cache; see
             :class:`~repro.sim.result_cache.SimResultCache`.
-        retry: Per-job retry policy (deterministic, jitter-free).
+        max_attempts: Attempts per job, the first included (>= 1).  A
+            failed attempt is replayed at once: jobs are pure, so waiting
+            would change nothing.
         faults: Optional :class:`~repro.sim.faults.FaultPlan` injected into
             jobs and cache writes (chaos testing only).
         tracer: Optional :class:`~repro.obs.tracer.Tracer`; when enabled,
@@ -235,13 +196,13 @@ class SimExecutor:
             :class:`~repro.sim.guard.GuardRail`).
 
     Raises:
-        ValueError: For an unknown ``engine``.
+        ValueError: For an unknown ``engine`` or ``max_attempts < 1``.
     """
 
     def __init__(
         self,
         cache_dir: str | None = None,
-        retry: RetryPolicy | None = None,
+        max_attempts: int = 3,
         faults=None,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
@@ -252,8 +213,10 @@ class SimExecutor:
             raise ValueError(
                 f"unknown engine {engine!r}; expected one of {ENGINES}"
             )
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         self.engine = engine
-        self.retry = retry if retry is not None else RetryPolicy()
+        self.max_attempts = max_attempts
         self.faults = faults
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -418,7 +381,7 @@ class SimExecutor:
         ordinal: int,
         first_attempt: int,
     ) -> tuple[SimResult | SimJobFailure, tuple]:
-        """One job through the retry policy.
+        """One job, replayed until it succeeds or ``max_attempts`` is spent.
 
         Returns the outcome and its guard payload ``(guard_events,
         sentinel_replays)`` for the caller to record.
@@ -441,7 +404,7 @@ class SimExecutor:
                         self.faults, ordinal, attempt, tracer=self.tracer,
                     )
                 except Exception as exc:
-                    if attempt >= self.retry.max_attempts:
+                    if attempt >= self.max_attempts:
                         self.telemetry.jobs_failed += 1
                         job_span.set(
                             failed=True, attempts=attempt,
@@ -463,16 +426,12 @@ class SimExecutor:
                             error=f"{type(exc).__name__}: {exc}",
                         ), ((), 0)
                     self.telemetry.job_retries += 1
-                    delay = self.retry.delay(attempt)
                     job_span.event(
                         "job-retry",
                         workload=name,
                         attempt=attempt,
-                        delay_seconds=delay,
                         error=type(exc).__name__,
                     )
-                    if delay > 0:
-                        time.sleep(delay)
                     attempt += 1
                     continue
                 if self.cache is not None:

@@ -13,7 +13,6 @@ from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.core.power_model import collect_power_dataset
 from repro.core.report import render_collection_health
 from repro.core.validation import CollectionHealth, collect_validation_dataset
-from repro.sim.executor import RetryPolicy
 from repro.sim.faults import FaultPlan
 from repro.sim.platform import HardwarePlatform
 from repro.workloads.suites import workload_by_name
@@ -24,8 +23,6 @@ pytestmark = pytest.mark.chaos
 
 WORKLOADS = ("mi-sha", "mi-qsort", "dhrystone", "whetstone")
 POISONED = "mi-qsort"
-
-NO_BACKOFF = RetryPolicy(max_attempts=2, base_seconds=0.0)
 
 
 def _profiles():
@@ -40,7 +37,7 @@ def _gemstone(faults=None) -> GemStone:
             power_workloads=_profiles(),
             frequencies=SMALL_FREQS,
             trace_instructions=TRACE_INSTRUCTIONS,
-            retry=NO_BACKOFF,
+            max_attempts=2,
             faults=faults,
         )
     )

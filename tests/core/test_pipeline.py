@@ -39,6 +39,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="got 'a15'"):
             GemStoneConfig(core="a15")
 
+    def test_fewer_than_one_attempt_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            GemStoneConfig(max_attempts=0)
+
 
 class TestLazyProducts:
     def test_dataset_cached(self, small_gemstone):

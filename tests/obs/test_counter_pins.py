@@ -19,7 +19,6 @@ import pytest
 from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.obs.merge import merge_board_metrics
 from repro.sim.campaign import run_campaign
-from repro.sim.executor import RetryPolicy
 from repro.sim.faults import FaultPlan
 from repro.workloads.suites import workload_by_name
 
@@ -109,7 +108,7 @@ def _config(tmp_path, faults=FAULTS, **overrides) -> GemStoneConfig:
         power_workloads=profiles,
         frequencies=SMALL_FREQS,
         trace_instructions=4_000,
-        retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
+        max_attempts=2,
         faults=faults,
         guard_level="sentinel",
         cache_dir=str(tmp_path / "cache"),

@@ -1,4 +1,4 @@
-"""Campaign stitching: seal verification, adopt tracks, metric merging."""
+"""Campaign stitching: seal verification, shard tracks, metric merging."""
 
 from __future__ import annotations
 
@@ -96,34 +96,6 @@ class TestSealVerification:
         assert read_shard_stream(path) == ([], [])
         with pytest.raises(FileNotFoundError):
             read_shard_stream(path, missing_ok=False)
-
-
-class TestAdoptGeneralisation:
-    def _worker_records(self):
-        worker = Tracer(enabled=True)
-        with worker.span("job"):
-            with worker.span("step"):
-                pass
-        return worker.records
-
-    def test_segment_override_sets_the_track(self):
-        parent = Tracer(enabled=True)
-        parent.adopt(self._worker_records(), rebase_us=0.0, segment=7)
-        assert {r["segment"] for r in parent.records} == {7}
-
-    def test_keep_tid_preserves_worker_lanes(self):
-        records = self._worker_records()
-        for record in records:
-            record["tid"] = 5
-        parent = Tracer(enabled=True)
-        parent.adopt(records, rebase_us=0.0, segment=3, keep_tid=True)
-        assert {r["tid"] for r in parent.records} == {5}
-
-    def test_default_still_rehomes_to_parent_segment(self):
-        parent = Tracer(enabled=True)
-        parent.adopt(self._worker_records(), rebase_us=0.0, tid=2)
-        assert {r["segment"] for r in parent.records} == {parent.segment}
-        assert {r["tid"] for r in parent.records} == {2}
 
 
 class TestMergeCampaignRecords:

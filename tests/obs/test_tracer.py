@@ -1,4 +1,4 @@
-"""Span trees, deterministic identities, worker stitching, streaming."""
+"""Span trees, deterministic identities, streaming."""
 
 from __future__ import annotations
 
@@ -111,41 +111,6 @@ class TestDeterministicShape:
         with other.span("batch", n_jobs=2):
             pass
         assert other.shape() != self._run().shape()
-
-
-class TestAdopt:
-    def _worker(self):
-        worker = Tracer(enabled=True)
-        with worker.span("sim-job", workload="w1"):
-            with worker.span("cache-put"):
-                pass
-            worker.event("tick")
-        return worker.records
-
-    def test_records_are_reidentified_and_rerooted(self):
-        parent = Tracer(enabled=True)
-        with parent.span("pool") as pool:
-            parent.adopt(self._worker(), rebase_us=pool.start_us, tid=3)
-        job = span_by_name(parent, "sim-job")
-        put = span_by_name(parent, "cache-put")
-        assert job["path"] == "pool/sim-job"
-        assert job["parent"] == pool.span_id
-        assert put["parent"] == job["id"]
-        assert {job["tid"], put["tid"]} == {3}
-        event = next(r for r in parent.records if r["kind"] == "event")
-        assert event["span"] == job["id"]
-
-    def test_timestamps_rebase_into_parent_timeline(self):
-        parent = Tracer(enabled=True)
-        with parent.span("pool") as pool:
-            parent.adopt(self._worker(), rebase_us=pool.start_us)
-        job = span_by_name(parent, "sim-job")
-        assert job["start_us"] >= pool.start_us
-
-    def test_disabled_parent_adopts_nothing(self):
-        records = self._worker()
-        NULL_TRACER.adopt(records)
-        assert NULL_TRACER.records == []
 
 
 class TestStreaming:

@@ -30,7 +30,7 @@ from repro.sim.campaign import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import Tracer
-from repro.sim.executor import RetryPolicy, SimExecutor, SimTelemetry
+from repro.sim.executor import SimExecutor, SimTelemetry
 from repro.sim.faults import FaultPlan
 from repro.sim.guard import GuardPlan
 from repro.sim.machine import gem5_ex5_big, hardware_a15, hardware_a7
@@ -379,7 +379,7 @@ def tiny_board(tmp_path_factory):
         workloads=profiles,
         power_workloads=profiles,
         trace_instructions=2_000,
-        retry=RetryPolicy(max_attempts=2, base_seconds=0.0),
+        max_attempts=2,
         engine="scalar",
         guard_level="off",
     )

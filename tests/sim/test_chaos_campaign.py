@@ -34,7 +34,7 @@ from repro.sim.campaign import (
     run_campaign,
     run_worker,
 )
-from repro.sim.executor import RetryPolicy, SimExecutor
+from repro.sim.executor import SimExecutor
 from repro.sim.faults import FaultPlan
 from repro.workloads.suites import workload_by_name
 
@@ -45,8 +45,6 @@ pytestmark = [pytest.mark.chaos, pytest.mark.dist]
 WORKLOADS = ("mi-sha", "mi-qsort", "dhrystone")
 TARGET = "mi-sha"
 N_INSTRS = 4_000
-
-NO_BACKOFF = RetryPolicy(max_attempts=2, base_seconds=0.0)
 
 
 def _profiles(names=WORKLOADS):
@@ -60,7 +58,7 @@ def _config(faults=None, **overrides):
         power_workloads=_profiles(),
         frequencies=SMALL_FREQS,
         trace_instructions=N_INSTRS,
-        retry=NO_BACKOFF,
+        max_attempts=2,
         faults=faults,
         engine="scalar",
         guard_level="off",

@@ -16,7 +16,6 @@ import pytest
 
 from repro.core.pipeline import GemStone, GemStoneConfig
 from repro.core.report import render_collection_health
-from repro.sim.executor import RetryPolicy
 from repro.sim.faults import FaultPlan
 from repro.workloads.suites import workload_by_name
 
@@ -26,8 +25,6 @@ pytestmark = pytest.mark.chaos
 
 WORKLOADS = ("mi-sha", "mi-qsort", "dhrystone")
 TARGET = "mi-sha"
-
-NO_BACKOFF = RetryPolicy(max_attempts=2, base_seconds=0.0)
 
 #: (fault plan constructor, guard event kind the campaign must record).
 COLUMNAR_SCENARIOS = (
@@ -48,7 +45,7 @@ def _gemstone(faults=None, guard_level="paranoid", engine="columnar", **override
         power_workloads=_profiles(),
         frequencies=SMALL_FREQS,
         trace_instructions=TRACE_INSTRUCTIONS,
-        retry=NO_BACKOFF,
+        max_attempts=2,
         faults=faults,
         engine=engine,
         guard_level=guard_level,

@@ -19,7 +19,6 @@ from repro.core.validation import collect_validation_dataset
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.cpu import simulate
 from repro.sim.executor import (
-    RetryPolicy,
     SimExecutor,
     SimTelemetry,
     prime_engines,
@@ -267,7 +266,7 @@ class TestRecipeMajorSerialLane:
 
     def test_ordinal_pinned_fault_hits_the_submitted_job(self, machine_major):
         ex = SimExecutor(
-            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            max_attempts=1,
             faults=FaultPlan.crash_job(1),
         )
         results = ex.run_many(machine_major, raise_on_error=False)

@@ -18,9 +18,9 @@ import os
 
 import pytest
 
+from repro.obs.tracer import Tracer
 from repro.sim.cpu import simulate
 from repro.sim.executor import (
-    RetryPolicy,
     SimExecutor,
     SimJobError,
     SimJobFailure,
@@ -34,10 +34,6 @@ from repro.workloads.suites import workload_by_name
 pytestmark = pytest.mark.chaos
 
 N_INSTRS = 6_000
-
-#: No backoff sleeps in tests; determinism does not need wall-clock.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_seconds=0.0)
-
 
 @pytest.fixture(scope="module")
 def machine():
@@ -127,38 +123,25 @@ class TestFaultPlan:
         assert np.isfinite(samples).all()
 
 
-class TestRetryPolicy:
-    def test_deterministic_exponential_backoff(self):
-        policy = RetryPolicy(max_attempts=5, base_seconds=0.1, backoff=2.0,
-                             cap_seconds=0.3)
-        assert policy.delay(1) == pytest.approx(0.1)
-        assert policy.delay(2) == pytest.approx(0.2)
-        assert policy.delay(3) == pytest.approx(0.3)  # capped
-        assert policy.delay(4) == pytest.approx(0.3)
+class TestAttemptBudget:
+    def test_fewer_than_one_attempt_rejected(self):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1"):
+            SimExecutor(max_attempts=0)
 
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(backoff=0.5)
-
-    def test_pathological_attempt_counts_saturate_at_cap(self):
-        # Campaign lease re-queues can produce attempt numbers far past
-        # anything an executor retry loop sees; the bounded exponent must
-        # saturate at the cap instead of raising OverflowError.
-        policy = RetryPolicy(max_attempts=3, base_seconds=0.05,
-                             backoff=2.0, cap_seconds=1.0)
-        assert policy.delay(10_000) == policy.cap_seconds
-        assert policy.delay(2**31) == policy.cap_seconds
-        huge = RetryPolicy(max_attempts=3, base_seconds=1.0, backoff=10.0,
-                           cap_seconds=float("inf"))
-        assert huge.delay(10_000) == huge.delay(10_001)  # bounded, finite
-        assert huge.delay(10_000) < float("inf")
+    def test_retry_event_names_the_failed_attempt(self, jobs):
+        tracer = Tracer(enabled=True)
+        ex = SimExecutor(faults=FaultPlan.crash_job(0), tracer=tracer)
+        ex.run(jobs[0])
+        (event,) = [r for r in tracer.records if r["name"] == "job-retry"]
+        assert event["attrs"] == {
+            "workload": jobs[0].profile.name, "attempt": 1,
+            "error": "InjectedFault",
+        }
 
 
 class TestSerialRecovery:
     def test_flaky_job_retried_to_identical_result(self, jobs, golden):
-        ex = SimExecutor(retry=FAST_RETRY, faults=FaultPlan.crash_job(0))
+        ex = SimExecutor(faults=FaultPlan.crash_job(0))
         results = ex.run_many(jobs)
         for result, reference in zip(results, golden):
             _assert_same(result, reference)
@@ -167,16 +150,16 @@ class TestSerialRecovery:
 
     def test_poisoned_job_fails_permanently(self, jobs):
         plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(retry=FAST_RETRY, faults=plan)
+        ex = SimExecutor(faults=plan)
         with pytest.raises(SimJobError) as err:
             ex.run_many(jobs)
         assert err.value.failure.trace_name == jobs[0].profile.name
-        assert err.value.failure.attempts == FAST_RETRY.max_attempts
+        assert err.value.failure.attempts == 3
         assert ex.telemetry.jobs_failed == 1
 
     def test_raise_on_error_false_degrades(self, jobs, golden):
         plan = FaultPlan.crash_workload(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(retry=FAST_RETRY, faults=plan)
+        ex = SimExecutor(faults=plan)
         results = ex.run_many(jobs, raise_on_error=False)
         assert results[0] is None
         for result, reference in zip(results[1:], golden[1:]):
@@ -188,7 +171,7 @@ class TestSerialRecovery:
         """An out-of-memory job respects the retry budget and fails as
         ``"oom"``; its siblings keep their results."""
         ex = SimExecutor(
-            retry=RetryPolicy(max_attempts=1, base_seconds=0.0),
+            max_attempts=1,
             faults=FaultPlan.worker_oom(jobs[0].profile.name),
         )
         results = ex.run_many(jobs, raise_on_error=False)
@@ -206,7 +189,7 @@ class TestCacheCorruption:
     ):
         cache_dir = str(tmp_path / "simcache")
         plan = FaultPlan.corrupt_cache(jobs[0].profile.name, attempts=99)
-        ex = SimExecutor(retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
+        ex = SimExecutor(cache_dir=cache_dir, faults=plan)
         first = ex.run_many(jobs)
         for result, reference in zip(first, golden):
             _assert_same(result, reference)
@@ -226,7 +209,7 @@ class TestCacheCorruption:
     ):
         cache_dir = str(tmp_path / "simcache")
         plan = FaultPlan.corrupt_cache(attempts=1)  # every workload's 1st put
-        ex = SimExecutor(retry=FAST_RETRY, cache_dir=cache_dir, faults=plan)
+        ex = SimExecutor(cache_dir=cache_dir, faults=plan)
         for result, reference in zip(ex.run_many(jobs), golden):
             _assert_same(result, reference)
         clean = SimExecutor(cache_dir=cache_dir)
@@ -245,7 +228,7 @@ class TestCacheCorruption:
         name = jobs[0].profile.name
         cache_dir = str(tmp_path / "simcache")
         ex = SimExecutor(
-            retry=FAST_RETRY, cache_dir=cache_dir,
+            cache_dir=cache_dir,
             faults=FaultPlan.corrupt_cache(name) | FaultPlan.nan_pass(name),
             guard=GuardPlan(level="sentinel"),
         )

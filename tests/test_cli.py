@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import _gemstone, build_parser, main
 
 
 class TestParser:
@@ -97,6 +97,11 @@ class TestSchedulingOptions:
     def test_pipeline_subcommands_take_cache_dir(self, command):
         args = build_parser().parse_args([command, "--cache-dir", "c"])
         assert args.cache_dir == "c"
+
+    def test_zero_retries_runs_one_attempt(self):
+        gemstone = _gemstone(build_parser().parse_args(["headline", "--retries", "0"]))
+        assert gemstone.config.max_attempts == 1
+        assert gemstone.executor.max_attempts == 1
 
 
 class TestCampaignOptions:
