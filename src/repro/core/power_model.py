@@ -22,7 +22,7 @@ Reimplements the Powmon methodology of [8] as the paper uses it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -107,8 +107,8 @@ def collect_power_dataset(
     runs entirely against memoised results.
 
     Collection degrades gracefully: a (workload, OPP) point that fails with
-    a recoverable error (permanently failed simulation job, I/O error,
-    timeout) is recorded in ``health`` — an optional
+    a recoverable error (permanently failed simulation job, I/O error) is
+    recorded in ``health`` — an optional
     :class:`~repro.core.validation.CollectionHealth` — and skipped, as are
     points whose power sensor lost every sample (NaN power); the model is
     fitted on the surviving observations with explicit gap accounting.

@@ -26,7 +26,7 @@ near-perfect fits, constant ``y``, non-finite values) it is fully fitted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

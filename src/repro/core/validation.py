@@ -26,9 +26,9 @@ from repro.sim.platform import HardwarePlatform, HwMeasurement
 from repro.workloads.profile import WorkloadProfile
 
 #: Failure classes dataset collection survives by recording a gap: a job
-#: that exhausted the executor's retries, an I/O error from a flaky board
-#: or filesystem, and timeouts.  Programming errors still propagate.
-RECOVERABLE_ERRORS = (SimJobError, OSError, TimeoutError)
+#: that exhausted the executor's retries, and an I/O error from a flaky
+#: board or filesystem.  Programming errors still propagate.
+RECOVERABLE_ERRORS = (SimJobError, OSError)
 
 
 @dataclass(frozen=True)
@@ -334,13 +334,13 @@ def collect_validation_dataset(
     ``platform.executor`` up front, in one batch (see
     :func:`~repro.sim.executor.prime_engines`).  Share that executor with
     ``gem5``, so a model job that fails in the batch is retried through
-    the same cache, retry policy and guards.  Frequencies only rescale a
+    the same cache and guards.  Frequencies only rescale a
     simulation's counts, so that one batch covers the whole sweep.
 
     Collection degrades gracefully: a (workload, frequency) point whose
     hardware or gem5 run fails with a :data:`RECOVERABLE_ERRORS` class
-    (a permanently failed simulation job, board/filesystem I/O errors,
-    timeouts) is recorded in the dataset's :class:`CollectionHealth` and
+    (a permanently failed simulation job, board/filesystem I/O errors)
+    is recorded in the dataset's :class:`CollectionHealth` and
     skipped, so every surviving row — bit-identical to a fault-free run —
     is still analysed instead of the whole campaign aborting.
 

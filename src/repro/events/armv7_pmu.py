@@ -13,7 +13,7 @@ output the way Fig. 5 does (memory barriers, branches, cache refills, ...).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 

@@ -25,7 +25,7 @@ and callers must treat a measurement as read-only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # Named here so that numpy 2 loads numpy.random at start-up, not in a report.

@@ -11,7 +11,7 @@ gem5 model's over-aggressive L2 prefetching is another Fig. 6 divergence).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -14,7 +14,7 @@ model-vs-hardware comparison meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 
