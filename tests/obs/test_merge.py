@@ -141,6 +141,53 @@ class TestMergeCampaignRecords:
         }
         assert meta == {"campaign shard-0", "campaign shard-1"}
 
+    def _nested_board(self, tmp_path):
+        """Two shards whose tracers produced the same ids."""
+        board = tmp_path / "board"
+        board.mkdir()
+        (board / "board.json").write_text("{}\n")
+        streams = {}
+        for owner in ("shard-0", "shard-1"):
+            obs = board / "obs" / owner
+            obs.mkdir(parents=True)
+            worker = Tracer(enabled=True, stream_path=str(obs / "events.jsonl"))
+            with worker.span("sim-job", workload=owner):
+                with worker.span("cache-put"):
+                    pass
+                worker.event("tick")
+            worker.close()
+            streams[owner], _ = read_shard_stream(
+                str(obs / "events.jsonl")
+            )
+        return str(board), streams
+
+    def test_shard_records_are_reidentified_and_relinked(self, tmp_path):
+        board, _ = self._nested_board(tmp_path)
+        records, _ = merge_campaign_records(board)
+        ids = [r["id"] for r in records]
+        assert len(ids) == len(set(ids)) == 6
+        for segment in (0, 1):
+            track = [r for r in records if r["segment"] == segment]
+            job = next(r for r in track if r.get("name") == "sim-job")
+            put = next(r for r in track if r.get("name") == "cache-put")
+            tick = next(r for r in track if r["kind"] == "event")
+            assert job["parent"] is None
+            assert put["parent"] == job["id"]
+            assert tick["span"] == job["id"]
+
+    def test_shard_timestamps_are_kept(self, tmp_path):
+        board, streams = self._nested_board(tmp_path)
+        records, names = merge_campaign_records(board)
+        for pid, name in names.items():
+            owner = name.split()[-1]
+            originals = [
+                r for r in streams[owner] if r["kind"] in ("span", "event")
+            ]
+            merged = [r for r in records if r["segment"] == pid]
+            assert [r.get("start_us", r.get("ts_us")) for r in merged] == [
+                r.get("start_us", r.get("ts_us")) for r in originals
+            ]
+
     def test_merge_is_a_pure_function_of_the_streams(self, tmp_path):
         # Re-merging after a coordinator restart must be byte-identical.
         board = _fake_board(tmp_path)

@@ -103,6 +103,11 @@ class TestSchedulingOptions:
         assert gemstone.config.max_attempts == 1
         assert gemstone.executor.max_attempts == 1
 
+    def test_retries_is_the_attempt_count(self):
+        gemstone = _gemstone(build_parser().parse_args(["headline", "--retries", "5"]))
+        assert gemstone.config.max_attempts == 5
+        assert gemstone.executor.max_attempts == 5
+
 
 class TestCampaignOptions:
     """Each ``campaign`` action accepts only the options it reads."""
